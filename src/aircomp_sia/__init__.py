@@ -11,7 +11,6 @@ from .baselines import (
     conventional_partition_dimensions,
     efficiency_report,
     genie_channels,
-    no_ia_precoder,
     optimal_partition_search,
     sia_array_size,
 )
@@ -19,7 +18,6 @@ from .engine import (
     SweepPoint,
     SweepResult,
     TrialResult,
-    analytic_noise_mse,
     fit_nmse_slope,
     run_functional_trial,
     run_sweep,
@@ -31,26 +29,17 @@ from .errors import (
     ConfigError,
     DegenerateChannels,
     DomainError,
-    NearSingular,
     RankDeficient,
     SizeMismatch,
 )
 from .functions import FunctionSpec, postprocess, preprocess
-from .linalg import (
-    gaussian_matrix,
-    inverse,
-    left_null_space_basis,
-    numerical_rank,
-    right_inverse,
-)
+from .linalg import left_null_space_basis, numerical_rank
 from .sia import (
     SiaMatrices,
     aligned_interference_dimension,
     build_aggregation_beamformers,
-    build_precoder,
     build_reference_matrices,
     build_sia_matrices,
-    recover,
 )
 from .system import (
     ChannelSet,
@@ -60,27 +49,24 @@ from .system import (
     draw_symbols,
     parse_config_file,
     partition,
-    receive,
     superpose,
 )
 
 __all__ = [
     "__version__",
     "AirCompError", "ConfigError", "DegenerateChannels", "DomainError",
-    "NearSingular", "RankDeficient", "SizeMismatch",
-    "gaussian_matrix", "inverse", "right_inverse", "left_null_space_basis",
-    "numerical_rank",
+    "RankDeficient", "SizeMismatch",
+    "left_null_space_basis", "numerical_rank",
     "SystemConfig", "Partition", "partition", "ChannelSet", "draw_channels",
-    "draw_symbols", "superpose", "receive", "parse_config_file",
+    "draw_symbols", "superpose", "parse_config_file",
     "SiaMatrices", "build_reference_matrices", "build_aggregation_beamformers",
-    "build_precoder", "build_sia_matrices", "aligned_interference_dimension",
-    "recover",
+    "build_sia_matrices", "aligned_interference_dimension",
     "conventional_ia_array_size", "sia_array_size", "communication_efficiency",
     "optimal_partition_search", "conventional_partition_dimensions",
     "ConventionalPartition", "EfficiencyReport", "efficiency_report",
-    "no_ia_precoder", "build_no_ia_precoders", "genie_channels",
+    "build_no_ia_precoders", "genie_channels",
     "FunctionSpec", "preprocess", "postprocess",
     "TrialResult", "SweepPoint", "SweepResult", "run_trial", "run_sweep",
-    "run_functional_trial", "analytic_noise_mse", "fit_nmse_slope",
+    "run_functional_trial", "fit_nmse_slope",
     "worker_count",
 ]

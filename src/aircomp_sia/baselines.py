@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RankDeficient, SizeMismatch
-from .linalg import FULL_RANK_RTOL, as_matrix, right_inverse
+from .linalg import FULL_RANK_RTOL
 from .system import ChannelSet
 
 SCHEME_NAMES = ("conventional_ia", "sia")
@@ -109,19 +109,16 @@ def efficiency_report(scheme, antennas, devices):
     return EfficiencyReport(scheme, antennas, devices, streams, eff)
 
 
-def no_ia_precoder(device, cell, channels, beamformer):
-    """Zero-forcing toward the home AP only; the cross link is ignored."""
-    beamformer = as_matrix(beamformer, "beamformer")
-    return right_inverse(beamformer @ channels.direct[device, cell])
-
-
 def build_no_ia_precoders(channels, beamformer):
-    """Vectorised no_ia precoders for all devices, shape (K, 2, M, dof)."""
+    """Zero-forcing toward the home AP only, the cross link ignored: the
+    minimum-norm right inverse of beamformer @ direct for every device,
+    shape (K, 2, M, dof)."""
     beamformer = np.asarray(beamformer)
-    if beamformer.ndim != 3 or beamformer.shape[0] != 2:
-        raise SizeMismatch(f"beamformer must be (2, dof, M), got {beamformer.shape}")
+    shape = beamformer.shape
+    if len(shape) != 3 or shape[0] != 2 or shape[1] > shape[2]:
+        raise SizeMismatch(f"beamformer must be (2, dof, M) with dof <= M, got {shape}")
     k, m = channels.devices, channels.antennas
-    dof = beamformer.shape[1]
+    dof = shape[1]
     precoder = np.empty((k, 2, m, dof), dtype=np.complex128)
     for i in (0, 1):
         effective = beamformer[i] @ channels.direct[:, i]

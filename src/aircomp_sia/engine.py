@@ -1,10 +1,10 @@
 """Monte Carlo harness: seeded trials, SNR sweeps and summary metrics.
 
 Every trial derives its own random stream from (seed, trial_index), draws
-channels, reference matrices, symbols and one unit-variance noise vector,
-and evaluates every SNR point by rescaling that noise. Results are
-therefore independent of scheduling: sweeps aggregate in trial order and
-give identical output for any worker count.
+reference matrices, channels, symbols and one unit-variance noise vector,
+and scores the whole SNR grid at once by rescaling that noise. Results
+are therefore independent of scheduling: sweeps aggregate in trial order
+and give identical output for any worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import build_no_ia_precoders, genie_channels
-from .errors import ConfigError, DegenerateChannels, NearSingular, RankDeficient, SizeMismatch
+from .errors import ConfigError, DegenerateChannels, RankDeficient, SizeMismatch
 from .functions import FunctionSpec, postprocess, preprocess
 from .sia import (
     aligned_interference_dimension,
@@ -33,62 +33,37 @@ SET_REDRAW_BUDGET = 100
 
 @dataclass
 class TrialResult:
-    nmse: np.ndarray          # (2,) per cell, ||recovered - target||^2 / ||target||^2
-    leakage: np.ndarray       # (2,) per AP, post-beamforming interference power ratio
-    aligned_rank: np.ndarray  # (2,) per interfering cell, at the victim AP
-    tx_power: np.ndarray      # (K, 2) per-device transmit power, diagnostic
-    noise_std: float
-    analytic_nmse: float      # noise-only NMSE prediction for this trial
-    err_power: np.ndarray     # (2,) raw recovered-error power
-    sig_power: np.ndarray     # (2,) raw target power
+    """One seeded trial scored at every point of an SNR grid.
+
+    Fields with a leading P axis hold one entry per grid point; the
+    others do not depend on the noise level.
+    """
+
+    target: np.ndarray         # (2, dof) sum of home-cell symbols
+    err: np.ndarray            # (P, 2, dof) recovered minus target
+    err_power: np.ndarray      # (P, 2) ||err||^2 per cell
+    sig_power: np.ndarray      # (2,) ||target||^2 per cell
+    nmse: np.ndarray           # (P, 2) err_power / sig_power
+    noise_std: np.ndarray      # (P,)
+    analytic_nmse: np.ndarray  # (P,) noise-only NMSE prediction, noise_std^2 / K
+    leakage: np.ndarray        # (2,) per AP, post-beamforming interference power ratio
+    aligned_rank: np.ndarray   # (2,) per interfering cell, at the victim AP
+    tx_power: np.ndarray       # (K, 2) per-device transmit power, diagnostic
     redraws: int
 
 
-@dataclass
-class _TrialComponents:
-    """Noise-independent pieces of one trial, reusable across SNR points."""
+def _trial(config, trial_index, snr_db, symbols=None):
+    """Draw, build and transmit one seeded trial, then score it at every
+    point of the SNR grid `snr_db` in one broadcast.
 
-    devices: int
-    signal_dim: int
-    target: np.ndarray        # (2, dof) sum of home-cell symbols
-    sa_error: np.ndarray      # (2, dof) recovered desired signal minus target
-    leak_vec: np.ndarray      # (2, dof) beamformed interference
-    leak_ratio: np.ndarray    # (2,)
-    beam_noise: np.ndarray    # (2, dof) beamformed unit-variance noise
-    signal_power: float       # received desired power per antenna, AP average
-    tx_power: np.ndarray      # (K, 2)
-    aligned_rank: np.ndarray  # (2,)
-    redraws: int
-
-    def noise_std_for(self, snr_db):
-        if snr_db is None:
-            return 0.0
-        return math.sqrt(self.signal_power / 10.0 ** (snr_db / 10.0))
-
-    def evaluate(self, snr_db=None):
-        sigma = self.noise_std_for(snr_db)
-        err = self.sa_error + self.leak_vec + sigma * self.beam_noise
-        err_power = np.sum(np.abs(err) ** 2, axis=1)
-        sig_power = np.sum(np.abs(self.target) ** 2, axis=1)
-        return TrialResult(
-            nmse=err_power / sig_power,
-            leakage=self.leak_ratio.copy(),
-            aligned_rank=self.aligned_rank.copy(),
-            tx_power=self.tx_power,
-            noise_std=sigma,
-            analytic_nmse=sigma**2 / self.devices,
-            err_power=err_power,
-            sig_power=sig_power,
-            redraws=self.redraws,
-        )
-
-
-def _build_components(config, trial_index, symbols=None):
+    The trial draws one unit-variance noise vector; each grid point
+    rescales it so the noise power sits `snr_db` below the received
+    desired power. An infinite SNR is the noiseless pipeline.
+    """
     config.validate()
     part = partition(config.antennas)
     rng = np.random.default_rng([config.seed, trial_index])
-    reference = build_reference_matrices(
-        config.antennas, part.interference_dim, rng, fixed=config.fixed_reference)
+    reference = build_reference_matrices(config.antennas, part.interference_dim, rng)
     beamformer = build_aggregation_beamformers(reference)
     redraws = 0
     for _ in range(SET_REDRAW_BUDGET):
@@ -101,7 +76,7 @@ def _build_components(config, trial_index, symbols=None):
                 precoders = build_sia_matrices(channels, reference).precoder
             else:
                 precoders = build_no_ia_precoders(channels, beamformer)
-        except (NearSingular, RankDeficient):
+        except RankDeficient:
             redraws += 1
             continue
         break
@@ -134,28 +109,36 @@ def _build_components(config, trial_index, symbols=None):
     aligned = np.array([
         aligned_interference_dimension(i, channels, precoders) for i in (0, 1)
     ])
-    return _TrialComponents(
-        devices=config.devices,
-        signal_dim=part.signal_dim,
+
+    # float_power is libm pow, as Python's float ** is, so every grid point
+    # matches a scalar evaluation at that point to the bit.
+    noise_std = np.sqrt(signal_power / np.float_power(10.0, np.asarray(snr_db) / 10.0))
+    err = (sa_error + leak_vec) + noise_std[:, None, None] * beam_noise
+    err_power = np.sum(np.abs(err) ** 2, axis=-1)
+    sig_power = np.sum(np.abs(target) ** 2, axis=1)
+    return TrialResult(
         target=target,
-        sa_error=sa_error,
-        leak_vec=leak_vec,
-        leak_ratio=leak_ratio,
-        beam_noise=beam_noise,
-        signal_power=signal_power,
-        tx_power=tx_power,
+        err=err,
+        err_power=err_power,
+        sig_power=sig_power,
+        nmse=err_power / sig_power,
+        noise_std=noise_std,
+        analytic_nmse=np.float_power(noise_std, 2) / config.devices,
+        leakage=leak_ratio,
         aligned_rank=aligned,
+        tx_power=tx_power,
         redraws=redraws,
     )
 
 
 def run_trial(config, trial_index, snr_db=None):
-    """One seeded trial: draw, build, transmit and score.
+    """One seeded trial: draw, build, transmit and score at one SNR point.
 
-    snr_db=None runs the noiseless pipeline (noise_std = 0). The result is
-    a pure function of (config, trial_index, snr_db).
+    snr_db=None runs the noiseless pipeline (noise_std = 0). The result
+    has a one-point grid axis and is a pure function of (config,
+    trial_index, snr_db).
     """
-    return _build_components(config, trial_index).evaluate(snr_db)
+    return _trial(config, trial_index, [math.inf if snr_db is None else snr_db])
 
 
 def run_functional_trial(config, data, trial_index=0, snr_db=None):
@@ -177,30 +160,9 @@ def run_functional_trial(config, data, trial_index=0, snr_db=None):
     for k in range(config.devices):
         for i in (0, 1):
             symbols[k, i] = preprocess(spec, data[k, i])
-    comp = _build_components(config, trial_index, symbols=symbols)
-    sigma = comp.noise_std_for(snr_db)
-    recovered = comp.target + comp.sa_error + comp.leak_vec + sigma * comp.beam_noise
+    res = _trial(config, trial_index, [math.inf if snr_db is None else snr_db], symbols)
+    recovered = res.target + res.err[0]
     return np.stack([postprocess(spec, recovered[i]) for i in (0, 1)])
-
-
-def analytic_noise_mse(beamformer, noise_std, signal_power):
-    """Noise-only NMSE prediction.
-
-    With orthonormal beamformer rows the recovered noise power is
-    noise_std**2 times the stream count; dividing by the expected
-    aggregate signal power gives the predicted NMSE.
-    """
-    beamformer = np.asarray(beamformer)
-    if beamformer.ndim != 2:
-        raise SizeMismatch("beamformer must be 2-D")
-    gram = beamformer @ beamformer.conj().T
-    if not np.allclose(gram, np.eye(beamformer.shape[0]), atol=1e-8):
-        raise ValueError("beamformer rows must be orthonormal")
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
-    if signal_power <= 0:
-        raise ValueError("signal_power must be positive")
-    return noise_std**2 * beamformer.shape[0] / signal_power
 
 
 @dataclass
@@ -225,9 +187,11 @@ class SweepResult:
 
 
 def worker_count():
-    """Worker cap: AIRCOMP_WORKERS if set, else the CPU count."""
+    """Worker cap: AIRCOMP_WORKERS if set, else the CPUs this process may run on."""
     raw = os.environ.get("AIRCOMP_WORKERS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         value = int(raw)
@@ -239,29 +203,15 @@ def worker_count():
 
 
 def _sweep_batch(config, start, stop):
-    """Evaluate trials [start, stop) at every SNR point; returns stacked arrays."""
-    grid = tuple(config.snr_db_grid)
-    count = stop - start
-    points = len(grid)
-    out = {
-        "nmse": np.empty((count, points, 2)),
-        "err_power": np.empty((count, points, 2)),
-        "noise_var": np.empty((count, points)),
-        "sig_power": np.empty((count, 2)),
-        "leakage": np.empty((count, 2)),
-        "aligned_rank": np.empty((count, 2), dtype=np.int64),
-    }
-    for offset, trial in enumerate(range(start, stop)):
-        comp = _build_components(config, trial)
-        for p, snr_db in enumerate(grid):
-            res = comp.evaluate(snr_db)
-            out["nmse"][offset, p] = res.nmse
-            out["err_power"][offset, p] = res.err_power
-            out["noise_var"][offset, p] = res.noise_std**2
-        out["sig_power"][offset] = np.sum(np.abs(comp.target) ** 2, axis=1)
-        out["leakage"][offset] = comp.leak_ratio
-        out["aligned_rank"][offset] = comp.aligned_rank
-    return out
+    """Run trials [start, stop) over the whole SNR grid; returns stacked arrays."""
+    grid = np.asarray(config.snr_db_grid, dtype=np.float64)
+    keys = ("err_power", "nmse", "analytic_nmse", "sig_power", "leakage", "aligned_rank")
+    rows = {key: [] for key in keys}
+    for trial in range(start, stop):
+        res = _trial(config, trial, grid)
+        for key in keys:
+            rows[key].append(getattr(res, key))
+    return {key: np.stack(values) for key, values in rows.items()}
 
 
 def _batch_ranges(trials, workers):
@@ -307,7 +257,7 @@ def run_sweep(config, workers=None):
     if workers == 1 or len(ranges) == 1:
         batches = [_sweep_batch(config, a, b) for a, b in ranges]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [pool.submit(_sweep_batch, config, a, b) for a, b in ranges]
             batches = [f.result() for f in futures]
     merged = {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
@@ -320,7 +270,7 @@ def run_sweep(config, workers=None):
     for p, snr_db in enumerate(grid):
         err = merged["err_power"][:, p, :]
         ratios = merged["nmse"][:, p, :]
-        predicted = merged["noise_var"][:, p] / config.devices
+        predicted = merged["analytic_nmse"][:, p]
         normalised = err.mean(axis=1) / expected_sig_power
         gap = normalised - predicted
         se = float(gap.std(ddof=1) / math.sqrt(len(gap))) if len(gap) > 1 else float("nan")

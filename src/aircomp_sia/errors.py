@@ -9,10 +9,6 @@ class SizeMismatch(AirCompError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class NearSingular(AirCompError):
-    """Condition number exceeds the inversion guard."""
-
-
 class RankDeficient(AirCompError):
     """Matrix lacks the full rank the operation requires."""
 

@@ -1,16 +1,16 @@
-"""Dense complex linear algebra with explicit conditioning guards.
+"""Dense complex linear algebra: rank and null-space via the SVD, and the
+tolerances the conditioning and rank guards share.
 
-Everything operates on 2-D complex128 arrays. Rank, null-space and
-pseudo-inverse computations go through the SVD; plain inversion uses LU.
-All tolerances are relative to the largest singular value, so the
-decisions are invariant to overall scaling.
+Everything operates on 2-D complex128 arrays. All tolerances are
+relative to the largest singular value, so the decisions are invariant
+to overall scaling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NearSingular, RankDeficient, SizeMismatch
+from .errors import RankDeficient, SizeMismatch
 
 # Draws whose 2-norm condition number exceeds this are treated as degenerate.
 COND_LIMIT = 1e12
@@ -28,60 +28,6 @@ def as_matrix(a, name="matrix"):
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def gaussian_matrix(rows, cols, rng):
-    """Draw an i.i.d. circularly symmetric complex Gaussian matrix.
-
-    Entries have zero mean and unit variance (1/2 per real and imaginary
-    part), the usual rich-scattering channel model.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
-def singular_values(a):
-    """Singular values of `a` in descending order."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
-
-
-def condition_number(a):
-    """2-norm condition number; inf when the smallest singular value is zero."""
-    s = singular_values(a)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
-
-
-def inverse(a):
-    """Invert a square matrix, rejecting condition numbers above COND_LIMIT."""
-    a = as_matrix(a)
-    rows, cols = a.shape
-    if rows != cols:
-        raise SizeMismatch(f"cannot invert a {rows}x{cols} matrix")
-    cond = condition_number(a)
-    if cond > COND_LIMIT:
-        raise NearSingular(f"condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return np.linalg.inv(a)
-
-
-def right_inverse(a):
-    """Minimum-Frobenius-norm right inverse X with a @ X = I.
-
-    Requires rows <= cols and full row rank; for a square input this
-    coincides with `inverse`.
-    """
-    a = as_matrix(a)
-    rows, cols = a.shape
-    if rows > cols:
-        raise SizeMismatch(f"right inverse needs rows <= cols, got {rows}x{cols}")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= FULL_RANK_RTOL * s[0]:
-        raise RankDeficient("matrix does not have full row rank")
-    return np.linalg.pinv(a)
 
 
 def left_null_space_basis(b):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -121,7 +122,10 @@ def write_result_json(result, manifest, stream):
         clean = {}
         for col in RESULT_COLUMNS:
             value = row[col]
-            clean[col] = float(fmt(value)) if isinstance(value, float) else value
+            if isinstance(value, float):
+                # Strict JSON has no NaN or Infinity; a one-point grid has no slope.
+                value = float(fmt(value)) if math.isfinite(value) else None
+            clean[col] = value
         rows.append(clean)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -129,7 +133,7 @@ def write_result_json(result, manifest, stream):
         "columns": list(RESULT_COLUMNS),
         "rows": rows,
     }
-    json.dump(payload, stream, indent=2, allow_nan=True)
+    json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")
 
 

@@ -19,17 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, SizeMismatch
-from .linalg import (
-    FULL_RANK_RTOL,
-    RANK_RTOL,
-    as_matrix,
-    gaussian_matrix,
-    inverse,
-    left_null_space_basis,
-    numerical_rank,
-    right_inverse,
-)
-from .system import partition
+from .linalg import FULL_RANK_RTOL, RANK_RTOL, left_null_space_basis, numerical_rank
+from .system import _complex_normal, partition
 
 
 @dataclass
@@ -50,26 +41,19 @@ class SiaMatrices:
     precoder: np.ndarray
 
 
-def build_reference_matrices(antennas, interference_dim, rng=None, fixed=False):
+def build_reference_matrices(antennas, interference_dim, rng):
     """Two full-column-rank reference matrices, one per cell, shape (2, M, N').
 
     Random draws are orthonormalised (QR) so the aggregation beamformers
-    inherit a well-conditioned null-space problem. fixed=True uses
-    identity columns instead (first block for cell 1, last block for
-    cell 2), convenient for hand-checked examples.
+    inherit a well-conditioned null-space problem.
     """
     expected = partition(antennas).interference_dim
     if interference_dim != expected:
         raise ValueError(
             f"interference_dim must be {expected} for M={antennas}, got {interference_dim}")
-    if fixed:
-        eye = np.eye(antennas, dtype=np.complex128)
-        return np.stack([eye[:, :interference_dim], eye[:, antennas - interference_dim:]])
-    if rng is None:
-        raise ValueError("rng is required for random reference matrices")
     refs = []
     for _ in range(2):
-        q, _ = np.linalg.qr(gaussian_matrix(antennas, interference_dim, rng))
+        q, _ = np.linalg.qr(_complex_normal(rng, (antennas, interference_dim)))
         refs.append(q)
     return np.stack(refs)
 
@@ -89,27 +73,14 @@ def build_aggregation_beamformers(reference):
     ])
 
 
-def build_precoder(device, cell, channels, beamformer, reference):
-    """Cascaded precoder for one device of one cell.
-
-    Returns (ia, sa, full): ia inverts the device's cross channel, sa
-    right-inverts the effective channel beamformer @ direct @ ia @
-    reference, and full = ia @ reference @ sa. Raises NearSingular or
-    RankDeficient on degenerate draws; callers redraw the channel set.
-    """
-    beamformer = as_matrix(beamformer, "beamformer")
-    reference = as_matrix(reference, "reference")
-    ia = inverse(channels.cross[device, cell])
-    effective = beamformer @ channels.direct[device, cell] @ ia @ reference
-    sa = right_inverse(effective)
-    return ia, sa, ia @ (reference @ sa)
-
-
 def build_sia_matrices(channels, reference):
     """Build beamformers and all K*2 precoders for one channel draw.
 
-    Vectorised equivalent of calling build_precoder per device. Assumes
-    the cross channels already passed the draw-time conditioning guard.
+    Per device: ia inverts the cross channel, sa right-inverts the
+    effective channel beamformer @ direct @ ia @ reference, and the
+    precoder is ia @ reference @ sa. Assumes the cross channels already
+    passed the draw-time conditioning guard; raises RankDeficient when an
+    effective channel loses row rank, and the caller redraws the set.
     """
     reference = np.asarray(reference)
     beamformer = build_aggregation_beamformers(reference)
@@ -140,14 +111,3 @@ def aligned_interference_dimension(cell, channels, precoders, tol=RANK_RTOL):
     blocks = channels.cross[:, cell] @ precoders[:, cell]
     stack = blocks.transpose(1, 0, 2).reshape(channels.antennas, -1)
     return numerical_rank(stack, tol)
-
-
-def recover(beamformer, received):
-    """Project a received vector onto the home signal space (the estimate
-    of the home cell's symbol sum)."""
-    beamformer = as_matrix(beamformer, "beamformer")
-    received = np.asarray(received, dtype=np.complex128)
-    if received.ndim != 1 or received.shape[0] != beamformer.shape[1]:
-        raise SizeMismatch(
-            f"received must be a length-{beamformer.shape[1]} vector, got {received.shape}")
-    return beamformer @ received

@@ -1,4 +1,4 @@
-"""Scenario configuration, channel generation and the received-signal model.
+"""Scenario configuration, channel generation and the noise-free superposition.
 
 The layout is fixed: two cells, one access point per cell, `devices`
 devices per cell, and `antennas` antennas on every node (devices need a
@@ -18,6 +18,7 @@ from .linalg import COND_LIMIT
 
 SCHEMES = ("sia", "no_ia", "genie")
 FUNCTIONS = ("sum", "mean", "geomean")
+INT_FIELDS = ("antennas", "devices", "trials", "seed")
 
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 45, 5))
 DEFAULT_TRIALS = 200
@@ -35,22 +36,20 @@ class SystemConfig:
     seed: int = 0                          # base seed; trials derive their own streams
     scheme: str = "sia"                    # sia | no_ia | genie
     function: str = "mean"                 # sum | mean | geomean
-    num_cells: int = 2                     # the construction is specific to two cells
-    fixed_reference: bool = False          # identity-column references, for hand checks
 
     def validate(self):
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.antennas == 1:
             raise ConfigError("M=1 yields zero AirComp DoF")
         if self.antennas < 1:
             raise ConfigError(f"antennas must be positive, got {self.antennas}")
         if self.devices < 1:
             raise ConfigError(f"devices must be positive, got {self.devices}")
-        if self.num_cells != 2:
-            raise ConfigError("num_cells is fixed at 2")
         if self.trials < 1:
             raise ConfigError(f"trials must be positive, got {self.trials}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed must be an integer")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.scheme not in SCHEMES:
@@ -76,8 +75,6 @@ class SystemConfig:
             "seed": str(self.seed),
             "scheme": self.scheme,
             "function": self.function,
-            "num_cells": str(self.num_cells),
-            "fixed_reference": "true" if self.fixed_reference else "false",
         }
 
     @classmethod
@@ -92,27 +89,16 @@ class SystemConfig:
         kw = {}
         try:
             for key, raw in mapping.items():
-                if key in ("antennas", "devices", "trials", "seed", "num_cells"):
+                if key in INT_FIELDS:
                     kw[key] = int(raw)
                 elif key == "snr_db_grid":
                     parts = [p for p in str(raw).split(",") if p.strip() != ""]
                     kw[key] = tuple(float(p) for p in parts)
-                elif key == "fixed_reference":
-                    kw[key] = _parse_bool(raw)
                 else:
                     kw[key] = str(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
         return cls(**kw)
-
-
-def _parse_bool(raw):
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
 
 
 def parse_config_file(path):
@@ -239,20 +225,3 @@ def superpose(channels, precoders, symbols):
     desired = np.einsum("kimn,kin->im", channels.direct, tx)
     caused = np.einsum("kimn,kin->im", channels.cross, tx)
     return desired, caused[::-1].copy()
-
-
-def receive(channels, precoders, symbols, noise_std, rng=None):
-    """Received vectors at both APs: both cells' superposition plus noise.
-
-    noise_std = 0 returns the noiseless superposition exactly and does not
-    touch `rng`. Returns a tuple (y_1, y_2) of length-M vectors.
-    """
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
-    desired, interference = superpose(channels, precoders, symbols)
-    received = desired + interference
-    if noise_std > 0:
-        if rng is None:
-            raise ValueError("rng is required when noise_std > 0")
-        received = received + noise_std * _complex_normal(rng, received.shape)
-    return received[0], received[1]

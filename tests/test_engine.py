@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
+from aircomp_sia import engine
 from aircomp_sia.engine import (
     _batch_ranges,
-    analytic_noise_mse,
     fit_nmse_slope,
     run_functional_trial,
     run_sweep,
@@ -33,8 +35,9 @@ class TestRunTrial:
         assert np.all(np.sqrt(res.nmse) < 1e-8)
         assert np.all(res.leakage < 1e-9)
         assert np.array_equal(res.aligned_rank, [2, 2])
-        assert res.noise_std == 0.0
-        assert res.analytic_nmse == 0.0
+        assert res.nmse.shape == (1, 2)
+        assert np.array_equal(res.noise_std, [0.0])
+        assert np.array_equal(res.analytic_nmse, [0.0])
         assert res.tx_power.shape == (3, 2)
 
     def test_deterministic(self):
@@ -43,7 +46,7 @@ class TestRunTrial:
         b = run_trial(cfg, 7, snr_db=10.0)
         assert np.array_equal(a.nmse, b.nmse)
         assert np.array_equal(a.err_power, b.err_power)
-        assert a.noise_std == b.noise_std
+        assert np.array_equal(a.noise_std, b.noise_std)
 
     def test_trial_index_moves_channels(self):
         cfg = config_for(4, 2)
@@ -95,38 +98,33 @@ class TestRunTrial:
 
 
 class TestAnalyticNoiseMse:
+    """The noise-only prediction sigma^2 / K each trial reports: recovered
+    noise power sigma^2 * dof over the expected target power K * dof."""
+
     def test_unit_case(self):
-        beam = np.eye(1, 4, dtype=complex)
-        assert analytic_noise_mse(beam, 1.0, 1.0) == 1.0
+        res = run_trial(config_for(4, 1, seed=6), 0, snr_db=0.0)
+        assert res.analytic_nmse[0] == float(res.noise_std[0]) ** 2
 
     def test_scales_with_streams_and_power(self):
-        beam = np.eye(2, 4, dtype=complex)
-        base = analytic_noise_mse(beam, 0.5, 1.0)
-        assert np.isclose(base, 0.5)
-        assert np.isclose(analytic_noise_mse(beam, 0.5, 2.0), base / 2)
-
-    def test_rejects_bad_inputs(self):
-        beam = np.eye(2, 4, dtype=complex)
-        with pytest.raises(ValueError):
-            analytic_noise_mse(2 * beam, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            analytic_noise_mse(beam, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            analytic_noise_mse(beam, 1.0, 0.0)
-        with pytest.raises(SizeMismatch):
-            analytic_noise_mse(np.zeros((2, 2, 2), dtype=complex), 1.0, 1.0)
+        for k in (1, 2, 5):
+            cfg = config_for(4, k, seed=6)
+            lo = run_trial(cfg, 0, snr_db=10.0)
+            hi = run_trial(cfg, 0, snr_db=20.0)
+            assert np.isclose(lo.analytic_nmse[0] * k, lo.noise_std[0] ** 2, rtol=1e-12)
+            assert np.isclose(lo.analytic_nmse[0], 10 * hi.analytic_nmse[0], rtol=1e-12)
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(0)
-        part = partition(6)
-        reference = build_reference_matrices(6, part.interference_dim, rng)
+        m, k = 6, 3
+        part = partition(m)
+        reference = build_reference_matrices(m, part.interference_dim, rng)
         beam = build_aggregation_beamformers(reference)[0]
-        sigma, sig_power, reps = 0.7, 2.5, 20000
-        noise = sigma * _complex_normal(rng, (reps, 6))
+        res = run_trial(config_for(m, k, seed=1), 0, snr_db=5.0)
+        sigma, want, reps = res.noise_std[0], res.analytic_nmse[0], 20000
+        noise = sigma * _complex_normal(rng, (reps, m))
         projected = np.abs(noise @ beam.conj().T) ** 2
-        mc = projected.sum(axis=1).mean() / sig_power
-        want = analytic_noise_mse(beam, sigma, sig_power)
-        se = sigma**2 * np.sqrt(part.signal_dim / reps) / sig_power
+        mc = projected.sum(axis=1).mean() / (k * part.signal_dim)
+        se = sigma**2 * np.sqrt(part.signal_dim / reps) / (k * part.signal_dim)
         assert abs(mc - want) < 3 * se
 
 
@@ -185,11 +183,58 @@ class TestWorkerCount:
             worker_count()
 
     def test_default_is_cpu_count(self, monkeypatch):
+        # The CPUs this process may run on, not the machine's.
         monkeypatch.delenv("AIRCOMP_WORKERS", raising=False)
-        assert worker_count() >= 1
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+            assert worker_count() == 3
+        else:
+            assert worker_count() == (os.cpu_count() or 1)
+
+    def test_pool_is_sized_to_the_work(self, monkeypatch):
+        # A fake executor runs batches in this process and records its size.
+        sizes = []
+
+        class Future:
+            def __init__(self, value):
+                self._value = value
+
+            def result(self):
+                return self._value
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return Future(fn(*args))
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        cfg = config_for(2, 1, trials=2)
+        pooled = run_sweep(cfg, workers=64)
+        assert sizes == [2]
+        assert pooled.points == run_sweep(cfg, workers=1).points
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
+    def test_points_match_run_trial(self, scheme):
+        # The sweep scores the whole grid in one pass; each point must equal
+        # a one-point run_trial at that SNR, bit for bit.
+        grid = (0.0, 7.5, 15.0, 22.5, 30.0)
+        cfg = config_for(4, 3, scheme=scheme, trials=1, seed=8, snr_db_grid=grid)
+        result = run_sweep(cfg, workers=1)
+        for pt, snr_db in zip(result.points, grid):
+            res = run_trial(cfg, 0, snr_db=snr_db)
+            assert pt.nmse_mean == float(res.err_power[0].sum() / res.sig_power.sum())
+            assert pt.analytic_nmse == float(res.analytic_nmse[0])
+
     def test_point_layout_and_slope(self):
         cfg = config_for(4, 2, trials=6, seed=5)
         result = run_sweep(cfg, workers=1)

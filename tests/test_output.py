@@ -137,6 +137,20 @@ class TestResultJson:
         for row, ref in zip(rows, sweep_rows(small_result)):
             assert row["nmse_mean"] == float(fmt(ref["nmse_mean"]))
 
+    def test_one_point_grid_is_strict_json(self, manifest):
+        # One SNR point leaves dof_slope undefined (NaN); it must be null.
+        cfg = SystemConfig(antennas=4, devices=2, snr_db_grid=(10.0,), trials=2, seed=1)
+        result = run_sweep(cfg, workers=1)
+        buf = io.StringIO()
+        write_result_json(result, manifest, buf)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rows = json.loads(buf.getvalue(), parse_constant=reject)["rows"]
+        assert rows[0]["dof_slope"] is None
+        assert isinstance(rows[0]["nmse_mean"], float)
+
 
 class TestCompareCsv:
     def test_rational_streams(self, tmp_path):

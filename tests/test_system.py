@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aircomp_sia.engine import run_trial
 from aircomp_sia.errors import ConfigError, SizeMismatch
 from aircomp_sia.linalg import numerical_rank
 from aircomp_sia.system import (
@@ -12,7 +13,6 @@ from aircomp_sia.system import (
     draw_symbols,
     parse_config_file,
     partition,
-    receive,
     superpose,
 )
 
@@ -57,8 +57,12 @@ class TestConfigValidation:
         {"snr_db_grid": (0.0, 0.0)},
         {"scheme": "zf"},
         {"function": "max"},
-        {"num_cells": 3},
+        {"antennas": 4.0},
         {"seed": -1},
+        {"devices": True},
+        {"trials": 1.5},
+        {"seed": 3.0},
+        {"antennas": "4"},
     ])
     def test_rejects(self, kw):
         base = dict(antennas=4, devices=2, snr_db_grid=(0.0,), trials=1)
@@ -75,14 +79,15 @@ class TestConfigValidation:
 class TestConfigSerialisation:
     def test_flat_roundtrip(self):
         cfg = SystemConfig(antennas=5, devices=7, snr_db_grid=(0.0, 2.5, 10.0),
-                           trials=50, seed=99, scheme="no_ia", function="geomean",
-                           fixed_reference=True)
+                           trials=50, seed=99, scheme="no_ia", function="geomean")
         again = SystemConfig.from_flat(cfg.to_flat())
         assert again == cfg
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            SystemConfig.from_flat({"antennas": "4", "devices": "2", "power": "5"})
+        # Older config files may still set num_cells or fixed_reference.
+        for key, value in (("power", "5"), ("num_cells", "2"), ("fixed_reference", "false")):
+            with pytest.raises(ConfigError, match="unknown"):
+                SystemConfig.from_flat({"antennas": "4", "devices": "2", key: value})
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing"):
@@ -160,13 +165,20 @@ def identity_channels(m, k):
     return ChannelSet(eye, eye.copy())
 
 
+def received(channels, precoders, symbols):
+    """Noise-free received vectors (y_1, y_2): both cells' superposition."""
+    desired, interference = superpose(channels, precoders, symbols)
+    y = desired + interference
+    return y[0], y[1]
+
+
 class TestReceive:
     def test_zero_symbols_zero_noise(self):
         cfg = config_for(4, 2)
         ch = draw_channels(cfg, np.random.default_rng(0))
         w = np.zeros((2, 2, 4, 2), dtype=complex)
         x = np.zeros((2, 2, 2), dtype=complex)
-        y1, y2 = receive(ch, w, x, 0.0)
+        y1, y2 = received(ch, w, x)
         assert np.all(y1 == 0) and np.all(y2 == 0)
 
     def test_identity_channel_hand_case(self):
@@ -177,7 +189,7 @@ class TestReceive:
         sel = np.zeros((k, 2, m, 2), dtype=complex)
         sel[:, :, :2, :] = np.eye(2)
         x = np.arange(1, 5, dtype=complex).reshape(k, 2, 2)
-        y1, y2 = receive(ch, sel, x, 0.0)
+        y1, y2 = received(ch, sel, x)
         pad = np.zeros(m, dtype=complex)
         pad1 = pad.copy(); pad1[:2] = x[0, 0]
         pad2 = pad.copy(); pad2[:2] = x[0, 1]
@@ -208,7 +220,7 @@ class TestReceive:
                             acc += ch.cross[kk, j, row, col] * w[kk, j, col, d] * x[kk, j, d]
                     expected[i, row] += acc
 
-        y1, y2 = receive(ch, w, x, 0.0)
+        y1, y2 = received(ch, w, x)
         scale = np.linalg.norm(expected)
         assert np.linalg.norm(y1 - expected[0]) < 1e-12 * scale
         assert np.linalg.norm(y2 - expected[1]) < 1e-12 * scale
@@ -223,9 +235,9 @@ class TestReceive:
              + 1j * rng.standard_normal((k, 2, m, dof)))
         xa = (rng.standard_normal((k, 2, dof)) + 1j * rng.standard_normal((k, 2, dof)))
         xb = (rng.standard_normal((k, 2, dof)) + 1j * rng.standard_normal((k, 2, dof)))
-        ya = np.stack(receive(ch, w, xa, 0.0))
-        yb = np.stack(receive(ch, w, xb, 0.0))
-        yab = np.stack(receive(ch, w, 2.0 * xa - 0.5 * xb, 0.0))
+        ya = np.stack(received(ch, w, xa))
+        yb = np.stack(received(ch, w, xb))
+        yab = np.stack(received(ch, w, 2.0 * xa - 0.5 * xb))
         assert np.allclose(yab, 2.0 * ya - 0.5 * yb, atol=1e-10 * np.linalg.norm(ya))
 
     def test_zero_cross_isolates_cells(self):
@@ -237,37 +249,24 @@ class TestReceive:
         dof = partition(m).signal_dim
         w = (rng.standard_normal((k, 2, m, dof)) + 0j)
         x = (rng.standard_normal((k, 2, dof)) + 0j)
-        y1_before, _ = receive(ch, w, x, 0.0)
+        y1_before, _ = received(ch, w, x)
         x2 = x.copy()
         x2[:, 1, :] *= -3.0
-        y1_after, _ = receive(ch, w, x2, 0.0)
+        y1_after, _ = received(ch, w, x2)
         assert np.allclose(y1_before, y1_after, atol=1e-14)
 
     def test_noise_statistics(self):
-        cfg = config_for(4, 1)
-        ch = identity_channels(4, 1)
-        w = np.zeros((1, 2, 4, 2), dtype=complex)
-        x = np.zeros((1, 2, 2), dtype=complex)
-        rng = np.random.default_rng(77)
-        sigma = 0.7
-        reps = 4000
-        powers = np.empty(reps)
-        for r in range(reps):
-            y1, y2 = receive(ch, w, x, sigma, rng)
-            powers[r] = (np.abs(y1) ** 2).sum() + (np.abs(y2) ** 2).sum()
-        # total over 8 entries of variance sigma^2: chi-square with 16 dof
-        expected = 8 * sigma**2
-        se = np.sqrt(8) * sigma**2 / np.sqrt(reps)
-        assert abs(powers.mean() - expected) < 3 * se
-
-    def test_noise_needs_rng(self):
-        ch = identity_channels(2, 1)
-        w = np.zeros((1, 2, 2, 1), dtype=complex)
-        x = np.zeros((1, 2, 1), dtype=complex)
-        with pytest.raises(ValueError):
-            receive(ch, w, x, 0.5)
-        with pytest.raises(ValueError):
-            receive(ch, w, x, -0.1)
+        # Each trial adds noise_std times unit-variance noise per antenna;
+        # orthonormal beamformer rows keep dof of those dimensions per
+        # cell, so the error power over both cells is noise_std^2 times a
+        # Gamma(2 * dof) draw (mean and variance 2 * dof = 4).
+        cfg = config_for(4, 1, scheme="genie")
+        reps = 400
+        ratios = np.empty(reps)
+        for t in range(reps):
+            res = run_trial(cfg, t, snr_db=0.0)
+            ratios[t] = res.err_power.sum() / res.noise_std[0] ** 2
+        assert abs(ratios.mean() - 4.0) < 3 * 2.0 / np.sqrt(reps)
 
     def test_shape_checks(self):
         ch = identity_channels(4, 2)
