@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RankDeficient, SizeMismatch
-from .linalg import FULL_RANK_RTOL
+from .errors import SizeMismatch
+from .linalg import right_inverse
 from .system import ChannelSet
 
 SCHEME_NAMES = ("conventional_ia", "sia")
@@ -112,21 +112,13 @@ def efficiency_report(scheme, antennas, devices):
 def build_no_ia_precoders(channels, beamformer):
     """Zero-forcing toward the home AP only, the cross link ignored: the
     minimum-norm right inverse of beamformer @ direct for every device,
-    shape (K, 2, M, dof)."""
+    shape (..., K, 2, M, dof)."""
     beamformer = np.asarray(beamformer)
     shape = beamformer.shape
-    if len(shape) != 3 or shape[0] != 2 or shape[1] > shape[2]:
-        raise SizeMismatch(f"beamformer must be (2, dof, M) with dof <= M, got {shape}")
-    k, m = channels.devices, channels.antennas
-    dof = shape[1]
-    precoder = np.empty((k, 2, m, dof), dtype=np.complex128)
-    for i in (0, 1):
-        effective = beamformer[i] @ channels.direct[:, i]
-        svals = np.linalg.svd(effective, compute_uv=False)
-        if np.any(svals[:, -1] <= FULL_RANK_RTOL * svals[:, 0]):
-            raise RankDeficient("home channel lost row rank; redraw the channel set")
-        precoder[:, i] = np.linalg.pinv(effective)
-    return precoder
+    if len(shape) < 3 or shape[-3] != 2 or shape[-2] > shape[-1]:
+        raise SizeMismatch(f"beamformer must be (..., 2, dof, M) with dof <= M, got {shape}")
+    effective = beamformer[..., None, :, :, :] @ channels.direct
+    return right_inverse(effective, "home channel lost row rank; redraw the channel set")
 
 
 def genie_channels(channels):

@@ -1,17 +1,26 @@
 """Command line front end: run sweeps, compare efficiency, plot results.
 
 Exit codes: 0 success, 2 configuration or input validation failure,
-3 degenerate channels (redraw budget exhausted).
+3 degenerate channels (redraw budget exhausted), 4 a sia run whose
+noiseless residual exceeds RESIDUAL_BOUND (1e-8), so exact recovery
+failed; its result is still written.
+
+Files named by --out are written to a temporary file in the same
+directory and renamed over the target, so a failed write leaves any
+previous file intact.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+import tempfile
 
 from .__about__ import TOOL_NAME, __version__
 from .baselines import SCHEME_NAMES, efficiency_report
-from .engine import run_sweep, worker_count
+from .engine import RESIDUAL_BOUND, run_sweep, worker_count
 from .errors import ConfigError, DegenerateChannels
 from .output import (
     RunManifest,
@@ -26,6 +35,7 @@ from .system import FUNCTIONS, SCHEMES, SystemConfig, parse_config_file
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+EXIT_INEXACT = 4
 
 
 def _int_list(raw, flag):
@@ -95,6 +105,34 @@ def _resolve_run_config(args):
     return SystemConfig.from_flat(values).validate()
 
 
+def _write_atomic(path, write):
+    """Call write(stream) on a temporary file beside `path`, then rename it
+    over `path`; on any failure the temporary file is removed."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def _emit(out, write):
+    if out is None:
+        write(sys.stdout)
+    else:
+        _write_atomic(out, write)
+
+
 def cmd_run(args):
     config = _resolve_run_config(args)
     workers = worker_count()
@@ -102,12 +140,11 @@ def cmd_run(args):
     manifest = RunManifest.create(
         "run", config.to_flat(), workers=workers, output=args.out)
     writer = write_result_csv if args.format == "csv" else write_result_json
-    if args.out is None:
-        writer(result, manifest, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer(result, manifest, fh)
-        print(f"wrote {args.out}", file=sys.stderr)
+    _emit(args.out, lambda fh: writer(result, manifest, fh))
+    if config.scheme == "sia" and not result.max_residual <= RESIDUAL_BOUND:
+        print(f"error: noiseless residual {result.max_residual:.3e} exceeds "
+              f"{RESIDUAL_BOUND:.0e}; exact recovery failed", file=sys.stderr)
+        return EXIT_INEXACT
     return EXIT_OK
 
 
@@ -127,12 +164,7 @@ def cmd_compare(args):
         {"antennas_list": ",".join(map(str, antennas)),
          "devices_list": ",".join(map(str, devices))},
         output=args.out)
-    if args.out is None:
-        write_compare_csv(reports, manifest, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_compare_csv(reports, manifest, fh)
-        print(f"wrote {args.out}", file=sys.stderr)
+    _emit(args.out, lambda fh: write_compare_csv(reports, manifest, fh))
     return EXIT_OK
 
 
@@ -142,9 +174,7 @@ def cmd_plot(args):
         svg = render_nmse_svg(rows)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot plot {args.infile}: {exc}") from exc
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
-    print(f"wrote {args.out}", file=sys.stderr)
+    _write_atomic(args.out, lambda fh: fh.write(svg))
     return EXIT_OK
 
 

@@ -2,17 +2,22 @@
 
 Every trial derives its own random stream from (seed, trial_index), draws
 reference matrices, channels, symbols and one unit-variance noise vector,
-and scores the whole SNR grid at once by rescaling that noise. Results
-are therefore independent of scheduling: sweeps aggregate in trial order
-and give identical output for any worker count.
+and scores the whole SNR grid at once by rescaling that noise. Trials run
+in chunks: each stage draws or builds for every trial of the chunk in one
+stacked call, and every stream is consumed exactly as if its trial ran
+alone. Results are therefore independent of chunking and scheduling:
+sweeps aggregate in trial order and give identical output for any worker
+count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+import sys
+import threading
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +34,12 @@ from .system import _complex_normal, draw_channels, draw_symbols, partition, sup
 
 # Whole-set redraws allowed per trial when a construction degenerates.
 SET_REDRAW_BUDGET = 100
+# Complex elements a chunk's channel stacks and scored grid may hold; a
+# chunk always has at least one trial.
+CHUNK_ELEMENTS = 2**14
+# Largest noiseless relative residual a sia run may show: exact recovery
+# sits near 1e-13, so anything above this is a construction fault.
+RESIDUAL_BOUND = 1e-8
 
 
 @dataclass
@@ -36,7 +47,8 @@ class TrialResult:
     """One seeded trial scored at every point of an SNR grid.
 
     Fields with a leading P axis hold one entry per grid point; the
-    others do not depend on the noise level.
+    others do not depend on the noise level. A chunk of trials carries
+    one more leading axis, the trial, on every array field.
     """
 
     target: np.ndarray         # (2, dof) sum of home-cell symbols
@@ -49,86 +61,114 @@ class TrialResult:
     leakage: np.ndarray        # (2,) per AP, post-beamforming interference power ratio
     aligned_rank: np.ndarray   # (2,) per interfering cell, at the victim AP
     tx_power: np.ndarray       # (K, 2) per-device transmit power, diagnostic
-    redraws: int
+    residual: np.ndarray       # () noiseless ||err|| / ||target|| over both cells
+    redraws: int               # over every trial of a chunk
 
 
-def _trial(config, trial_index, snr_db, symbols=None):
-    """Draw, build and transmit one seeded trial, then score it at every
-    point of the SNR grid `snr_db` in one broadcast.
+def _project(beamformer, vectors):
+    """Apply each AP's beamformer to its received vector: (..., 2, M) -> (..., 2, dof)."""
+    return (beamformer @ vectors[..., None])[..., 0]
 
-    The trial draws one unit-variance noise vector; each grid point
-    rescales it so the noise power sits `snr_db` below the received
-    desired power. An infinite SNR is the noiseless pipeline.
+
+def _build(config, rngs, reference):
+    """Draw every trial's channel set and build its precoders.
+
+    A trial whose construction loses rank redraws its whole set from its
+    own stream, as it would alone, with at most SET_REDRAW_BUDGET builds
+    per trial. Returns (channels, beamformer, precoders, redraws).
     """
-    config.validate()
-    part = partition(config.antennas)
-    rng = np.random.default_rng([config.seed, trial_index])
-    reference = build_reference_matrices(config.antennas, part.interference_dim, rng)
-    beamformer = build_aggregation_beamformers(reference)
-    redraws = 0
-    for _ in range(SET_REDRAW_BUDGET):
-        channels = draw_channels(config, rng)
-        redraws += channels.redraws
+    channels = draw_channels(config, rngs)
+    redraws = channels.redraws
+    builds = np.ones(len(rngs), dtype=int)
+    if config.scheme != "sia":
+        beamformer = build_aggregation_beamformers(reference)
+    while True:
         if config.scheme == "genie":
             channels = genie_channels(channels)
         try:
             if config.scheme == "sia":
-                precoders = build_sia_matrices(channels, reference).precoder
-            else:
-                precoders = build_no_ia_precoders(channels, beamformer)
-        except RankDeficient:
-            redraws += 1
-            continue
-        break
-    else:
-        raise DegenerateChannels(
-            f"no usable channel draw after {SET_REDRAW_BUDGET} attempts")
+                matrices = build_sia_matrices(channels, reference)
+                return channels, matrices.beamformer, matrices.precoder, redraws
+            return channels, beamformer, build_no_ia_precoders(channels, beamformer), redraws
+        except RankDeficient as exc:
+            failed = np.ones(len(rngs), dtype=bool) if exc.failed is None else exc.failed
+            builds += failed
+            if builds.max() > SET_REDRAW_BUDGET:
+                raise DegenerateChannels(
+                    f"no usable channel draw after {SET_REDRAW_BUDGET} attempts") from exc
+            again = np.flatnonzero(failed)
+            fresh = draw_channels(config, [rngs[t] for t in again])
+            channels.direct[again] = fresh.direct
+            channels.cross[again] = fresh.cross
+            redraws += fresh.redraws + len(again)
 
+
+def _run_chunk(config, trials, snr_db, symbols=None):
+    """Draw, build and transmit the seeded trials `trials` together, then
+    score each at every point of the SNR grid `snr_db` in one broadcast.
+
+    Returns a TrialResult with a leading trial axis. Each trial draws one
+    unit-variance noise vector; each grid point rescales it so the noise
+    power sits `snr_db` below the received desired power. An infinite SNR
+    is the noiseless pipeline. `symbols`, when given, replace the symbol
+    draw of every trial.
+    """
+    part = partition(config.antennas)
+    rngs = [np.random.default_rng([config.seed, t]) for t in trials]
+    reference = build_reference_matrices(config.antennas, part.interference_dim, rngs)
+    channels, beamformer, precoders, redraws = _build(config, rngs, reference)
     if symbols is None:
-        symbols = draw_symbols(config, rng)
-    else:
-        symbols = np.asarray(symbols, dtype=np.complex128)
-        expected = (config.devices, 2, part.signal_dim)
-        if symbols.shape != expected:
-            raise SizeMismatch(f"symbols must have shape {expected}, got {symbols.shape}")
-    noise_unit = _complex_normal(rng, (2, config.antennas))
+        symbols = draw_symbols(config, rngs)
+    noise_unit = _complex_normal(rngs, (2, config.antennas))
 
     desired, interference = superpose(channels, precoders, symbols)
-    target = symbols.sum(axis=0)
-    recovered_desired = np.einsum("idm,im->id", beamformer, desired)
-    sa_error = recovered_desired - target
-    leak_vec = np.einsum("idm,im->id", beamformer, interference)
-    interference_power = np.sum(np.abs(interference) ** 2, axis=1)
-    leak_power = np.sum(np.abs(leak_vec) ** 2, axis=1)
+    target = symbols.sum(axis=-3)
+    leak_vec = _project(beamformer, interference)
+    noiseless = (_project(beamformer, desired) - target) + leak_vec
+    interference_power = np.sum(np.abs(interference) ** 2, axis=-1)
+    leak_power = np.sum(np.abs(leak_vec) ** 2, axis=-1)
     safe = np.where(interference_power > 0.0, interference_power, 1.0)
     leak_ratio = np.where(interference_power > 0.0, leak_power / safe, 0.0)
-    beam_noise = np.einsum("idm,im->id", beamformer, noise_unit)
-    signal_power = float(np.sum(np.abs(desired) ** 2)) / (2.0 * config.antennas)
-    tx = np.einsum("kimd,kid->kim", precoders, symbols)
-    tx_power = np.sum(np.abs(tx) ** 2, axis=2)
-    aligned = np.array([
+    beam_noise = _project(beamformer, noise_unit)
+    signal_power = np.sum(np.abs(desired) ** 2, axis=(-2, -1)) / (2.0 * config.antennas)
+    tx = (precoders @ symbols[..., None])[..., 0]
+    aligned = np.stack([
         aligned_interference_dimension(i, channels, precoders) for i in (0, 1)
-    ])
+    ], axis=-1)
 
     # float_power is libm pow, as Python's float ** is, so every grid point
     # matches a scalar evaluation at that point to the bit.
-    noise_std = np.sqrt(signal_power / np.float_power(10.0, np.asarray(snr_db) / 10.0))
-    err = (sa_error + leak_vec) + noise_std[:, None, None] * beam_noise
+    scale = np.float_power(10.0, np.asarray(snr_db, dtype=np.float64) / 10.0)
+    noise_std = np.sqrt(signal_power[:, None] / scale)
+    err = noiseless[:, None] + noise_std[:, :, None, None] * beam_noise[:, None]
     err_power = np.sum(np.abs(err) ** 2, axis=-1)
-    sig_power = np.sum(np.abs(target) ** 2, axis=1)
+    sig_power = np.sum(np.abs(target) ** 2, axis=-1)
+    residual = np.sqrt(np.sum(np.abs(noiseless) ** 2, axis=(-2, -1)) / sig_power.sum(axis=-1))
     return TrialResult(
         target=target,
         err=err,
         err_power=err_power,
         sig_power=sig_power,
-        nmse=err_power / sig_power,
+        nmse=err_power / sig_power[:, None, :],
         noise_std=noise_std,
         analytic_nmse=np.float_power(noise_std, 2) / config.devices,
         leakage=leak_ratio,
         aligned_rank=aligned,
-        tx_power=tx_power,
+        tx_power=np.sum(np.abs(tx) ** 2, axis=-1),
+        residual=residual,
         redraws=redraws,
     )
+
+
+def _single_trial(config, trial_index, snr_db, symbols=None):
+    """A chunk of one trial, with the trial axis removed."""
+    config.validate()
+    chunk = _run_chunk(config, [trial_index], [math.inf if snr_db is None else snr_db],
+                       None if symbols is None else symbols[None])
+    return TrialResult(**{
+        f.name: getattr(chunk, f.name)[0] if f.name != "redraws" else chunk.redraws
+        for f in fields(TrialResult)
+    })
 
 
 def run_trial(config, trial_index, snr_db=None):
@@ -138,7 +178,7 @@ def run_trial(config, trial_index, snr_db=None):
     has a one-point grid axis and is a pure function of (config,
     trial_index, snr_db).
     """
-    return _trial(config, trial_index, [math.inf if snr_db is None else snr_db])
+    return _single_trial(config, trial_index, snr_db)
 
 
 def run_functional_trial(config, data, trial_index=0, snr_db=None):
@@ -160,7 +200,7 @@ def run_functional_trial(config, data, trial_index=0, snr_db=None):
     for k in range(config.devices):
         for i in (0, 1):
             symbols[k, i] = preprocess(spec, data[k, i])
-    res = _trial(config, trial_index, [math.inf if snr_db is None else snr_db], symbols)
+    res = _single_trial(config, trial_index, snr_db, symbols)
     recovered = res.target + res.err[0]
     return np.stack([postprocess(spec, recovered[i]) for i in (0, 1)])
 
@@ -184,34 +224,54 @@ class SweepResult:
     config: object
     points: list
     dof_slope: float
+    max_residual: float    # largest noiseless ||err|| / ||target|| over the trials
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def worker_count():
-    """Worker cap: AIRCOMP_WORKERS if set, else the CPUs this process may run on."""
+    """Worker cap: the CPUs this process may run on, or AIRCOMP_WORKERS when
+    set, clamped to those CPUs with a note on stderr."""
+    cpus = _usable_cpus()
     raw = os.environ.get("AIRCOMP_WORKERS")
     if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return cpus
     try:
         value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"AIRCOMP_WORKERS must be an integer, got {raw!r}") from exc
     if value < 1:
         raise ConfigError("AIRCOMP_WORKERS must be at least 1")
+    if value > cpus:
+        print(f"note: AIRCOMP_WORKERS={value} exceeds the {cpus} usable CPUs; using {cpus}",
+              file=sys.stderr)
+        return cpus
     return value
 
 
+SWEEP_KEYS = ("err_power", "nmse", "analytic_nmse", "sig_power", "leakage", "aligned_rank",
+              "residual")
+
+
+def _chunk_trials(config):
+    """Trials per chunk: as many as fit CHUNK_ELEMENTS, at least one."""
+    m, k = config.antennas, config.devices
+    per_trial = 4 * k * m * m + 2 * len(config.snr_db_grid) * partition(m).signal_dim
+    return max(1, CHUNK_ELEMENTS // per_trial)
+
+
 def _sweep_batch(config, start, stop):
-    """Run trials [start, stop) over the whole SNR grid; returns stacked arrays."""
+    """Run trials [start, stop) over the whole SNR grid in chunks; returns
+    arrays stacked over the trials."""
     grid = np.asarray(config.snr_db_grid, dtype=np.float64)
-    keys = ("err_power", "nmse", "analytic_nmse", "sig_power", "leakage", "aligned_rank")
-    rows = {key: [] for key in keys}
-    for trial in range(start, stop):
-        res = _trial(config, trial, grid)
-        for key in keys:
-            rows[key].append(getattr(res, key))
-    return {key: np.stack(values) for key, values in rows.items()}
+    step = _chunk_trials(config)
+    chunks = [_run_chunk(config, range(a, min(a + step, stop)), grid)
+              for a in range(start, stop, step)]
+    return {key: np.concatenate([getattr(c, key) for c in chunks]) for key in SWEEP_KEYS}
 
 
 def _batch_ranges(trials, workers):
@@ -224,6 +284,34 @@ def _batch_ranges(trials, workers):
         ranges.append((start, start + size))
         start += size
     return ranges
+
+
+# The worker pool outlives a sweep: (size, executor), created at first use.
+# concurrent.futures shuts it down at interpreter exit.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(size):
+    """The pool of `size` workers, reused while the size matches; a pool
+    of another size is shut down and replaced."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != size:
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (size, ProcessPoolExecutor(max_workers=size))
+        return _pool[1]
+
+
+def _discard_pool(executor):
+    """Forget a broken pool so the next sweep starts a new one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[1] is executor:
+            _pool = None
+    executor.shutdown(wait=False)
 
 
 def fit_nmse_slope(snr_db, nmse, lo=None, hi=None):
@@ -248,7 +336,8 @@ def run_sweep(config, workers=None):
     """Sweep the SNR grid with config.trials Monte Carlo trials per point.
 
     The slope of log10(mean NMSE) is fitted over the top half of the grid.
-    Output is identical for any worker count.
+    Output is identical for any worker count. More than one worker runs
+    on a process pool kept for later sweeps of the same worker count.
     """
     config.validate()
     if workers is None:
@@ -257,9 +346,18 @@ def run_sweep(config, workers=None):
     if workers == 1 or len(ranges) == 1:
         batches = [_sweep_batch(config, a, b) for a, b in ranges]
     else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        pool = _worker_pool(len(ranges))
+        futures = []
+        try:
             futures = [pool.submit(_sweep_batch, config, a, b) for a, b in ranges]
             batches = [f.result() for f in futures]
+        except BrokenExecutor:
+            _discard_pool(pool)
+            raise
+        finally:
+            # A failed sweep leaves none of its batches queued in the kept pool.
+            for f in futures:
+                f.cancel()
     merged = {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
 
     grid = tuple(float(s) for s in config.snr_db_grid)
@@ -288,4 +386,5 @@ def run_sweep(config, workers=None):
         ))
     lo = (min(grid) + max(grid)) / 2.0
     slope = fit_nmse_slope(grid, [pt.nmse_mean for pt in points], lo=lo)
-    return SweepResult(config=config, points=points, dof_slope=slope)
+    return SweepResult(config=config, points=points, dof_slope=slope,
+                       max_residual=float(merged["residual"].max()))

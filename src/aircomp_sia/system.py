@@ -4,6 +4,10 @@ The layout is fixed: two cells, one access point per cell, `devices`
 devices per cell, and `antennas` antennas on every node (devices need a
 square channel to invert their cross link). Channels are i.i.d. complex
 Gaussian and stay fixed for the duration of a trial.
+
+Every draw takes either one `numpy.random.Generator` or a sequence of
+them, one per trial; a sequence stacks each trial's draw along a new
+leading axis, and each stream is consumed exactly as if drawn alone.
 """
 
 from __future__ import annotations
@@ -136,13 +140,13 @@ def partition(antennas):
 
 @dataclass
 class ChannelSet:
-    direct: np.ndarray  # (K, 2, M, M), device (k, i) to its own AP i
-    cross: np.ndarray   # (K, 2, M, M), device (k, i) to the other AP
-    redraws: int = 0    # matrices rejected by the conditioning guard
+    direct: np.ndarray  # (..., K, 2, M, M), device (k, i) to its own AP i
+    cross: np.ndarray   # (..., K, 2, M, M), device (k, i) to the other AP
+    redraws: int = 0    # matrices rejected by the conditioning guard, all trials
 
     @property
     def devices(self):
-        return self.direct.shape[0]
+        return self.direct.shape[-4]
 
     @property
     def antennas(self):
@@ -150,22 +154,32 @@ class ChannelSet:
 
 
 def _complex_normal(rng, shape):
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+    """CN(0, 1) draws of `shape`: all real parts, then all imaginary parts,
+    from each stream."""
+    shape = (2,) + tuple(shape)
+    if isinstance(rng, np.random.Generator):
+        parts = rng.standard_normal(shape)
+    else:
+        parts = np.stack([g.standard_normal(shape) for g in rng], axis=1)
+    return (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
 
 
 def _guard_conditioning(mats, rng, budget=MATRIX_REDRAW_BUDGET):
-    """Redraw any matrix in the stack whose condition number exceeds COND_LIMIT."""
+    """Redraw any matrix in the stack whose condition number exceeds COND_LIMIT.
+
+    With a sequence of streams, a matrix is redrawn from the stream of its
+    entry on the stack's leading axis.
+    """
     svals = np.linalg.svd(mats, compute_uv=False)
     bad = svals[..., 0] > COND_LIMIT * svals[..., -1]
     bad |= svals[..., 0] == 0.0
     redraws = 0
     m = mats.shape[-1]
     for idx in zip(*np.nonzero(bad)):
+        stream = rng if isinstance(rng, np.random.Generator) else rng[idx[0]]
         for _ in range(budget):
             redraws += 1
-            candidate = _complex_normal(rng, (m, m))
+            candidate = _complex_normal(stream, (m, m))
             s = np.linalg.svd(candidate, compute_uv=False)
             if s[0] != 0.0 and s[0] <= COND_LIMIT * s[-1]:
                 mats[idx] = candidate
@@ -177,11 +191,12 @@ def _guard_conditioning(mats, rng, budget=MATRIX_REDRAW_BUDGET):
 
 
 def draw_channels(config, rng, budget=MATRIX_REDRAW_BUDGET):
-    """Draw all 4*K channel matrices for one trial.
+    """Draw all 4*K channel matrices of a trial, or of one trial per stream.
 
     Both stacks are i.i.d. CN(0, 1); any matrix with condition number
     above COND_LIMIT is redrawn so the cross channels stay invertible in
-    double precision.
+    double precision. Each stream draws its direct stack, its direct
+    redraws, its cross stack and its cross redraws, in that order.
     """
     config.validate()
     k, m = config.devices, config.antennas
@@ -193,35 +208,36 @@ def draw_channels(config, rng, budget=MATRIX_REDRAW_BUDGET):
 
 
 def draw_symbols(config, rng):
-    """Unit-variance i.i.d. complex Gaussian symbols, shape (K, 2, signal_dim)."""
+    """Unit-variance i.i.d. complex Gaussian symbols, shape (..., K, 2, signal_dim)."""
     config.validate()
     dof = partition(config.antennas).signal_dim
     return _complex_normal(rng, (config.devices, 2, dof))
 
 
 def _check_superpose_args(channels, precoders, symbols):
-    k, m = channels.devices, channels.antennas
+    shape = channels.direct.shape
     precoders = np.asarray(precoders)
     symbols = np.asarray(symbols)
-    if channels.direct.shape != (k, 2, m, m) or channels.cross.shape != (k, 2, m, m):
-        raise SizeMismatch(f"inconsistent channel stacks {channels.direct.shape} / {channels.cross.shape}")
-    if precoders.ndim != 4 or precoders.shape[:3] != (k, 2, m):
-        raise SizeMismatch(f"precoders must be (K, 2, M, dof), got {precoders.shape}")
-    if symbols.shape != (k, 2, precoders.shape[3]):
-        raise SizeMismatch(f"symbols must be (K, 2, dof), got {symbols.shape}")
+    if (len(shape) < 4 or shape[-3] != 2 or shape[-2] != shape[-1]
+            or channels.cross.shape != shape):
+        raise SizeMismatch(f"inconsistent channel stacks {shape} / {channels.cross.shape}")
+    if precoders.ndim != len(shape) or precoders.shape[:-1] != shape[:-1]:
+        raise SizeMismatch(f"precoders must be (..., K, 2, M, dof), got {precoders.shape}")
+    if symbols.shape != shape[:-2] + precoders.shape[-1:]:
+        raise SizeMismatch(f"symbols must be (..., K, 2, dof), got {symbols.shape}")
     return precoders, symbols
 
 
 def superpose(channels, precoders, symbols):
     """Noise-free received components at both APs.
 
-    Returns (desired, interference), each of shape (2, M). desired[i]
+    Returns (desired, interference), each of shape (..., 2, M). desired[i]
     accumulates direct[k, i] @ precoders[k, i] @ symbols[k, i] over the
     home cell; interference[i] accumulates the other cell's devices
     through their cross channels.
     """
     precoders, symbols = _check_superpose_args(channels, precoders, symbols)
-    tx = np.einsum("kimd,kid->kim", precoders, symbols)
-    desired = np.einsum("kimn,kin->im", channels.direct, tx)
-    caused = np.einsum("kimn,kin->im", channels.cross, tx)
-    return desired, caused[::-1].copy()
+    tx = precoders @ symbols[..., None]
+    desired = (channels.direct @ tx).sum(axis=-4)[..., 0]
+    caused = (channels.cross @ tx).sum(axis=-4)[..., 0]
+    return desired, caused[..., ::-1, :].copy()

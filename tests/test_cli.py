@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -55,7 +56,8 @@ class TestRun:
         _, pooled, _ = run_cli(RUN_ARGS, capsys)
         assert body_lines(serial) == body_lines(pooled)
         assert "# workers=1" in serial
-        assert "# workers=4" in pooled
+        # An explicit count above the usable CPUs is clamped to them.
+        assert f"# workers={min(4, len(os.sched_getaffinity(0)))}" in pooled
 
     def test_json_format(self, capsys, monkeypatch):
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")
@@ -118,6 +120,56 @@ class TestRun:
         code, _, err = run_cli(RUN_ARGS, capsys)
         assert code == 3
         assert "forced" in err
+
+    def test_inexact_recovery_exit_code(self, capsys, monkeypatch, tmp_path):
+        # A planted precoder error breaks exact recovery: the run still
+        # writes its result, then exits with its own code.
+        from aircomp_sia import engine
+
+        real = engine.build_sia_matrices
+
+        def perturbed(channels, reference):
+            matrices = real(channels, reference)
+            matrices.precoder *= 1.0 + 1e-6
+            return matrices
+
+        monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        monkeypatch.setattr(engine, "build_sia_matrices", perturbed)
+        out_path = tmp_path / "res.csv"
+        code, _, err = run_cli(RUN_ARGS + ["--out", str(out_path)], capsys)
+        assert code == 4
+        assert "exact recovery failed" in err
+        assert len(body_lines(out_path.read_text(encoding="utf-8"))) == 4
+        code, _, _ = run_cli(RUN_ARGS + ["--scheme", "no_ia"], capsys)
+        assert code == 0
+
+    def test_failed_write_keeps_previous_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        out_path = tmp_path / "res.csv"
+        out_path.write_text("previous result\n", encoding="utf-8")
+
+        def half_written(result, manifest, stream):
+            stream.write("scheme,M,K\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("aircomp_sia.cli.write_result_csv", half_written)
+        code, _, err = run_cli(RUN_ARGS + ["--out", str(out_path)], capsys)
+        assert code == 2
+        assert "disk full" in err
+        assert out_path.read_text(encoding="utf-8") == "previous result\n"
+        fresh = tmp_path / "fresh.csv"
+        code, _, _ = run_cli(RUN_ARGS + ["--out", str(fresh)], capsys)
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv"]
+
+    def test_written_file_has_default_mode(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        out_path = tmp_path / "res.csv"
+        code, _, _ = run_cli(RUN_ARGS + ["--out", str(out_path)], capsys)
+        assert code == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_unwritable_output(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")

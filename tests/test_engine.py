@@ -1,4 +1,6 @@
+import io
 import os
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from aircomp_sia.engine import (
     run_trial,
     worker_count,
 )
+from aircomp_sia.output import RunManifest, write_result_csv
 from aircomp_sia.errors import (
     ConfigError,
     DegenerateChannels,
@@ -169,8 +172,65 @@ class TestBatchRanges:
                 assert flat == list(range(trials))
 
 
+class FakePools:
+    """Stands in for ProcessPoolExecutor: runs batches in this process and
+    records every pool made and shut down. No process is started."""
+
+    def __init__(self):
+        self.sizes = []
+        self.shutdowns = []
+        self.broken = False
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return FakePool(self, max_workers)
+
+
+class FakeFuture:
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
+
+    def cancel(self):
+        return False
+
+
+class FakePool:
+    def __init__(self, record, size):
+        self.record = record
+        self.size = size
+
+    def submit(self, fn, *args):
+        if self.record.broken:
+            raise BrokenExecutor("planted")
+        return FakeFuture(fn(*args))
+
+    def shutdown(self, wait=True):
+        self.record.shutdowns.append(self.size)
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    # The engine keeps its pool across sweeps; start from none and put the
+    # previous one back afterwards.
+    record = FakePools()
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", record)
+    return record
+
+
+def affinity(monkeypatch, cpus):
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
+        affinity(monkeypatch, 4)
         monkeypatch.setenv("AIRCOMP_WORKERS", "3")
         assert worker_count() == 3
 
@@ -191,35 +251,51 @@ class TestWorkerCount:
         else:
             assert worker_count() == (os.cpu_count() or 1)
 
-    def test_pool_is_sized_to_the_work(self, monkeypatch):
-        # A fake executor runs batches in this process and records its size.
-        sizes = []
-
-        class Future:
-            def __init__(self, value):
-                self._value = value
-
-            def result(self):
-                return self._value
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                return Future(fn(*args))
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_is_sized_to_the_work(self, fake_pools):
         cfg = config_for(2, 1, trials=2)
         pooled = run_sweep(cfg, workers=64)
-        assert sizes == [2]
+        assert fake_pools.sizes == [2]
         assert pooled.points == run_sweep(cfg, workers=1).points
+
+    def test_explicit_count_is_clamped_to_cpus(self, monkeypatch, capsys, fake_pools):
+        affinity(monkeypatch, 3)
+        monkeypatch.setenv("AIRCOMP_WORKERS", "64")
+        workers = worker_count()
+        assert workers == 3
+        assert capsys.readouterr().err == (
+            "note: AIRCOMP_WORKERS=64 exceeds the 3 usable CPUs; using 3\n")
+        monkeypatch.setenv("AIRCOMP_WORKERS", "3")
+        assert worker_count() == 3
+        assert capsys.readouterr().err == ""
+        run_sweep(config_for(2, 1, trials=8), workers=workers)
+        assert fake_pools.sizes == [3]
+
+
+class TestWorkerPool:
+    def test_reused_across_sweeps_and_replaced_on_count_change(self, fake_pools):
+        cfg = config_for(2, 1, trials=6)
+        first = run_sweep(cfg, workers=2)
+        second = run_sweep(cfg, workers=2)
+        assert fake_pools.sizes == [2]
+        assert fake_pools.shutdowns == []
+        run_sweep(cfg, workers=3)
+        assert fake_pools.sizes == [2, 3]
+        assert fake_pools.shutdowns == [2]
+        # One worker runs in this process and leaves the pool alone.
+        run_sweep(cfg, workers=1)
+        run_sweep(cfg, workers=3)
+        assert fake_pools.sizes == [2, 3]
+        assert first.points == second.points
+
+    def test_broken_pool_is_replaced(self, fake_pools):
+        cfg = config_for(2, 1, trials=4)
+        fake_pools.broken = True
+        with pytest.raises(BrokenExecutor):
+            run_sweep(cfg, workers=2)
+        assert fake_pools.shutdowns == [2]
+        fake_pools.broken = False
+        run_sweep(cfg, workers=2)
+        assert fake_pools.sizes == [2, 2]
 
 
 class TestRunSweep:
@@ -326,3 +402,117 @@ class TestRunFunctionalTrial:
         cfg = config_for(4, 2, function="geomean")
         with pytest.raises(ValueError):
             run_functional_trial(cfg, np.zeros((2, 2, 2)))
+
+
+def sweep_body(result):
+    text = io.StringIO()
+    write_result_csv(result, RunManifest.create("run", result.config.to_flat()), text)
+    return "".join(ln for ln in text.getvalue().splitlines(True) if not ln.startswith("#"))
+
+
+def chunk_arrays(chunk):
+    return {name: value for name, value in vars(chunk).items() if name != "redraws"}
+
+
+def assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid):
+    for t, trial in enumerate(trials):
+        alone = engine._run_chunk(cfg, [trial], grid)
+        for name, value in chunk_arrays(chunk).items():
+            assert np.array_equal(value[t], getattr(alone, name)[0]), (trial, name)
+
+
+class TestChunks:
+    """Trials run in stacked chunks; a trial's result must not depend on
+    the chunk it ran in."""
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+    @pytest.mark.parametrize("m, k", [(2, 1), (4, 5), (5, 3), (6, 2)])
+    def test_chunk_size_changes_nothing(self, monkeypatch, scheme, m, k):
+        cfg = config_for(m, k, scheme=scheme, trials=7, seed=4,
+                         snr_db_grid=(0.0, 10.0, 20.0, 30.0))
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 1)
+        assert engine._chunk_trials(cfg) == 1
+        alone = run_sweep(cfg, workers=1)
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 10**9)
+        assert engine._chunk_trials(cfg) >= cfg.trials
+        together = run_sweep(cfg, workers=1)
+        assert sweep_body(alone) == sweep_body(together)
+        assert alone.points == together.points
+        assert alone.max_residual == together.max_residual
+
+    def test_chunk_cap(self):
+        # 4*K*M^2 channel elements plus the scored grid per trial.
+        assert engine._chunk_trials(config_for(4, 200)) == 1
+        assert engine._chunk_trials(config_for(2, 1)) == engine.CHUNK_ELEMENTS // (16 + 6)
+
+    def test_guard_rejection_matches_chunk_of_one(self, monkeypatch):
+        # A low condition limit makes the guard redraw many matrices; each
+        # redraw comes from its own trial's stream, as if the trial ran alone.
+        monkeypatch.setattr("aircomp_sia.system.COND_LIMIT", 4.0)
+        cfg = config_for(2, 2, seed=3)
+        grid = np.asarray(cfg.snr_db_grid)
+        trials = range(6)
+        chunk = engine._run_chunk(cfg, trials, grid)
+        assert chunk.redraws > 0
+        assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid)
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
+    def test_rank_loss_matches_chunk_of_one(self, monkeypatch, scheme):
+        # Plant one rank failure on trial 2's first channel set: only that
+        # trial redraws its set, and gets what it would get alone.
+        cfg = config_for(4, 3, scheme=scheme, seed=6)
+        grid = np.asarray(cfg.snr_db_grid)
+        marked = build_reference_matrices(4, 2, np.random.default_rng([cfg.seed, 2]))
+        name = "build_sia_matrices" if scheme == "sia" else "build_no_ia_precoders"
+        real = getattr(engine, name)
+        planted = {"done": True}
+
+        def flaky(channels, second):
+            reference = planted["reference"]
+            hit = np.all(reference == marked, axis=(-3, -2, -1))
+            if hit.any() and not planted["done"]:
+                planted["done"] = True
+                raise RankDeficient("planted", failed=hit)
+            return real(channels, second)
+
+        real_refs = engine.build_reference_matrices
+
+        def remember(*args):
+            planted["reference"] = real_refs(*args)
+            return planted["reference"]
+
+        monkeypatch.setattr(engine, "build_reference_matrices", remember)
+        monkeypatch.setattr(engine, name, flaky)
+        trials = range(5)
+        clean = engine._run_chunk(cfg, trials, grid)
+        planted["done"] = False
+        chunk = engine._run_chunk(cfg, trials, grid)
+        assert planted["done"]
+        assert chunk.redraws == clean.redraws + 1
+        for t in trials:
+            same = np.array_equal(chunk.err_power[t], clean.err_power[t])
+            assert same == (t != 2)
+        for t in trials:
+            planted["done"] = False
+            alone = engine._run_chunk(cfg, [t], grid)
+            assert planted["done"] == (t == 2)
+            for field, value in chunk_arrays(chunk).items():
+                assert np.array_equal(value[t], getattr(alone, field)[0]), (t, field)
+
+
+class TestResidual:
+    def test_sia_and_genie_recover_exactly(self):
+        for scheme in ("sia", "genie"):
+            result = run_sweep(config_for(4, 3, scheme=scheme, trials=20), workers=1)
+            assert 0.0 < result.max_residual < 1e-12
+
+    def test_no_ia_keeps_its_interference(self):
+        result = run_sweep(config_for(4, 3, scheme="no_ia", trials=20), workers=1)
+        assert result.max_residual > 0.1
+
+    def test_matches_run_trial(self):
+        cfg = config_for(5, 2, trials=3, seed=12)
+        worst = max(float(run_trial(cfg, t).residual) for t in range(3))
+        assert run_sweep(cfg, workers=1).max_residual == worst
+        res = run_trial(cfg, 1)
+        assert res.residual == np.sqrt(res.err_power[0].sum() / res.sig_power.sum())
