@@ -30,7 +30,7 @@ from .output import (
     write_result_json,
 )
 from .plotting import render_nmse_svg
-from .system import FUNCTIONS, SCHEMES, SystemConfig, parse_config_file
+from .system import SCHEMES, SystemConfig, parse_config_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,7 +65,6 @@ def build_parser():
     run.add_argument("--trials", type=int, default=None, help="trials per SNR point")
     run.add_argument("--seed", type=int, default=None, help="base RNG seed (required)")
     run.add_argument("--scheme", choices=SCHEMES, default=None)
-    run.add_argument("--function", choices=FUNCTIONS, default=None)
     run.add_argument("--config", default=None, help="flat key=value config file")
     run.add_argument("--out", default=None, help="output path (default stdout)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -92,7 +91,6 @@ def _resolve_run_config(args):
         "trials": args.trials,
         "seed": args.seed,
         "scheme": args.scheme,
-        "function": args.function,
     }
     for key, value in overrides.items():
         if value is not None:

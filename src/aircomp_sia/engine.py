@@ -113,9 +113,8 @@ def _run_chunk(config, trials, snr_db, symbols=None):
     is the noiseless pipeline. `symbols`, when given, replace the symbol
     draw of every trial.
     """
-    part = partition(config.antennas)
     rngs = [np.random.default_rng([config.seed, t]) for t in trials]
-    reference = build_reference_matrices(config.antennas, part.interference_dim, rngs)
+    reference = build_reference_matrices(config.antennas, rngs)
     channels, beamformer, precoders, redraws = _build(config, rngs, reference)
     if symbols is None:
         symbols = draw_symbols(config, rngs)
@@ -181,16 +180,18 @@ def run_trial(config, trial_index, snr_db=None):
     return _single_trial(config, trial_index, snr_db)
 
 
-def run_functional_trial(config, data, trial_index=0, snr_db=None):
+def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     """Carry per-device data through the full functional pipeline.
 
-    `data` has shape (K, 2, signal_dim) and holds each device's real
-    inputs. The values are pre-processed for config.function, sent over
-    the air with config.scheme, recovered and post-processed. Returns the
-    per-cell function estimates, shape (2, signal_dim).
+    `function` is the nomographic function, one of functions.FUNCTIONS
+    (sum, mean or geomean); an unknown kind raises DomainError. `data` has
+    shape (K, 2, signal_dim) and holds each device's real inputs. The
+    values are pre-processed for `function`, sent over the air with
+    config.scheme, recovered and post-processed. Returns the per-cell
+    function estimates, shape (2, signal_dim).
     """
     config.validate()
-    spec = FunctionSpec(config.function, config.devices)
+    spec = FunctionSpec(function, config.devices)
     dof = partition(config.antennas).signal_dim
     data = np.asarray(data, dtype=np.float64)
     expected = (config.devices, 2, dof)
@@ -216,7 +217,6 @@ class SweepPoint:
     analytic_nmse: float   # mean per-trial noise-only prediction
     oracle_gap: float      # mean(expectation-normalised NMSE - prediction)
     oracle_gap_se: float   # standard error of that gap
-    err_power_mean: float
 
 
 @dataclass
@@ -360,31 +360,36 @@ def run_sweep(config, workers=None):
                 f.cancel()
     merged = {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
 
+    # Every column is reduced over the trial (and cell) axes for all grid
+    # points at once: err_power is (T, P, 2), analytic_nmse (T, P).
     grid = tuple(float(s) for s in config.snr_db_grid)
-    dof = partition(config.antennas).signal_dim
-    expected_sig_power = config.devices * dof
-    total_sig = merged["sig_power"].sum()
-    points = []
-    for p, snr_db in enumerate(grid):
-        err = merged["err_power"][:, p, :]
-        ratios = merged["nmse"][:, p, :]
-        predicted = merged["analytic_nmse"][:, p]
-        normalised = err.mean(axis=1) / expected_sig_power
-        gap = normalised - predicted
-        se = float(gap.std(ddof=1) / math.sqrt(len(gap))) if len(gap) > 1 else float("nan")
-        points.append(SweepPoint(
+    err = merged["err_power"]
+    predicted = merged["analytic_nmse"]
+    nmse_mean = err.sum(axis=(0, 2)) / merged["sig_power"].sum()
+    nmse_median = np.median(merged["nmse"], axis=(0, 2))
+    gap = err.mean(axis=2) / (config.devices * partition(config.antennas).signal_dim) - predicted
+    if config.trials > 1:
+        se = gap.std(axis=0, ddof=1) / math.sqrt(config.trials)
+    else:
+        se = np.full(len(grid), math.nan)
+    leakage = float(merged["leakage"].mean())
+    aligned = int(merged["aligned_rank"].max())
+    points = [
+        SweepPoint(
             snr_db=snr_db,
             trials=config.trials,
-            nmse_mean=float(err.sum() / total_sig),
-            nmse_median=float(np.median(ratios)),
-            leakage_mean=float(merged["leakage"].mean()),
-            aligned_rank=int(merged["aligned_rank"].max()),
-            analytic_nmse=float(predicted.mean()),
-            oracle_gap=float(gap.mean()),
-            oracle_gap_se=se,
-            err_power_mean=float(err.mean()),
-        ))
+            nmse_mean=float(mean),
+            nmse_median=float(median),
+            leakage_mean=leakage,
+            aligned_rank=aligned,
+            analytic_nmse=float(analytic),
+            oracle_gap=float(gap_mean),
+            oracle_gap_se=float(gap_se),
+        )
+        for snr_db, mean, median, analytic, gap_mean, gap_se in zip(
+            grid, nmse_mean, nmse_median, predicted.mean(axis=0), gap.mean(axis=0), se)
+    ]
     lo = (min(grid) + max(grid)) / 2.0
-    slope = fit_nmse_slope(grid, [pt.nmse_mean for pt in points], lo=lo)
+    slope = fit_nmse_slope(grid, nmse_mean, lo=lo)
     return SweepResult(config=config, points=points, dof_slope=slope,
                        max_residual=float(merged["residual"].max()))

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .system import FUNCTIONS
+
+FUNCTIONS = ("sum", "mean", "geomean")
 
 
 @dataclass(frozen=True)

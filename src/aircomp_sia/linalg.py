@@ -21,14 +21,14 @@ RANK_RTOL = 1e-8
 FULL_RANK_RTOL = 1e-10
 
 
-def as_stack(a, name="matrix"):
+def as_stack(a):
     """Return `a` as a complex128 matrix or stack of matrices, rejecting
     non-finite entries."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim < 2:
-        raise SizeMismatch(f"{name} must be at least 2-D, got shape {arr.shape}")
+        raise SizeMismatch(f"matrix must be at least 2-D, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return arr
 
 
@@ -48,17 +48,15 @@ def left_null_space_basis(b):
     return np.ascontiguousarray(u[..., cols:].conj().swapaxes(-1, -2))
 
 
-def numerical_rank(a, tol=RANK_RTOL):
-    """Number of singular values above `tol` relative to the largest one:
-    an int for a matrix, an int array for a stack."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
+def numerical_rank(a):
+    """Number of singular values above RANK_RTOL relative to the largest
+    one: an int for a matrix, an int array for a stack."""
     a = as_stack(a)
     if a.shape[-1] == 0 or a.shape[-2] == 0:
         rank = np.zeros(a.shape[:-2], dtype=np.intp)
     else:
         s = np.linalg.svd(a, compute_uv=False)
-        rank = np.count_nonzero(s > tol * s[..., :1], axis=-1)
+        rank = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
     return int(rank) if a.ndim == 2 else rank
 
 

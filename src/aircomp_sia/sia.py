@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeMismatch
-from .linalg import RANK_RTOL, left_null_space_basis, numerical_rank, right_inverse
+from .linalg import left_null_space_basis, numerical_rank, right_inverse
 from .system import _complex_normal, partition
 
 
@@ -41,18 +41,16 @@ class SiaMatrices:
     precoder: np.ndarray
 
 
-def build_reference_matrices(antennas, interference_dim, rng):
-    """Two full-column-rank reference matrices, one per cell, shape (..., 2, M, N').
+def build_reference_matrices(antennas, rng):
+    """Two full-column-rank reference matrices, one per cell, shape (..., 2, M, N')
+    with N' = partition(M).interference_dim.
 
     Random draws are orthonormalised (QR) so the aggregation beamformers
     inherit a well-conditioned null-space problem. `rng` is one stream, or
     a sequence of streams giving one pair per trial.
     """
-    expected = partition(antennas).interference_dim
-    if interference_dim != expected:
-        raise ValueError(
-            f"interference_dim must be {expected} for M={antennas}, got {interference_dim}")
-    draws = [_complex_normal(rng, (antennas, interference_dim)) for _ in range(2)]
+    shape = (antennas, partition(antennas).interference_dim)
+    draws = [_complex_normal(rng, shape) for _ in range(2)]
     q, _ = np.linalg.qr(np.stack(draws, axis=-3))
     return q
 
@@ -91,7 +89,7 @@ def build_sia_matrices(channels, reference):
     return SiaMatrices(reference, beamformer, ia, sa, precoder)
 
 
-def aligned_interference_dimension(cell, channels, precoders, tol=RANK_RTOL):
+def aligned_interference_dimension(cell, channels, precoders):
     """Dimension cell `cell` occupies at the other AP after precoding.
 
     Numerical rank of the M x (K * dof) horizontal stack of the
@@ -101,4 +99,4 @@ def aligned_interference_dimension(cell, channels, precoders, tol=RANK_RTOL):
     precoders = np.asarray(precoders)
     blocks = channels.cross[..., cell, :, :] @ precoders[..., cell, :, :]
     stack = np.moveaxis(blocks, -3, -2)
-    return numerical_rank(stack.reshape(stack.shape[:-2] + (-1,)), tol)
+    return numerical_rank(stack.reshape(stack.shape[:-2] + (-1,)))

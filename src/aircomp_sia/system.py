@@ -3,7 +3,10 @@
 The layout is fixed: two cells, one access point per cell, `devices`
 devices per cell, and `antennas` antennas on every node (devices need a
 square channel to invert their cross link). Channels are i.i.d. complex
-Gaussian and stay fixed for the duration of a trial.
+Gaussian and stay fixed for the duration of a trial. The configuration
+holds only what shapes the channel construction and the sweep; the
+nomographic function computed on top of the aggregated streams is an
+argument of `engine.run_functional_trial`, not a setting.
 
 Every draw takes either one `numpy.random.Generator` or a sequence of
 them, one per trial; a sequence stacks each trial's draw along a new
@@ -21,7 +24,6 @@ from .errors import ConfigError, DegenerateChannels, SizeMismatch
 from .linalg import COND_LIMIT
 
 SCHEMES = ("sia", "no_ia", "genie")
-FUNCTIONS = ("sum", "mean", "geomean")
 INT_FIELDS = ("antennas", "devices", "trials", "seed")
 
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 45, 5))
@@ -39,7 +41,6 @@ class SystemConfig:
     trials: int = DEFAULT_TRIALS           # Monte Carlo trials per point
     seed: int = 0                          # base seed; trials derive their own streams
     scheme: str = "sia"                    # sia | no_ia | genie
-    function: str = "mean"                 # sum | mean | geomean
 
     def validate(self):
         for name in INT_FIELDS:
@@ -58,8 +59,6 @@ class SystemConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
-        if self.function not in FUNCTIONS:
-            raise ConfigError(f"function must be one of {'/'.join(FUNCTIONS)}, got {self.function!r}")
         grid = tuple(float(s) for s in self.snr_db_grid)
         if len(grid) == 0:
             raise ConfigError("snr_db_grid must not be empty")
@@ -78,7 +77,6 @@ class SystemConfig:
             "trials": str(self.trials),
             "seed": str(self.seed),
             "scheme": self.scheme,
-            "function": self.function,
         }
 
     @classmethod
@@ -144,14 +142,6 @@ class ChannelSet:
     cross: np.ndarray   # (..., K, 2, M, M), device (k, i) to the other AP
     redraws: int = 0    # matrices rejected by the conditioning guard, all trials
 
-    @property
-    def devices(self):
-        return self.direct.shape[-4]
-
-    @property
-    def antennas(self):
-        return self.direct.shape[-1]
-
 
 def _complex_normal(rng, shape):
     """CN(0, 1) draws of `shape`: all real parts, then all imaginary parts,
@@ -164,8 +154,9 @@ def _complex_normal(rng, shape):
     return (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
 
 
-def _guard_conditioning(mats, rng, budget=MATRIX_REDRAW_BUDGET):
-    """Redraw any matrix in the stack whose condition number exceeds COND_LIMIT.
+def _guard_conditioning(mats, rng):
+    """Redraw any matrix in the stack whose condition number exceeds COND_LIMIT,
+    at most MATRIX_REDRAW_BUDGET times per matrix.
 
     With a sequence of streams, a matrix is redrawn from the stream of its
     entry on the stack's leading axis.
@@ -177,7 +168,7 @@ def _guard_conditioning(mats, rng, budget=MATRIX_REDRAW_BUDGET):
     m = mats.shape[-1]
     for idx in zip(*np.nonzero(bad)):
         stream = rng if isinstance(rng, np.random.Generator) else rng[idx[0]]
-        for _ in range(budget):
+        for _ in range(MATRIX_REDRAW_BUDGET):
             redraws += 1
             candidate = _complex_normal(stream, (m, m))
             s = np.linalg.svd(candidate, compute_uv=False)
@@ -185,12 +176,12 @@ def _guard_conditioning(mats, rng, budget=MATRIX_REDRAW_BUDGET):
                 mats[idx] = candidate
                 break
         else:
-            raise DegenerateChannels(
-                f"matrix redraw budget ({budget}) exhausted under the conditioning guard")
+            raise DegenerateChannels(f"matrix redraw budget ({MATRIX_REDRAW_BUDGET}) "
+                                     "exhausted under the conditioning guard")
     return redraws
 
 
-def draw_channels(config, rng, budget=MATRIX_REDRAW_BUDGET):
+def draw_channels(config, rng):
     """Draw all 4*K channel matrices of a trial, or of one trial per stream.
 
     Both stacks are i.i.d. CN(0, 1); any matrix with condition number
@@ -201,9 +192,9 @@ def draw_channels(config, rng, budget=MATRIX_REDRAW_BUDGET):
     config.validate()
     k, m = config.devices, config.antennas
     direct = _complex_normal(rng, (k, 2, m, m))
-    redraws = _guard_conditioning(direct, rng, budget)
+    redraws = _guard_conditioning(direct, rng)
     cross = _complex_normal(rng, (k, 2, m, m))
-    redraws += _guard_conditioning(cross, rng, budget)
+    redraws += _guard_conditioning(cross, rng)
     return ChannelSet(direct, cross, redraws)
 
 

@@ -170,9 +170,8 @@ def test_criterion_9_functional_layer():
     for k in (1, 3, 10):
         data = rng.uniform(0.5, 2.0, size=(k, 2, 2))
         for kind in ("mean", "geomean"):
-            cfg = SystemConfig(antennas=4, devices=k, snr_db_grid=(0.0,),
-                               trials=1, seed=13, function=kind)
-            got = run_functional_trial(cfg, data)
+            cfg = SystemConfig(antennas=4, devices=k, snr_db_grid=(0.0,), trials=1, seed=13)
+            got = run_functional_trial(cfg, kind, data)
             if kind == "mean":
                 want = data.mean(axis=0)
             else:

@@ -159,7 +159,7 @@ class TestNoIaPrecoder:
         cfg = SystemConfig(antennas=4, devices=3, snr_db_grid=(0.0,), trials=1)
         rng = np.random.default_rng(1)
         part = partition(4)
-        reference = build_reference_matrices(4, part.interference_dim, rng)
+        reference = build_reference_matrices(4, rng)
         beam = build_aggregation_beamformers(reference)
         channels = draw_channels(cfg, rng)
         stacked = build_no_ia_precoders(channels, beam)

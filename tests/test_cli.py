@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
 from aircomp_sia.cli import main
 from aircomp_sia.errors import DegenerateChannels
+from aircomp_sia.system import SystemConfig
 
 
 def run_cli(argv, capsys):
@@ -112,6 +114,13 @@ class TestRun:
         code, _, err = run_cli(base + ["--snr-db", "20,10,0"], capsys)
         assert code == 2
 
+    def test_function_flag_rejected(self, capsys):
+        # The nomographic function never reached the CSV body, so it is not
+        # a run setting.
+        code, _, err = run_cli(RUN_ARGS + ["--function", "mean"], capsys)
+        assert code == 2
+        assert "--function" in err
+
     def test_degenerate_exit_code(self, capsys, monkeypatch):
         def explode(config, workers=None):
             raise DegenerateChannels("forced")
@@ -177,6 +186,33 @@ class TestRun:
         code, _, err = run_cli(RUN_ARGS + ["--out", str(target)], capsys)
         assert code == 2
         assert "error:" in err
+
+
+# A changed config-file value for every SystemConfig field.
+CHANGED_SETTING = {"antennas": "3", "devices": "2", "snr_db_grid": "0,10", "trials": "6",
+                   "seed": "18", "scheme": "no_ia"}
+
+
+class TestSettings:
+    def test_every_setting_changes_the_body(self, capsys, monkeypatch, tmp_path):
+        # A setting whose value the CSV body does not depend on is a no-op.
+        monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        base = SystemConfig(antennas=4, devices=3, snr_db_grid=(0.0, 10.0, 20.0),
+                            trials=5, seed=17).to_flat()
+        path = tmp_path / "run.cfg"
+
+        def body(values):
+            path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()),
+                            encoding="utf-8")
+            code, out, _ = run_cli(["run", "--config", str(path)], capsys)
+            assert code == 0
+            return body_lines(out)
+
+        baseline = body(base)
+        for field in fields(SystemConfig):
+            assert field.name in CHANGED_SETTING, f"no changed value for {field.name}"
+            changed = body({**base, field.name: CHANGED_SETTING[field.name]})
+            assert changed != baseline, f"setting {field.name} leaves the CSV body unchanged"
 
 
 class TestCompare:

@@ -120,7 +120,7 @@ class TestAnalyticNoiseMse:
         rng = np.random.default_rng(0)
         m, k = 6, 3
         part = partition(m)
-        reference = build_reference_matrices(m, part.interference_dim, rng)
+        reference = build_reference_matrices(m, rng)
         beam = build_aggregation_beamformers(reference)[0]
         res = run_trial(config_for(m, k, seed=1), 0, snr_db=5.0)
         sigma, want, reps = res.noise_std[0], res.analytic_nmse[0], 20000
@@ -371,21 +371,21 @@ class TestRunFunctionalTrial:
     @pytest.mark.parametrize("kind", ["sum", "mean", "geomean"])
     @pytest.mark.parametrize("devices", [1, 3])
     def test_noiseless_function_recovery(self, kind, devices):
-        cfg = config_for(4, devices, function=kind)
+        cfg = config_for(4, devices)
         rng = np.random.default_rng(devices)
         data = rng.uniform(0.5, 2.0, size=(devices, 2, 2))
-        got = run_functional_trial(cfg, data, trial_index=1)
+        got = run_functional_trial(cfg, kind, data, trial_index=1)
         assert got.shape == (2, 2)
         for i in (0, 1):
             want = self.oracle(kind, data[:, i, :])
             assert np.allclose(got[i], want, rtol=1e-6)
 
     def test_noise_perturbs_estimate(self):
-        cfg = config_for(4, 2, function="mean", seed=4)
+        cfg = config_for(4, 2, seed=4)
         data = np.full((2, 2, 2), 1.5)
-        clean = run_functional_trial(cfg, data)
-        at20 = run_functional_trial(cfg, data, snr_db=20.0)
-        at40 = run_functional_trial(cfg, data, snr_db=40.0)
+        clean = run_functional_trial(cfg, "mean", data)
+        at20 = run_functional_trial(cfg, "mean", data, snr_db=20.0)
+        at40 = run_functional_trial(cfg, "mean", data, snr_db=40.0)
         assert np.all(np.isfinite(at20))
         assert not np.allclose(clean, at20, rtol=1e-12)
         # Same noise realisation rescaled: the error is exactly 10x smaller.
@@ -396,12 +396,12 @@ class TestRunFunctionalTrial:
     def test_shape_validation(self):
         cfg = config_for(4, 2)
         with pytest.raises(SizeMismatch):
-            run_functional_trial(cfg, np.ones((2, 2, 3)))
+            run_functional_trial(cfg, "mean", np.ones((2, 2, 3)))
 
     def test_geomean_domain(self):
-        cfg = config_for(4, 2, function="geomean")
+        cfg = config_for(4, 2)
         with pytest.raises(ValueError):
-            run_functional_trial(cfg, np.zeros((2, 2, 2)))
+            run_functional_trial(cfg, "geomean", np.zeros((2, 2, 2)))
 
 
 def sweep_body(result):
@@ -462,7 +462,7 @@ class TestChunks:
         # trial redraws its set, and gets what it would get alone.
         cfg = config_for(4, 3, scheme=scheme, seed=6)
         grid = np.asarray(cfg.snr_db_grid)
-        marked = build_reference_matrices(4, 2, np.random.default_rng([cfg.seed, 2]))
+        marked = build_reference_matrices(4, np.random.default_rng([cfg.seed, 2]))
         name = "build_sia_matrices" if scheme == "sia" else "build_no_ia_precoders"
         real = getattr(engine, name)
         planted = {"done": True}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aircomp_sia import system
 from aircomp_sia.baselines import build_no_ia_precoders
 from aircomp_sia.errors import DegenerateChannels, RankDeficient, SizeMismatch
 from aircomp_sia.linalg import COND_LIMIT, left_null_space_basis, numerical_rank
@@ -32,7 +33,7 @@ def ia_stage(cross):
     m = cross.shape[-1]
     stack = np.broadcast_to(cross, (1, 2, m, m)).copy()
     channels = ChannelSet(np.broadcast_to(np.eye(m, dtype=complex), (1, 2, m, m)).copy(), stack)
-    reference = build_reference_matrices(m, m - m // 2, rng_for(0))
+    reference = build_reference_matrices(m, rng_for(0))
     return build_sia_matrices(channels, reference).ia_component[0, 0]
 
 
@@ -55,10 +56,9 @@ class TestGaussianMatrix:
 
     def test_rejects_non_positive_dims(self):
         # Reference draws take their size from the partition of M.
-        with pytest.raises(ValueError):
-            build_reference_matrices(0, 0, rng_for(0))
-        with pytest.raises(ValueError):
-            build_reference_matrices(2, 0, rng_for(0))
+        for antennas in (0, -1):
+            with pytest.raises(ValueError):
+                build_reference_matrices(antennas, rng_for(0))
 
     def test_moments(self):
         # Sample mean of each part has sd sqrt(0.5/n); |z|^2 is Exp(1).
@@ -114,17 +114,19 @@ class TestInverse:
         with pytest.raises(SizeMismatch):
             superpose(channels, np.zeros((1, 2, 3, 1)), np.zeros((1, 2, 1)))
 
-    def test_near_singular_raises(self):
+    def test_near_singular_raises(self, monkeypatch):
         mats = np.diag([1.0 + 0j, 1e-13 + 0j])[None].copy()
-        with pytest.raises(DegenerateChannels):
-            _guard_conditioning(mats, rng_for(0), budget=0)
+        with monkeypatch.context() as m, pytest.raises(DegenerateChannels):
+            m.setattr(system, "MATRIX_REDRAW_BUDGET", 0)
+            _guard_conditioning(mats, rng_for(0))
         assert _guard_conditioning(mats, rng_for(0)) >= 1
         assert np.linalg.cond(mats[0]) <= COND_LIMIT
 
-    def test_zero_matrix_raises(self):
+    def test_zero_matrix_raises(self, monkeypatch):
         mats = np.zeros((1, 3, 3), dtype=complex)
-        with pytest.raises(DegenerateChannels):
-            _guard_conditioning(mats, rng_for(0), budget=0)
+        with monkeypatch.context() as m, pytest.raises(DegenerateChannels):
+            m.setattr(system, "MATRIX_REDRAW_BUDGET", 0)
+            _guard_conditioning(mats, rng_for(0))
         assert _guard_conditioning(mats, rng_for(0)) >= 1
         assert numerical_rank(mats[0]) == 3
 
@@ -147,7 +149,7 @@ class TestRightInverse:
 
     def test_residual(self):
         rng = rng_for(11)
-        beam = build_aggregation_beamformers(build_reference_matrices(5, 3, rng))[0]
+        beam = build_aggregation_beamformers(build_reference_matrices(5, rng))[0]
         direct = gaussian(rng, 5, 5)
         x = no_ia(beam, direct)
         a = beam @ direct
@@ -156,8 +158,8 @@ class TestRightInverse:
     def test_square_matches_inverse(self):
         # For even M the SA stage right-inverts a square effective channel.
         rng = rng_for(5)
-        m, dof = 4, 2
-        reference = build_reference_matrices(m, dof, rng)
+        m = 4
+        reference = build_reference_matrices(m, rng)
         channels = ChannelSet(_complex_normal(rng, (3, 2, m, m)), _complex_normal(rng, (3, 2, m, m)))
         mats = build_sia_matrices(channels, reference)
         for k in range(3):
@@ -170,7 +172,7 @@ class TestRightInverse:
         # Any other right inverse differs by columns from the null space
         # of a and cannot have smaller Frobenius norm.
         rng = rng_for(9)
-        beam = build_aggregation_beamformers(build_reference_matrices(4, 2, rng))[0]
+        beam = build_aggregation_beamformers(build_reference_matrices(4, rng))[0]
         direct = gaussian(rng, 4, 4)
         a = beam @ direct
         x = no_ia(beam, direct)
@@ -237,12 +239,6 @@ class TestNumericalRank:
         v = gaussian(rng, 1, 7)
         assert numerical_rank(u @ v) == 1
 
-    def test_tol_domain(self):
-        a = np.eye(2, dtype=complex)
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                numerical_rank(a, tol=bad)
-
     def test_scale_invariance(self):
         a = gaussian(rng_for(8), 4, 6)
         assert numerical_rank(a) == numerical_rank(1e9 * a) == numerical_rank(1e-9 * a)
@@ -263,11 +259,12 @@ class TestNumericalRank:
         assert numerical_rank(a[perm_rows][:, perm_cols]) == r
 
 
-def test_condition_number_diag():
+def test_condition_number_diag(monkeypatch):
     # The guard keeps a matrix at exactly COND_LIMIT and redraws anything
     # worse, including a singular one (condition number inf).
+    monkeypatch.setattr(system, "MATRIX_REDRAW_BUDGET", 0)
     at_limit = np.diag([COND_LIMIT + 0j, 1.0 + 0j])[None].copy()
-    assert _guard_conditioning(at_limit, rng_for(0), budget=0) == 0
+    assert _guard_conditioning(at_limit, rng_for(0)) == 0
     for worse in (np.diag([1.01 * COND_LIMIT + 0j, 1.0 + 0j]), np.zeros((2, 2), dtype=complex)):
         with pytest.raises(DegenerateChannels):
-            _guard_conditioning(worse[None].copy(), rng_for(0), budget=0)
+            _guard_conditioning(worse[None].copy(), rng_for(0))

@@ -28,7 +28,7 @@ def sia_setup(m, k, seed=0):
     cfg = config_for(m, k)
     rng = np.random.default_rng(seed)
     part = partition(m)
-    reference = build_reference_matrices(m, part.interference_dim, rng)
+    reference = build_reference_matrices(m, rng)
     channels = draw_channels(cfg, rng)
     matrices = build_sia_matrices(channels, reference)
     return cfg, rng, channels, matrices
@@ -54,15 +54,15 @@ class TestReferenceMatrices:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
     def test_shapes_and_orthonormal_columns(self, m):
         part = partition(m)
-        ref = build_reference_matrices(m, part.interference_dim, np.random.default_rng(0))
+        ref = build_reference_matrices(m, np.random.default_rng(0))
         assert ref.shape == (2, m, part.interference_dim)
         for i in (0, 1):
             gram = ref[i].conj().T @ ref[i]
             assert np.allclose(gram, np.eye(part.interference_dim), atol=1e-10)
 
     def test_deterministic(self):
-        a = build_reference_matrices(4, 2, np.random.default_rng(9))
-        b = build_reference_matrices(4, 2, np.random.default_rng(9))
+        a = build_reference_matrices(4, np.random.default_rng(9))
+        b = build_reference_matrices(4, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_fixed_variant(self):
@@ -76,10 +76,6 @@ class TestReferenceMatrices:
         assert np.all(beam[0][:, 2:] == 0)
         assert np.all(beam[1][:, :3] == 0)
         assert np.allclose(beam[0] @ beam[0].conj().T, np.eye(2), atol=1e-14)
-
-    def test_wrong_dim_rejected(self):
-        with pytest.raises(ValueError):
-            build_reference_matrices(4, 3, np.random.default_rng(0))
 
 
 class TestAggregationBeamformers:
@@ -98,7 +94,7 @@ class TestAggregationBeamformers:
     def test_annihilation_and_orthonormal_rows(self, m):
         part = partition(m)
         rng = np.random.default_rng(m)
-        reference = build_reference_matrices(m, part.interference_dim, rng)
+        reference = build_reference_matrices(m, rng)
         beam = build_aggregation_beamformers(reference)
         assert beam.shape == (2, part.signal_dim, m)
         for i in (0, 1):

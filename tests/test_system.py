@@ -56,7 +56,7 @@ class TestConfigValidation:
         {"snr_db_grid": (10.0, 0.0)},
         {"snr_db_grid": (0.0, 0.0)},
         {"scheme": "zf"},
-        {"function": "max"},
+        {"snr_db_grid": (0.0, float("inf"))},
         {"antennas": 4.0},
         {"seed": -1},
         {"devices": True},
@@ -79,13 +79,14 @@ class TestConfigValidation:
 class TestConfigSerialisation:
     def test_flat_roundtrip(self):
         cfg = SystemConfig(antennas=5, devices=7, snr_db_grid=(0.0, 2.5, 10.0),
-                           trials=50, seed=99, scheme="no_ia", function="geomean")
+                           trials=50, seed=99, scheme="no_ia")
         again = SystemConfig.from_flat(cfg.to_flat())
         assert again == cfg
 
     def test_unknown_key(self):
-        # Older config files may still set num_cells or fixed_reference.
-        for key, value in (("power", "5"), ("num_cells", "2"), ("fixed_reference", "false")):
+        # Older config files may still set num_cells, fixed_reference or function.
+        for key, value in (("power", "5"), ("num_cells", "2"), ("fixed_reference", "false"),
+                           ("function", "mean")):
             with pytest.raises(ConfigError, match="unknown"):
                 SystemConfig.from_flat({"antennas": "4", "devices": "2", key: value})
 
