@@ -1,14 +1,20 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aircomp_sia import system
 from aircomp_sia.engine import run_trial
-from aircomp_sia.errors import ConfigError, SizeMismatch
+from aircomp_sia.errors import ConfigError, DegenerateChannels, SizeMismatch
 from aircomp_sia.linalg import numerical_rank
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
+    _complex_normal,
+    _guard_conditioning,
+    _ill_conditioned,
     draw_channels,
     draw_symbols,
     parse_config_file,
@@ -139,6 +145,160 @@ class TestDrawChannels:
         for seed in range(25):
             total += draw_channels(cfg, np.random.default_rng(seed)).redraws
         assert total / (25 * 4 * 4) < 1e-3
+
+
+def svd_rejects(a):
+    """The guard's exact test on one matrix, as a brute-force oracle."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return not (s[0] != 0.0 and s[0] <= system.COND_LIMIT * s[-1])
+
+
+def svd_guard(mats, rng):
+    """Reference guard: an SVD of every matrix and of every redraw candidate."""
+    redraws = 0
+    m = mats.shape[-1]
+    bad = np.array([svd_rejects(a) for a in mats.reshape(-1, m, m)]).reshape(mats.shape[:-2])
+    for idx in zip(*np.nonzero(bad)):
+        stream = rng if isinstance(rng, np.random.Generator) else rng[idx[0]]
+        for _ in range(system.MATRIX_REDRAW_BUDGET):
+            redraws += 1
+            candidate = _complex_normal(stream, (m, m))
+            if not svd_rejects(candidate):
+                mats[idx] = candidate
+                break
+        else:
+            raise DegenerateChannels("budget")
+    return redraws
+
+
+def planted(rng, m, cond, scale, clustered):
+    """scale * U diag(s) V^H with s_1 / s_M = cond; the middle singular
+    values sit at s_1 (where the bound is tightest) or spread geometrically."""
+    u = np.linalg.qr(_complex_normal(rng, (m, m)))[0]
+    v = np.linalg.qr(_complex_normal(rng, (m, m)))[0]
+    if clustered:
+        s = np.ones(m)
+        s[-1] = 1.0 / cond
+    else:
+        s = np.logspace(0.0, -np.log10(cond), m)
+    return scale * (u * s) @ v.conj().T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Leading shapes of the stacks passed to np.linalg.svd during a test."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kw):
+        calls.append(np.shape(a)[:-2])
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def assert_matches_oracle(mats):
+    expected = np.array([svd_rejects(a) for a in mats])
+    got = _ill_conditioned(mats)
+    assert got.dtype == bool and got.shape == expected.shape
+    assert np.array_equal(got, expected), np.nonzero(got != expected)
+    return expected
+
+
+class TestConditioningBound:
+    """`_ill_conditioned` clears most matrices on a log-determinant bound and
+    must give the exact SVD test's verdict on every matrix."""
+
+    CONDS = (1.0, 10.0, 1e3, 1e6, 1e8, 1e9, 3e9, 1e10, 1e11,
+             system.COND_LIMIT * (1 - 1e-3), system.COND_LIMIT,
+             system.COND_LIMIT * (1 + 1e-3), 1e13, 1e15, 1e17)
+    SCALES = (1e-170, 1.0, 1e170)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16])
+    def test_planted_spectra(self, m, svd_calls):
+        rng = np.random.default_rng(m)
+        conds = np.repeat(self.CONDS, len(self.SCALES) * 2 * 2)
+        flat_top = np.tile(np.repeat([True, False], 2), len(self.CONDS) * len(self.SCALES))
+        mats = np.array([planted(rng, m, cond, scale, clustered)
+                         for cond in self.CONDS for scale in self.SCALES
+                         for clustered in (True, False) for _ in range(2)])
+        expected = assert_matches_oracle(mats)
+        assert expected.any() and not expected.all()
+        # Each matrix alone gets the verdict it gets in the stack.
+        for a, bad in zip(mats, expected):
+            assert _ill_conditioned(a[None])[0] == bad
+        # Well inside the limit the bound decides at every scale, without an
+        # SVD; it is within sqrt(M - 1) of cond when s_1 = ... = s_(M-1).
+        del svd_calls[:]
+        assert not _ill_conditioned(mats[flat_top & (conds <= 1e6)]).any()
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_degenerate(self, m):
+        rng = np.random.default_rng(10 + m)
+        rank_one = np.outer(_complex_normal(rng, (m,)), _complex_normal(rng, (m,)))
+        singular = _complex_normal(rng, (m, m))
+        singular[-1] = singular[0]
+        diag = np.diag(np.r_[np.ones(m - 1), 0.0]).astype(complex)
+        mats = np.array([np.zeros((m, m), dtype=complex), rank_one, singular, diag,
+                         _complex_normal(rng, (m, m))])
+        assert assert_matches_oracle(mats).tolist() == [True] * 4 + [False]
+
+    def test_low_limit_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(system, "COND_LIMIT", 4.0)
+        rng = np.random.default_rng(3)
+        for m in (2, 4):
+            mats = np.array([planted(rng, m, cond, 1.0, clustered)
+                             for cond in (1.0, 2.0, 3.9, 4.0, 4.1, 10.0)
+                             for clustered in (True, False)])
+            expected = assert_matches_oracle(mats)
+            assert expected.any() and not expected.all()
+
+    def test_gaussian_draws(self):
+        for m in (2, 4, 16):
+            mats = _complex_normal(np.random.default_rng(m), (300, m, m))
+            assert not assert_matches_oracle(mats).any()
+
+
+class TestGuardFastPath:
+    def test_well_conditioned_stack_takes_no_svd(self, svd_calls):
+        rng = [np.random.default_rng(0)]
+        mats = _complex_normal(rng, (200, 2, 4, 4))
+        assert mats.shape == (1, 200, 2, 4, 4)
+        before = mats.copy()
+        assert _guard_conditioning(mats, rng) == 0
+        assert svd_calls == []
+        assert np.array_equal(mats, before)
+
+    def test_planted_matrices_match_svd_guard(self, svd_calls):
+        rngs = [np.random.default_rng([7, t]) for t in range(2)]
+        mats = _complex_normal(rngs, (200, 2, 4, 4))
+        mats[0, 17, 1] = np.diag([1.0, 1.0, 1.0, 1e-13])
+        mats[1, 150, 0] = 0.0
+        reference = mats.copy()
+        reference_rngs = copy.deepcopy(rngs)
+
+        redraws = _guard_conditioning(mats, rngs)
+        # Only the two planted matrices are unsure; the redraws are cleared
+        # on the bound.
+        assert svd_calls == [(2,)]
+        assert redraws == svd_guard(reference, reference_rngs) == 2
+        assert np.array_equal(mats, reference)
+        for g, ref in zip(rngs, reference_rngs):
+            assert g.bit_generator.state == ref.bit_generator.state
+
+    def test_low_limit_redraws_match_svd_guard(self, monkeypatch):
+        # With COND_LIMIT = 4 many draws are rejected; the redraw count and
+        # the accepted matrices equal those of the SVD-only guard.
+        monkeypatch.setattr(system, "COND_LIMIT", 4.0)
+        cfg = config_for(2, 3)
+        fast = draw_channels(cfg, [np.random.default_rng([3, t]) for t in range(4)])
+        monkeypatch.setattr(system, "_guard_conditioning", svd_guard)
+        slow = draw_channels(cfg, [np.random.default_rng([3, t]) for t in range(4)])
+        assert fast.redraws == slow.redraws > 10
+        assert np.array_equal(fast.direct, slow.direct)
+        assert np.array_equal(fast.cross, slow.cross)
 
 
 class TestDrawSymbols:
