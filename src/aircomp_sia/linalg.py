@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: rank, null space and right inverses via the
-SVD, and the tolerances the conditioning and rank guards share.
+"""Dense complex linear algebra: rank and null space via the SVD, right
+inverses certified by a condition-number bound, and the tolerances the
+conditioning and rank guards share.
 
 Every function takes a matrix or a stack of matrices with any number of
 leading axes and works on each matrix independently. All tolerances are
@@ -8,6 +9,8 @@ to overall scaling.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +23,27 @@ RANK_RTOL = 1e-8
 # Stricter relative cutoff where an operation needs exact full rank.
 FULL_RANK_RTOL = 1e-10
 
+# A matrix is cleared without an SVD only when its condition-number bound
+# sits at least this factor below the caller's limit (COND_LIMIT for the
+# conditioning guard, 1/FULL_RANK_RTOL for right inverses). The determinant
+# from LU with partial pivoting (slogdet) is, up to O(M u) relative
+# rounding in the product of pivots, the exact determinant of A + E with
+# ||E|| <= c(M) rho u ||A|| (u = 1.1e-16 the unit roundoff, rho the pivot
+# growth, c(M) about M^2). A right inverse of a wide A takes the bound on
+# the R of a Householder QR of A^H, which is the exact R of A^H + E' with
+# ||E'|| <= c'(M) u ||A||, and has the singular values of A^H + E'. The
+# singular values the exact test compares are within p(M) u sigma_1 of the
+# true ones. So if that test rejects A at limit L, then
+# sigma_M(A + E'') <= sigma_1 (1/L + (p(M) + c'(M) + c(M) rho) u), and the
+# bound, which is at least cond(A + E''), exceeds L / margin unless the
+# rounding terms reach (margin - 1) / L: about 1e-9 = 1e7 u at
+# COND_LIMIT = 1e12, and about 1e-7 = 1e9 u at 1/FULL_RANK_RTOL = 1e10.
+# Even the worst-case growth rho = 2^(M-1) stays below the first up to
+# M = 16, and the growth of Gaussian draws is far smaller. The O(M u)
+# rounding of the Frobenius norm and of the scaling moves the bound by far
+# less than the margin.
+_BOUND_MARGIN = 1e3
+
 
 def as_stack(a):
     """Return `a` as a complex128 matrix or stack of matrices, rejecting
@@ -30,6 +54,29 @@ def as_stack(a):
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("matrix contains non-finite entries")
     return arr
+
+
+def cond_bound_clears(mats, limit):
+    """Mask over the leading axes of a stack of square matrices: True where
+    a bound certifies cond(A) <= limit / _BOUND_MARGIN without an SVD.
+
+    With singular values s_1 >= ... >= s_M, |det A| = s_1 ... s_M,
+    s_1 <= ||A||_F, and s_1 ... s_(M-1) <= (||A||_F^2 / (M-1))^((M-1)/2) by
+    AM-GM, so cond(A) <= ||A||_F^M (M-1)^(-(M-1)/2) / |det A|. The bound is
+    taken in logs (slogdet) on each matrix divided by its largest |entry|,
+    which keeps it scale-invariant and free of overflow. A False entry
+    (near the limit, singular, zero) proves nothing: the caller decides it
+    by its exact singular-value test.
+    """
+    m = mats.shape[-1]
+    scale = np.abs(mats).max(axis=(-2, -1), keepdims=True)
+    unit = mats / np.where(scale > 0.0, scale, 1.0)
+    # At least 1 once the largest entry is 1; the floor only spares the zero
+    # matrix a log(0), and its determinant of 0 fails the bound anyway.
+    norm2 = np.maximum((unit.real ** 2 + unit.imag ** 2).sum(axis=(-2, -1)), 1.0)
+    _, logdet = np.linalg.slogdet(unit)
+    log_bound = 0.5 * (m * np.log(norm2) - (m - 1) * math.log(max(m - 1, 1))) - logdet
+    return log_bound <= math.log(limit / _BOUND_MARGIN)
 
 
 def left_null_space_basis(b):
@@ -61,16 +108,37 @@ def numerical_rank(a):
 
 
 def right_inverse(a, message):
-    """Minimum-norm right inverses of a stack of wide per-device matrices,
-    one SVD each serving both the rank check and the inverse.
+    """Minimum-norm right inverses of a stack of wide (or square) per-device
+    matrices.
 
     `a` is (..., K, 2, rows, cols): the last two stack axes index the
     devices of one channel set. Raises RankDeficient(message) when a
-    matrix lacks full row rank; its `failed` mask marks the channel sets,
-    the entries of the leading axes, that hold one.
+    matrix lacks full row rank, s_rows <= FULL_RANK_RTOL * s_1 on its
+    singular values; its `failed` mask marks the channel sets, the entries
+    of the leading axes, that hold one.
+
+    The path is chosen per matrix, so each inverse depends on its matrix
+    alone, not on the others of the call. A matrix that `cond_bound_clears`
+    certifies at 1/FULL_RANK_RTOL is not deficient, and its inverse is
+    inv(A) when square, or Q R^-H from the reduced QR of A^H = QR when
+    wide. Every other matrix takes one SVD, serving both the rank test and
+    the inverse, so every raise and mask is that of the SVD test.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    deficient = s[..., -1] <= FULL_RANK_RTOL * s[..., 0]
-    if np.any(deficient):
-        raise RankDeficient(message, failed=deficient.any(axis=(-2, -1)))
-    return vh.conj().swapaxes(-1, -2) @ (u.conj().swapaxes(-1, -2) / s[..., :, None])
+    rows, cols = a.shape[-2:]
+    x = np.empty(a.shape[:-2] + (cols, rows), dtype=np.complex128)
+    if rows == cols:
+        clear = cond_bound_clears(a, 1.0 / FULL_RANK_RTOL)
+        x[clear] = np.linalg.inv(a[clear])
+    else:
+        q, r = np.linalg.qr(a.conj().swapaxes(-1, -2))
+        clear = cond_bound_clears(r, 1.0 / FULL_RANK_RTOL)
+        x[clear] = q[clear] @ np.linalg.inv(r[clear]).conj().swapaxes(-1, -2)
+    unsure = ~clear
+    if unsure.any():
+        u, s, vh = np.linalg.svd(a[unsure], full_matrices=False)
+        deficient = np.zeros(a.shape[:-2], dtype=bool)
+        deficient[unsure] = s[..., -1] <= FULL_RANK_RTOL * s[..., 0]
+        if deficient.any():
+            raise RankDeficient(message, failed=deficient.any(axis=(-2, -1)))
+        x[unsure] = vh.conj().swapaxes(-1, -2) @ (u.conj().swapaxes(-1, -2) / s[..., :, None])
+    return x

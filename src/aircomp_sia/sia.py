@@ -81,11 +81,10 @@ def build_sia_matrices(channels, reference):
     reference = np.asarray(reference)
     beamformer = build_aggregation_beamformers(reference)
     ia = np.linalg.inv(channels.cross)
-    home = reference[..., None, :, :, :]
-    through = channels.direct @ ia
-    effective = beamformer[..., None, :, :, :] @ (through @ home)
+    aligned = ia @ reference[..., None, :, :, :]
+    effective = (beamformer[..., None, :, :, :] @ channels.direct) @ aligned
     sa = right_inverse(effective, "effective channel lost row rank; redraw the channel set")
-    precoder = ia @ (home @ sa)
+    precoder = aligned @ sa
     return SiaMatrices(reference, beamformer, ia, sa, precoder)
 
 

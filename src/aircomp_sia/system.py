@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import linalg
 from .errors import ConfigError, DegenerateChannels, SizeMismatch
-from .linalg import COND_LIMIT
 
 SCHEMES = ("sia", "no_ia", "genie")
 INT_FIELDS = ("antennas", "devices", "trials", "seed")
@@ -154,51 +154,21 @@ def _complex_normal(rng, shape):
     return (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
 
 
-# A matrix is cleared without an SVD only when its condition-number bound
-# sits at least this factor below COND_LIMIT. The determinant from LU with
-# partial pivoting (slogdet) is, up to O(M u) relative rounding in the
-# product of pivots, the exact determinant of A + E with
-# ||E|| <= c(M) rho u ||A|| (u = 1.1e-16 the unit roundoff, rho the pivot
-# growth, c(M) about M^2). The singular values the exact test compares are
-# within p(M) u sigma_1 of the true ones. So if that test rejects A, then
-# sigma_M(A + E) <= sigma_1 (1/COND_LIMIT + (p(M) + c(M) rho) u), and the
-# bound, which is at least cond(A + E), exceeds COND_LIMIT / margin unless
-# the rounding terms reach (margin - 1) / COND_LIMIT, about 1e-9 = 1e7 u.
-# Even the worst-case growth rho = 2^(M-1) stays below that up to M = 16,
-# and the growth of Gaussian draws is far smaller. The O(M u) rounding of
-# the Frobenius norm and of the scaling moves the bound by far less than
-# the margin.
-_BOUND_MARGIN = 1e3
-
-
 def _ill_conditioned(mats):
     """Mask over the leading axes of a stack of square matrices: True where
     the guard rejects the matrix, i.e. where sigma_1 > COND_LIMIT * sigma_M
     or sigma_1 = 0 on its singular values.
 
-    With singular values s_1 >= ... >= s_M, |det A| = s_1 ... s_M,
-    s_1 <= ||A||_F, and s_1 ... s_(M-1) <= (||A||_F^2 / (M-1))^((M-1)/2) by
-    AM-GM, so cond(A) <= ||A||_F^M (M-1)^(-(M-1)/2) / |det A|. The bound is
-    taken in logs (slogdet) on each matrix divided by its largest |entry|,
-    which keeps it scale-invariant and free of overflow. A matrix is
-    accepted on the bound only when it is at least _BOUND_MARGIN below
-    COND_LIMIT; every other one (near the limit, singular or zero) is
-    decided by the exact test on its SVD, so the mask equals that test's
-    verdict on every matrix.
+    `linalg.cond_bound_clears` accepts most matrices on a log-determinant
+    bound on cond(A); every other one (near the limit, singular or zero)
+    is decided by the exact test on its SVD, so the mask equals that
+    test's verdict on every matrix.
     """
-    m = mats.shape[-1]
-    scale = np.abs(mats).max(axis=(-2, -1), keepdims=True)
-    unit = mats / np.where(scale > 0.0, scale, 1.0)
-    # At least 1 once the largest entry is 1; the floor only spares the zero
-    # matrix a log(0), and its determinant of 0 sends it to the SVD anyway.
-    norm2 = np.maximum((unit.real ** 2 + unit.imag ** 2).sum(axis=(-2, -1)), 1.0)
-    _, logdet = np.linalg.slogdet(unit)
-    log_bound = 0.5 * (m * np.log(norm2) - (m - 1) * math.log(max(m - 1, 1))) - logdet
-    unsure = ~(log_bound <= math.log(COND_LIMIT / _BOUND_MARGIN))
+    unsure = ~linalg.cond_bound_clears(mats, linalg.COND_LIMIT)
     bad = np.zeros(mats.shape[:-2], dtype=bool)
     if unsure.any():
         s = np.linalg.svd(mats[unsure], compute_uv=False)
-        bad[unsure] = ~((s[..., 0] != 0.0) & (s[..., 0] <= COND_LIMIT * s[..., -1]))
+        bad[unsure] = ~((s[..., 0] != 0.0) & (s[..., 0] <= linalg.COND_LIMIT * s[..., -1]))
     return bad
 
 
@@ -233,12 +203,13 @@ def draw_channels(config, rng):
     """Draw all 4*K channel matrices of a trial, or of one trial per stream.
 
     Both stacks are i.i.d. CN(0, 1); any matrix with condition number
-    above COND_LIMIT is redrawn so the cross channels stay invertible in
-    double precision. The guard clears a matrix on the bound
+    above linalg.COND_LIMIT is redrawn so the cross channels stay
+    invertible in double precision. The guard clears a matrix on the bound
     cond(A) <= ||A||_F^M (M-1)^(-(M-1)/2) / |det A| when that is at least
-    _BOUND_MARGIN below the limit, and takes the SVD of the rest, so its
-    decisions are those of the exact singular-value test. Each stream draws its direct stack, its direct
-    redraws, its cross stack and its cross redraws, in that order.
+    linalg._BOUND_MARGIN below the limit, and takes the SVD of the rest, so
+    its decisions are those of the exact singular-value test. Each stream
+    draws its direct stack, its direct redraws, its cross stack and its
+    cross redraws, in that order.
     """
     config.validate()
     k, m = config.devices, config.antennas

@@ -448,13 +448,47 @@ class TestChunks:
     def test_guard_rejection_matches_chunk_of_one(self, monkeypatch):
         # A low condition limit makes the guard redraw many matrices; each
         # redraw comes from its own trial's stream, as if the trial ran alone.
-        monkeypatch.setattr("aircomp_sia.system.COND_LIMIT", 4.0)
+        monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", 4.0)
         cfg = config_for(2, 2, seed=3)
         grid = np.asarray(cfg.snr_db_grid)
         trials = range(6)
         chunk = engine._run_chunk(cfg, trials, grid)
         assert chunk.redraws > 0
         assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_unsure_inverse_matches_chunk_of_one(self, monkeypatch, svd_calls, fake_pools, m):
+        # A nearly rank-one direct channel in trial 4 gives one effective
+        # channel (square at M = 4, wide at M = 5) a condition number near
+        # 1e8: not deficient, but beyond what the bound certifies, so that
+        # matrix takes the SVD. Neither
+        # the other trials' inverses nor the bodies may depend on the chunk
+        # or on the worker split. The fake pool runs its batches in this
+        # process, where the plant reaches them.
+        cfg = config_for(m, 3, trials=6, seed=5)
+        grid = np.asarray(cfg.snr_db_grid)
+        marked = build_reference_matrices(m, np.random.default_rng([cfg.seed, 4]))
+        rng = np.random.default_rng(9)
+        nearly_rank_one = (np.outer(_complex_normal(rng, (m,)), _complex_normal(rng, (m,)))
+                           + 1e-8 * _complex_normal(rng, (m, m)))
+        real = engine.build_sia_matrices
+
+        def planted(channels, reference):
+            hit = np.all(reference == marked, axis=(-3, -2, -1))
+            channels.direct[hit, 1, 0] = nearly_rank_one
+            return real(channels, reference)
+
+        monkeypatch.setattr(engine, "build_sia_matrices", planted)
+        trials = range(6)
+        chunk = engine._run_chunk(cfg, trials, grid)
+        assert chunk.redraws == 0
+        # Beamformers, the planted matrix's inverse alone, two aligned ranks.
+        assert svd_calls == [(6, 2), (1,), (6,), (6,)]
+        assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid)
+        one, two = run_sweep(cfg, workers=1), run_sweep(cfg, workers=2)
+        assert fake_pools.sizes == [2]
+        assert sweep_body(one) == sweep_body(two)
+        assert one.points == two.points
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_rank_loss_matches_chunk_of_one(self, monkeypatch, scheme):

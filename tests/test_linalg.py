@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircomp_sia import system
+from aircomp_sia import baselines, engine, sia, system
 from aircomp_sia.baselines import build_no_ia_precoders
 from aircomp_sia.errors import DegenerateChannels, RankDeficient, SizeMismatch
-from aircomp_sia.linalg import COND_LIMIT, left_null_space_basis, numerical_rank
+from aircomp_sia.linalg import (
+    COND_LIMIT,
+    FULL_RANK_RTOL,
+    left_null_space_basis,
+    numerical_rank,
+    right_inverse,
+)
 from aircomp_sia.sia import (
     build_aggregation_beamformers,
     build_reference_matrices,
@@ -14,6 +20,7 @@ from aircomp_sia.sia import (
 )
 from aircomp_sia.system import (
     ChannelSet,
+    SystemConfig,
     _complex_normal,
     _guard_conditioning,
     superpose,
@@ -190,6 +197,186 @@ class TestRightInverse:
         a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], dtype=complex)
         with pytest.raises(RankDeficient):
             no_ia(a, np.eye(3, dtype=complex))
+
+
+def svd_right_inverse(a, message):
+    """right_inverse as one SVD of every matrix: the reference for its
+    decisions (raise and `failed` mask)."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    deficient = s[..., -1] <= FULL_RANK_RTOL * s[..., 0]
+    if np.any(deficient):
+        raise RankDeficient(message, failed=deficient.any(axis=(-2, -1)))
+    return vh.conj().swapaxes(-1, -2) @ (u.conj().swapaxes(-1, -2) / s[..., :, None])
+
+
+def svd_deficient(a):
+    """right_inverse's exact rank test on one matrix, as a brute-force oracle."""
+    s = np.linalg.svd(a, full_matrices=False)[1]
+    return bool(s[-1] <= FULL_RANK_RTOL * s[0])
+
+
+def assert_matches_pinv(x, a):
+    """x is A^+ up to what any backward-stable inverse achieves: rtol 1e-12
+    plus 100 u per unit of cond(A), as the forward error grows with cond(A)."""
+    p = np.linalg.pinv(a)
+    s = np.linalg.svd(a, compute_uv=False)
+    assert x.shape == p.shape
+    assert np.abs(x - p).max() <= (1e-12 + 1e-14 * s[0] / s[-1]) * np.abs(p).max()
+
+
+def planted_wide(rng, rows, cols, cond, scale, clustered):
+    """scale * U diag(s) V^H of shape rows x cols with s_1 / s_rows = cond;
+    the middle singular values sit at s_1 or spread geometrically."""
+    u = np.linalg.qr(gaussian(rng, rows, rows))[0]
+    v = np.linalg.qr(gaussian(rng, cols, rows))[0]
+    if clustered:
+        s = np.ones(rows)
+        s[-1] = 1.0 / cond
+    else:
+        s = np.logspace(0.0, -np.log10(cond), rows)
+    return scale * (u * s) @ v.conj().T
+
+
+SHAPES = [(1, 1), (2, 2), (3, 3), (2, 3), (2, 4), (3, 5)]
+
+
+class TestRightInverseDecisions:
+    """`right_inverse` skips the SVD of each matrix a bound certifies, and
+    must raise, and mark channel sets, exactly where an SVD of every
+    matrix finds one deficient."""
+
+    LIMIT = 1.0 / FULL_RANK_RTOL
+    CONDS = (1.0, 10.0, 1e3, 1e6, 1e7, 1e8, 1e9, LIMIT * (1 - 1e-3), LIMIT,
+             LIMIT * (1 + 1e-3), 1e11, 1e13, 1e15, 1e17)
+    SCALES = (1e-170, 1.0, 1e170)
+
+    @staticmethod
+    def check_stack(mats, sets, devices=1, cells=2):
+        """Call on mats stacked as (sets, devices, cells): raise with the
+        oracle's mask over channel sets, or match pinv on every matrix."""
+        rows, cols = mats.shape[-2:]
+        stack = mats.reshape(sets, devices, cells, rows, cols)
+        expected = np.array([svd_deficient(a) for a in mats]).reshape(stack.shape[:-2])
+        if expected.any():
+            with pytest.raises(RankDeficient) as info:
+                right_inverse(stack, "planted")
+            failed = info.value.failed
+            assert failed.dtype == bool and failed.shape == (sets,)
+            assert np.array_equal(failed, expected.any(axis=(-2, -1)))
+        else:
+            x = right_inverse(stack, "planted")
+            for xi, a in zip(x.reshape(-1, cols, rows), mats):
+                assert_matches_pinv(xi, a)
+        return expected.reshape(-1)
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_planted_spectra(self, rows, cols, svd_calls):
+        rng = np.random.default_rng([rows, cols])
+        cases = [(cond, scale, clustered) for cond in self.CONDS for scale in self.SCALES
+                 for clustered in (True, False)]
+        mats = np.array([planted_wide(rng, rows, cols, *case) for case in cases])
+        expected = self.check_stack(mats, 14, devices=3)
+        assert expected.any() == (rows > 1) and not expected.all()
+        # Each matrix alone gets the oracle's verdict.
+        for a, bad in zip(mats, expected):
+            assert self.check_stack(a[None], 1, cells=1).tolist() == [bad]
+        # Well inside the limit the bound decides at every scale, without an
+        # SVD; it is within sqrt(rows - 1) of cond when s_1 = ... = s_(rows-1).
+        conds = np.array([case[0] for case in cases])
+        flat_top = np.array([case[2] for case in cases])
+        well = mats[flat_top & (conds <= 1e6)]
+        del svd_calls[:]
+        x = right_inverse(well.reshape(-1, 1, 2, rows, cols), "planted")
+        assert svd_calls == []
+        for xi, a in zip(x.reshape(-1, cols, rows), well):
+            assert_matches_pinv(xi, a)
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_each_inverse_ignores_its_neighbours(self, rows, cols, svd_calls):
+        # Matrices the bound cannot certify (cond 1e8 and 1e9) take the SVD
+        # among certified ones, and every inverse is bit-identical to that
+        # of its matrix alone.
+        rng = np.random.default_rng([20, rows, cols])
+        conds = [1.0, 1e8, 10.0, 1e9, 1e3, 1e2] if rows > 1 else [1.0] * 6
+        mats = np.array([planted_wide(rng, rows, cols, c, 1.0, False) for c in conds])
+        x = right_inverse(mats.reshape(3, 1, 2, rows, cols), "planted")
+        assert svd_calls == ([(2,)] if rows > 1 else [])
+        for xi, a in zip(x.reshape(-1, cols, rows), mats):
+            assert np.array_equal(xi, right_inverse(a[None, None, None], "planted")[0, 0, 0])
+            assert_matches_pinv(xi, a)
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_degenerate(self, rows, cols):
+        rng = np.random.default_rng([10, rows, cols])
+        rank_one = np.outer(_complex_normal(rng, (rows,)), _complex_normal(rng, (cols,)))
+        singular = gaussian(rng, rows, cols)
+        singular[-1] = singular[0]
+        plants = [np.zeros((rows, cols), dtype=complex), rank_one, singular,
+                  gaussian(rng, rows, cols)]
+        assert [svd_deficient(a) for a in plants] == [True, rows > 1, rows > 1, False]
+        for plant in plants:
+            # One planted matrix among Gaussian ones, in the second of three sets.
+            mats = _complex_normal(rng, (12, rows, cols))
+            mats[5] = plant
+            self.check_stack(mats, 3, devices=2)
+
+
+class TestRightInverseSvdCount:
+    """On Gaussian draws a chunk's only SVDs are the beamformers' null space
+    and the two aligned-rank checks: no right inverse takes one."""
+
+    @pytest.mark.parametrize("scheme, m, k, trials",
+                             [("sia", 4, 200, 1), ("sia", 5, 3, 4), ("no_ia", 4, 5, 4)])
+    def test_gaussian_chunk(self, svd_calls, scheme, m, k, trials):
+        cfg = SystemConfig(antennas=m, devices=k, scheme=scheme, trials=trials)
+        chunk = engine._run_chunk(cfg, range(trials), np.asarray(cfg.snr_db_grid))
+        assert chunk.redraws == 0
+        assert svd_calls == [(trials, 2), (trials,), (trials,)]
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
+    def test_planted_deficient_matches_svd_only(self, monkeypatch, scheme):
+        # A rank-one direct channel planted after the draw makes one
+        # effective channel deficient: that matrix falls back to the SVD,
+        # and the call marks the same set as the SVD-only path, which then
+        # redraws it.
+        cfg = SystemConfig(antennas=4, devices=5, scheme=scheme, seed=6, trials=4)
+        grid = np.asarray(cfg.snr_db_grid)
+        module = sia if scheme == "sia" else baselines
+        real_draw = engine.draw_channels
+        rank_one = np.outer(gaussian(rng_for(1), 4, 1), gaussian(rng_for(2), 1, 4))
+
+        def run(inverse):
+            draws, masks = [], []
+
+            def planted_draw(config, rngs):
+                channels = real_draw(config, rngs)
+                if not draws:
+                    channels.direct[2, 3, 1] = rank_one
+                draws.append(len(rngs))
+                return channels
+
+            def recording(a, message):
+                try:
+                    return inverse(a, message)
+                except RankDeficient as exc:
+                    masks.append(exc.failed.tolist())
+                    raise
+
+            monkeypatch.setattr(engine, "draw_channels", planted_draw)
+            monkeypatch.setattr(module, "right_inverse", recording)
+            return engine._run_chunk(cfg, range(4), grid), draws, masks
+
+        fast, fast_draws, fast_masks = run(right_inverse)
+        slow, slow_draws, slow_masks = run(svd_right_inverse)
+        assert fast_masks == slow_masks == [[False, False, True, False]]
+        assert fast_draws == slow_draws == [4, 1]
+        assert fast.redraws == slow.redraws == 1
+        assert np.array_equal(fast.aligned_rank, slow.aligned_rank)
+        # The rebuild after the redraw takes inv/QR where the SVD-only path
+        # takes the SVD, so the results agree to rounding, not to the bit.
+        for name, value in vars(fast).items():
+            np.testing.assert_allclose(value, getattr(slow, name), rtol=1e-9, atol=1e-12,
+                                       err_msg=name)
 
 
 class TestLeftNullSpaceBasis:

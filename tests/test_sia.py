@@ -138,8 +138,8 @@ class TestBuildPrecoder:
         cfg, rng, channels, mats = sia_setup(4, 2, seed=8)
         for kk in range(2):
             for i in (0, 1):
-                product = mats.ia_component[kk, i] @ (
-                    mats.reference[i] @ mats.sa_component[kk, i])
+                aligned = mats.ia_component[kk, i] @ mats.reference[i]
+                product = aligned @ mats.sa_component[kk, i]
                 assert np.array_equal(product, mats.precoder[kk, i])
 
     def test_swap_channels_degenerate(self):

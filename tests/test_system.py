@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircomp_sia import system
+from aircomp_sia import linalg, system
 from aircomp_sia.engine import run_trial
 from aircomp_sia.errors import ConfigError, DegenerateChannels, SizeMismatch
 from aircomp_sia.linalg import numerical_rank
@@ -150,7 +150,7 @@ class TestDrawChannels:
 def svd_rejects(a):
     """The guard's exact test on one matrix, as a brute-force oracle."""
     s = np.linalg.svd(a, compute_uv=False)
-    return not (s[0] != 0.0 and s[0] <= system.COND_LIMIT * s[-1])
+    return not (s[0] != 0.0 and s[0] <= linalg.COND_LIMIT * s[-1])
 
 
 def svd_guard(mats, rng):
@@ -184,20 +184,6 @@ def planted(rng, m, cond, scale, clustered):
     return scale * (u * s) @ v.conj().T
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Leading shapes of the stacks passed to np.linalg.svd during a test."""
-    calls = []
-    real = np.linalg.svd
-
-    def counting(a, *args, **kw):
-        calls.append(np.shape(a)[:-2])
-        return real(a, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
 def assert_matches_oracle(mats):
     expected = np.array([svd_rejects(a) for a in mats])
     got = _ill_conditioned(mats)
@@ -211,8 +197,8 @@ class TestConditioningBound:
     must give the exact SVD test's verdict on every matrix."""
 
     CONDS = (1.0, 10.0, 1e3, 1e6, 1e8, 1e9, 3e9, 1e10, 1e11,
-             system.COND_LIMIT * (1 - 1e-3), system.COND_LIMIT,
-             system.COND_LIMIT * (1 + 1e-3), 1e13, 1e15, 1e17)
+             linalg.COND_LIMIT * (1 - 1e-3), linalg.COND_LIMIT,
+             linalg.COND_LIMIT * (1 + 1e-3), 1e13, 1e15, 1e17)
     SCALES = (1e-170, 1.0, 1e170)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16])
@@ -246,7 +232,7 @@ class TestConditioningBound:
         assert assert_matches_oracle(mats).tolist() == [True] * 4 + [False]
 
     def test_low_limit_is_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(system, "COND_LIMIT", 4.0)
+        monkeypatch.setattr(linalg, "COND_LIMIT", 4.0)
         rng = np.random.default_rng(3)
         for m in (2, 4):
             mats = np.array([planted(rng, m, cond, 1.0, clustered)
@@ -291,7 +277,7 @@ class TestGuardFastPath:
     def test_low_limit_redraws_match_svd_guard(self, monkeypatch):
         # With COND_LIMIT = 4 many draws are rejected; the redraw count and
         # the accepted matrices equal those of the SVD-only guard.
-        monkeypatch.setattr(system, "COND_LIMIT", 4.0)
+        monkeypatch.setattr(linalg, "COND_LIMIT", 4.0)
         cfg = config_for(2, 3)
         fast = draw_channels(cfg, [np.random.default_rng([3, t]) for t in range(4)])
         monkeypatch.setattr(system, "_guard_conditioning", svd_guard)
