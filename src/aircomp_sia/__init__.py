@@ -3,16 +3,11 @@ alignment: matrix construction, Monte Carlo engine and closed-form baselines."""
 
 from .__about__ import __version__
 from .baselines import (
-    ConventionalPartition,
     EfficiencyReport,
     build_no_ia_precoders,
     communication_efficiency,
-    conventional_ia_array_size,
-    conventional_partition_dimensions,
     efficiency_report,
     genie_channels,
-    optimal_partition_search,
-    sia_array_size,
 )
 from .engine import (
     SweepPoint,
@@ -21,7 +16,7 @@ from .engine import (
     fit_nmse_slope,
     run_functional_trial,
     run_sweep,
-    run_trial,
+    run_trials,
     worker_count,
 )
 from .errors import (
@@ -61,12 +56,10 @@ __all__ = [
     "draw_symbols", "superpose", "parse_config_file",
     "SiaMatrices", "build_reference_matrices", "build_aggregation_beamformers",
     "build_sia_matrices", "aligned_interference_dimension",
-    "conventional_ia_array_size", "sia_array_size", "communication_efficiency",
-    "optimal_partition_search", "conventional_partition_dimensions",
-    "ConventionalPartition", "EfficiencyReport", "efficiency_report",
+    "communication_efficiency", "EfficiencyReport", "efficiency_report",
     "build_no_ia_precoders", "genie_channels",
     "FunctionSpec", "preprocess", "postprocess",
-    "TrialResult", "SweepPoint", "SweepResult", "run_trial", "run_sweep",
+    "TrialResult", "SweepPoint", "SweepResult", "run_trials", "run_sweep",
     "run_functional_trial", "fit_nmse_slope",
     "worker_count",
 ]

@@ -44,11 +44,11 @@ RESIDUAL_BOUND = 1e-8
 
 @dataclass
 class TrialResult:
-    """One seeded trial scored at every point of an SNR grid.
+    """Seeded trials, each scored at every point of an SNR grid.
 
-    Fields with a leading P axis hold one entry per grid point; the
-    others do not depend on the noise level. A chunk of trials carries
-    one more leading axis, the trial, on every array field.
+    Every array field leads with the trial axis; the shapes below are
+    per trial. Fields with a P axis hold one entry per grid point; the
+    others do not depend on the noise level.
     """
 
     target: np.ndarray         # (2, dof) sum of home-cell symbols
@@ -60,9 +60,8 @@ class TrialResult:
     analytic_nmse: np.ndarray  # (P,) noise-only NMSE prediction, noise_std^2 / K
     leakage: np.ndarray        # (2,) per AP, post-beamforming interference power ratio
     aligned_rank: np.ndarray   # (2,) per interfering cell, at the victim AP
-    tx_power: np.ndarray       # (K, 2) per-device transmit power, diagnostic
     residual: np.ndarray       # () noiseless ||err|| / ||target|| over both cells
-    redraws: int               # over every trial of a chunk
+    redraws: int               # over every trial
 
 
 def _project(beamformer, vectors):
@@ -130,7 +129,6 @@ def _run_chunk(config, trials, snr_db, symbols=None):
     leak_ratio = np.where(interference_power > 0.0, leak_power / safe, 0.0)
     beam_noise = _project(beamformer, noise_unit)
     signal_power = np.sum(np.abs(desired) ** 2, axis=(-2, -1)) / (2.0 * config.antennas)
-    tx = (precoders @ symbols[..., None])[..., 0]
     aligned = np.stack([
         aligned_interference_dimension(i, channels, precoders) for i in (0, 1)
     ], axis=-1)
@@ -153,31 +151,48 @@ def _run_chunk(config, trials, snr_db, symbols=None):
         analytic_nmse=np.float_power(noise_std, 2) / config.devices,
         leakage=leak_ratio,
         aligned_rank=aligned,
-        tx_power=np.sum(np.abs(tx) ** 2, axis=-1),
         residual=residual,
         redraws=redraws,
     )
 
 
-def _single_trial(config, trial_index, snr_db, symbols=None):
-    """A chunk of one trial, with the trial axis removed."""
-    config.validate()
-    chunk = _run_chunk(config, [trial_index], [math.inf if snr_db is None else snr_db],
-                       None if symbols is None else symbols[None])
+def _chunk_trials(config, points):
+    """Trials per chunk scored at `points` grid points: as many as fit
+    CHUNK_ELEMENTS, at least one."""
+    m, k = config.antennas, config.devices
+    per_trial = 4 * k * m * m + 2 * points * partition(m).signal_dim
+    return max(1, CHUNK_ELEMENTS // per_trial)
+
+
+def _concat(parts):
+    """Join results along the trial axis, summing their redraws; a lone
+    part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
     return TrialResult(**{
-        f.name: getattr(chunk, f.name)[0] if f.name != "redraws" else chunk.redraws
+        f.name: (sum(p.redraws for p in parts) if f.name == "redraws"
+                 else np.concatenate([getattr(p, f.name) for p in parts]))
         for f in fields(TrialResult)
     })
 
 
-def run_trial(config, trial_index, snr_db=None):
-    """One seeded trial: draw, build, transmit and score at one SNR point.
+def run_trials(config, trials, snr_db, symbols=None):
+    """Seeded trials `trials`, each drawn, built, transmitted and scored at
+    every point of the SNR grid `snr_db`; an infinite SNR is noiseless.
 
-    snr_db=None runs the noiseless pipeline (noise_std = 0). The result
-    has a one-point grid axis and is a pure function of (config,
-    trial_index, snr_db).
+    Returns one TrialResult with a leading trial axis, in the order
+    given. Every trial is a pure function of (config, trial index, grid
+    point), whatever else runs with it. `symbols`, when given, has one
+    (K, 2, dof) block per trial and replaces that trial's symbol draw.
     """
-    return _single_trial(config, trial_index, snr_db)
+    config.validate()
+    grid = np.asarray(snr_db, dtype=np.float64)
+    step = _chunk_trials(config, len(grid))
+    return _concat([
+        _run_chunk(config, trials[a:a + step], grid,
+                   None if symbols is None else symbols[a:a + step])
+        for a in range(0, len(trials), step)
+    ])
 
 
 def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
@@ -197,13 +212,9 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     expected = (config.devices, 2, dof)
     if data.shape != expected:
         raise SizeMismatch(f"data must have shape {expected}, got {data.shape}")
-    symbols = np.empty(expected, dtype=np.complex128)
-    for k in range(config.devices):
-        for i in (0, 1):
-            symbols[k, i] = preprocess(spec, data[k, i])
-    res = _single_trial(config, trial_index, snr_db, symbols)
-    recovered = res.target + res.err[0]
-    return np.stack([postprocess(spec, recovered[i]) for i in (0, 1)])
+    res = run_trials(config, [trial_index], [math.inf if snr_db is None else snr_db],
+                     preprocess(spec, data)[None])
+    return postprocess(spec, res.target[0] + res.err[0, 0])
 
 
 @dataclass
@@ -253,27 +264,6 @@ def worker_count():
     return value
 
 
-SWEEP_KEYS = ("err_power", "nmse", "analytic_nmse", "sig_power", "leakage", "aligned_rank",
-              "residual")
-
-
-def _chunk_trials(config):
-    """Trials per chunk: as many as fit CHUNK_ELEMENTS, at least one."""
-    m, k = config.antennas, config.devices
-    per_trial = 4 * k * m * m + 2 * len(config.snr_db_grid) * partition(m).signal_dim
-    return max(1, CHUNK_ELEMENTS // per_trial)
-
-
-def _sweep_batch(config, start, stop):
-    """Run trials [start, stop) over the whole SNR grid in chunks; returns
-    arrays stacked over the trials."""
-    grid = np.asarray(config.snr_db_grid, dtype=np.float64)
-    step = _chunk_trials(config)
-    chunks = [_run_chunk(config, range(a, min(a + step, stop)), grid)
-              for a in range(start, stop, step)]
-    return {key: np.concatenate([getattr(c, key) for c in chunks]) for key in SWEEP_KEYS}
-
-
 def _batch_ranges(trials, workers):
     chunks = min(trials, max(1, workers))
     base, extra = divmod(trials, chunks)
@@ -314,8 +304,8 @@ def _discard_pool(executor):
     executor.shutdown(wait=False)
 
 
-def fit_nmse_slope(snr_db, nmse, lo=None, hi=None):
-    """Least-squares slope of log10(nmse) against SNR in dB over [lo, hi].
+def fit_nmse_slope(snr_db, nmse, lo=None):
+    """Least-squares slope of log10(nmse) against SNR in dB from `lo` up.
 
     Points with non-positive or non-finite NMSE are excluded; returns nan
     when fewer than two points remain.
@@ -325,8 +315,6 @@ def fit_nmse_slope(snr_db, nmse, lo=None, hi=None):
     mask = np.isfinite(y) & (y > 0)
     if lo is not None:
         mask &= x >= lo
-    if hi is not None:
-        mask &= x <= hi
     if np.count_nonzero(mask) < 2:
         return float("nan")
     return float(np.polyfit(x[mask], np.log10(y[mask]), 1)[0])
@@ -344,12 +332,13 @@ def run_sweep(config, workers=None):
         workers = worker_count()
     ranges = _batch_ranges(config.trials, workers)
     if workers == 1 or len(ranges) == 1:
-        batches = [_sweep_batch(config, a, b) for a, b in ranges]
+        batches = [run_trials(config, range(a, b), config.snr_db_grid) for a, b in ranges]
     else:
         pool = _worker_pool(len(ranges))
         futures = []
         try:
-            futures = [pool.submit(_sweep_batch, config, a, b) for a, b in ranges]
+            futures = [pool.submit(run_trials, config, range(a, b), config.snr_db_grid)
+                       for a, b in ranges]
             batches = [f.result() for f in futures]
         except BrokenExecutor:
             _discard_pool(pool)
@@ -358,22 +347,22 @@ def run_sweep(config, workers=None):
             # A failed sweep leaves none of its batches queued in the kept pool.
             for f in futures:
                 f.cancel()
-    merged = {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
+    merged = _concat(batches)
 
     # Every column is reduced over the trial (and cell) axes for all grid
     # points at once: err_power is (T, P, 2), analytic_nmse (T, P).
     grid = tuple(float(s) for s in config.snr_db_grid)
-    err = merged["err_power"]
-    predicted = merged["analytic_nmse"]
-    nmse_mean = err.sum(axis=(0, 2)) / merged["sig_power"].sum()
-    nmse_median = np.median(merged["nmse"], axis=(0, 2))
+    err = merged.err_power
+    predicted = merged.analytic_nmse
+    nmse_mean = err.sum(axis=(0, 2)) / merged.sig_power.sum()
+    nmse_median = np.median(merged.nmse, axis=(0, 2))
     gap = err.mean(axis=2) / (config.devices * partition(config.antennas).signal_dim) - predicted
     if config.trials > 1:
         se = gap.std(axis=0, ddof=1) / math.sqrt(config.trials)
     else:
         se = np.full(len(grid), math.nan)
-    leakage = float(merged["leakage"].mean())
-    aligned = int(merged["aligned_rank"].max())
+    leakage = float(merged.leakage.mean())
+    aligned = int(merged.aligned_rank.max())
     points = [
         SweepPoint(
             snr_db=snr_db,
@@ -392,4 +381,4 @@ def run_sweep(config, workers=None):
     lo = (min(grid) + max(grid)) / 2.0
     slope = fit_nmse_slope(grid, nmse_mean, lo=lo)
     return SweepResult(config=config, points=points, dof_slope=slope,
-                       max_residual=float(merged["residual"].max()))
+                       max_residual=float(merged.residual.max()))

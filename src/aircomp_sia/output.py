@@ -26,10 +26,6 @@ SCHEMA_VERSION = 1
 
 def fmt(value):
     """Render a cell: integers verbatim, floats with 12 significant digits."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,22 +7,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aircomp_sia.baselines import (
-    ConventionalPartition,
     build_no_ia_precoders,
     communication_efficiency,
-    conventional_ia_array_size,
-    conventional_partition_dimensions,
     efficiency_report,
     genie_channels,
-    optimal_partition_search,
-    sia_array_size,
 )
-from aircomp_sia.engine import run_trial
+from aircomp_sia.engine import run_trials
+from aircomp_sia.errors import ConfigError
 from aircomp_sia.sia import build_aggregation_beamformers, build_reference_matrices
-from aircomp_sia.system import SystemConfig, draw_channels, partition
+from aircomp_sia.system import Partition, SystemConfig, draw_channels, partition
 
 
 class TestArraySizes:
+    """The array a scheme needs for its streams is M = streams / efficiency
+    on its comparison row: streams * (K + 1) for conventional IA, and
+    2 * streams for sia, whatever K is."""
+
     @pytest.mark.parametrize("streams,devices,expected", [
         (1, 1, 2),
         (2, 4, 10),
@@ -29,25 +30,32 @@ class TestArraySizes:
         (1, 100, 101),
     ])
     def test_conventional(self, streams, devices, expected):
-        assert conventional_ia_array_size(streams, devices) == expected
+        rep = efficiency_report("conventional_ia", expected, devices)
+        assert rep.streams == streams
+        assert rep.streams / rep.efficiency == expected
 
     @pytest.mark.parametrize("streams,expected", [(1, 2), (2, 4), (7, 14)])
     def test_sia(self, streams, expected):
-        assert sia_array_size(streams) == expected
+        for devices in (1, 5, 50):
+            rep = efficiency_report("sia", expected, devices)
+            assert rep.streams == streams
+            assert rep.streams / rep.efficiency == expected
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            conventional_ia_array_size(0, 3)
+            efficiency_report("conventional_ia", 0, 3)
         with pytest.raises(ValueError):
-            conventional_ia_array_size(1, 0)
+            efficiency_report("conventional_ia", 3, 0)
         with pytest.raises(ValueError):
-            sia_array_size(0)
+            efficiency_report("sia", 0, 1)
 
     @given(st.integers(1, 50), st.integers(1, 200))
     def test_conventional_grows_with_devices(self, streams, devices):
-        smaller = conventional_ia_array_size(streams, devices)
-        larger = conventional_ia_array_size(streams, devices + 1)
-        assert larger == smaller + streams
+        smaller = efficiency_report("conventional_ia", streams * (devices + 1), devices)
+        larger = efficiency_report("conventional_ia", streams * (devices + 2), devices + 1)
+        assert smaller.streams == larger.streams == streams
+        assert (larger.streams / larger.efficiency
+                == smaller.streams / smaller.efficiency + streams)
 
 
 class TestEfficiency:
@@ -97,7 +105,18 @@ class TestEfficiency:
             communication_efficiency("sia", 1)
 
 
+def max_min_splits(antennas):
+    """Brute force over every split m1 + m2 = M of the receive space: the
+    largest min(m1, m2) and the splits (m1, m2) that attain it."""
+    splits = [(m1, antennas - m1) for m1 in range(1, antennas)]
+    best = max(min(split) for split in splits)
+    return best, {split for split in splits if min(split) == best}
+
+
 class TestOptimalPartition:
+    """partition() is the balanced split, which attains the brute-force
+    max-min signal dimension."""
+
     @pytest.mark.parametrize("antennas,expected", [
         (2, (1, 1, 1)),
         (4, (2, 2, 2)),
@@ -106,36 +125,48 @@ class TestOptimalPartition:
         (8, (4, 4, 4)),
     ])
     def test_examples(self, antennas, expected):
-        assert optimal_partition_search(antennas) == expected
+        part = partition(antennas)
+        best, splits = max_min_splits(antennas)
+        assert (part.signal_dim, part.interference_dim, best) == expected
+        assert (part.signal_dim, part.interference_dim) in splits
 
     def test_matches_floor_rule(self):
         for m in range(2, 65):
-            m1, m2, dof = optimal_partition_search(m)
-            assert m1 + m2 == m
-            assert dof == m // 2
-            assert dof == partition(m).signal_dim
+            part = partition(m)
+            best, splits = max_min_splits(m)
+            assert part.signal_dim + part.interference_dim == m
+            assert best == m // 2
+            assert best == part.signal_dim
+            assert (part.signal_dim, part.interference_dim) in splits
 
     def test_rejects_single_antenna(self):
-        with pytest.raises(ValueError):
-            optimal_partition_search(1)
+        # One antenna has no split: no signal dimension is left, and a
+        # configuration with M = 1 is refused.
+        assert partition(1) == Partition(0, 1)
+        with pytest.raises(ConfigError):
+            SystemConfig(antennas=1, devices=1).validate()
 
 
 class TestConventionalPartition:
+    """Conventional IA splits M receive dimensions into K * M / (K + 1) for
+    signal and M / (K + 1) for interference; the per-user streams on its
+    comparison row are the interference share."""
+
     def test_integral_case(self):
-        part = conventional_partition_dimensions(6, 2)
-        assert part == ConventionalPartition(Fraction(4), Fraction(2), True)
+        rep = efficiency_report("conventional_ia", 6, 2)
+        assert (rep.devices * rep.streams, rep.streams) == (Fraction(4), Fraction(2))
+        assert rep.streams.denominator == 1
 
     def test_fractional_case(self):
-        part = conventional_partition_dimensions(5, 2)
-        assert part.signal_dim == Fraction(10, 3)
-        assert part.interference_dim == Fraction(5, 3)
-        assert not part.integral
+        rep = efficiency_report("conventional_ia", 5, 2)
+        assert rep.devices * rep.streams == Fraction(10, 3)
+        assert rep.streams == Fraction(5, 3)
+        assert rep.streams.denominator != 1
 
     @given(st.integers(2, 64), st.integers(1, 50))
     def test_dims_sum_to_array_size(self, antennas, devices):
-        part = conventional_partition_dimensions(antennas, devices)
-        assert part.signal_dim + part.interference_dim == antennas
-        assert part.signal_dim == devices * part.interference_dim
+        rep = efficiency_report("conventional_ia", antennas, devices)
+        assert devices * rep.streams + rep.streams == antennas
 
 
 class TestEfficiencyReport:
@@ -185,6 +216,6 @@ class TestGenieChannels:
     def test_noiseless_recovery(self):
         cfg = SystemConfig(antennas=4, devices=3, snr_db_grid=(0.0,),
                            trials=1, scheme="genie")
-        result = run_trial(cfg, 0)
+        result = run_trials(cfg, [0], [math.inf])
         assert np.all(np.sqrt(result.nmse) < 1e-9)
         assert np.all(result.leakage < 1e-12)

@@ -215,6 +215,49 @@ class TestSettings:
             assert changed != baseline, f"setting {field.name} leaves the CSV body unchanged"
 
 
+# The compare table for M in {2, 3, 4, 5, 8, 16} and K in {1, 5, 50}, pinned byte
+# for byte below the provenance lines.
+COMPARE_BODY = """\
+scheme,M,K,streams,efficiency_num,efficiency_den
+conventional_ia,2,1,1,1,2
+sia,2,1,1,1,2
+conventional_ia,2,5,1/3,1,6
+sia,2,5,1,1,2
+conventional_ia,2,50,2/51,1,51
+sia,2,50,1,1,2
+conventional_ia,3,1,3/2,1,2
+sia,3,1,1,1,3
+conventional_ia,3,5,1/2,1,6
+sia,3,5,1,1,3
+conventional_ia,3,50,1/17,1,51
+sia,3,50,1,1,3
+conventional_ia,4,1,2,1,2
+sia,4,1,2,1,2
+conventional_ia,4,5,2/3,1,6
+sia,4,5,2,1,2
+conventional_ia,4,50,4/51,1,51
+sia,4,50,2,1,2
+conventional_ia,5,1,5/2,1,2
+sia,5,1,2,2,5
+conventional_ia,5,5,5/6,1,6
+sia,5,5,2,2,5
+conventional_ia,5,50,5/51,1,51
+sia,5,50,2,2,5
+conventional_ia,8,1,4,1,2
+sia,8,1,4,1,2
+conventional_ia,8,5,4/3,1,6
+sia,8,5,4,1,2
+conventional_ia,8,50,8/51,1,51
+sia,8,50,4,1,2
+conventional_ia,16,1,8,1,2
+sia,16,1,8,1,2
+conventional_ia,16,5,8/3,1,6
+sia,16,5,8,1,2
+conventional_ia,16,50,16/51,1,51
+sia,16,50,8,1,2
+"""
+
+
 class TestCompare:
     def test_table_values(self, capsys):
         code, out, _ = run_cli(
@@ -243,9 +286,20 @@ class TestCompare:
             ["compare", "--antennas-list", "4,x", "--devices-list", "1"],
             capsys)
         assert code == 2
-        code, _, err = run_cli(
-            ["compare", "--antennas-list", "1", "--devices-list", "1"], capsys)
-        assert code == 2
+        # No scenario row is written for M = 0, M = 1 or K = 0.
+        for antennas, devices in (("0", "1"), ("1", "1"), ("4", "0")):
+            code, out, err = run_cli(
+                ["compare", "--antennas-list", antennas, "--devices-list", devices], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
+    def test_body_is_pinned(self, capsys):
+        code, out, _ = run_cli(
+            ["compare", "--antennas-list", "2,3,4,5,8,16", "--devices-list", "1,5,50"],
+            capsys)
+        assert code == 0
+        assert "".join(ln for ln in out.splitlines(True) if not ln.startswith("#")) == COMPARE_BODY
 
     def test_file_output(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

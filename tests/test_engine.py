@@ -1,6 +1,8 @@
 import io
+import math
 import os
 from concurrent.futures import BrokenExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from aircomp_sia.engine import (
     fit_nmse_slope,
     run_functional_trial,
     run_sweep,
-    run_trial,
+    run_trials,
     worker_count,
 )
 from aircomp_sia.output import RunManifest, write_result_csv
@@ -24,6 +26,8 @@ from aircomp_sia.errors import (
 from aircomp_sia.sia import build_aggregation_beamformers, build_reference_matrices
 from aircomp_sia.system import SystemConfig, _complex_normal, partition
 
+NOISELESS = [math.inf]
+
 
 def config_for(m, k, **kw):
     kw.setdefault("snr_db_grid", (0.0, 10.0, 20.0))
@@ -34,33 +38,32 @@ def config_for(m, k, **kw):
 class TestRunTrial:
     def test_noiseless_recovery(self):
         cfg = config_for(4, 3)
-        res = run_trial(cfg, 0)
+        res = run_trials(cfg, [0], NOISELESS)
         assert np.all(np.sqrt(res.nmse) < 1e-8)
         assert np.all(res.leakage < 1e-9)
-        assert np.array_equal(res.aligned_rank, [2, 2])
-        assert res.nmse.shape == (1, 2)
-        assert np.array_equal(res.noise_std, [0.0])
-        assert np.array_equal(res.analytic_nmse, [0.0])
-        assert res.tx_power.shape == (3, 2)
+        assert np.array_equal(res.aligned_rank, [[2, 2]])
+        assert res.nmse.shape == (1, 1, 2)
+        assert np.array_equal(res.noise_std, [[0.0]])
+        assert np.array_equal(res.analytic_nmse, [[0.0]])
 
     def test_deterministic(self):
         cfg = config_for(5, 2, seed=11)
-        a = run_trial(cfg, 7, snr_db=10.0)
-        b = run_trial(cfg, 7, snr_db=10.0)
+        a = run_trials(cfg, [7], [10.0])
+        b = run_trials(cfg, [7], [10.0])
         assert np.array_equal(a.nmse, b.nmse)
         assert np.array_equal(a.err_power, b.err_power)
         assert np.array_equal(a.noise_std, b.noise_std)
 
     def test_trial_index_moves_channels(self):
         cfg = config_for(4, 2)
-        a = run_trial(cfg, 0)
-        b = run_trial(cfg, 1)
+        a = run_trials(cfg, [0], NOISELESS)
+        b = run_trials(cfg, [1], NOISELESS)
         assert not np.array_equal(a.err_power, b.err_power)
 
     def test_noise_fields_scale_with_snr(self):
         cfg = config_for(4, 2, seed=3)
-        lo = run_trial(cfg, 0, snr_db=10.0)
-        hi = run_trial(cfg, 0, snr_db=20.0)
+        lo = run_trials(cfg, [0], [10.0])
+        hi = run_trials(cfg, [0], [20.0])
         # Channel-dependent fields are shared, noise power drops 10x.
         assert np.array_equal(lo.leakage, hi.leakage)
         assert np.array_equal(lo.aligned_rank, hi.aligned_rank)
@@ -70,24 +73,21 @@ class TestRunTrial:
 
     def test_no_ia_leaks(self):
         cfg = config_for(4, 2, scheme="no_ia")
-        hits = 0
-        for t in range(50):
-            res = run_trial(cfg, t)
-            if np.all(res.leakage > 1e-3):
-                hits += 1
+        res = run_trials(cfg, range(50), NOISELESS)
+        hits = np.all(res.leakage > 1e-3, axis=1).sum()
         assert hits >= 49
 
     def test_genie_is_clean(self):
         cfg = config_for(4, 2, scheme="genie")
-        res = run_trial(cfg, 0)
+        res = run_trials(cfg, [0], NOISELESS)
         assert np.all(res.leakage == 0.0)
-        assert np.array_equal(res.aligned_rank, [0, 0])
+        assert np.array_equal(res.aligned_rank, [[0, 0]])
         assert np.all(np.sqrt(res.nmse) < 1e-9)
 
     def test_validates_config(self):
         cfg = config_for(1, 2)
         with pytest.raises(ConfigError, match="M=1 yields zero AirComp DoF"):
-            run_trial(cfg, 0)
+            run_trials(cfg, [0], NOISELESS)
 
     def test_degenerate_channels_after_budget(self, monkeypatch):
         def always_deficient(channels, reference):
@@ -97,7 +97,72 @@ class TestRunTrial:
                             always_deficient)
         cfg = config_for(4, 2)
         with pytest.raises(DegenerateChannels):
-            run_trial(cfg, 0)
+            run_trials(cfg, [0], NOISELESS)
+
+
+def per_trial_elements(cfg, points):
+    """Chunk elements one trial takes, as _chunk_trials counts them."""
+    return 4 * cfg.devices * cfg.antennas**2 + 2 * points * partition(cfg.antennas).signal_dim
+
+
+def assert_matches_alone(cfg, together, trials, grid, symbols=None):
+    """Every field of each trial in `together` equals the same trial run
+    alone, bit for bit; redraws add up."""
+    redraws = 0
+    for i, t in enumerate(trials):
+        alone = run_trials(cfg, [t], grid, None if symbols is None else symbols[i:i + 1])
+        redraws += alone.redraws
+        for f in fields(alone):
+            if f.name != "redraws":
+                assert np.array_equal(getattr(together, f.name)[i],
+                                      getattr(alone, f.name)[0]), (t, f.name)
+    assert together.redraws == redraws
+
+
+class TestRunTrials:
+    """run_trials splits the trials it is given into chunks; each trial
+    must come out as it does alone, in the order given."""
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+    def test_chunked_order_matches_trials_alone(self, monkeypatch, scheme):
+        cfg = config_for(4, 2, scheme=scheme, seed=3)
+        grid = [0.0, 20.0, math.inf]
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 3 * per_trial_elements(cfg, len(grid)))
+        assert engine._chunk_trials(cfg, len(grid)) == 3
+        trials = [5, 2, 9, 0]
+        together = run_trials(cfg, trials, grid)
+        assert together.err.shape == (4, 3, 2, 2)
+        assert_matches_alone(cfg, together, trials, grid)
+
+    def test_planted_symbols_reach_their_trials(self, monkeypatch):
+        cfg = config_for(4, 2, seed=5)
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(cfg, 1))
+        trials = [3, 1, 4, 0, 2]
+        symbols = _complex_normal(np.random.default_rng(0), (5, 2, 2, 2))
+        together = run_trials(cfg, trials, NOISELESS, symbols)
+        assert np.array_equal(together.target, symbols.sum(axis=1))
+        assert_matches_alone(cfg, together, trials, NOISELESS, symbols)
+
+    def test_chunks_are_sized_from_the_given_grid(self, monkeypatch):
+        # The config's grid has 3 points; a 1-point call fits two trials
+        # per chunk where a 3-point call would fit one.
+        cfg = config_for(4, 2)
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(cfg, 1))
+        assert engine._chunk_trials(cfg, len(cfg.snr_db_grid)) == 1
+        sizes = []
+        real = engine._run_chunk
+
+        def recording(config, trials, *args):
+            sizes.append(len(trials))
+            return real(config, trials, *args)
+
+        monkeypatch.setattr(engine, "_run_chunk", recording)
+        run_trials(cfg, range(4), NOISELESS)
+        assert sizes == [2, 2]
+
+    def test_lone_part_is_not_copied(self):
+        res = run_trials(config_for(2, 1), [0], NOISELESS)
+        assert engine._concat([res]) is res
 
 
 class TestAnalyticNoiseMse:
@@ -105,16 +170,16 @@ class TestAnalyticNoiseMse:
     noise power sigma^2 * dof over the expected target power K * dof."""
 
     def test_unit_case(self):
-        res = run_trial(config_for(4, 1, seed=6), 0, snr_db=0.0)
-        assert res.analytic_nmse[0] == float(res.noise_std[0]) ** 2
+        res = run_trials(config_for(4, 1, seed=6), [0], [0.0])
+        assert res.analytic_nmse[0, 0] == float(res.noise_std[0, 0]) ** 2
 
     def test_scales_with_streams_and_power(self):
         for k in (1, 2, 5):
             cfg = config_for(4, k, seed=6)
-            lo = run_trial(cfg, 0, snr_db=10.0)
-            hi = run_trial(cfg, 0, snr_db=20.0)
-            assert np.isclose(lo.analytic_nmse[0] * k, lo.noise_std[0] ** 2, rtol=1e-12)
-            assert np.isclose(lo.analytic_nmse[0], 10 * hi.analytic_nmse[0], rtol=1e-12)
+            lo = run_trials(cfg, [0], [10.0])
+            hi = run_trials(cfg, [0], [20.0])
+            assert np.isclose(lo.analytic_nmse[0, 0] * k, lo.noise_std[0, 0] ** 2, rtol=1e-12)
+            assert np.isclose(lo.analytic_nmse[0, 0], 10 * hi.analytic_nmse[0, 0], rtol=1e-12)
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(0)
@@ -122,8 +187,8 @@ class TestAnalyticNoiseMse:
         part = partition(m)
         reference = build_reference_matrices(m, rng)
         beam = build_aggregation_beamformers(reference)[0]
-        res = run_trial(config_for(m, k, seed=1), 0, snr_db=5.0)
-        sigma, want, reps = res.noise_std[0], res.analytic_nmse[0], 20000
+        res = run_trials(config_for(m, k, seed=1), [0], [5.0])
+        sigma, want, reps = res.noise_std[0, 0], res.analytic_nmse[0, 0], 20000
         noise = sigma * _complex_normal(rng, (reps, m))
         projected = np.abs(noise @ beam.conj().T) ** 2
         mc = projected.sum(axis=1).mean() / (k * part.signal_dim)
@@ -302,14 +367,14 @@ class TestRunSweep:
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_points_match_run_trial(self, scheme):
         # The sweep scores the whole grid in one pass; each point must equal
-        # a one-point run_trial at that SNR, bit for bit.
+        # a one-point run_trials at that SNR, bit for bit.
         grid = (0.0, 7.5, 15.0, 22.5, 30.0)
         cfg = config_for(4, 3, scheme=scheme, trials=1, seed=8, snr_db_grid=grid)
         result = run_sweep(cfg, workers=1)
         for pt, snr_db in zip(result.points, grid):
-            res = run_trial(cfg, 0, snr_db=snr_db)
-            assert pt.nmse_mean == float(res.err_power[0].sum() / res.sig_power.sum())
-            assert pt.analytic_nmse == float(res.analytic_nmse[0])
+            res = run_trials(cfg, [0], [snr_db])
+            assert pt.nmse_mean == float(res.err_power[0, 0].sum() / res.sig_power[0].sum())
+            assert pt.analytic_nmse == float(res.analytic_nmse[0, 0])
 
     def test_point_layout_and_slope(self):
         cfg = config_for(4, 2, trials=6, seed=5)
@@ -431,10 +496,10 @@ class TestChunks:
         cfg = config_for(m, k, scheme=scheme, trials=7, seed=4,
                          snr_db_grid=(0.0, 10.0, 20.0, 30.0))
         monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 1)
-        assert engine._chunk_trials(cfg) == 1
+        assert engine._chunk_trials(cfg, 4) == 1
         alone = run_sweep(cfg, workers=1)
         monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 10**9)
-        assert engine._chunk_trials(cfg) >= cfg.trials
+        assert engine._chunk_trials(cfg, 4) >= cfg.trials
         together = run_sweep(cfg, workers=1)
         assert sweep_body(alone) == sweep_body(together)
         assert alone.points == together.points
@@ -442,8 +507,8 @@ class TestChunks:
 
     def test_chunk_cap(self):
         # 4*K*M^2 channel elements plus the scored grid per trial.
-        assert engine._chunk_trials(config_for(4, 200)) == 1
-        assert engine._chunk_trials(config_for(2, 1)) == engine.CHUNK_ELEMENTS // (16 + 6)
+        assert engine._chunk_trials(config_for(4, 200), 3) == 1
+        assert engine._chunk_trials(config_for(2, 1), 3) == engine.CHUNK_ELEMENTS // (16 + 6)
 
     def test_guard_rejection_matches_chunk_of_one(self, monkeypatch):
         # A low condition limit makes the guard redraw many matrices; each
@@ -546,7 +611,7 @@ class TestResidual:
 
     def test_matches_run_trial(self):
         cfg = config_for(5, 2, trials=3, seed=12)
-        worst = max(float(run_trial(cfg, t).residual) for t in range(3))
+        worst = float(run_trials(cfg, range(3), NOISELESS).residual.max())
         assert run_sweep(cfg, workers=1).max_residual == worst
-        res = run_trial(cfg, 1)
-        assert res.residual == np.sqrt(res.err_power[0].sum() / res.sig_power.sum())
+        res = run_trials(cfg, [1], NOISELESS)
+        assert res.residual[0] == np.sqrt(res.err_power[0, 0].sum() / res.sig_power[0].sum())

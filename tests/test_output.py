@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from aircomp_sia.baselines import efficiency_report
@@ -39,6 +40,10 @@ class TestFmt:
         assert fmt(True) == "True"
         assert fmt("sia") == "sia"
         assert fmt(0.1) == "0.1"
+        assert fmt(np.float64(0.1)) == "0.1"
+        assert fmt(np.int64(7)) == "7"
+        assert fmt(2**70) == str(2**70)
+        assert fmt(None) == "None"
 
     def test_float_precision(self):
         assert fmt(1 / 3) == "0.333333333333"

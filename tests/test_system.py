@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aircomp_sia import linalg, system
-from aircomp_sia.engine import run_trial
+from aircomp_sia.engine import run_trials
 from aircomp_sia.errors import ConfigError, DegenerateChannels, SizeMismatch
 from aircomp_sia.linalg import numerical_rank
 from aircomp_sia.system import (
@@ -409,10 +409,8 @@ class TestReceive:
         # Gamma(2 * dof) draw (mean and variance 2 * dof = 4).
         cfg = config_for(4, 1, scheme="genie")
         reps = 400
-        ratios = np.empty(reps)
-        for t in range(reps):
-            res = run_trial(cfg, t, snr_db=0.0)
-            ratios[t] = res.err_power.sum() / res.noise_std[0] ** 2
+        res = run_trials(cfg, range(reps), [0.0])
+        ratios = res.err_power.sum(axis=(1, 2)) / res.noise_std[:, 0] ** 2
         assert abs(ratios.mean() - 4.0) < 3 * 2.0 / np.sqrt(reps)
 
     def test_shape_checks(self):
