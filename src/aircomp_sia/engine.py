@@ -1,8 +1,9 @@
 """Monte Carlo harness: seeded trials, SNR sweeps and summary metrics.
 
-Every trial derives its own random stream from (seed, trial_index), draws
+Every trial has its own random stream, the one
+`np.random.default_rng([seed, trial_index])` gives. From it the trial draws
 reference matrices, channels, symbols and one unit-variance noise vector,
-and scores the whole SNR grid at once by rescaling that noise. Trials run
+and it scores the whole SNR grid at once by rescaling that noise. Trials run
 in chunks: each stage draws or builds for every trial of the chunk in one
 stacked call, and every stream is consumed exactly as if its trial ran
 alone. Results are therefore independent of chunking and scheduling:
@@ -30,7 +31,14 @@ from .sia import (
     build_reference_matrices,
     build_sia_matrices,
 )
-from .system import _complex_normal, draw_channels, draw_symbols, partition, superpose
+from .system import (
+    _complex_normal,
+    draw_channels,
+    draw_symbols,
+    partition,
+    superpose,
+    trial_streams,
+)
 
 # Whole-set redraws allowed per trial when a construction degenerates.
 SET_REDRAW_BUDGET = 100
@@ -102,9 +110,10 @@ def _build(config, rngs, reference):
             redraws += fresh.redraws + len(again)
 
 
-def _run_chunk(config, trials, snr_db, symbols=None):
-    """Draw, build and transmit the seeded trials `trials` together, then
-    score each at every point of the SNR grid `snr_db` in one broadcast.
+def _run_chunk(config, rngs, snr_db, symbols=None):
+    """Draw, build and transmit the trials whose streams are `rngs`
+    together, then score each at every point of the SNR grid `snr_db` in
+    one broadcast.
 
     Returns a TrialResult with a leading trial axis. Each trial draws one
     unit-variance noise vector; each grid point rescales it so the noise
@@ -112,7 +121,6 @@ def _run_chunk(config, trials, snr_db, symbols=None):
     is the noiseless pipeline. `symbols`, when given, replace the symbol
     draw of every trial.
     """
-    rngs = [np.random.default_rng([config.seed, t]) for t in trials]
     reference = build_reference_matrices(config.antennas, rngs)
     channels, beamformer, precoders, redraws = _build(config, rngs, reference)
     if symbols is None:
@@ -186,12 +194,17 @@ def run_trials(config, trials, snr_db, symbols=None):
     (K, 2, dof) block per trial and replaces that trial's symbol draw.
     """
     config.validate()
+    if len(trials) == 0:
+        raise ConfigError("run_trials needs at least one trial index, got an empty list")
     grid = np.asarray(snr_db, dtype=np.float64)
+    # Seeding is vectorised over the whole call: its fixed cost would
+    # outweigh default_rng's on one-trial chunks.
+    rngs = trial_streams(config.seed, trials)
     step = _chunk_trials(config, len(grid))
     return _concat([
-        _run_chunk(config, trials[a:a + step], grid,
+        _run_chunk(config, rngs[a:a + step], grid,
                    None if symbols is None else symbols[a:a + step])
-        for a in range(0, len(trials), step)
+        for a in range(0, len(rngs), step)
     ])
 
 

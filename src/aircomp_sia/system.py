@@ -15,7 +15,9 @@ leading axis, and each stream is consumed exactly as if drawn alone.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -143,6 +145,98 @@ class ChannelSet:
     redraws: int = 0    # matrices rejected by the conditioning guard, all trials
 
 
+# numpy's SeedSequence hash (bit_generator.pyx) on a pool of four 32-bit
+# words. Its multipliers evolve the same way whatever the entropy, so every
+# one it takes is precomputed: hashmix call k xors with _HASH_A[k] and
+# multiplies by _HASH_A[k + 1] (4 calls fill the pool, 12 mix it), and
+# output word i of generate_state does the same with _HASH_B.
+_POOL = 4
+_U32 = 0xFFFFFFFF
+
+
+def _hash_constants(init, mult, count):
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _U32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x, y):
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> _SHIFT)
+
+
+def _u64(value, what):
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{what} must fit in an unsigned 64-bit integer, got {value}")
+    return value
+
+
+@functools.cache
+def _stream_factory():
+    """PCG64 Generator from four precomputed seeding words; numpy.random is
+    imported here, at first use, to keep it out of the package import."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """Answers PCG64's one seeding request with precomputed words."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL or np.dtype(dtype) != np.uint64:
+                raise ValueError("only PCG64's request of 4 uint64 words is precomputed")
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
+
+
+def trial_streams(seed, trials):
+    """One Generator per trial index, in the state of
+    `np.random.default_rng([seed, t])`.
+
+    SeedSequence's hash runs for all trials at once in uint32 arithmetic on
+    a (4, T) pool. The entropy is the seed's one or two little-endian words,
+    then t's low and high words, zero-padded to the pool; a zero word
+    hashes as numpy's padding does. PCG64's own seeding then takes the
+    generated words, so the streams are numpy's bit for bit.
+    """
+    seed = _u64(seed, "seed")
+    index = np.array([_u64(t, "trial index") for t in trials], dtype=np.uint64)
+    words = [seed & _U32, seed >> 32] if seed > _U32 else [seed]
+    pool = np.zeros((_POOL, len(index)), dtype=np.uint32)
+    pool[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    pool[len(words)] = index & np.uint64(_U32)
+    pool[len(words) + 1] = index >> np.uint64(32)
+
+    pool = _hashmix(pool, _HASH_A[:_POOL], _HASH_A[1:_POOL + 1])
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        k = _POOL + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A[k:k + 3], _HASH_A[k + 1:k + 4]))
+    state = _hashmix(pool[np.arange(2 * _POOL) % _POOL], _HASH_B[:-1], _HASH_B[1:])
+    state = np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+    make = _stream_factory()
+    return [make(row) for row in state]
+
+
 def _complex_normal(rng, shape):
     """CN(0, 1) draws of `shape`: all real parts, then all imaginary parts,
     from each stream."""
@@ -150,7 +244,10 @@ def _complex_normal(rng, shape):
     if isinstance(rng, np.random.Generator):
         parts = rng.standard_normal(shape)
     else:
-        parts = np.stack([g.standard_normal(shape) for g in rng], axis=1)
+        stacked = np.empty((len(rng),) + shape)
+        for g, out in zip(rng, stacked):
+            g.standard_normal(out=out)
+        parts = stacked.swapaxes(0, 1)
     return (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
 
 

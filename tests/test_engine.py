@@ -24,7 +24,7 @@ from aircomp_sia.errors import (
     SizeMismatch,
 )
 from aircomp_sia.sia import build_aggregation_beamformers, build_reference_matrices
-from aircomp_sia.system import SystemConfig, _complex_normal, partition
+from aircomp_sia.system import SystemConfig, _complex_normal, partition, trial_streams
 
 NOISELESS = [math.inf]
 
@@ -152,13 +152,17 @@ class TestRunTrials:
         sizes = []
         real = engine._run_chunk
 
-        def recording(config, trials, *args):
-            sizes.append(len(trials))
-            return real(config, trials, *args)
+        def recording(config, rngs, *args):
+            sizes.append(len(rngs))
+            return real(config, rngs, *args)
 
         monkeypatch.setattr(engine, "_run_chunk", recording)
         run_trials(cfg, range(4), NOISELESS)
         assert sizes == [2, 2]
+
+    def test_empty_trial_list(self):
+        with pytest.raises(ConfigError, match="at least one trial"):
+            run_trials(config_for(4, 2), [], [0.0])
 
     def test_lone_part_is_not_copied(self):
         res = run_trials(config_for(2, 1), [0], NOISELESS)
@@ -481,7 +485,7 @@ def chunk_arrays(chunk):
 
 def assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid):
     for t, trial in enumerate(trials):
-        alone = engine._run_chunk(cfg, [trial], grid)
+        alone = engine._run_chunk(cfg, trial_streams(cfg.seed, [trial]), grid)
         for name, value in chunk_arrays(chunk).items():
             assert np.array_equal(value[t], getattr(alone, name)[0]), (trial, name)
 
@@ -517,7 +521,7 @@ class TestChunks:
         cfg = config_for(2, 2, seed=3)
         grid = np.asarray(cfg.snr_db_grid)
         trials = range(6)
-        chunk = engine._run_chunk(cfg, trials, grid)
+        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid)
         assert chunk.redraws > 0
         assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid)
 
@@ -545,7 +549,7 @@ class TestChunks:
 
         monkeypatch.setattr(engine, "build_sia_matrices", planted)
         trials = range(6)
-        chunk = engine._run_chunk(cfg, trials, grid)
+        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid)
         assert chunk.redraws == 0
         # Beamformers, the planted matrix's inverse alone, two aligned ranks.
         assert svd_calls == [(6, 2), (1,), (6,), (6,)]
@@ -583,9 +587,9 @@ class TestChunks:
         monkeypatch.setattr(engine, "build_reference_matrices", remember)
         monkeypatch.setattr(engine, name, flaky)
         trials = range(5)
-        clean = engine._run_chunk(cfg, trials, grid)
+        clean = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid)
         planted["done"] = False
-        chunk = engine._run_chunk(cfg, trials, grid)
+        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid)
         assert planted["done"]
         assert chunk.redraws == clean.redraws + 1
         for t in trials:
@@ -593,7 +597,7 @@ class TestChunks:
             assert same == (t != 2)
         for t in trials:
             planted["done"] = False
-            alone = engine._run_chunk(cfg, [t], grid)
+            alone = engine._run_chunk(cfg, trial_streams(cfg.seed, [t]), grid)
             assert planted["done"] == (t == 2)
             for field, value in chunk_arrays(chunk).items():
                 assert np.array_equal(value[t], getattr(alone, field)[0]), (t, field)

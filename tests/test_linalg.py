@@ -329,7 +329,8 @@ class TestRightInverseSvdCount:
                              [("sia", 4, 200, 1), ("sia", 5, 3, 4), ("no_ia", 4, 5, 4)])
     def test_gaussian_chunk(self, svd_calls, scheme, m, k, trials):
         cfg = SystemConfig(antennas=m, devices=k, scheme=scheme, trials=trials)
-        chunk = engine._run_chunk(cfg, range(trials), np.asarray(cfg.snr_db_grid))
+        chunk = engine._run_chunk(cfg, system.trial_streams(cfg.seed, range(trials)),
+                                  np.asarray(cfg.snr_db_grid))
         assert chunk.redraws == 0
         assert svd_calls == [(trials, 2), (trials,), (trials,)]
 
@@ -364,7 +365,8 @@ class TestRightInverseSvdCount:
 
             monkeypatch.setattr(engine, "draw_channels", planted_draw)
             monkeypatch.setattr(module, "right_inverse", recording)
-            return engine._run_chunk(cfg, range(4), grid), draws, masks
+            chunk = engine._run_chunk(cfg, system.trial_streams(cfg.seed, range(4)), grid)
+            return chunk, draws, masks
 
         fast, fast_draws, fast_masks = run(right_inverse)
         slow, slow_draws, slow_masks = run(svd_right_inverse)

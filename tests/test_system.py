@@ -20,6 +20,7 @@ from aircomp_sia.system import (
     parse_config_file,
     partition,
     superpose,
+    trial_streams,
 )
 
 
@@ -305,6 +306,49 @@ class TestDrawSymbols:
         n = x.size
         assert n == 100_000
         assert abs((np.abs(x) ** 2).mean() - 1.0) < 3 / np.sqrt(n)
+
+
+class TestTrialStreams:
+    """trial_streams reimplements numpy's SeedSequence hash; every stream
+    must equal default_rng([seed, t]) bit for bit, so an oracle pins it.
+    The seeds and indices cross the one-word/two-word boundary of both."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**33, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_default_rng(self, seed):
+        streams = trial_streams(seed, self.INDICES)
+        assert len(streams) == len(self.INDICES)
+        for t, stream in zip(self.INDICES, streams):
+            oracle = np.random.default_rng([seed, t])
+            assert stream.bit_generator.state == oracle.bit_generator.state, (seed, t)
+            assert np.array_equal(stream.standard_normal(50), oracle.standard_normal(50)), (seed, t)
+
+    def test_empty(self):
+        assert trial_streams(0, []) == []
+
+    @pytest.mark.parametrize("bad", [1.5, -1, 2**64, "3", None])
+    def test_rejects_bad_index(self, bad):
+        with pytest.raises(ConfigError, match="trial index"):
+            trial_streams(0, [0, bad])
+
+    @pytest.mark.parametrize("bad", [1.5, -1, 2**64])
+    def test_rejects_bad_seed(self, bad):
+        with pytest.raises(ConfigError, match="seed"):
+            trial_streams(bad, [0])
+
+    def test_numpy_integer_index(self):
+        stream, = trial_streams(np.uint64(7), [np.int64(3)])
+        assert stream.bit_generator.state == np.random.default_rng([7, 3]).bit_generator.state
+
+    def test_only_pcg64_seeding_is_answered(self):
+        stream, = trial_streams(0, [0])
+        words = stream.bit_generator._seed_seq
+        with pytest.raises(ValueError):
+            words.generate_state(4)
+        with pytest.raises(ValueError):
+            words.generate_state(8, np.uint64)
 
 
 def identity_channels(m, k):
