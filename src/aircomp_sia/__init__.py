@@ -5,7 +5,6 @@ from .__about__ import __version__
 from .baselines import (
     EfficiencyReport,
     build_no_ia_precoders,
-    communication_efficiency,
     efficiency_report,
     genie_channels,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "draw_symbols", "superpose", "parse_config_file",
     "SiaMatrices", "build_reference_matrices", "build_aggregation_beamformers",
     "build_sia_matrices", "aligned_interference_dimension",
-    "communication_efficiency", "EfficiencyReport", "efficiency_report",
+    "EfficiencyReport", "efficiency_report",
     "build_no_ia_precoders", "genie_channels",
     "FunctionSpec", "preprocess", "postprocess",
     "TrialResult", "SweepPoint", "SweepResult", "run_trials", "run_sweep",

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import ConfigError, SizeMismatch
 from .linalg import right_inverse
 from .system import ChannelSet, partition
 
@@ -30,31 +30,25 @@ class EfficiencyReport:
 
 
 def efficiency_report(scheme, antennas, devices):
-    """One comparison-table row for the given scheme and scenario.
+    """One comparison-table row for the given scheme and scenario, in
+    exact rationals; raises ConfigError outside the scheme's domain.
 
-    conventional_ia carries M / (K + 1) streams per user; sia carries
-    floor(M/2) interference-free sums, independent of K.
+    conventional_ia carries M / (K + 1) streams per user, an efficiency
+    of 1 / (K + 1). sia carries floor(M/2) interference-free sums,
+    independent of K: an efficiency of 1/2 for even M and 1/2 - 1/(2M)
+    for odd M.
     """
     if antennas < 1 or devices < 1:
-        raise ValueError("antennas and devices must be positive")
+        raise ConfigError("antennas and devices must be positive")
     if scheme == "conventional_ia":
         streams = Fraction(antennas, devices + 1)
     elif scheme == "sia":
         if antennas < 2:
-            raise ValueError("the aligned scheme needs at least 2 antennas")
+            raise ConfigError("the aligned scheme needs at least 2 antennas")
         streams = Fraction(partition(antennas).signal_dim)
     else:
-        raise ValueError(f"scheme must be one of {'/'.join(SCHEME_NAMES)}, got {scheme!r}")
+        raise ConfigError(f"scheme must be one of {'/'.join(SCHEME_NAMES)}, got {scheme!r}")
     return EfficiencyReport(scheme, antennas, devices, streams, streams / antennas)
-
-
-def communication_efficiency(scheme, antennas, devices=1):
-    """Streams per antenna as an exact rational.
-
-    conventional_ia: 1 / (K + 1). sia: 1/2 for even M, 1/2 - 1/(2M) for
-    odd M, independent of the device count.
-    """
-    return efficiency_report(scheme, antennas, devices).efficiency
 
 
 def build_no_ia_precoders(channels, beamformer):

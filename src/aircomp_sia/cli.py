@@ -100,7 +100,7 @@ def _resolve_run_config(args):
             raise ConfigError(f"--{key} is required (flag or config file)")
     if "seed" not in values:
         raise ConfigError("--seed is required (flag or config file)")
-    return SystemConfig.from_flat(values).validate()
+    return SystemConfig.from_flat(values)
 
 
 def _write_atomic(path, write):
@@ -149,14 +149,8 @@ def cmd_run(args):
 def cmd_compare(args):
     antennas = _int_list(args.antennas_list, "--antennas-list")
     devices = _int_list(args.devices_list, "--devices-list")
-    reports = []
-    try:
-        for m in antennas:
-            for k in devices:
-                for scheme in SCHEME_NAMES:
-                    reports.append(efficiency_report(scheme, m, k))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    reports = [efficiency_report(scheme, m, k)
+               for m in antennas for k in devices for scheme in SCHEME_NAMES]
     manifest = RunManifest.create(
         "compare",
         {"antennas_list": ",".join(map(str, antennas)),
@@ -185,15 +179,9 @@ def main(argv=None):
     handlers = {"run": cmd_run, "compare": cmd_compare, "plot": cmd_plot}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateChannels, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateChannels as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateChannels) else EXIT_CONFIG
 
 
 def entrypoint():

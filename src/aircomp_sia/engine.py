@@ -148,13 +148,17 @@ def _run_chunk(config, rngs, snr_db, symbols=None):
     err = noiseless[:, None] + noise_std[:, :, None, None] * beam_noise[:, None]
     err_power = np.sum(np.abs(err) ** 2, axis=-1)
     sig_power = np.sum(np.abs(target) ** 2, axis=-1)
-    residual = np.sqrt(np.sum(np.abs(noiseless) ** 2, axis=(-2, -1)) / sig_power.sum(axis=-1))
+    # Functional data can aggregate to exactly zero (a sum that cancels, a
+    # geomean of product 1); its ratios are then stored as inf or nan.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = np.sqrt(np.sum(np.abs(noiseless) ** 2, axis=(-2, -1)) / sig_power.sum(axis=-1))
+        nmse = err_power / sig_power[:, None, :]
     return TrialResult(
         target=target,
         err=err,
         err_power=err_power,
         sig_power=sig_power,
-        nmse=err_power / sig_power[:, None, :],
+        nmse=nmse,
         noise_std=noise_std,
         analytic_nmse=np.float_power(noise_std, 2) / config.devices,
         leakage=leak_ratio,
@@ -193,7 +197,6 @@ def run_trials(config, trials, snr_db, symbols=None):
     point), whatever else runs with it. `symbols`, when given, has one
     (K, 2, dof) block per trial and replaces that trial's symbol draw.
     """
-    config.validate()
     if len(trials) == 0:
         raise ConfigError("run_trials needs at least one trial index, got an empty list")
     grid = np.asarray(snr_db, dtype=np.float64)
@@ -218,7 +221,6 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     config.scheme, recovered and post-processed. Returns the per-cell
     function estimates, shape (2, signal_dim).
     """
-    config.validate()
     spec = FunctionSpec(function, config.devices)
     dof = partition(config.antennas).signal_dim
     data = np.asarray(data, dtype=np.float64)
@@ -277,18 +279,6 @@ def worker_count():
     return value
 
 
-def _batch_ranges(trials, workers):
-    chunks = min(trials, max(1, workers))
-    base, extra = divmod(trials, chunks)
-    ranges = []
-    start = 0
-    for c in range(chunks):
-        size = base + (1 if c < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
 # The worker pool outlives a sweep: (size, executor), created at first use.
 # concurrent.futures shuts it down at interpreter exit.
 _pool = None
@@ -340,18 +330,16 @@ def run_sweep(config, workers=None):
     Output is identical for any worker count. More than one worker runs
     on a process pool kept for later sweeps of the same worker count.
     """
-    config.validate()
     if workers is None:
         workers = worker_count()
-    ranges = _batch_ranges(config.trials, workers)
-    if workers == 1 or len(ranges) == 1:
-        batches = [run_trials(config, range(a, b), config.snr_db_grid) for a, b in ranges]
+    ranges = np.array_split(np.arange(config.trials), min(config.trials, max(1, workers)))
+    if len(ranges) == 1:
+        batches = [run_trials(config, ranges[0], config.snr_db_grid)]
     else:
         pool = _worker_pool(len(ranges))
         futures = []
         try:
-            futures = [pool.submit(run_trials, config, range(a, b), config.snr_db_grid)
-                       for a, b in ranges]
+            futures = [pool.submit(run_trials, config, r, config.snr_db_grid) for r in ranges]
             batches = [f.result() for f in futures]
         except BrokenExecutor:
             _discard_pool(pool)
@@ -364,7 +352,7 @@ def run_sweep(config, workers=None):
 
     # Every column is reduced over the trial (and cell) axes for all grid
     # points at once: err_power is (T, P, 2), analytic_nmse (T, P).
-    grid = tuple(float(s) for s in config.snr_db_grid)
+    grid = config.snr_db_grid
     err = merged.err_power
     predicted = merged.analytic_nmse
     nmse_mean = err.sum(axis=(0, 2)) / merged.sig_power.sum()

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __about__
@@ -55,32 +55,15 @@ class RunManifest:
         )
 
     def comment_lines(self):
-        lines = [
-            f"# tool={self.tool}",
-            f"# version={self.version}",
-            f"# generated={self.generated}",
-            f"# command={self.command}",
-        ]
-        if self.workers is not None:
-            lines.append(f"# workers={self.workers}")
-        if self.output is not None:
-            lines.append(f"# output={self.output}")
-        lines.extend(f"# config.{key}={value}" for key, value in self.config.items())
-        return lines
+        """The manifest as # key=value lines, the config's keys last."""
+        data = self.to_dict()
+        config = data.pop("config")
+        return ([f"# {key}={value}" for key, value in data.items()]
+                + [f"# config.{key}={value}" for key, value in config.items()])
 
     def to_dict(self):
-        data = {
-            "tool": self.tool,
-            "version": self.version,
-            "generated": self.generated,
-            "command": self.command,
-            "config": dict(self.config),
-        }
-        if self.workers is not None:
-            data["workers"] = self.workers
-        if self.output is not None:
-            data["output"] = self.output
-        return data
+        """Every field in declaration order; optional fields left unset are omitted."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def sweep_rows(result):

@@ -35,14 +35,20 @@ DEFAULT_TRIALS = 200
 MATRIX_REDRAW_BUDGET = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
+    """A scenario, validated when built, with the grid stored as a tuple
+    of floats; fields cannot be reassigned."""
+
     antennas: int                          # M, per node
     devices: int                           # K, per cell
     snr_db_grid: tuple = DEFAULT_SNR_GRID  # sweep points, dB, strictly ascending
     trials: int = DEFAULT_TRIALS           # Monte Carlo trials per point
     seed: int = 0                          # base seed; trials derive their own streams
     scheme: str = "sia"                    # sia | no_ia | genie
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for name in INT_FIELDS:
@@ -61,13 +67,18 @@ class SystemConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
-        grid = tuple(float(s) for s in self.snr_db_grid)
+        try:
+            grid = tuple(float(s) for s in self.snr_db_grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"snr_db_grid must be a sequence of numbers, "
+                              f"got {self.snr_db_grid!r}") from exc
         if len(grid) == 0:
             raise ConfigError("snr_db_grid must not be empty")
         if any(not math.isfinite(s) for s in grid):
             raise ConfigError("snr_db_grid entries must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("snr_db_grid must be strictly ascending")
+        object.__setattr__(self, "snr_db_grid", grid)
         return self
 
     def to_flat(self):
@@ -75,7 +86,7 @@ class SystemConfig:
         return {
             "antennas": str(self.antennas),
             "devices": str(self.devices),
-            "snr_db_grid": ",".join(format(float(s), ".12g") for s in self.snr_db_grid),
+            "snr_db_grid": ",".join(format(s, ".12g") for s in self.snr_db_grid),
             "trials": str(self.trials),
             "seed": str(self.seed),
             "scheme": self.scheme,
@@ -308,7 +319,6 @@ def draw_channels(config, rng):
     draws its direct stack, its direct redraws, its cross stack and its
     cross redraws, in that order.
     """
-    config.validate()
     k, m = config.devices, config.antennas
     direct = _complex_normal(rng, (k, 2, m, m))
     redraws = _guard_conditioning(direct, rng)
@@ -319,7 +329,6 @@ def draw_channels(config, rng):
 
 def draw_symbols(config, rng):
     """Unit-variance i.i.d. complex Gaussian symbols, shape (..., K, 2, signal_dim)."""
-    config.validate()
     dof = partition(config.antennas).signal_dim
     return _complex_normal(rng, (config.devices, 2, dof))
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aircomp_sia.baselines import communication_efficiency
+from aircomp_sia.baselines import efficiency_report
 from aircomp_sia.cli import main
 from aircomp_sia.engine import (
     fit_nmse_slope,
@@ -139,11 +139,11 @@ def test_criterion_6_noise_oracle():
 def test_criterion_7_efficiency_formulas():
     exact = True
     for k in range(1, 101):
-        exact &= communication_efficiency("conventional_ia", 8, k) == Fraction(1, k + 1)
+        exact &= efficiency_report("conventional_ia", 8, k).efficiency == Fraction(1, k + 1)
     for m in range(2, 65, 2):
-        exact &= communication_efficiency("sia", m) == Fraction(1, 2)
+        exact &= efficiency_report("sia", m, 1).efficiency == Fraction(1, 2)
     for m in range(3, 64, 2):
-        exact &= communication_efficiency("sia", m) == Fraction(1, 2) - Fraction(1, 2 * m)
+        exact &= efficiency_report("sia", m, 1).efficiency == Fraction(1, 2) - Fraction(1, 2 * m)
     report(7, exact,
            "exact rational equality: conventional 1/(K+1) for K=1..100, "
            "SIA 1/2 for even M=2..64 and 1/2 - 1/(2M) for odd M=3..63")

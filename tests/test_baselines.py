@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from aircomp_sia.baselines import (
     build_no_ia_precoders,
-    communication_efficiency,
     efficiency_report,
     genie_channels,
 )
@@ -65,11 +64,11 @@ class TestEfficiency:
         (9, Fraction(1, 10)),
     ])
     def test_conventional_fraction(self, devices, expected):
-        assert communication_efficiency("conventional_ia", 8, devices) == expected
+        assert efficiency_report("conventional_ia", 8, devices).efficiency == expected
 
     def test_conventional_ignores_antennas(self):
-        assert (communication_efficiency("conventional_ia", 4, 3)
-                == communication_efficiency("conventional_ia", 40, 3))
+        assert (efficiency_report("conventional_ia", 4, 3).efficiency
+                == efficiency_report("conventional_ia", 40, 3).efficiency)
 
     @pytest.mark.parametrize("antennas,expected", [
         (2, Fraction(1, 2)),
@@ -80,29 +79,29 @@ class TestEfficiency:
         (7, Fraction(3, 7)),
     ])
     def test_sia_fraction(self, antennas, expected):
-        assert communication_efficiency("sia", antennas) == expected
+        assert efficiency_report("sia", antennas, 1).efficiency == expected
 
     def test_sia_odd_formula(self):
         for m in range(3, 64, 2):
-            got = communication_efficiency("sia", m)
+            got = efficiency_report("sia", m, 1).efficiency
             assert got == Fraction(1, 2) - Fraction(1, 2 * m)
 
     @given(st.integers(1, 500))
     def test_conventional_shrinks_with_devices(self, devices):
-        a = communication_efficiency("conventional_ia", 6, devices)
-        b = communication_efficiency("conventional_ia", 6, devices + 1)
+        a = efficiency_report("conventional_ia", 6, devices).efficiency
+        b = efficiency_report("conventional_ia", 6, devices + 1).efficiency
         assert b < a
 
     @given(st.integers(1, 32), st.integers(1, 100))
     def test_sia_independent_of_devices(self, half, devices):
         m = 2 * half
-        assert communication_efficiency("sia", m, devices) == Fraction(1, 2)
+        assert efficiency_report("sia", m, devices).efficiency == Fraction(1, 2)
 
     def test_rejects_unknown_scheme_and_small_arrays(self):
         with pytest.raises(ValueError):
-            communication_efficiency("mrc", 4)
+            efficiency_report("mrc", 4, 1).efficiency
         with pytest.raises(ValueError):
-            communication_efficiency("sia", 1)
+            efficiency_report("sia", 1, 1).efficiency
 
 
 def max_min_splits(antennas):
@@ -144,7 +143,7 @@ class TestOptimalPartition:
         # configuration with M = 1 is refused.
         assert partition(1) == Partition(0, 1)
         with pytest.raises(ConfigError):
-            SystemConfig(antennas=1, devices=1).validate()
+            SystemConfig(antennas=1, devices=1)
 
 
 class TestConventionalPartition:
@@ -170,6 +169,11 @@ class TestConventionalPartition:
 
 
 class TestEfficiencyReport:
+    def test_rejects_with_config_error(self):
+        for args in (("mrc", 4, 1), ("sia", 1, 1), ("conventional_ia", 4, 0)):
+            with pytest.raises(ConfigError):
+                efficiency_report(*args)
+
     def test_sia_report(self):
         rep = efficiency_report("sia", 5, 3)
         assert rep.streams == Fraction(2)

@@ -9,7 +9,6 @@ import pytest
 
 from aircomp_sia import engine
 from aircomp_sia.engine import (
-    _batch_ranges,
     fit_nmse_slope,
     run_functional_trial,
     run_sweep,
@@ -23,6 +22,7 @@ from aircomp_sia.errors import (
     RankDeficient,
     SizeMismatch,
 )
+from aircomp_sia.functions import FunctionSpec, preprocess
 from aircomp_sia.sia import build_aggregation_beamformers, build_reference_matrices
 from aircomp_sia.system import SystemConfig, _complex_normal, partition, trial_streams
 
@@ -85,9 +85,8 @@ class TestRunTrial:
         assert np.all(np.sqrt(res.nmse) < 1e-9)
 
     def test_validates_config(self):
-        cfg = config_for(1, 2)
         with pytest.raises(ConfigError, match="M=1 yields zero AirComp DoF"):
-            run_trials(cfg, [0], NOISELESS)
+            run_trials(config_for(1, 2), [0], NOISELESS)
 
     def test_degenerate_channels_after_budget(self, monkeypatch):
         def always_deficient(channels, reference):
@@ -225,22 +224,6 @@ class TestFitNmseSlope:
         assert np.isnan(fit_nmse_slope([0.0, 10.0], [1.0, np.nan]))
 
 
-class TestBatchRanges:
-    def test_even_and_ragged(self):
-        assert _batch_ranges(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
-        assert _batch_ranges(8, 2) == [(0, 4), (4, 8)]
-
-    def test_more_workers_than_trials(self):
-        assert _batch_ranges(3, 8) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_covers_every_trial(self):
-        for trials in (1, 5, 17):
-            for workers in (1, 2, 3, 16):
-                ranges = _batch_ranges(trials, workers)
-                flat = [t for a, b in ranges for t in range(a, b)]
-                assert flat == list(range(trials))
-
-
 class FakePools:
     """Stands in for ProcessPoolExecutor: runs batches in this process and
     records every pool made and shut down. No process is started."""
@@ -288,6 +271,46 @@ def fake_pools(monkeypatch):
     monkeypatch.setattr(engine, "_pool", None)
     monkeypatch.setattr(engine, "ProcessPoolExecutor", record)
     return record
+
+
+@pytest.fixture
+def batches(monkeypatch, fake_pools):
+    """Trial indices of every run_trials call a sweep makes, in this
+    process or submitted to the (fake) pool."""
+    calls = []
+    real = engine.run_trials
+
+    def recording(config, trials, snr_db):
+        calls.append([int(t) for t in trials])
+        return real(config, trials, snr_db)
+
+    monkeypatch.setattr(engine, "run_trials", recording)
+    return calls
+
+
+class TestBatchRanges:
+    """run_sweep hands each worker one contiguous batch of trials, the
+    larger batches first."""
+
+    def test_even_and_ragged(self, batches):
+        run_sweep(config_for(2, 1, trials=10), workers=4)
+        assert batches == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
+        batches.clear()
+        run_sweep(config_for(2, 1, trials=8), workers=2)
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+    def test_more_workers_than_trials(self, batches, fake_pools):
+        run_sweep(config_for(2, 1, trials=3), workers=8)
+        assert batches == [[0], [1], [2]]
+        assert fake_pools.sizes == [3]
+
+    def test_covers_every_trial(self, batches):
+        for trials in (1, 5, 17):
+            for workers in (1, 2, 3, 16):
+                batches.clear()
+                run_sweep(config_for(2, 1, trials=trials), workers=workers)
+                assert len(batches) == min(trials, workers)
+                assert [t for batch in batches for t in batch] == list(range(trials))
 
 
 def affinity(monkeypatch, cpus):
@@ -471,6 +494,24 @@ class TestRunFunctionalTrial:
         cfg = config_for(4, 2)
         with pytest.raises(ValueError):
             run_functional_trial(cfg, "geomean", np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("kind,values,want", [
+        ("geomean", [2.0, 0.5], 1.0),
+        ("sum", [1.0, -1.0], 0.0),
+    ])
+    def test_zero_aggregate(self, kind, values, want):
+        # Both cells aggregate to exactly zero: the estimate comes back
+        # without a divide-by-zero warning, and the stored ratios stay the
+        # inf or nan that the division gives.
+        cfg = config_for(4, 2)
+        data = np.broadcast_to(np.array(values)[:, None, None], (2, 2, 2))
+        assert np.allclose(run_functional_trial(cfg, kind, data), want, rtol=0, atol=1e-12)
+        symbols = preprocess(FunctionSpec(kind, 2), data)[None]
+        res = run_trials(cfg, [0], NOISELESS, symbols)
+        assert np.all(res.sig_power == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(res.nmse, res.err_power / res.sig_power[:, None, :],
+                                  equal_nan=True)
 
 
 def sweep_body(result):

@@ -60,6 +60,14 @@ class TestManifest:
         assert "config.antennas" in keys
         assert "config.seed" in keys
 
+    def test_field_order(self):
+        full = RunManifest.create("run", {"seed": "1"}, workers=2, output="o.csv")
+        keys = [line[2:].split("=", 1)[0] for line in full.comment_lines()]
+        assert keys == ["tool", "version", "generated", "command", "workers", "output",
+                        "config.seed"]
+        assert list(full.to_dict()) == ["tool", "version", "generated", "command", "config",
+                                        "workers", "output"]
+
     def test_optional_fields(self, small_result):
         bare = RunManifest.create("compare", {})
         assert not any(line.startswith("# workers=")

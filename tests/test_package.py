@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,17 @@ def test_import_leaves_numpy_random_unloaded():
         pytest.skip("this numpy imports numpy.random with numpy itself")
     loaded, = _fresh("import sys, aircomp_sia; print('numpy.random' in sys.modules)")
     assert loaded == "False"
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # The benchmark wraps these names from outside the package; one renamed
+    # or moved away drops its layer from every traced run.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    absent = [(module, attr) for module, attr, _, _ in tracer.TARGETS
+              if not hasattr(importlib.import_module(module), attr)]
+    assert tracer.TARGETS and absent == []

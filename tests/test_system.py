@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ class TestPartition:
 class TestConfigValidation:
     def test_m1_message(self):
         with pytest.raises(ConfigError, match="M=1 yields zero AirComp DoF"):
-            config_for(1, 2).validate()
+            config_for(1, 2)
 
     @pytest.mark.parametrize("kw", [
         {"devices": 0},
@@ -70,17 +71,34 @@ class TestConfigValidation:
         {"trials": 1.5},
         {"seed": 3.0},
         {"antennas": "4"},
+        {"snr_db_grid": None},
+        {"snr_db_grid": 5.0},
+        {"snr_db_grid": ("a",)},
     ])
     def test_rejects(self, kw):
         base = dict(antennas=4, devices=2, snr_db_grid=(0.0,), trials=1)
         base.update(kw)
         with pytest.raises(ConfigError):
-            SystemConfig(**base).validate()
+            SystemConfig(**base)
 
     def test_accepts_defaults(self):
         cfg = SystemConfig(antennas=4, devices=2, seed=3).validate()
         assert cfg.snr_db_grid[-1] == 40.0
         assert cfg.trials == 200
+
+    def test_frozen(self):
+        cfg = config_for(4, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.antennas = 1
+        assert cfg.antennas == 4
+
+    def test_grid_is_stored_as_float_tuple(self):
+        # A list handed in cannot be changed under the validated config.
+        grid = [0, 5, 10]
+        cfg = config_for(4, 2, snr_db_grid=grid)
+        grid.append(-5)
+        assert cfg.snr_db_grid == (0.0, 5.0, 10.0)
+        assert all(type(s) is float for s in cfg.snr_db_grid)
 
 
 class TestConfigSerialisation:
