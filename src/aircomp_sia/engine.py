@@ -32,12 +32,15 @@ from .sia import (
     build_sia_matrices,
 )
 from .system import (
+    PrefetchedStreams,
     _complex_normal,
     draw_channels,
     draw_symbols,
     partition,
+    streams,
     superpose,
-    trial_streams,
+    trial_normals,
+    trial_words,
 )
 
 # Whole-set redraws allowed per trial when a construction degenerates.
@@ -110,8 +113,8 @@ def _build(config, rngs, reference):
             redraws += fresh.redraws + len(again)
 
 
-def _run_chunk(config, rngs, snr_db, symbols=None):
-    """Draw, build and transmit the trials whose streams are `rngs`
+def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
+    """Draw, build and transmit the trials whose streams are `generators`
     together, then score each at every point of the SNR grid `snr_db` in
     one broadcast.
 
@@ -119,8 +122,13 @@ def _run_chunk(config, rngs, snr_db, symbols=None):
     unit-variance noise vector; each grid point rescales it so the noise
     power sits `snr_db` below the received desired power. An infinite SNR
     is the noiseless pipeline. `symbols`, when given, replace the symbol
-    draw of every trial.
+    draw of every trial. The draws come through PrefetchedStreams, which
+    gives each trial the values of its Generator alone; its buffer is the
+    first T rows of `buffer`, `trial_normals` wide, or a new array.
     """
+    if buffer is None:
+        buffer = np.empty((len(generators), trial_normals(config, symbols is None)))
+    rngs = PrefetchedStreams(generators, buffer[:len(generators)])
     reference = build_reference_matrices(config.antennas, rngs)
     channels, beamformer, precoders, redraws = _build(config, rngs, reference)
     if symbols is None:
@@ -200,14 +208,18 @@ def run_trials(config, trials, snr_db, symbols=None):
     if len(trials) == 0:
         raise ConfigError("run_trials needs at least one trial index, got an empty list")
     grid = np.asarray(snr_db, dtype=np.float64)
-    # Seeding is vectorised over the whole call: its fixed cost would
-    # outweigh default_rng's on one-trial chunks.
-    rngs = trial_streams(config.seed, trials)
+    # Seeding is hashed once for the whole call, since its fixed cost would
+    # outweigh default_rng's on one-trial chunks; only one chunk's
+    # Generators are alive at a time.
+    words = trial_words(config.seed, trials)
     step = _chunk_trials(config, len(grid))
+    # One prefetch buffer serves every chunk: one allocated and freed per
+    # chunk had its pages returned and faulted in again, chunk after chunk.
+    buffer = np.empty((min(step, len(words)), trial_normals(config, symbols is None)))
     return _concat([
-        _run_chunk(config, rngs[a:a + step], grid,
-                   None if symbols is None else symbols[a:a + step])
-        for a in range(0, len(rngs), step)
+        _run_chunk(config, streams(words[a:a + step]), grid,
+                   None if symbols is None else symbols[a:a + step], buffer)
+        for a in range(0, len(words), step)
     ])
 
 

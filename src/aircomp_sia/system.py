@@ -8,9 +8,10 @@ holds only what shapes the channel construction and the sweep; the
 nomographic function computed on top of the aggregated streams is an
 argument of `engine.run_functional_trial`, not a setting.
 
-Every draw takes either one `numpy.random.Generator` or a sequence of
-them, one per trial; a sequence stacks each trial's draw along a new
-leading axis, and each stream is consumed exactly as if drawn alone.
+Every draw takes either one `numpy.random.Generator`, a sequence of
+them, one per trial, or a chunk's `PrefetchedStreams`; the last two stack
+each trial's draw along a new leading axis, and each stream is consumed
+exactly as if drawn alone.
 """
 
 from __future__ import annotations
@@ -219,15 +220,14 @@ def _stream_factory():
     return lambda words: Generator(PCG64(Words(words)))
 
 
-def trial_streams(seed, trials):
-    """One Generator per trial index, in the state of
-    `np.random.default_rng([seed, t])`.
+def trial_words(seed, trials):
+    """PCG64 seeding words, shape (T, 4) uint64, of
+    `np.random.default_rng([seed, t])` for every trial index t.
 
     SeedSequence's hash runs for all trials at once in uint32 arithmetic on
     a (4, T) pool. The entropy is the seed's one or two little-endian words,
     then t's low and high words, zero-padded to the pool; a zero word
-    hashes as numpy's padding does. PCG64's own seeding then takes the
-    generated words, so the streams are numpy's bit for bit.
+    hashes as numpy's padding does.
     """
     seed = _u64(seed, "seed")
     index = np.array([_u64(t, "trial index") for t in trials], dtype=np.uint64)
@@ -243,23 +243,117 @@ def trial_streams(seed, trials):
         k = _POOL + 3 * src
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A[k:k + 3], _HASH_A[k + 1:k + 4]))
     state = _hashmix(pool[np.arange(2 * _POOL) % _POOL], _HASH_B[:-1], _HASH_B[1:])
-    state = np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def streams(words):
+    """One Generator per row of `trial_words`; PCG64's own seeding takes
+    the words, so each is numpy's stream bit for bit."""
     make = _stream_factory()
-    return [make(row) for row in state]
+    return [make(row) for row in words]
+
+
+def trial_streams(seed, trials):
+    """One Generator per trial index, in the state of
+    `np.random.default_rng([seed, t])`."""
+    return streams(trial_words(seed, trials))
+
+
+def trial_normals(config, symbols=True):
+    """Standard normals one trial draws when nothing is redrawn: the
+    reference pair (2·M·N' complex), the direct and cross stacks
+    (2·2·K·M²), the symbols (2·K·floor(M/2)) unless they are planted, and
+    the noise (2·M); each complex value takes two."""
+    m, k = config.antennas, config.devices
+    part = partition(m)
+    values = 2 * m * part.interference_dim + 4 * k * m * m + 2 * m
+    if symbols:
+        values += 2 * k * part.signal_dim
+    return 2 * values
+
+
+class PrefetchedStreams:
+    """A chunk's per-trial Generators, each trial's first N standard normals
+    drawn ahead, one call per trial, into row t of a (T, N) `buffer`.
+
+    While every trial has taken the same count, a stacked draw the buffer
+    holds is a view of it. Indexing gives one trial's stream, which the
+    guard's and the set redraws use; after such a draw, stacked draws are
+    gathered per trial. A trial always takes its buffered values first and
+    then its Generator's, so every value is the one its Generator alone
+    gives and N sets speed only.
+    """
+
+    def __init__(self, generators, buffer):
+        self.generators = generators
+        self.buffer = buffer
+        for g, row in zip(generators, self.buffer):
+            g.standard_normal(out=row)
+        self.taken = [0] * len(generators)
+        self.lockstep = True
+
+    def __len__(self):
+        return len(self.generators)
+
+    def __getitem__(self, t):
+        return _TrialStream(self, t)
+
+    def stacked(self, shape):
+        """Every trial's next draws of `shape`, stacked: (T,) + shape."""
+        size = math.prod(shape)
+        start = self.taken[0]
+        if self.lockstep and start + size <= self.buffer.shape[1]:
+            draws = self.buffer[:, start:start + size].reshape((len(self),) + shape)
+            self.taken = [start + size] * len(self)
+        else:
+            draws = np.empty((len(self),) + shape)
+            for t, row in enumerate(draws.reshape(len(self), -1)):
+                self._take(t, row)
+        return draws
+
+    def _take(self, t, out):
+        """Trial t's next `out.size` normals into the flat array `out`."""
+        start = self.taken[t]
+        held = min(max(self.buffer.shape[1] - start, 0), out.size)
+        if held:
+            out[:held] = self.buffer[t, start:start + held]
+        if held < out.size:
+            self.generators[t].standard_normal(out=out[held:])
+        self.taken[t] = start + out.size
+
+
+class _TrialStream:
+    """Trial t of a PrefetchedStreams, drawn through as a Generator is."""
+
+    def __init__(self, chunk, t):
+        self.chunk, self.t = chunk, t
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        self.chunk.lockstep = False
+        self.chunk._take(self.t, out.reshape(-1))
+        return out
 
 
 def _complex_normal(rng, shape):
     """CN(0, 1) draws of `shape`: all real parts, then all imaginary parts,
     from each stream."""
     shape = (2,) + tuple(shape)
-    if isinstance(rng, np.random.Generator):
+    if isinstance(rng, PrefetchedStreams):
+        parts = rng.stacked(shape).swapaxes(0, 1)
+    elif hasattr(rng, "standard_normal"):
         parts = rng.standard_normal(shape)
     else:
         stacked = np.empty((len(rng),) + shape)
         for g, out in zip(rng, stacked):
             g.standard_normal(out=out)
         parts = stacked.swapaxes(0, 1)
-    return (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
+    draws = np.empty(parts.shape[1:], dtype=np.complex128)
+    draws.real = parts[0]
+    draws.imag = parts[1]
+    draws /= math.sqrt(2.0)
+    return draws
 
 
 def _ill_conditioned(mats):

@@ -9,6 +9,7 @@ import pytest
 
 from aircomp_sia import engine
 from aircomp_sia.engine import (
+    TrialResult,
     fit_nmse_slope,
     run_functional_trial,
     run_sweep,
@@ -24,7 +25,13 @@ from aircomp_sia.errors import (
 )
 from aircomp_sia.functions import FunctionSpec, preprocess
 from aircomp_sia.sia import build_aggregation_beamformers, build_reference_matrices
-from aircomp_sia.system import SystemConfig, _complex_normal, partition, trial_streams
+from aircomp_sia.system import (
+    SystemConfig,
+    _complex_normal,
+    partition,
+    trial_normals,
+    trial_streams,
+)
 
 NOISELESS = [math.inf]
 
@@ -642,6 +649,100 @@ class TestChunks:
             assert planted["done"] == (t == 2)
             for field, value in chunk_arrays(chunk).items():
                 assert np.array_equal(value[t], getattr(alone, field)[0]), (t, field)
+
+
+def plain_chunk(monkeypatch, cfg, generators, grid, symbols=None):
+    """The chunk drawn from plain Generators through _complex_normal's list
+    path, the reference for the prefetched draws."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "PrefetchedStreams", lambda generators, buffer: generators)
+        return engine._run_chunk(cfg, generators, grid, symbols)
+
+
+def assert_same_bits(got, want):
+    assert got.redraws == want.redraws
+    for f in fields(TrialResult):
+        if f.name != "redraws":
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+class TestPrefetchedStreams:
+    """A chunk drawn through PrefetchedStreams equals, bit for bit in every
+    field and in its redraws, the same chunk drawn from plain per-trial
+    Generators, however many redraws the trials need."""
+
+    GRID = np.array([0.0, 20.0, math.inf])
+
+    def assert_same_chunk(self, monkeypatch, cfg, trials, symbols=None):
+        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), self.GRID, symbols)
+        plain = plain_chunk(monkeypatch, cfg, trial_streams(cfg.seed, trials), self.GRID, symbols)
+        assert_same_bits(chunk, plain)
+        return chunk
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_plain_streams(self, monkeypatch, scheme, m):
+        cfg = config_for(m, 2, scheme=scheme, seed=7)
+        self.assert_same_chunk(monkeypatch, cfg, range(6))
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+    @pytest.mark.parametrize("m, limit", [(2, 4.0), (3, 6.0), (4, 10.0), (5, 10.0)])
+    def test_guard_redraws(self, monkeypatch, scheme, m, limit):
+        # A low condition limit makes the guard redraw many matrices, each
+        # from its own trial's stream, after which stacked draws are
+        # gathered per trial.
+        monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", limit)
+        cfg = config_for(m, 2, scheme=scheme, seed=3)
+        assert self.assert_same_chunk(monkeypatch, cfg, range(8)).redraws > 8
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
+    def test_set_redraw(self, monkeypatch, scheme):
+        # The first build fails for trial 2 alone, which redraws its set.
+        name = "build_sia_matrices" if scheme == "sia" else "build_no_ia_precoders"
+        real = getattr(engine, name)
+        builds = []
+
+        def flaky(channels, second):
+            builds.append(len(channels.direct))
+            if len(builds) == 1:
+                raise RankDeficient("planted", failed=np.arange(len(channels.direct)) == 2)
+            return real(channels, second)
+
+        monkeypatch.setattr(engine, name, flaky)
+        cfg = config_for(4, 3, scheme=scheme, seed=6)
+        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(5)), self.GRID)
+        assert builds == [5, 5]
+        builds.clear()
+        plain = plain_chunk(monkeypatch, cfg, trial_streams(cfg.seed, range(5)), self.GRID)
+        assert builds == [5, 5]
+        assert_same_bits(chunk, plain)
+        assert chunk.redraws >= 1
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_planted_symbols(self, monkeypatch, m):
+        # run_functional_trial's path: the symbol draw is skipped.
+        cfg = config_for(m, 3, seed=8)
+        symbols = _complex_normal(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
+        chunk = self.assert_same_chunk(monkeypatch, cfg, range(4), symbols)
+        assert np.array_equal(chunk.target, symbols.sum(axis=1))
+
+    @pytest.mark.parametrize("planted", [False, True])
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_prefetch_is_what_a_trial_draws(self, monkeypatch, scheme, m, planted):
+        # Without redraws each trial takes exactly trial_normals values,
+        # so the prefetch count stays in step with the draw functions.
+        cfg = config_for(m, 3, scheme=scheme, seed=2)
+        symbols = (_complex_normal(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
+                   if planted else None)
+        generators = trial_streams(cfg.seed, range(4))
+        assert plain_chunk(monkeypatch, cfg, generators, self.GRID, symbols).redraws == 0
+        count = trial_normals(cfg, symbols=not planted)
+        for t, g in enumerate(generators):
+            oracle = np.random.default_rng([cfg.seed, t])
+            oracle.standard_normal(count)
+            assert g.bit_generator.state == oracle.bit_generator.state, t
 
 
 class TestResidual:

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import aircomp_sia
+from aircomp_sia.engine import run_sweep
+from aircomp_sia.output import RunManifest, write_result_csv
 
 
 def test_all_is_unique_and_resolves():
@@ -37,15 +40,38 @@ def test_import_leaves_numpy_random_unloaded():
     assert loaded == "False"
 
 
+def _benchmark_module(monkeypatch, name):
+    """benchmarks/<name>.py, loaded by path without writing bytecode."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_targets_resolve(monkeypatch):
     # The benchmark wraps these names from outside the package; one renamed
     # or moved away drops its layer from every traced run.
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    tracer = _benchmark_module(monkeypatch, "tracer")
     absent = [(module, attr) for module, attr, _, _ in tracer.TARGETS
               if not hasattr(importlib.import_module(module), attr)]
     assert tracer.TARGETS and absent == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_benchmark_reference_bodies(monkeypatch, seed):
+    # Every benchmark workload's sweep matches its stored reference body,
+    # as the benchmark's gate compares them, so a change to any stream's
+    # values fails here and not only in a benchmark run.
+    workloads = _benchmark_module(monkeypatch, "workloads")
+    gate = _benchmark_module(monkeypatch, "gate")
+    for name in workloads.WORKLOADS:
+        config = workloads.make_config(name, seed)
+        result = run_sweep(config, workers=1)
+        text = io.StringIO()
+        write_result_csv(result, RunManifest.create("run", config.to_flat()), text)
+        reference = workloads.load_reference(name, seed)
+        assert reference is not None, name
+        assert gate.compare_to_reference(gate.csv_body(text.getvalue()), reference) == [], name

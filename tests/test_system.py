@@ -12,6 +12,7 @@ from aircomp_sia.errors import ConfigError, DegenerateChannels, SizeMismatch
 from aircomp_sia.linalg import numerical_rank
 from aircomp_sia.system import (
     ChannelSet,
+    PrefetchedStreams,
     SystemConfig,
     _complex_normal,
     _guard_conditioning,
@@ -367,6 +368,28 @@ class TestTrialStreams:
             words.generate_state(4)
         with pytest.raises(ValueError):
             words.generate_state(8, np.uint64)
+
+
+class TestPrefetchedStreams:
+    """Stacked and single-trial draws through a chunk's prefetched streams
+    give each trial its own Generator's values, inside the buffer, across
+    its end and past it."""
+
+    def test_draws_follow_each_stream(self):
+        chunk = PrefetchedStreams(trial_streams(3, range(4)), np.empty((4, 10)))
+        plain = trial_streams(3, range(4))
+        steps = [
+            (None, (2,)),    # a view of the buffer: 4 of 10 taken
+            (1, (3,)),       # trial 1 alone takes 6, to the buffer's end
+            (None, (2, 2)),  # gathered: trial 1 from its Generator, the rest straddle
+            (2, (4,)),
+            (None, (1,)),
+        ]
+        for trial, shape in steps:
+            got = _complex_normal(chunk if trial is None else chunk[trial], shape)
+            want = _complex_normal(plain if trial is None else plain[trial], shape)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, (trial, shape)
+        assert chunk.taken == [14, 20, 22, 14]
 
 
 def identity_channels(m, k):
