@@ -27,9 +27,8 @@ from .errors import (
     SizeMismatch,
 )
 from .functions import FunctionSpec, postprocess, preprocess
-from .linalg import left_null_space_basis, numerical_rank
+from .linalg import numerical_rank
 from .sia import (
-    SiaMatrices,
     aligned_interference_dimension,
     build_aggregation_beamformers,
     build_reference_matrices,
@@ -50,10 +49,10 @@ __all__ = [
     "__version__",
     "AirCompError", "ConfigError", "DegenerateChannels", "DomainError",
     "RankDeficient", "SizeMismatch",
-    "left_null_space_basis", "numerical_rank",
+    "numerical_rank",
     "SystemConfig", "Partition", "partition", "ChannelSet", "draw_channels",
     "draw_symbols", "superpose", "parse_config_file",
-    "SiaMatrices", "build_reference_matrices", "build_aggregation_beamformers",
+    "build_reference_matrices", "build_aggregation_beamformers",
     "build_sia_matrices", "aligned_interference_dimension",
     "EfficiencyReport", "efficiency_report",
     "build_no_ia_precoders", "genie_channels",

@@ -1,9 +1,10 @@
 """Command line front end: run sweeps, compare efficiency, plot results.
 
 Exit codes: 0 success, 2 configuration or input validation failure,
-3 degenerate channels (redraw budget exhausted), 4 a sia run whose
-noiseless residual exceeds RESIDUAL_BOUND (1e-8), so exact recovery
-failed; its result is still written.
+3 degenerate channels (redraw budget exhausted), 4 a sia run that breaks
+the paper's claim: its noiseless residual exceeds RESIDUAL_BOUND (1e-8),
+so exact recovery failed, or its aligned interference rank exceeds
+partition(M).interference_dim; its result is still written.
 
 Files named by --out are written to a temporary file in the same
 directory and renamed over the target, so a failed write leaves any
@@ -30,7 +31,7 @@ from .output import (
     write_result_json,
 )
 from .plotting import render_nmse_svg
-from .system import SCHEMES, SystemConfig, parse_config_file
+from .system import SCHEMES, SystemConfig, parse_config_file, partition
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,11 +96,9 @@ def _resolve_run_config(args):
     for key, value in overrides.items():
         if value is not None:
             values[key] = str(value)
-    for key in ("antennas", "devices"):
+    for key in ("antennas", "devices", "seed"):
         if key not in values:
             raise ConfigError(f"--{key} is required (flag or config file)")
-    if "seed" not in values:
-        raise ConfigError("--seed is required (flag or config file)")
     return SystemConfig.from_flat(values)
 
 
@@ -139,11 +138,18 @@ def cmd_run(args):
         "run", config.to_flat(), workers=workers, output=args.out)
     writer = write_result_csv if args.format == "csv" else write_result_json
     _emit(args.out, lambda fh: writer(result, manifest, fh))
-    if config.scheme == "sia" and not result.max_residual <= RESIDUAL_BOUND:
+    sia = config.scheme == "sia"
+    code = EXIT_OK
+    if sia and not result.max_residual <= RESIDUAL_BOUND:
         print(f"error: noiseless residual {result.max_residual:.3e} exceeds "
               f"{RESIDUAL_BOUND:.0e}; exact recovery failed", file=sys.stderr)
-        return EXIT_INEXACT
-    return EXIT_OK
+        code = EXIT_INEXACT
+    aligned, confined = result.points[0].aligned_rank, partition(config.antennas).interference_dim
+    if sia and aligned > confined:
+        print(f"error: aligned interference rank {aligned} exceeds {confined}; "
+              "interference alignment failed", file=sys.stderr)
+        code = EXIT_INEXACT
+    return code
 
 
 def cmd_compare(args):

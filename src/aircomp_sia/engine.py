@@ -97,8 +97,8 @@ def _build(config, rngs, reference):
             channels = genie_channels(channels)
         try:
             if config.scheme == "sia":
-                matrices = build_sia_matrices(channels, reference)
-                return channels, matrices.beamformer, matrices.precoder, redraws
+                beamformer, precoders = build_sia_matrices(channels, reference)
+                return channels, beamformer, precoders, redraws
             return channels, beamformer, build_no_ia_precoders(channels, beamformer), redraws
         except RankDeficient as exc:
             failed = np.ones(len(rngs), dtype=bool) if exc.failed is None else exc.failed

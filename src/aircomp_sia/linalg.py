@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: rank and null space via the SVD, right
-inverses certified by a condition-number bound, and the tolerances the
+"""Dense complex linear algebra: rank via the SVD, right inverses
+certified by a condition-number bound, and the tolerances the
 conditioning and rank guards share.
 
 Every function takes a matrix or a stack of matrices with any number of
@@ -77,22 +77,6 @@ def cond_bound_clears(mats, limit):
     _, logdet = np.linalg.slogdet(unit)
     log_bound = 0.5 * (m * np.log(norm2) - (m - 1) * math.log(max(m - 1, 1))) - logdet
     return log_bound <= math.log(limit / _BOUND_MARGIN)
-
-
-def left_null_space_basis(b):
-    """Orthonormal rows spanning the left null space of a tall matrix.
-
-    For an M x n input with n < M and full column rank the result A has
-    shape (M - n) x M with A @ b = 0 and A @ A^H = I.
-    """
-    b = as_stack(b)
-    rows, cols = b.shape[-2:]
-    if cols >= rows:
-        raise SizeMismatch(f"need strictly fewer columns than rows, got {rows}x{cols}")
-    u, s, _ = np.linalg.svd(b)
-    if np.any(s[..., 0] == 0.0) or np.any(s[..., -1] <= FULL_RANK_RTOL * s[..., 0]):
-        raise RankDeficient("matrix does not have full column rank")
-    return np.ascontiguousarray(u[..., cols:].conj().swapaxes(-1, -2))
 
 
 def numerical_rank(a):

@@ -14,31 +14,11 @@ plain sum of the home cell's symbol vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SizeMismatch
-from .linalg import left_null_space_basis, numerical_rank, right_inverse
+from .linalg import as_stack, numerical_rank, right_inverse
 from .system import _complex_normal, partition
-
-
-@dataclass
-class SiaMatrices:
-    """All matrices of one aligned trial; a chunk of trials adds leading axes.
-
-    reference:    (2, M, N') per-cell interference reference matrices
-    beamformer:   (2, dof, M) aggregation beamformers, orthonormal rows
-    ia_component: (K, 2, M, M) inverted cross channels
-    sa_component: (K, 2, N', dof) right inverses of the effective channels
-    precoder:     (K, 2, M, dof) full cascades ia @ reference @ sa
-    """
-
-    reference: np.ndarray
-    beamformer: np.ndarray
-    ia_component: np.ndarray
-    sa_component: np.ndarray
-    precoder: np.ndarray
 
 
 def build_reference_matrices(antennas, rng):
@@ -58,18 +38,22 @@ def build_reference_matrices(antennas, rng):
 def build_aggregation_beamformers(reference):
     """Per-AP beamformers annihilating the other cell's reference subspace.
 
-    Returns (..., 2, dof, M); row i is orthonormal and satisfies
-    beamformer[i] @ reference[j] = 0 for j != i.
+    Returns (..., 2, M - N', M): block i is the trailing columns of a
+    complete QR of reference[j], j != i, conjugate-transposed (Golub & Van
+    Loan, §5.2), so its rows are orthonormal and beamformer[i] @ reference[j] = 0.
     """
-    reference = np.asarray(reference)
-    if reference.ndim < 3 or reference.shape[-3] != 2:
-        raise SizeMismatch(f"reference must be (..., 2, M, N'), got {reference.shape}")
-    return left_null_space_basis(reference[..., ::-1, :, :])
+    reference = as_stack(reference)
+    m, n = reference.shape[-2:]
+    if reference.ndim < 3 or reference.shape[-3] != 2 or n >= m:
+        raise SizeMismatch(f"reference must be (..., 2, M, N') with N' < M, got {reference.shape}")
+    q, _ = np.linalg.qr(reference[..., ::-1, :, :], mode="complete")
+    return np.ascontiguousarray(q[..., n:].conj().swapaxes(-1, -2))
 
 
 def build_sia_matrices(channels, reference):
-    """Build beamformers and all K*2 precoders for one channel draw, or for
-    a stack of draws with matching leading axes on channels and reference.
+    """Beamformers (..., 2, dof, M) and all K*2 precoders (..., K, 2, M, dof),
+    as the pair (beamformer, precoder), of one channel draw, or of a stack
+    of draws with matching leading axes on channels and reference.
 
     Per device: ia inverts the cross channel, sa right-inverts the
     effective channel beamformer @ direct @ ia @ reference, and the
@@ -84,8 +68,7 @@ def build_sia_matrices(channels, reference):
     aligned = ia @ reference[..., None, :, :, :]
     effective = (beamformer[..., None, :, :, :] @ channels.direct) @ aligned
     sa = right_inverse(effective, "effective channel lost row rank; redraw the channel set")
-    precoder = aligned @ sa
-    return SiaMatrices(reference, beamformer, ia, sa, precoder)
+    return beamformer, aligned @ sa
 
 
 def aligned_interference_dimension(cell, channels, precoders):

@@ -108,8 +108,7 @@ class SystemConfig:
                 if key in INT_FIELDS:
                     kw[key] = int(raw)
                 elif key == "snr_db_grid":
-                    parts = [p for p in str(raw).split(",") if p.strip() != ""]
-                    kw[key] = tuple(float(p) for p in parts)
+                    kw[key] = tuple(p for p in str(raw).split(",") if p.strip() != "")
                 else:
                     kw[key] = str(raw)
         except ValueError as exc:
@@ -227,9 +226,8 @@ def trial_words(seed, trials):
     SeedSequence's hash runs for all trials at once in uint32 arithmetic on
     a (4, T) pool. The entropy is the seed's one or two little-endian words,
     then t's low and high words, zero-padded to the pool; a zero word
-    hashes as numpy's padding does.
+    hashes as numpy's padding does. Only the indices are checked here.
     """
-    seed = _u64(seed, "seed")
     index = np.array([_u64(t, "trial index") for t in trials], dtype=np.uint64)
     words = [seed & _U32, seed >> 32] if seed > _U32 else [seed]
     pool = np.zeros((_POOL, len(index)), dtype=np.uint32)
@@ -251,12 +249,6 @@ def streams(words):
     the words, so each is numpy's stream bit for bit."""
     make = _stream_factory()
     return [make(row) for row in words]
-
-
-def trial_streams(seed, trials):
-    """One Generator per trial index, in the state of
-    `np.random.default_rng([seed, t])`."""
-    return streams(trial_words(seed, trials))
 
 
 def trial_normals(config, symbols=True):

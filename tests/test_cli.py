@@ -2,6 +2,7 @@ import json
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from aircomp_sia.cli import main
@@ -111,6 +112,7 @@ class TestRun:
         base = ["run", "--antennas", "4", "--devices", "2", "--seed", "0"]
         code, _, err = run_cli(base + ["--snr-db", "0,ten"], capsys)
         assert code == 2
+        assert "snr_db_grid" in err and "ten" in err
         code, _, err = run_cli(base + ["--snr-db", "20,10,0"], capsys)
         assert code == 2
 
@@ -138,9 +140,8 @@ class TestRun:
         real = engine.build_sia_matrices
 
         def perturbed(channels, reference):
-            matrices = real(channels, reference)
-            matrices.precoder *= 1.0 + 1e-6
-            return matrices
+            beamformer, precoder = real(channels, reference)
+            return beamformer, precoder * (1.0 + 1e-6)
 
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")
         monkeypatch.setattr(engine, "build_sia_matrices", perturbed)
@@ -151,6 +152,25 @@ class TestRun:
         assert len(body_lines(out_path.read_text(encoding="utf-8"))) == 4
         code, _, _ = run_cli(RUN_ARGS + ["--scheme", "no_ia"], capsys)
         assert code == 0
+
+    def test_spread_interference_exit_code(self, capsys, monkeypatch, tmp_path):
+        # Interference that spans more than the N' = 2 reference dimensions
+        # at M = 4 breaks the other half of the claim: exit 4, result written.
+        from aircomp_sia import engine
+
+        def spread(cell, channels, precoders):
+            return np.full(channels.cross.shape[:-4], 3)
+
+        monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        monkeypatch.setattr(engine, "aligned_interference_dimension", spread)
+        out_path = tmp_path / "res.csv"
+        code, _, err = run_cli(RUN_ARGS + ["--out", str(out_path)], capsys)
+        assert code == 4
+        assert "aligned interference rank 3 exceeds 2" in err
+        assert "exact recovery failed" not in err
+        header, *rows = body_lines(out_path.read_text(encoding="utf-8"))
+        column = header.split(",").index("aligned_rank")
+        assert [row.split(",")[column] for row in rows] == ["3"] * 3
 
     def test_failed_write_keeps_previous_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")

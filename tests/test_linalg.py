@@ -9,7 +9,6 @@ from aircomp_sia.errors import DegenerateChannels, RankDeficient, SizeMismatch
 from aircomp_sia.linalg import (
     COND_LIMIT,
     FULL_RANK_RTOL,
-    left_null_space_basis,
     numerical_rank,
     right_inverse,
 )
@@ -26,6 +25,8 @@ from aircomp_sia.system import (
     superpose,
 )
 
+from helpers import span_residual, trial_streams
+
 
 def rng_for(seed):
     return np.random.default_rng(seed)
@@ -35,13 +36,17 @@ def gaussian(rng, rows, cols):
     return _complex_normal(rng, (rows, cols))
 
 
-def ia_stage(cross):
-    """The IA stage of build_sia_matrices for a stack of M x M cross channels."""
+def cross_leak(cross):
+    """Part of cross @ precoder outside the reference span, relative to its
+    norm, for the first device of a channel set whose cross channels are
+    all `cross` and whose direct channels are I. The IA stage inverts the
+    cross channel, so this is zero up to rounding."""
     m = cross.shape[-1]
     stack = np.broadcast_to(cross, (1, 2, m, m)).copy()
     channels = ChannelSet(np.broadcast_to(np.eye(m, dtype=complex), (1, 2, m, m)).copy(), stack)
     reference = build_reference_matrices(m, rng_for(0))
-    return build_sia_matrices(channels, reference).ia_component[0, 0]
+    _, precoder = build_sia_matrices(channels, reference)
+    return span_residual(reference[0], cross @ precoder[0, 0])
 
 
 def no_ia(effective_rows, direct):
@@ -91,29 +96,19 @@ class TestGaussianMatrix:
 
 
 class TestInverse:
-    """Cross-channel inversion: the IA stage of build_sia_matrices, behind
-    the draw-time conditioning guard."""
+    """Cross-channel inversion: the IA stage of build_sia_matrices, seen on
+    the precoder, whose cross block lies in the reference span, and behind
+    it the draw-time conditioning guard."""
 
     def test_identity(self):
-        eye = np.eye(4, dtype=complex)
-        assert np.allclose(ia_stage(eye), eye, atol=1e-15)
+        assert cross_leak(np.eye(4, dtype=complex)) < 1e-15
 
     def test_diagonal(self):
-        a = np.diag([2.0 + 0j, 4.0j])
-        expected = np.diag([0.5 + 0j, -0.25j])
-        assert np.allclose(ia_stage(a), expected, atol=1e-15)
+        assert cross_leak(np.diag([2.0 + 0j, 4.0j])) < 1e-15
 
     def test_residual_random(self):
-        a = gaussian(rng_for(3), 4, 4)
-        x = ia_stage(a)
-        assert np.abs(a @ x - np.eye(4)).max() < 1e-9 * np.linalg.norm(a)
-
-    def test_involution(self):
         for seed in range(10):
-            a = gaussian(rng_for(seed), 5, 5)
-            back = ia_stage(ia_stage(a))
-            rel = np.linalg.norm(back - a) / np.linalg.norm(a)
-            assert rel < 1e-6
+            assert cross_leak(gaussian(rng_for(seed), 5, 5)) < 1e-12
 
     def test_non_square_raises(self):
         wide = np.ones((1, 2, 2, 3), dtype=complex)
@@ -143,7 +138,7 @@ class TestInverse:
         with pytest.raises(ValueError):
             numerical_rank(a)
         with pytest.raises(ValueError):
-            left_null_space_basis(a[:, :1])
+            build_aggregation_beamformers(np.stack([a[:, :1], a[:, :1]]))
 
 
 class TestRightInverse:
@@ -163,17 +158,19 @@ class TestRightInverse:
         assert np.linalg.norm(a @ x - np.eye(2)) < 1e-8 * np.linalg.norm(a)
 
     def test_square_matches_inverse(self):
-        # For even M the SA stage right-inverts a square effective channel.
+        # For even M the SA stage right-inverts a square effective channel,
+        # so the precoder is ia @ reference @ inv(effective).
         rng = rng_for(5)
         m = 4
         reference = build_reference_matrices(m, rng)
         channels = ChannelSet(_complex_normal(rng, (3, 2, m, m)), _complex_normal(rng, (3, 2, m, m)))
-        mats = build_sia_matrices(channels, reference)
+        beam, precoder = build_sia_matrices(channels, reference)
         for k in range(3):
             for i in (0, 1):
-                effective = (mats.beamformer[i] @ channels.direct[k, i]
-                             @ mats.ia_component[k, i] @ reference[i])
-                assert np.allclose(mats.sa_component[k, i], np.linalg.inv(effective), atol=1e-9)
+                aligned = np.linalg.inv(channels.cross[k, i]) @ reference[i]
+                effective = beam[i] @ channels.direct[k, i] @ aligned
+                expected = aligned @ np.linalg.inv(effective)
+                assert np.allclose(precoder[k, i], expected, atol=1e-9 * np.abs(expected).max())
 
     def test_minimum_norm(self):
         # Any other right inverse differs by columns from the null space
@@ -322,17 +319,17 @@ class TestRightInverseDecisions:
 
 
 class TestRightInverseSvdCount:
-    """On Gaussian draws a chunk's only SVDs are the beamformers' null space
-    and the two aligned-rank checks: no right inverse takes one."""
+    """On Gaussian draws a chunk's only SVDs are the two aligned-rank
+    checks: neither the beamformers nor any right inverse takes one."""
 
     @pytest.mark.parametrize("scheme, m, k, trials",
                              [("sia", 4, 200, 1), ("sia", 5, 3, 4), ("no_ia", 4, 5, 4)])
     def test_gaussian_chunk(self, svd_calls, scheme, m, k, trials):
         cfg = SystemConfig(antennas=m, devices=k, scheme=scheme, trials=trials)
-        chunk = engine._run_chunk(cfg, system.trial_streams(cfg.seed, range(trials)),
+        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(trials)),
                                   np.asarray(cfg.snr_db_grid))
         assert chunk.redraws == 0
-        assert svd_calls == [(trials, 2), (trials,), (trials,)]
+        assert svd_calls == [(trials,), (trials,)]
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_planted_deficient_matches_svd_only(self, monkeypatch, scheme):
@@ -365,7 +362,7 @@ class TestRightInverseSvdCount:
 
             monkeypatch.setattr(engine, "draw_channels", planted_draw)
             monkeypatch.setattr(module, "right_inverse", recording)
-            chunk = engine._run_chunk(cfg, system.trial_streams(cfg.seed, range(4)), grid)
+            chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), grid)
             return chunk, draws, masks
 
         fast, fast_draws, fast_masks = run(right_inverse)
@@ -379,40 +376,6 @@ class TestRightInverseSvdCount:
         for name, value in vars(fast).items():
             np.testing.assert_allclose(value, getattr(slow, name), rtol=1e-9, atol=1e-12,
                                        err_msg=name)
-
-
-class TestLeftNullSpaceBasis:
-    def test_coordinate_columns(self):
-        b = np.eye(4, dtype=complex)[:, :2]
-        a = left_null_space_basis(b)
-        assert a.shape == (2, 4)
-        assert np.all(a @ b == 0)
-        assert np.all(a[:, :2] == 0)
-        assert np.allclose(a @ a.conj().T, np.eye(2), atol=1e-14)
-
-    def test_single_vector(self):
-        b = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-        a = left_null_space_basis(b)
-        assert a.shape == (2, 3)
-        assert np.all(a @ b == 0)
-        assert np.all(a[:, 0] == 0)
-        assert numerical_rank(a[:, 1:]) == 2
-
-    def test_random_annihilation(self):
-        b = gaussian(rng_for(2), 6, 3)
-        a = left_null_space_basis(b)
-        assert a.shape == (3, 6)
-        assert np.abs(a @ b).max() <= 1e-10 * np.linalg.norm(b)
-        assert np.allclose(a @ a.conj().T, np.eye(3), atol=1e-10)
-
-    def test_not_tall_raises(self):
-        with pytest.raises(SizeMismatch):
-            left_null_space_basis(np.ones((2, 2), dtype=complex))
-
-    def test_rank_deficient_raises(self):
-        b = np.ones((4, 2), dtype=complex)  # duplicate columns
-        with pytest.raises(RankDeficient):
-            left_null_space_basis(b)
 
 
 class TestNumericalRank:

@@ -11,11 +11,14 @@ from aircomp_sia.sia import (
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
+    _complex_normal,
     draw_channels,
     draw_symbols,
     partition,
     superpose,
 )
+
+from helpers import span_residual, trial_streams
 
 
 def config_for(m, k, **kw):
@@ -27,11 +30,10 @@ def config_for(m, k, **kw):
 def sia_setup(m, k, seed=0):
     cfg = config_for(m, k)
     rng = np.random.default_rng(seed)
-    part = partition(m)
     reference = build_reference_matrices(m, rng)
     channels = draw_channels(cfg, rng)
-    matrices = build_sia_matrices(channels, reference)
-    return cfg, rng, channels, matrices
+    beam, precoder = build_sia_matrices(channels, reference)
+    return cfg, rng, channels, reference, beam, precoder
 
 
 def identity_reference(m, n):
@@ -46,8 +48,7 @@ def precoder_oracle(device, cell, channels, beamformer, reference):
     channel, sa right-inverts the effective channel, full = ia @ ref @ sa."""
     ia = np.linalg.inv(channels.cross[device, cell])
     effective = beamformer @ channels.direct[device, cell] @ ia @ reference
-    sa = np.linalg.pinv(effective)
-    return ia, sa, ia @ (reference @ sa)
+    return ia @ (reference @ np.linalg.pinv(effective))
 
 
 class TestReferenceMatrices:
@@ -81,31 +82,52 @@ class TestReferenceMatrices:
 class TestAggregationBeamformers:
     def test_coordinate_case(self):
         # With reference subspaces on coordinate axes the beamformers pick
-        # out the complementary coordinates exactly.
-        eye = np.eye(4, dtype=complex)
-        reference = np.stack([eye[:, 2:], eye[:, :2]])
-        beam = build_aggregation_beamformers(reference)
-        assert beam.shape == (2, 2, 4)
-        assert np.all(beam[0] @ reference[1] == 0)
-        assert np.all(beam[1] @ reference[0] == 0)
-        assert np.all(beam[0][:, :2] == 0)  # cell 1 lives on coords 3,4
+        # out the complementary coordinates exactly: cell 1 on the last n
+        # coordinates, cell 2 on the first n, down to one column at M = 3.
+        for m, n in [(4, 2), (3, 1)]:
+            eye = np.eye(m, dtype=complex)
+            reference = np.stack([eye[:, m - n:], eye[:, :n]])
+            beam = build_aggregation_beamformers(reference)
+            assert beam.shape == (2, m - n, m)
+            assert np.all(beam[0] @ reference[1] == 0)
+            assert np.all(beam[1] @ reference[0] == 0)
+            assert np.all(beam[0][:, :n] == 0)
+            assert np.all(beam[1][:, m - n:] == 0)
+            for i in (0, 1):
+                assert np.allclose(beam[i] @ beam[i].conj().T, np.eye(m - n), atol=1e-14)
 
     @pytest.mark.parametrize("m", [2, 3, 6, 9])
     def test_annihilation_and_orthonormal_rows(self, m):
+        # Both the orthonormal references the engine uses and raw Gaussian
+        # ones, which the function takes as well.
         part = partition(m)
         rng = np.random.default_rng(m)
-        reference = build_reference_matrices(m, rng)
+        raw = _complex_normal(rng, (2, m, part.interference_dim))
+        for reference in (build_reference_matrices(m, rng), raw):
+            beam = build_aggregation_beamformers(reference)
+            assert beam.shape == (2, part.signal_dim, m)
+            # A strided view would round the engine's products differently
+            # and change CSV bodies in their last digits.
+            assert beam.flags.c_contiguous
+            for i in (0, 1):
+                other = reference[1 - i]
+                assert np.abs(beam[i] @ other).max() <= 1e-10 * np.linalg.norm(other)
+                assert np.allclose(beam[i] @ beam[i].conj().T,
+                                   np.eye(part.signal_dim), atol=1e-10)
+
+    def test_rank_deficient_reference_is_annihilated(self):
+        # A complete QR annihilates a rank-deficient reference too.
+        reference = np.ones((2, 4, 2), dtype=complex)  # duplicate columns
         beam = build_aggregation_beamformers(reference)
-        assert beam.shape == (2, part.signal_dim, m)
-        for i in (0, 1):
-            other = reference[1 - i]
-            assert np.abs(beam[i] @ other).max() <= 1e-10 * np.linalg.norm(other)
-            assert np.allclose(beam[i] @ beam[i].conj().T,
-                               np.eye(part.signal_dim), atol=1e-10)
+        assert beam.shape == (2, 2, 4)
+        assert np.abs(beam[0] @ reference[1]).max() <= 1e-15
 
     def test_bad_shape(self):
-        with pytest.raises(SizeMismatch):
-            build_aggregation_beamformers(np.zeros((3, 4, 2), dtype=complex))
+        # Three cells, and references with N' >= M, which leave no
+        # complement: a complete QR would return no rows.
+        for shape in [(3, 4, 2), (2, 2, 2), (2, 3, 4)]:
+            with pytest.raises(SizeMismatch):
+                build_aggregation_beamformers(np.ones(shape, dtype=complex))
 
 
 class TestBuildPrecoder:
@@ -113,34 +135,34 @@ class TestBuildPrecoder:
 
     @pytest.mark.parametrize("m,k", [(2, 1), (4, 2), (5, 3)])
     def test_per_device_signal_alignment(self, m, k):
-        cfg, rng, channels, mats = sia_setup(m, k, seed=m * 10 + k)
-        dof = mats.beamformer.shape[1]
+        cfg, rng, channels, reference, beam, precoder = sia_setup(m, k, seed=m * 10 + k)
+        dof = beam.shape[1]
         for kk in range(k):
             for i in (0, 1):
-                w = mats.precoder[kk, i]
-                eff = mats.beamformer[i] @ channels.direct[kk, i] @ w
+                w = precoder[kk, i]
+                eff = beam[i] @ channels.direct[kk, i] @ w
                 assert np.linalg.norm(eff - np.eye(dof)) < 1e-8
 
     def test_matches_batched_construction(self):
-        cfg, rng, channels, mats = sia_setup(5, 3, seed=4)
+        cfg, rng, channels, reference, beam, precoder = sia_setup(5, 3, seed=4)
         for kk in range(3):
             for i in (0, 1):
-                ia, sa, w = precoder_oracle(kk, i, channels, mats.beamformer[i],
-                                            mats.reference[i])
-                assert np.allclose(ia, mats.ia_component[kk, i], atol=1e-12)
-                assert np.allclose(sa, mats.sa_component[kk, i],
-                                   atol=1e-12 * np.linalg.norm(sa))
-                assert np.allclose(w, mats.precoder[kk, i],
-                                   atol=1e-12 * np.linalg.norm(w))
+                w = precoder_oracle(kk, i, channels, beam[i], reference[i])
+                assert np.allclose(w, precoder[kk, i], atol=1e-12 * np.linalg.norm(w))
 
     def test_cascade_identity(self):
-        # The full precoder is the literal product of its stages.
-        cfg, rng, channels, mats = sia_setup(4, 2, seed=8)
-        for kk in range(2):
-            for i in (0, 1):
-                aligned = mats.ia_component[kk, i] @ mats.reference[i]
-                product = aligned @ mats.sa_component[kk, i]
-                assert np.array_equal(product, mats.precoder[kk, i])
+        # A stack of draws, as the engine builds a chunk of trials: every
+        # device's beamformer @ direct @ precoder is the identity.
+        m, k, trials = 5, 3, 4
+        cfg = config_for(m, k)
+        rngs = trial_streams(8, range(trials))
+        reference = build_reference_matrices(m, rngs)
+        channels = draw_channels(cfg, rngs)
+        beam, precoder = build_sia_matrices(channels, reference)
+        assert beam.shape == (trials, 2, 2, m)
+        assert precoder.shape == (trials, k, 2, m, 2)
+        cascade = beam[:, None] @ channels.direct @ precoder
+        assert np.abs(cascade - np.eye(2)).max() < 1e-9
 
     def test_swap_channels_degenerate(self):
         # A direct channel that maps one reference subspace onto the other
@@ -161,33 +183,29 @@ class TestBuildPrecoder:
 class TestSiaMatrices:
     @pytest.mark.parametrize("m,k", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 4), (8, 2)])
     def test_shapes(self, m, k):
-        cfg, rng, channels, mats = sia_setup(m, k, seed=m + k)
+        cfg, rng, channels, reference, beam, precoder = sia_setup(m, k, seed=m + k)
         part = partition(m)
-        assert mats.reference.shape == (2, m, part.interference_dim)
-        assert mats.beamformer.shape == (2, part.signal_dim, m)
-        assert mats.ia_component.shape == (k, 2, m, m)
-        assert mats.sa_component.shape == (k, 2, part.interference_dim, part.signal_dim)
-        assert mats.precoder.shape == (k, 2, m, part.signal_dim)
+        assert beam.shape == (2, part.signal_dim, m)
+        assert precoder.shape == (k, 2, m, part.signal_dim)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_interference_nulling(self, m):
         k = 3
-        cfg, rng, channels, mats = sia_setup(m, k, seed=m)
+        cfg, rng, channels, reference, beam, precoder = sia_setup(m, k, seed=m)
         x = draw_symbols(cfg, rng)
-        _, interference = superpose(channels, mats.precoder, x)
+        _, interference = superpose(channels, precoder, x)
         for i in (0, 1):
-            leaked = np.linalg.norm(mats.beamformer[i] @ interference[i])
+            leaked = np.linalg.norm(beam[i] @ interference[i])
             assert leaked < 1e-9 * np.linalg.norm(interference[i])
 
     def test_cross_blocks_live_in_reference_span(self):
-        # Each interference block equals reference @ sa exactly in exact
-        # arithmetic; numerically to rounding error.
-        cfg, rng, channels, mats = sia_setup(4, 2, seed=3)
+        # Each device's interference block cross @ precoder lies in its
+        # cell's reference span: projecting onto the span leaves nothing.
+        cfg, rng, channels, reference, beam, precoder = sia_setup(4, 2, seed=3)
         for kk in range(2):
             for i in (0, 1):
-                block = channels.cross[kk, i] @ mats.precoder[kk, i]
-                target = mats.reference[i] @ mats.sa_component[kk, i]
-                assert np.allclose(block, target, atol=1e-9 * np.linalg.norm(target))
+                block = channels.cross[kk, i] @ precoder[kk, i]
+                assert span_residual(reference[i], block) < 1e-12
 
 
 class TestAlignedDimension:
@@ -199,11 +217,11 @@ class TestAlignedDimension:
         (8, 2, 4),
     ])
     def test_matches_min_rule(self, m, k, expected):
-        cfg, rng, channels, mats = sia_setup(m, k, seed=7 * m + k)
+        cfg, rng, channels, _, beam, precoder = sia_setup(m, k, seed=7 * m + k)
         part = partition(m)
         assert expected == min(k * part.signal_dim, part.interference_dim)
         for i in (0, 1):
-            assert aligned_interference_dimension(i, channels, mats.precoder) == expected
+            assert aligned_interference_dimension(i, channels, precoder) == expected
 
 
 class TestRecover:
@@ -212,41 +230,41 @@ class TestRecover:
 
     @pytest.mark.parametrize("m,k", [(2, 1), (4, 5), (5, 3)])
     def test_noiseless_sum(self, m, k):
-        cfg, rng, channels, mats = sia_setup(m, k, seed=m * 3 + k)
+        cfg, rng, channels, _, beam, precoder = sia_setup(m, k, seed=m * 3 + k)
         x = draw_symbols(cfg, rng)
-        desired, interference = superpose(channels, mats.precoder, x)
+        desired, interference = superpose(channels, precoder, x)
         for i in (0, 1):
-            estimate = mats.beamformer[i] @ (desired[i] + interference[i])
+            estimate = beam[i] @ (desired[i] + interference[i])
             target = x[:, i, :].sum(axis=0)
             assert np.linalg.norm(estimate - target) < 1e-8 * np.linalg.norm(target)
 
     def test_single_device_passthrough(self):
-        cfg, rng, channels, mats = sia_setup(4, 1, seed=2)
+        cfg, rng, channels, _, beam, precoder = sia_setup(4, 1, seed=2)
         x = draw_symbols(cfg, rng)
-        y1, _ = np.stack(superpose(channels, mats.precoder, x)).sum(axis=0), None
-        estimate = mats.beamformer[0] @ y1[0]
+        y1, _ = np.stack(superpose(channels, precoder, x)).sum(axis=0), None
+        estimate = beam[0] @ y1[0]
         assert np.allclose(estimate, x[0, 0], atol=1e-10 * np.linalg.norm(x[0, 0]))
 
     def test_device_count_independence(self):
         # The same array recovers the aggregate for 1 and for 200 devices.
         for k in (1, 2, 5, 20, 50, 200):
-            cfg, rng, channels, mats = sia_setup(4, k, seed=k)
+            cfg, rng, channels, _, beam, precoder = sia_setup(4, k, seed=k)
             x = draw_symbols(cfg, rng)
-            desired, interference = superpose(channels, mats.precoder, x)
+            desired, interference = superpose(channels, precoder, x)
             for i in (0, 1):
-                estimate = mats.beamformer[i] @ (desired[i] + interference[i])
+                estimate = beam[i] @ (desired[i] + interference[i])
                 target = x[:, i, :].sum(axis=0)
                 rel = np.linalg.norm(estimate - target) / np.linalg.norm(target)
                 assert rel < 1e-8, f"K={k}, cell {i}: rel={rel:.2e}"
 
     def test_noise_passes_through_orthonormally(self):
-        cfg, rng, channels, mats = sia_setup(4, 1, seed=5)
+        cfg, rng, channels, _, beam, precoder = sia_setup(4, 1, seed=5)
         sigma = 0.5
         reps = 5000
-        dof = mats.beamformer.shape[1]
+        dof = beam.shape[1]
         noise = sigma * (rng.standard_normal((reps, 4)) +
                          1j * rng.standard_normal((reps, 4))) / np.sqrt(2)
-        powers = np.abs(noise @ mats.beamformer[0].conj().T) ** 2
+        powers = np.abs(noise @ beam[0].conj().T) ** 2
         total = powers.sum(axis=1)
         expected = sigma**2 * dof
         se = expected / np.sqrt(dof * reps)
