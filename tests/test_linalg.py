@@ -36,17 +36,23 @@ def gaussian(rng, rows, cols):
     return _complex_normal(rng, (rows, cols))
 
 
-def cross_leak(cross):
-    """Part of cross @ precoder outside the reference span, relative to its
-    norm, for the first device of a channel set whose cross channels are
-    all `cross` and whose direct channels are I. The IA stage inverts the
-    cross channel, so this is zero up to rounding."""
+def ia_setup(cross):
+    """References and the first device's precoder for a channel set whose
+    cross channels are all `cross` and whose direct channels are I."""
     m = cross.shape[-1]
     stack = np.broadcast_to(cross, (1, 2, m, m)).copy()
     channels = ChannelSet(np.broadcast_to(np.eye(m, dtype=complex), (1, 2, m, m)).copy(), stack)
     reference = build_reference_matrices(m, rng_for(0))
     _, precoder = build_sia_matrices(channels, reference)
-    return span_residual(reference[0], cross @ precoder[0, 0])
+    return reference, precoder[0, 0]
+
+
+def cross_leak(cross):
+    """Part of cross @ precoder outside the reference span, relative to its
+    norm, for ia_setup's device. The IA stage inverts the cross channel, so
+    this is zero up to rounding."""
+    reference, precoder = ia_setup(cross)
+    return span_residual(reference[0], cross @ precoder)
 
 
 def no_ia(effective_rows, direct):
@@ -109,6 +115,18 @@ class TestInverse:
     def test_residual_random(self):
         for seed in range(10):
             assert cross_leak(gaussian(rng_for(seed), 5, 5)) < 1e-12
+
+    def test_involution(self):
+        # The IA stage of inv(a) is a again, so the precoder built on the
+        # cross channel inv(a) is a @ reference @ pinv(beam @ a @ reference).
+        for seed in range(10):
+            a = gaussian(rng_for(seed), 5, 5)
+            reference, precoder = ia_setup(np.linalg.inv(a))
+            beam = build_aggregation_beamformers(reference)
+            aligned = a @ reference[0]
+            expected = aligned @ np.linalg.pinv(beam[0] @ aligned)
+            rel = np.linalg.norm(precoder - expected) / np.linalg.norm(expected)
+            assert rel < 1e-6
 
     def test_non_square_raises(self):
         wide = np.ones((1, 2, 2, 3), dtype=complex)
@@ -376,6 +394,47 @@ class TestRightInverseSvdCount:
         for name, value in vars(fast).items():
             np.testing.assert_allclose(value, getattr(slow, name), rtol=1e-9, atol=1e-12,
                                        err_msg=name)
+
+
+class TestLeftNullSpaceBasis:
+    """The beamformer at an AP is an orthonormal basis of the left null
+    space of the other cell's reference, taken from a complete QR; `basis`
+    gives both cells the reference `b`."""
+
+    @staticmethod
+    def basis(b):
+        return build_aggregation_beamformers(np.stack([b, b]))[0]
+
+    def test_coordinate_columns(self):
+        b = np.eye(4, dtype=complex)[:, :2]
+        a = self.basis(b)
+        assert a.shape == (2, 4)
+        assert np.all(a @ b == 0)
+        assert np.all(a[:, :2] == 0)
+        assert np.allclose(a @ a.conj().T, np.eye(2), atol=1e-14)
+
+    def test_single_vector(self):
+        b = np.array([[1.0], [0.0], [0.0]], dtype=complex)
+        a = self.basis(b)
+        assert a.shape == (2, 3)
+        assert np.all(a @ b == 0)
+        assert np.all(a[:, 0] == 0)
+        assert numerical_rank(a[:, 1:]) == 2
+
+    def test_random_annihilation(self):
+        # A raw Gaussian b, not orthonormalised as the engine's references are.
+        b = gaussian(rng_for(2), 6, 3)
+        a = self.basis(b)
+        assert a.shape == (3, 6)
+        assert np.abs(a @ b).max() <= 1e-10 * np.linalg.norm(b)
+        assert np.allclose(a @ a.conj().T, np.eye(3), atol=1e-10)
+
+    def test_not_tall_raises(self):
+        # A square or wide b leaves no complement: a complete QR would
+        # return no rows.
+        for shape in [(2, 2), (3, 4)]:
+            with pytest.raises(SizeMismatch):
+                self.basis(np.ones(shape, dtype=complex))
 
 
 class TestNumericalRank:

@@ -11,7 +11,6 @@ from aircomp_sia.sia import (
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
-    _complex_normal,
     draw_channels,
     draw_symbols,
     partition,
@@ -80,40 +79,35 @@ class TestReferenceMatrices:
 
 
 class TestAggregationBeamformers:
+    """The shape and orthonormality of build_aggregation_beamformers; its
+    left-null-space cases are in test_linalg.TestLeftNullSpaceBasis."""
+
     def test_coordinate_case(self):
         # With reference subspaces on coordinate axes the beamformers pick
-        # out the complementary coordinates exactly: cell 1 on the last n
-        # coordinates, cell 2 on the first n, down to one column at M = 3.
-        for m, n in [(4, 2), (3, 1)]:
-            eye = np.eye(m, dtype=complex)
-            reference = np.stack([eye[:, m - n:], eye[:, :n]])
-            beam = build_aggregation_beamformers(reference)
-            assert beam.shape == (2, m - n, m)
-            assert np.all(beam[0] @ reference[1] == 0)
-            assert np.all(beam[1] @ reference[0] == 0)
-            assert np.all(beam[0][:, :n] == 0)
-            assert np.all(beam[1][:, m - n:] == 0)
-            for i in (0, 1):
-                assert np.allclose(beam[i] @ beam[i].conj().T, np.eye(m - n), atol=1e-14)
+        # out the complementary coordinates exactly.
+        eye = np.eye(4, dtype=complex)
+        reference = np.stack([eye[:, 2:], eye[:, :2]])
+        beam = build_aggregation_beamformers(reference)
+        assert beam.shape == (2, 2, 4)
+        assert np.all(beam[0] @ reference[1] == 0)
+        assert np.all(beam[1] @ reference[0] == 0)
+        assert np.all(beam[0][:, :2] == 0)  # cell 1 lives on coords 3,4
 
     @pytest.mark.parametrize("m", [2, 3, 6, 9])
     def test_annihilation_and_orthonormal_rows(self, m):
-        # Both the orthonormal references the engine uses and raw Gaussian
-        # ones, which the function takes as well.
         part = partition(m)
         rng = np.random.default_rng(m)
-        raw = _complex_normal(rng, (2, m, part.interference_dim))
-        for reference in (build_reference_matrices(m, rng), raw):
-            beam = build_aggregation_beamformers(reference)
-            assert beam.shape == (2, part.signal_dim, m)
-            # A strided view would round the engine's products differently
-            # and change CSV bodies in their last digits.
-            assert beam.flags.c_contiguous
-            for i in (0, 1):
-                other = reference[1 - i]
-                assert np.abs(beam[i] @ other).max() <= 1e-10 * np.linalg.norm(other)
-                assert np.allclose(beam[i] @ beam[i].conj().T,
-                                   np.eye(part.signal_dim), atol=1e-10)
+        reference = build_reference_matrices(m, rng)
+        beam = build_aggregation_beamformers(reference)
+        assert beam.shape == (2, part.signal_dim, m)
+        # A strided view would round the engine's products differently
+        # and change CSV bodies in their last digits.
+        assert beam.flags.c_contiguous
+        for i in (0, 1):
+            other = reference[1 - i]
+            assert np.abs(beam[i] @ other).max() <= 1e-10 * np.linalg.norm(other)
+            assert np.allclose(beam[i] @ beam[i].conj().T,
+                               np.eye(part.signal_dim), atol=1e-10)
 
     def test_rank_deficient_reference_is_annihilated(self):
         # A complete QR annihilates a rank-deficient reference too.
@@ -123,11 +117,8 @@ class TestAggregationBeamformers:
         assert np.abs(beam[0] @ reference[1]).max() <= 1e-15
 
     def test_bad_shape(self):
-        # Three cells, and references with N' >= M, which leave no
-        # complement: a complete QR would return no rows.
-        for shape in [(3, 4, 2), (2, 2, 2), (2, 3, 4)]:
-            with pytest.raises(SizeMismatch):
-                build_aggregation_beamformers(np.ones(shape, dtype=complex))
+        with pytest.raises(SizeMismatch):
+            build_aggregation_beamformers(np.zeros((3, 4, 2), dtype=complex))
 
 
 class TestBuildPrecoder:

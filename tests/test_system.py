@@ -356,6 +356,13 @@ class TestTrialStreams:
         with pytest.raises(ConfigError, match="trial index"):
             trial_streams(0, [0, bad])
 
+    @pytest.mark.parametrize("bad", [1.5, -1, 2**64])
+    def test_rejects_bad_seed(self, bad):
+        # A seed reaches trial_words only through a SystemConfig; one read
+        # from a config file or the command line is refused there.
+        with pytest.raises(ConfigError, match="seed"):
+            SystemConfig.from_flat({"antennas": "4", "devices": "2", "seed": str(bad)})
+
     def test_numpy_integer_index(self):
         stream, = trial_streams(np.uint64(7), [np.int64(3)])
         assert stream.bit_generator.state == np.random.default_rng([7, 3]).bit_generator.state
