@@ -46,8 +46,10 @@ from .system import (
 # Whole-set redraws allowed per trial when a construction degenerates.
 SET_REDRAW_BUDGET = 100
 # Complex elements a chunk's channel stacks and scored grid may hold; a
-# chunk always has at least one trial.
-CHUNK_ELEMENTS = 2**14
+# chunk always has at least one trial. A chunk pays a fixed cost of about
+# a hundred numpy calls whatever its size, so the cap is set high; 2**17
+# raised peak memory by more than 10%.
+CHUNK_ELEMENTS = 2**16
 # Largest noiseless relative residual a sia run may show: exact recovery
 # sits near 1e-13, so anything above this is a construction fault.
 RESIDUAL_BOUND = 1e-8
@@ -177,8 +179,8 @@ def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
 
 
 def _chunk_trials(config, points):
-    """Trials per chunk scored at `points` grid points: as many as fit
-    CHUNK_ELEMENTS, at least one."""
+    """Most trials a chunk scored at `points` grid points may hold: as
+    many as fit CHUNK_ELEMENTS, at least one."""
     m, k = config.antennas, config.devices
     per_trial = 4 * k * m * m + 2 * points * partition(m).signal_dim
     return max(1, CHUNK_ELEMENTS // per_trial)
@@ -212,14 +214,18 @@ def run_trials(config, trials, snr_db, symbols=None):
     # outweigh default_rng's on one-trial chunks; only one chunk's
     # Generators are alive at a time.
     words = trial_words(config.seed, trials)
-    step = _chunk_trials(config, len(grid))
+    # The fewest chunks under the cap, as equal as array_split makes them
+    # (the first ones largest), so that no runt pays a chunk's fixed cost
+    # for a few trials.
+    count = -(-len(words) // _chunk_trials(config, len(grid)))
+    chunks = np.array_split(words, count)
+    planted = [None] * count if symbols is None else np.array_split(symbols, count)
     # One prefetch buffer serves every chunk: one allocated and freed per
     # chunk had its pages returned and faulted in again, chunk after chunk.
-    buffer = np.empty((min(step, len(words)), trial_normals(config, symbols is None)))
+    buffer = np.empty((len(chunks[0]), trial_normals(config, symbols is None)))
     return _concat([
-        _run_chunk(config, streams(words[a:a + step]), grid,
-                   None if symbols is None else symbols[a:a + step], buffer)
-        for a in range(0, len(words), step)
+        _run_chunk(config, streams(chunk), grid, chunk_symbols, buffer)
+        for chunk, chunk_symbols in zip(chunks, planted)
     ])
 
 

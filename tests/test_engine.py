@@ -112,6 +112,19 @@ def per_trial_elements(cfg, points):
     return 4 * cfg.devices * cfg.antennas**2 + 2 * points * partition(cfg.antennas).signal_dim
 
 
+def record_chunk_sizes(monkeypatch):
+    """The trial count of every _run_chunk call from now on, in order."""
+    sizes = []
+    real = engine._run_chunk
+
+    def recording(config, rngs, *args):
+        sizes.append(len(rngs))
+        return real(config, rngs, *args)
+
+    monkeypatch.setattr(engine, "_run_chunk", recording)
+    return sizes
+
+
 def assert_matches_alone(cfg, together, trials, grid, symbols=None):
     """Every field of each trial in `together` equals the same trial run
     alone, bit for bit; redraws add up."""
@@ -156,16 +169,34 @@ class TestRunTrials:
         cfg = config_for(4, 2)
         monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(cfg, 1))
         assert engine._chunk_trials(cfg, len(cfg.snr_db_grid)) == 1
-        sizes = []
-        real = engine._run_chunk
-
-        def recording(config, rngs, *args):
-            sizes.append(len(rngs))
-            return real(config, rngs, *args)
-
-        monkeypatch.setattr(engine, "_run_chunk", recording)
+        sizes = record_chunk_sizes(monkeypatch)
         run_trials(cfg, range(4), NOISELESS)
         assert sizes == [2, 2]
+
+    @pytest.mark.parametrize("trials, cap", [(200, 167), (10, 3), (7, 7), (8, 1), (9, 4),
+                                             (401, 184), (400, 46)])
+    def test_chunks_are_balanced(self, monkeypatch, trials, cap):
+        # The fewest chunks under the cap, their sizes within one of each
+        # other: no runt chunk.
+        cfg = config_for(2, 1)
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", cap * per_trial_elements(cfg, 1))
+        sizes = record_chunk_sizes(monkeypatch)
+        res = run_trials(cfg, range(trials), NOISELESS)
+        assert len(res.residual) == sum(sizes) == trials
+        assert len(sizes) == -(-trials // cap)
+        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+
+    def test_small_dense_sweep_is_one_chunk(self, monkeypatch):
+        cfg = config_for(2, 1, trials=200, snr_db_grid=tuple(float(s) for s in range(41)))
+        sizes = record_chunk_sizes(monkeypatch)
+        run_trials(cfg, range(cfg.trials), cfg.snr_db_grid)
+        assert sizes == [200]
+
+    def test_many_devices_chunks_hold_several_trials(self, monkeypatch):
+        cfg = SystemConfig(antennas=4, devices=200, trials=10)
+        sizes = record_chunk_sizes(monkeypatch)
+        run_trials(cfg, range(cfg.trials), cfg.snr_db_grid)
+        assert sum(sizes) == 10 and min(sizes) >= 2
 
     def test_empty_trial_list(self):
         with pytest.raises(ConfigError, match="at least one trial"):
@@ -559,8 +590,10 @@ class TestChunks:
         assert alone.max_residual == together.max_residual
 
     def test_chunk_cap(self):
-        # 4*K*M^2 channel elements plus the scored grid per trial.
-        assert engine._chunk_trials(config_for(4, 200), 3) == 1
+        # 4*K*M^2 channel elements plus the scored grid per trial; a K = 200
+        # chunk holds several trials.
+        k200 = engine._chunk_trials(config_for(4, 200), 3)
+        assert k200 == engine.CHUNK_ELEMENTS // (12800 + 12) == 5
         assert engine._chunk_trials(config_for(2, 1), 3) == engine.CHUNK_ELEMENTS // (16 + 6)
 
     def test_guard_rejection_matches_chunk_of_one(self, monkeypatch):
