@@ -1,7 +1,7 @@
 """Command line front end: run sweeps, compare efficiency, plot results.
 
 Exit codes: 0 success, 2 configuration or input validation failure,
-3 degenerate channels (redraw budget exhausted), 4 a sia run that breaks
+3 degenerate channels (set redraw budget exhausted), 4 a sia run that breaks
 the paper's claim: its noiseless residual exceeds RESIDUAL_BOUND (1e-8),
 so exact recovery failed, or its aligned interference rank exceeds
 partition(M).interference_dim; its result is still written.

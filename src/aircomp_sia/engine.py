@@ -3,12 +3,14 @@
 Every trial has its own random stream, the one
 `np.random.default_rng([seed, trial_index])` gives. From it the trial draws
 reference matrices, channels, symbols and one unit-variance noise vector,
-and it scores the whole SNR grid at once by rescaling that noise. Trials run
-in chunks: each stage draws or builds for every trial of the chunk in one
-stacked call, and every stream is consumed exactly as if its trial ran
-alone. Results are therefore independent of chunking and scheduling:
-sweeps aggregate in trial order and give identical output for any worker
-count.
+and it scores the whole SNR grid at once by rescaling that noise. A trial
+whose channel set is rejected by the conditioning guard, or loses rank in
+construction, draws a new set from the same stream, after those values.
+Trials run in chunks: each stage draws or builds for every trial of the
+chunk in one stacked call, and every stream is consumed exactly as if its
+trial ran alone. Results are therefore independent of chunking and
+scheduling: sweeps aggregate in trial order and give identical output for
+any worker count.
 """
 
 from __future__ import annotations
@@ -43,12 +45,17 @@ from .system import (
     trial_words,
 )
 
-# Whole-set redraws allowed per trial when a construction degenerates.
+# Channel sets a trial may draw, its first included, before the run is
+# declared degenerate; a set is redrawn whole when the conditioning guard
+# rejects one of its matrices or its construction loses rank.
 SET_REDRAW_BUDGET = 100
 # Complex elements a chunk's channel stacks and scored grid may hold; a
-# chunk always has at least one trial. A chunk pays a fixed cost of about
-# a hundred numpy calls whatever its size, so the cap is set high; 2**17
-# raised peak memory by more than 10%.
+# chunk always has at least one trial. The prefetch buffer and the build's
+# K-sized intermediates are not counted, so a chunk's peak is a K-dependent
+# multiple of the cap (3.3 MiB for a 5-trial M=4, K=200 chunk, against the
+# 1 MiB of 2**16 elements). A chunk pays a fixed cost of about a hundred
+# numpy calls whatever its size, so the cap is set high; 2**17 raised peak
+# memory by more than 10%.
 CHUNK_ELEMENTS = 2**16
 # Largest noiseless relative residual a sia run may show: exact recovery
 # sits near 1e-13, so anything above this is a construction fault.
@@ -74,7 +81,7 @@ class TrialResult:
     leakage: np.ndarray        # (2,) per AP, post-beamforming interference power ratio
     aligned_rank: np.ndarray   # (2,) per interfering cell, at the victim AP
     residual: np.ndarray       # () noiseless ||err|| / ||target|| over both cells
-    redraws: int               # over every trial
+    redraws: int               # channel-set redraws, over every trial
 
 
 def _project(beamformer, vectors):
@@ -85,34 +92,37 @@ def _project(beamformer, vectors):
 def _build(config, rngs, reference):
     """Draw every trial's channel set and build its precoders.
 
-    A trial whose construction loses rank redraws its whole set from its
-    own stream, as it would alone, with at most SET_REDRAW_BUDGET builds
-    per trial. Returns (channels, beamformer, precoders, redraws).
+    A trial redraws its whole set when the conditioning guard rejects any
+    of its matrices or when its construction loses rank, with at most
+    SET_REDRAW_BUDGET sets per trial. The new set comes from the trial's
+    own Generator, after its prefetched block. Returns (channels,
+    beamformer, precoders, set redraws).
     """
     channels = draw_channels(config, rngs)
-    redraws = channels.redraws
-    builds = np.ones(len(rngs), dtype=int)
+    failed = channels.rejected
+    sets = np.ones(len(rngs), dtype=int)
     if config.scheme != "sia":
         beamformer = build_aggregation_beamformers(reference)
     while True:
-        if config.scheme == "genie":
-            channels = genie_channels(channels)
-        try:
-            if config.scheme == "sia":
-                beamformer, precoders = build_sia_matrices(channels, reference)
-                return channels, beamformer, precoders, redraws
-            return channels, beamformer, build_no_ia_precoders(channels, beamformer), redraws
-        except RankDeficient as exc:
-            failed = np.ones(len(rngs), dtype=bool) if exc.failed is None else exc.failed
-            builds += failed
-            if builds.max() > SET_REDRAW_BUDGET:
-                raise DegenerateChannels(
-                    f"no usable channel draw after {SET_REDRAW_BUDGET} attempts") from exc
-            again = np.flatnonzero(failed)
-            fresh = draw_channels(config, [rngs[t] for t in again])
-            channels.direct[again] = fresh.direct
-            channels.cross[again] = fresh.cross
-            redraws += fresh.redraws + len(again)
+        if not failed.any():
+            if config.scheme == "genie":
+                channels = genie_channels(channels)
+            try:
+                if config.scheme == "sia":
+                    beamformer, precoders = build_sia_matrices(channels, reference)
+                else:
+                    precoders = build_no_ia_precoders(channels, beamformer)
+                return channels, beamformer, precoders, int(sets.sum()) - len(rngs)
+            except RankDeficient as exc:
+                failed = np.ones(len(rngs), dtype=bool) if exc.failed is None else exc.failed
+        sets += failed
+        if sets.max() > SET_REDRAW_BUDGET:
+            raise DegenerateChannels(f"no usable channel draw after {SET_REDRAW_BUDGET} attempts")
+        for t in np.flatnonzero(failed):
+            fresh = draw_channels(config, rngs.generators[t])
+            channels.direct[t] = fresh.direct
+            channels.cross[t] = fresh.cross
+            failed[t] = fresh.rejected
 
 
 def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):

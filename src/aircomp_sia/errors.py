@@ -22,7 +22,7 @@ class RankDeficient(AirCompError):
 
 
 class DegenerateChannels(AirCompError):
-    """Channel redraw budget exhausted without a usable draw."""
+    """Set redraw budget exhausted without a usable channel set."""
 
 
 class DomainError(AirCompError, ValueError):

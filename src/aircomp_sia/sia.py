@@ -26,8 +26,8 @@ def build_reference_matrices(antennas, rng):
     with N' = partition(M).interference_dim.
 
     Random draws are orthonormalised (QR) so the aggregation beamformers
-    inherit a well-conditioned null-space problem. `rng` is one stream, or
-    a sequence of streams giving one pair per trial.
+    inherit a well-conditioned null-space problem. `rng` is one Generator,
+    or a chunk's PrefetchedStreams giving one pair per trial.
     """
     shape = (antennas, partition(antennas).interference_dim)
     draws = [_complex_normal(rng, shape) for _ in range(2)]

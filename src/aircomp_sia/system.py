@@ -8,10 +8,11 @@ holds only what shapes the channel construction and the sweep; the
 nomographic function computed on top of the aggregated streams is an
 argument of `engine.run_functional_trial`, not a setting.
 
-Every draw takes either one `numpy.random.Generator`, a sequence of
-them, one per trial, or a chunk's `PrefetchedStreams`; the last two stack
-each trial's draw along a new leading axis, and each stream is consumed
-exactly as if drawn alone.
+Every draw takes either one `numpy.random.Generator` or a chunk's
+`PrefetchedStreams`, which stacks each trial's draw along a new leading
+axis from the values its own Generator gives first. A set the
+conditioning guard rejects is only marked here; the engine redraws it
+from its trial's Generator.
 """
 
 from __future__ import annotations
@@ -24,16 +25,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DegenerateChannels, SizeMismatch
+from .errors import ConfigError, SizeMismatch
 
 SCHEMES = ("sia", "no_ia", "genie")
 INT_FIELDS = ("antennas", "devices", "trials", "seed")
 
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 45, 5))
 DEFAULT_TRIALS = 200
-
-# Redraw attempts allowed per matrix before the draw is declared degenerate.
-MATRIX_REDRAW_BUDGET = 100
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def partition(antennas):
 class ChannelSet:
     direct: np.ndarray  # (..., K, 2, M, M), device (k, i) to its own AP i
     cross: np.ndarray   # (..., K, 2, M, M), device (k, i) to the other AP
-    redraws: int = 0    # matrices rejected by the conditioning guard, all trials
+    rejected: np.ndarray = False  # (...,) sets holding a matrix the conditioning guard rejects
 
 
 # numpy's SeedSequence hash (bit_generator.pyx) on a pool of four 32-bit
@@ -252,7 +250,7 @@ def streams(words):
 
 
 def trial_normals(config, symbols=True):
-    """Standard normals one trial draws when nothing is redrawn: the
+    """Standard normals one trial draws before any set redraw: the
     reference pair (2·M·N' complex), the direct and cross stacks
     (2·2·K·M²), the symbols (2·K·floor(M/2)) unless they are planted, and
     the noise (2·M); each complex value takes two."""
@@ -268,12 +266,10 @@ class PrefetchedStreams:
     """A chunk's per-trial Generators, each trial's first N standard normals
     drawn ahead, one call per trial, into row t of a (T, N) `buffer`.
 
-    While every trial has taken the same count, a stacked draw the buffer
-    holds is a view of it. Indexing gives one trial's stream, which the
-    guard's and the set redraws use; after such a draw, stacked draws are
-    gathered per trial. A trial always takes its buffered values first and
-    then its Generator's, so every value is the one its Generator alone
-    gives and N sets speed only.
+    Every stacked draw is the next view of the buffer; a draw past its end
+    means N is out of step with the draws, and raises. Each Generator
+    resumes after its N values, which is where a trial's set redraws come
+    from, so every value is the one its Generator alone gives.
     """
 
     def __init__(self, generators, buffer):
@@ -281,66 +277,29 @@ class PrefetchedStreams:
         self.buffer = buffer
         for g, row in zip(generators, self.buffer):
             g.standard_normal(out=row)
-        self.taken = [0] * len(generators)
-        self.lockstep = True
+        self.taken = 0
 
     def __len__(self):
         return len(self.generators)
 
-    def __getitem__(self, t):
-        return _TrialStream(self, t)
-
     def stacked(self, shape):
         """Every trial's next draws of `shape`, stacked: (T,) + shape."""
-        size = math.prod(shape)
-        start = self.taken[0]
-        if self.lockstep and start + size <= self.buffer.shape[1]:
-            draws = self.buffer[:, start:start + size].reshape((len(self),) + shape)
-            self.taken = [start + size] * len(self)
-        else:
-            draws = np.empty((len(self),) + shape)
-            for t, row in enumerate(draws.reshape(len(self), -1)):
-                self._take(t, row)
-        return draws
-
-    def _take(self, t, out):
-        """Trial t's next `out.size` normals into the flat array `out`."""
-        start = self.taken[t]
-        held = min(max(self.buffer.shape[1] - start, 0), out.size)
-        if held:
-            out[:held] = self.buffer[t, start:start + held]
-        if held < out.size:
-            self.generators[t].standard_normal(out=out[held:])
-        self.taken[t] = start + out.size
-
-
-class _TrialStream:
-    """Trial t of a PrefetchedStreams, drawn through as a Generator is."""
-
-    def __init__(self, chunk, t):
-        self.chunk, self.t = chunk, t
-
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            out = np.empty(size)
-        self.chunk.lockstep = False
-        self.chunk._take(self.t, out.reshape(-1))
-        return out
+        start, self.taken = self.taken, self.taken + math.prod(shape)
+        if self.taken > self.buffer.shape[1]:
+            raise SizeMismatch(f"draw of {self.taken} normals per trial from a buffer of "
+                               f"{self.buffer.shape[1]}; trial_normals is out of step")
+        return self.buffer[:, start:self.taken].reshape((len(self),) + shape)
 
 
 def _complex_normal(rng, shape):
-    """CN(0, 1) draws of `shape`: all real parts, then all imaginary parts,
-    from each stream."""
+    """CN(0, 1) draws of `shape` from one Generator, or of (T,) + `shape`
+    from a chunk's PrefetchedStreams: all real parts, then all imaginary
+    parts, from each stream."""
     shape = (2,) + tuple(shape)
     if isinstance(rng, PrefetchedStreams):
         parts = rng.stacked(shape).swapaxes(0, 1)
-    elif hasattr(rng, "standard_normal"):
-        parts = rng.standard_normal(shape)
     else:
-        stacked = np.empty((len(rng),) + shape)
-        for g, out in zip(rng, stacked):
-            g.standard_normal(out=out)
-        parts = stacked.swapaxes(0, 1)
+        parts = rng.standard_normal(shape)
     draws = np.empty(parts.shape[1:], dtype=np.complex128)
     draws.real = parts[0]
     draws.imag = parts[1]
@@ -366,51 +325,23 @@ def _ill_conditioned(mats):
     return bad
 
 
-def _guard_conditioning(mats, rng):
-    """Redraw any matrix in the stack whose condition number exceeds COND_LIMIT,
-    at most MATRIX_REDRAW_BUDGET times per matrix.
-
-    The stack and every redraw candidate are judged by `_ill_conditioned`:
-    a log-determinant bound clears a matrix well inside the limit without
-    an SVD, and the rest get the exact singular-value test, so accept and
-    reject decisions are those of an SVD of every matrix. With a sequence
-    of streams, a matrix is redrawn from the stream of its entry on the
-    stack's leading axis.
-    """
-    redraws = 0
-    m = mats.shape[-1]
-    for idx in zip(*np.nonzero(_ill_conditioned(mats))):
-        stream = rng if isinstance(rng, np.random.Generator) else rng[idx[0]]
-        for _ in range(MATRIX_REDRAW_BUDGET):
-            redraws += 1
-            candidate = _complex_normal(stream, (m, m))
-            if not _ill_conditioned(candidate[None])[0]:
-                mats[idx] = candidate
-                break
-        else:
-            raise DegenerateChannels(f"matrix redraw budget ({MATRIX_REDRAW_BUDGET}) "
-                                     "exhausted under the conditioning guard")
-    return redraws
-
-
 def draw_channels(config, rng):
-    """Draw all 4*K channel matrices of a trial, or of one trial per stream.
+    """Draw all 4*K channel matrices of a trial, or of every trial of a chunk.
 
-    Both stacks are i.i.d. CN(0, 1); any matrix with condition number
-    above linalg.COND_LIMIT is redrawn so the cross channels stay
-    invertible in double precision. The guard clears a matrix on the bound
-    cond(A) <= ||A||_F^M (M-1)^(-(M-1)/2) / |det A| when that is at least
-    linalg._BOUND_MARGIN below the limit, and takes the SVD of the rest, so
-    its decisions are those of the exact singular-value test. Each stream
-    draws its direct stack, its direct redraws, its cross stack and its
-    cross redraws, in that order.
+    Both stacks are i.i.d. CN(0, 1), the direct stack drawn first. A set
+    holding a matrix with condition number above linalg.COND_LIMIT is
+    marked `rejected`, and the engine redraws it whole, so the cross
+    channels stay invertible in double precision. The guard clears a
+    matrix on the bound cond(A) <= ||A||_F^M (M-1)^(-(M-1)/2) / |det A|
+    when that is at least linalg._BOUND_MARGIN below the limit, and takes
+    the SVD of the rest, so its verdicts are those of the exact
+    singular-value test.
     """
     k, m = config.devices, config.antennas
     direct = _complex_normal(rng, (k, 2, m, m))
-    redraws = _guard_conditioning(direct, rng)
     cross = _complex_normal(rng, (k, 2, m, m))
-    redraws += _guard_conditioning(cross, rng)
-    return ChannelSet(direct, cross, redraws)
+    rejected = (_ill_conditioned(direct) | _ill_conditioned(cross)).any(axis=(-2, -1))
+    return ChannelSet(direct, cross, rejected)
 
 
 def draw_symbols(config, rng):

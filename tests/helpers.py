@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from aircomp_sia.system import streams, trial_words
+from aircomp_sia import linalg
+from aircomp_sia.system import PrefetchedStreams, streams, trial_normals, trial_words
 
 
 def trial_streams(seed, trials):
@@ -12,9 +13,30 @@ def trial_streams(seed, trials):
     return streams(trial_words(seed, trials))
 
 
+def prefetched(config, trials, symbols=True):
+    """The PrefetchedStreams a chunk of trial indices `trials` draws
+    through: config.seed's streams, `trial_normals` wide."""
+    generators = trial_streams(config.seed, trials)
+    return PrefetchedStreams(generators, np.empty((len(generators), trial_normals(config, symbols))))
+
+
 def span_residual(reference, block):
     """Part of `block` outside the span of the orthonormal `reference`,
     relative to the norm of `block`: zero, up to rounding, when the span
     holds it."""
     leak = block - reference @ (reference.conj().T @ block)
     return np.linalg.norm(leak) / np.linalg.norm(block)
+
+
+def svd_rejects(a):
+    """The guard's exact test on one matrix, as a brute-force oracle."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return not (s[0] != 0.0 and s[0] <= linalg.COND_LIMIT * s[-1])
+
+
+def svd_guard(channels):
+    """Reference guard: the rejected-set mask by an SVD of every matrix."""
+    mats = np.stack([channels.direct, channels.cross], axis=-5)
+    m = mats.shape[-1]
+    bad = np.array([svd_rejects(a) for a in mats.reshape(-1, m, m)]).reshape(mats.shape[:-2])
+    return bad.any(axis=(-3, -2, -1))

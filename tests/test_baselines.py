@@ -215,7 +215,7 @@ class TestGenieChannels:
         clean = genie_channels(channels)
         assert np.array_equal(clean.direct, channels.direct)
         assert np.all(clean.cross == 0)
-        assert clean.redraws == channels.redraws
+        assert clean.rejected is channels.rejected
 
     def test_noiseless_recovery(self):
         cfg = SystemConfig(antennas=4, devices=3, snr_db_grid=(0.0,),

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from aircomp_sia import engine
+from aircomp_sia import baselines, engine, sia
 from aircomp_sia.engine import (
     TrialResult,
     fit_nmse_slope,
@@ -26,13 +26,16 @@ from aircomp_sia.errors import (
 from aircomp_sia.functions import FunctionSpec, preprocess
 from aircomp_sia.sia import build_aggregation_beamformers, build_reference_matrices
 from aircomp_sia.system import (
+    ChannelSet,
     SystemConfig,
     _complex_normal,
+    draw_channels,
+    draw_symbols,
     partition,
     trial_normals,
 )
 
-from helpers import trial_streams
+from helpers import svd_guard, trial_streams
 
 NOISELESS = [math.inf]
 
@@ -597,8 +600,8 @@ class TestChunks:
         assert engine._chunk_trials(config_for(2, 1), 3) == engine.CHUNK_ELEMENTS // (16 + 6)
 
     def test_guard_rejection_matches_chunk_of_one(self, monkeypatch):
-        # A low condition limit makes the guard redraw many matrices; each
-        # redraw comes from its own trial's stream, as if the trial ran alone.
+        # A low condition limit makes the guard reject many sets; each is
+        # redrawn from its own trial's stream, as if the trial ran alone.
         monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", 4.0)
         cfg = config_for(2, 2, seed=3)
         grid = np.asarray(cfg.snr_db_grid)
@@ -685,12 +688,69 @@ class TestChunks:
                 assert np.array_equal(value[t], getattr(alone, field)[0]), (t, field)
 
 
-def plain_chunk(monkeypatch, cfg, generators, grid, symbols=None):
-    """The chunk drawn from plain Generators through _complex_normal's list
-    path, the reference for the prefetched draws."""
+def first_draws(cfg, g, symbols=True):
+    """What a trial draws from its Generator `g` before any set redraw,
+    through the single-Generator path: the reference pair, the channel
+    set, the symbols unless they are planted, and the noise."""
+    reference = build_reference_matrices(cfg.antennas, g)
+    channels = draw_channels(cfg, g)
+    drawn = draw_symbols(cfg, g) if symbols else None
+    return reference, channels, drawn, _complex_normal(g, (2, cfg.antennas))
+
+
+def oracle_chunk(monkeypatch, cfg, trials, grid, symbols=None, rank_losses=()):
+    """The chunk as the single-Generator path draws it, the reference for
+    the prefetched draws. Trial t's `default_rng([seed, t])` gives its
+    first draws, then its set redraws: while an SVD rejects a matrix of the
+    set, and once for each time t is in `rank_losses` (a planted build
+    failure of an accepted set). The engine then scores those draws with
+    the real builders."""
+    refs, sets, drawn, noise, redraws = [], [], [], [], 0
+    for t in trials:
+        g = np.random.default_rng([cfg.seed, t])
+        reference, channels, trial_symbols, trial_noise = first_draws(cfg, g, symbols is None)
+        losses = list(rank_losses).count(t)
+        while True:
+            if not svd_guard(channels):
+                if not losses:
+                    break
+                losses -= 1
+            channels = draw_channels(cfg, g)
+            redraws += 1
+        refs.append(reference)
+        sets.append(channels)
+        drawn.append(trial_symbols)
+        noise.append(trial_noise)
+    stacked = ChannelSet(np.stack([c.direct for c in sets]), np.stack([c.cross for c in sets]),
+                         np.zeros(len(sets), dtype=bool))
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "PrefetchedStreams", lambda generators, buffer: generators)
-        return engine._run_chunk(cfg, generators, grid, symbols)
+        patch.setattr(engine, "build_reference_matrices", lambda *args: np.stack(refs))
+        patch.setattr(engine, "draw_channels", lambda *args: stacked)
+        patch.setattr(engine, "draw_symbols", lambda *args: np.stack(drawn))
+        patch.setattr(engine, "_complex_normal", lambda *args: np.stack(noise))
+        patch.setattr(engine, "build_sia_matrices", sia.build_sia_matrices)
+        patch.setattr(engine, "build_no_ia_precoders", baselines.build_no_ia_precoders)
+        result = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid, symbols)
+    assert result.redraws == 0
+    result.redraws = redraws
+    return result
+
+
+def plant_rank_loss(monkeypatch, scheme, trial):
+    """Make the chunk's first build fail for `trial` alone; returns the
+    list of the chunk sizes each build saw."""
+    name = "build_sia_matrices" if scheme == "sia" else "build_no_ia_precoders"
+    real = getattr(engine, name)
+    builds = []
+
+    def flaky(channels, second):
+        builds.append(len(channels.direct))
+        if len(builds) == 1:
+            raise RankDeficient("planted", failed=np.arange(len(channels.direct)) == trial)
+        return real(channels, second)
+
+    monkeypatch.setattr(engine, name, flaky)
+    return builds
 
 
 def assert_same_bits(got, want):
@@ -703,55 +763,58 @@ def assert_same_bits(got, want):
 
 class TestPrefetchedStreams:
     """A chunk drawn through PrefetchedStreams equals, bit for bit in every
-    field and in its redraws, the same chunk drawn from plain per-trial
-    Generators, however many redraws the trials need."""
+    field and in its redraws, the chunk the single-Generator path draws
+    trial by trial, however many set redraws the trials need."""
 
     GRID = np.array([0.0, 20.0, math.inf])
 
-    def assert_same_chunk(self, monkeypatch, cfg, trials, symbols=None):
+    def assert_same_chunk(self, monkeypatch, cfg, trials, symbols=None, rank_losses=()):
         chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), self.GRID, symbols)
-        plain = plain_chunk(monkeypatch, cfg, trial_streams(cfg.seed, trials), self.GRID, symbols)
-        assert_same_bits(chunk, plain)
+        oracle = oracle_chunk(monkeypatch, cfg, trials, self.GRID, symbols, rank_losses)
+        assert_same_bits(chunk, oracle)
         return chunk
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_matches_plain_streams(self, monkeypatch, scheme, m):
         cfg = config_for(m, 2, scheme=scheme, seed=7)
-        self.assert_same_chunk(monkeypatch, cfg, range(6))
+        assert self.assert_same_chunk(monkeypatch, cfg, range(6)).redraws == 0
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
     @pytest.mark.parametrize("m, limit", [(2, 4.0), (3, 6.0), (4, 10.0), (5, 10.0)])
     def test_guard_redraws(self, monkeypatch, scheme, m, limit):
-        # A low condition limit makes the guard redraw many matrices, each
-        # from its own trial's stream, after which stacked draws are
-        # gathered per trial.
+        # A low condition limit makes the guard reject many sets, each
+        # redrawn from its own trial's Generator. One device per cell keeps
+        # a set's acceptance (p^4 for a matrix acceptance p of 0.53-0.69)
+        # well inside the set budget.
         monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", limit)
-        cfg = config_for(m, 2, scheme=scheme, seed=3)
+        cfg = config_for(m, 1, scheme=scheme, seed=3)
         assert self.assert_same_chunk(monkeypatch, cfg, range(8)).redraws > 8
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_set_redraw(self, monkeypatch, scheme):
         # The first build fails for trial 2 alone, which redraws its set.
-        name = "build_sia_matrices" if scheme == "sia" else "build_no_ia_precoders"
-        real = getattr(engine, name)
-        builds = []
-
-        def flaky(channels, second):
-            builds.append(len(channels.direct))
-            if len(builds) == 1:
-                raise RankDeficient("planted", failed=np.arange(len(channels.direct)) == 2)
-            return real(channels, second)
-
-        monkeypatch.setattr(engine, name, flaky)
+        builds = plant_rank_loss(monkeypatch, scheme, trial=2)
         cfg = config_for(4, 3, scheme=scheme, seed=6)
+        chunk = self.assert_same_chunk(monkeypatch, cfg, range(5), rank_losses=[2])
+        assert builds == [5, 5]
+        assert chunk.redraws == 1
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
+    def test_set_redraw_keeps_symbols_and_noise(self, monkeypatch, scheme):
+        # Trial 2's new set comes after its prefetched block, so its
+        # symbols and noise are those of the clean run and only its
+        # channels change; the other trials do not change at all.
+        cfg = config_for(4, 3, scheme=scheme, seed=6)
+        clean = engine._run_chunk(cfg, trial_streams(cfg.seed, range(5)), self.GRID)
+        plant_rank_loss(monkeypatch, scheme, trial=2)
         chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(5)), self.GRID)
-        assert builds == [5, 5]
-        builds.clear()
-        plain = plain_chunk(monkeypatch, cfg, trial_streams(cfg.seed, range(5)), self.GRID)
-        assert builds == [5, 5]
-        assert_same_bits(chunk, plain)
-        assert chunk.redraws >= 1
+        assert (clean.redraws, chunk.redraws) == (0, 1)
+        assert np.array_equal(chunk.target[2], clean.target[2])
+        assert not np.array_equal(chunk.err_power[2], clean.err_power[2])
+        for name, value in chunk_arrays(chunk).items():
+            rest = [0, 1, 3, 4]
+            assert value[rest].tobytes() == getattr(clean, name)[rest].tobytes(), name
 
     @pytest.mark.parametrize("m", [2, 5])
     def test_planted_symbols(self, monkeypatch, m):
@@ -764,19 +827,29 @@ class TestPrefetchedStreams:
     @pytest.mark.parametrize("planted", [False, True])
     @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_prefetch_is_what_a_trial_draws(self, monkeypatch, scheme, m, planted):
-        # Without redraws each trial takes exactly trial_normals values,
-        # so the prefetch count stays in step with the draw functions.
+    def test_prefetch_is_what_a_trial_draws(self, scheme, m, planted):
+        # A trial's first draws take exactly trial_normals values, so the
+        # prefetch count stays in step with the draw functions, and a chunk
+        # with a buffer that wide needs no more.
         cfg = config_for(m, 3, scheme=scheme, seed=2)
         symbols = (_complex_normal(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
                    if planted else None)
-        generators = trial_streams(cfg.seed, range(4))
-        assert plain_chunk(monkeypatch, cfg, generators, self.GRID, symbols).redraws == 0
         count = trial_normals(cfg, symbols=not planted)
-        for t, g in enumerate(generators):
+        for t in range(4):
+            g = np.random.default_rng([cfg.seed, t])
+            first_draws(cfg, g, symbols=not planted)
             oracle = np.random.default_rng([cfg.seed, t])
             oracle.standard_normal(count)
             assert g.bit_generator.state == oracle.bit_generator.state, t
+        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), self.GRID, symbols,
+                                  np.empty((4, count)))
+        assert chunk.redraws == 0
+
+    def test_narrow_buffer_raises(self):
+        cfg = config_for(4, 3)
+        narrow = np.empty((2, trial_normals(cfg) - 1))
+        with pytest.raises(SizeMismatch, match="trial_normals"):
+            engine._run_chunk(cfg, trial_streams(cfg.seed, range(2)), self.GRID, buffer=narrow)
 
 
 class TestResidual:

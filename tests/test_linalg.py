@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircomp_sia import baselines, engine, sia, system
+from aircomp_sia import baselines, engine, sia
 from aircomp_sia.baselines import build_no_ia_precoders
 from aircomp_sia.errors import DegenerateChannels, RankDeficient, SizeMismatch
 from aircomp_sia.linalg import (
@@ -21,11 +21,12 @@ from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
     _complex_normal,
-    _guard_conditioning,
+    _ill_conditioned,
+    partition,
     superpose,
 )
 
-from helpers import span_residual, trial_streams
+from helpers import prefetched, span_residual, trial_streams
 
 
 def rng_for(seed):
@@ -34,6 +35,19 @@ def rng_for(seed):
 
 def gaussian(rng, rows, cols):
     return _complex_normal(rng, (rows, cols))
+
+
+def build_with_cross(cfg, cell, matrix):
+    """engine._build on a chunk of two trials whose first channel set
+    holds `matrix`, real and imaginary parts alike, as trial 1's cross
+    channel of device 0 in `cell`."""
+    m, k = cfg.antennas, cfg.devices
+    rngs = prefetched(cfg, range(2))
+    # After the reference pair come the direct stack, then the cross stack.
+    start = 4 * m * partition(m).interference_dim + 4 * k * m * m
+    cross = rngs.buffer[1, start:start + 4 * k * m * m].reshape(2, k, 2, m, m)
+    cross[:, 0, cell] = matrix
+    return engine._build(cfg, rngs, build_reference_matrices(m, rngs))
 
 
 def ia_setup(cross):
@@ -135,20 +149,25 @@ class TestInverse:
             superpose(channels, np.zeros((1, 2, 3, 1)), np.zeros((1, 2, 1)))
 
     def test_near_singular_raises(self, monkeypatch):
-        mats = np.diag([1.0 + 0j, 1e-13 + 0j])[None].copy()
-        with monkeypatch.context() as m, pytest.raises(DegenerateChannels):
-            m.setattr(system, "MATRIX_REDRAW_BUDGET", 0)
-            _guard_conditioning(mats, rng_for(0))
-        assert _guard_conditioning(mats, rng_for(0)) >= 1
-        assert np.linalg.cond(mats[0]) <= COND_LIMIT
+        # The guard rejects the set holding a near-singular cross channel;
+        # its trial redraws the set, and with no redraw left the run is
+        # degenerate (exit 3).
+        cfg = SystemConfig(antennas=2, devices=2)
+        channels, _, _, redraws = build_with_cross(cfg, 1, np.diag([1.0, 1e-13]))
+        assert redraws == 1
+        assert np.linalg.cond(channels.cross[1, 0, 1]) <= COND_LIMIT
+        monkeypatch.setattr(engine, "SET_REDRAW_BUDGET", 1)
+        with pytest.raises(DegenerateChannels):
+            build_with_cross(cfg, 1, np.diag([1.0, 1e-13]))
 
     def test_zero_matrix_raises(self, monkeypatch):
-        mats = np.zeros((1, 3, 3), dtype=complex)
-        with monkeypatch.context() as m, pytest.raises(DegenerateChannels):
-            m.setattr(system, "MATRIX_REDRAW_BUDGET", 0)
-            _guard_conditioning(mats, rng_for(0))
-        assert _guard_conditioning(mats, rng_for(0)) >= 1
-        assert numerical_rank(mats[0]) == 3
+        cfg = SystemConfig(antennas=3, devices=2, scheme="no_ia")
+        channels, _, _, redraws = build_with_cross(cfg, 0, np.zeros((3, 3)))
+        assert redraws == 1
+        assert numerical_rank(channels.cross[1, 0, 0]) == 3
+        monkeypatch.setattr(engine, "SET_REDRAW_BUDGET", 1)
+        with pytest.raises(DegenerateChannels):
+            build_with_cross(cfg, 0, np.zeros((3, 3)))
 
     def test_non_finite_raises(self):
         a = np.eye(2, dtype=complex)
@@ -368,7 +387,7 @@ class TestRightInverseSvdCount:
                 channels = real_draw(config, rngs)
                 if not draws:
                     channels.direct[2, 3, 1] = rank_one
-                draws.append(len(rngs))
+                draws.append(channels.rejected.shape)
                 return channels
 
             def recording(a, message):
@@ -386,7 +405,7 @@ class TestRightInverseSvdCount:
         fast, fast_draws, fast_masks = run(right_inverse)
         slow, slow_draws, slow_masks = run(svd_right_inverse)
         assert fast_masks == slow_masks == [[False, False, True, False]]
-        assert fast_draws == slow_draws == [4, 1]
+        assert fast_draws == slow_draws == [(4,), ()]
         assert fast.redraws == slow.redraws == 1
         assert np.array_equal(fast.aligned_rank, slow.aligned_rank)
         # The rebuild after the redraw takes inv/QR where the SVD-only path
@@ -470,12 +489,9 @@ class TestNumericalRank:
         assert numerical_rank(a[perm_rows][:, perm_cols]) == r
 
 
-def test_condition_number_diag(monkeypatch):
-    # The guard keeps a matrix at exactly COND_LIMIT and redraws anything
+def test_condition_number_diag():
+    # The guard keeps a matrix at exactly COND_LIMIT and rejects anything
     # worse, including a singular one (condition number inf).
-    monkeypatch.setattr(system, "MATRIX_REDRAW_BUDGET", 0)
-    at_limit = np.diag([COND_LIMIT + 0j, 1.0 + 0j])[None].copy()
-    assert _guard_conditioning(at_limit, rng_for(0)) == 0
-    for worse in (np.diag([1.01 * COND_LIMIT + 0j, 1.0 + 0j]), np.zeros((2, 2), dtype=complex)):
-        with pytest.raises(DegenerateChannels):
-            _guard_conditioning(worse[None].copy(), rng_for(0))
+    mats = np.array([np.diag([COND_LIMIT, 1.0]), np.diag([1.01 * COND_LIMIT, 1.0]),
+                     np.zeros((2, 2))], dtype=complex)
+    assert _ill_conditioned(mats).tolist() == [False, True, True]

@@ -17,7 +17,7 @@ from aircomp_sia.system import (
     superpose,
 )
 
-from helpers import span_residual, trial_streams
+from helpers import prefetched, span_residual
 
 
 def config_for(m, k, **kw):
@@ -145,8 +145,8 @@ class TestBuildPrecoder:
         # A stack of draws, as the engine builds a chunk of trials: every
         # device's beamformer @ direct @ precoder is the identity.
         m, k, trials = 5, 3, 4
-        cfg = config_for(m, k)
-        rngs = trial_streams(8, range(trials))
+        cfg = config_for(m, k, seed=8)
+        rngs = prefetched(cfg, range(trials))
         reference = build_reference_matrices(m, rngs)
         channels = draw_channels(cfg, rngs)
         beam, precoder = build_sia_matrices(channels, reference)

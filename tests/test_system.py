@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 
 import numpy as np
@@ -6,16 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircomp_sia import linalg, system
+from aircomp_sia import linalg
 from aircomp_sia.engine import run_trials
-from aircomp_sia.errors import ConfigError, DegenerateChannels, SizeMismatch
+from aircomp_sia.errors import ConfigError, SizeMismatch
 from aircomp_sia.linalg import numerical_rank
 from aircomp_sia.system import (
     ChannelSet,
     PrefetchedStreams,
     SystemConfig,
     _complex_normal,
-    _guard_conditioning,
     _ill_conditioned,
     draw_channels,
     draw_symbols,
@@ -24,7 +22,7 @@ from aircomp_sia.system import (
     superpose,
 )
 
-from helpers import trial_streams
+from helpers import prefetched, svd_guard, svd_rejects, trial_streams
 
 
 def config_for(m, k, **kw):
@@ -164,34 +162,8 @@ class TestDrawChannels:
         # The conditioning guard should essentially never fire for
         # Gaussian draws at this size.
         cfg = config_for(16, 4)
-        total = 0
-        for seed in range(25):
-            total += draw_channels(cfg, np.random.default_rng(seed)).redraws
-        assert total / (25 * 4 * 4) < 1e-3
-
-
-def svd_rejects(a):
-    """The guard's exact test on one matrix, as a brute-force oracle."""
-    s = np.linalg.svd(a, compute_uv=False)
-    return not (s[0] != 0.0 and s[0] <= linalg.COND_LIMIT * s[-1])
-
-
-def svd_guard(mats, rng):
-    """Reference guard: an SVD of every matrix and of every redraw candidate."""
-    redraws = 0
-    m = mats.shape[-1]
-    bad = np.array([svd_rejects(a) for a in mats.reshape(-1, m, m)]).reshape(mats.shape[:-2])
-    for idx in zip(*np.nonzero(bad)):
-        stream = rng if isinstance(rng, np.random.Generator) else rng[idx[0]]
-        for _ in range(system.MATRIX_REDRAW_BUDGET):
-            redraws += 1
-            candidate = _complex_normal(stream, (m, m))
-            if not svd_rejects(candidate):
-                mats[idx] = candidate
-                break
-        else:
-            raise DegenerateChannels("budget")
-    return redraws
+        rejected = [draw_channels(cfg, np.random.default_rng(seed)).rejected for seed in range(25)]
+        assert not any(rejected)
 
 
 def planted(rng, m, cond, scale, clustered):
@@ -271,43 +243,41 @@ class TestConditioningBound:
 
 
 class TestGuardFastPath:
+    """draw_channels rejects a set exactly when the SVD test rejects one
+    of its matrices, and takes an SVD only of the matrices near the limit."""
+
     def test_well_conditioned_stack_takes_no_svd(self, svd_calls):
-        rng = [np.random.default_rng(0)]
-        mats = _complex_normal(rng, (200, 2, 4, 4))
-        assert mats.shape == (1, 200, 2, 4, 4)
-        before = mats.copy()
-        assert _guard_conditioning(mats, rng) == 0
+        cfg = config_for(4, 200)
+        channels = draw_channels(cfg, prefetched(cfg, range(3)))
+        assert channels.rejected.tolist() == [False] * 3
         assert svd_calls == []
-        assert np.array_equal(mats, before)
 
     def test_planted_matrices_match_svd_guard(self, svd_calls):
-        rngs = [np.random.default_rng([7, t]) for t in range(2)]
-        mats = _complex_normal(rngs, (200, 2, 4, 4))
-        mats[0, 17, 1] = np.diag([1.0, 1.0, 1.0, 1e-13])
-        mats[1, 150, 0] = 0.0
-        reference = mats.copy()
-        reference_rngs = copy.deepcopy(rngs)
-
-        redraws = _guard_conditioning(mats, rngs)
-        # Only the two planted matrices are unsure; the redraws are cleared
-        # on the bound.
-        assert svd_calls == [(2,)]
-        assert redraws == svd_guard(reference, reference_rngs) == 2
-        assert np.array_equal(mats, reference)
-        for g, ref in zip(rngs, reference_rngs):
-            assert g.bit_generator.state == ref.bit_generator.state
+        k, m = 200, 4
+        cfg = config_for(m, k, seed=7)
+        rngs = prefetched(cfg, range(3))
+        # The buffer's first values are the direct then the cross stack,
+        # each all real parts then all imaginary parts.
+        stacks = rngs.buffer[:, :8 * k * m * m].reshape(3, 2, 2, k, 2, m, m)
+        stacks[0, 0, :, 17, 1] = np.diag([1.0, 1.0, 1.0, 1e-13])
+        stacks[2, 1, :, 150, 0] = 0.0
+        channels = draw_channels(cfg, rngs)
+        # Only the two planted matrices are unsure, one in each stack.
+        assert svd_calls == [(1,), (1,)]
+        assert channels.rejected.tolist() == svd_guard(channels).tolist() == [True, False, True]
 
     def test_low_limit_redraws_match_svd_guard(self, monkeypatch):
-        # With COND_LIMIT = 4 many draws are rejected; the redraw count and
-        # the accepted matrices equal those of the SVD-only guard.
+        # With COND_LIMIT = 4 many sets are rejected, each as the SVD-only
+        # guard rejects it, from a chunk's streams or from one Generator.
         monkeypatch.setattr(linalg, "COND_LIMIT", 4.0)
-        cfg = config_for(2, 3)
-        fast = draw_channels(cfg, [np.random.default_rng([3, t]) for t in range(4)])
-        monkeypatch.setattr(system, "_guard_conditioning", svd_guard)
-        slow = draw_channels(cfg, [np.random.default_rng([3, t]) for t in range(4)])
-        assert fast.redraws == slow.redraws > 10
-        assert np.array_equal(fast.direct, slow.direct)
-        assert np.array_equal(fast.cross, slow.cross)
+        cfg = config_for(2, 1, seed=3)
+        chunk = draw_channels(cfg, prefetched(cfg, range(8)))
+        assert np.array_equal(chunk.rejected, svd_guard(chunk))
+        assert chunk.rejected.any() and not chunk.rejected.all()
+        for seed in range(8):
+            alone = draw_channels(cfg, np.random.default_rng(seed))
+            assert alone.rejected.shape == ()
+            assert alone.rejected == svd_guard(alone)
 
 
 class TestDrawSymbols:
@@ -377,25 +347,29 @@ class TestTrialStreams:
 
 
 class TestPrefetchedStreams:
-    """Stacked and single-trial draws through a chunk's prefetched streams
-    give each trial its own Generator's values, inside the buffer, across
-    its end and past it."""
+    """Stacked draws through a chunk's prefetched streams are successive
+    views of the buffer and give each trial its own Generator's values;
+    each Generator then resumes after its block."""
 
     def test_draws_follow_each_stream(self):
         chunk = PrefetchedStreams(trial_streams(3, range(4)), np.empty((4, 10)))
         plain = trial_streams(3, range(4))
-        steps = [
-            (None, (2,)),    # a view of the buffer: 4 of 10 taken
-            (1, (3,)),       # trial 1 alone takes 6, to the buffer's end
-            (None, (2, 2)),  # gathered: trial 1 from its Generator, the rest straddle
-            (2, (4,)),
-            (None, (1,)),
-        ]
-        for trial, shape in steps:
-            got = _complex_normal(chunk if trial is None else chunk[trial], shape)
-            want = _complex_normal(plain if trial is None else plain[trial], shape)
-            assert got.tobytes() == want.tobytes() and got.shape == want.shape, (trial, shape)
-        assert chunk.taken == [14, 20, 22, 14]
+        first = chunk.stacked((2,))
+        assert np.shares_memory(first, chunk.buffer)
+        assert first.tobytes() == np.stack([g.standard_normal(2) for g in plain]).tobytes()
+        for shape in [(1, 2), (1,)]:
+            got = _complex_normal(chunk, shape)
+            want = np.stack([_complex_normal(g, shape) for g in plain])
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, shape
+        for g, p in zip(chunk.generators, plain):
+            p.standard_normal(2)
+            assert g.standard_normal(3).tobytes() == p.standard_normal(3).tobytes()
+
+    def test_draw_past_the_buffer_raises(self):
+        chunk = PrefetchedStreams(trial_streams(3, range(2)), np.empty((2, 10)))
+        chunk.stacked((2, 4))
+        with pytest.raises(SizeMismatch, match="trial_normals"):
+            chunk.stacked((3,))
 
 
 def identity_channels(m, k):
