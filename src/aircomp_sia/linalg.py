@@ -39,9 +39,9 @@ FULL_RANK_RTOL = 1e-10
 # rounding terms reach (margin - 1) / L: about 1e-9 = 1e7 u at
 # COND_LIMIT = 1e12, and about 1e-7 = 1e9 u at 1/FULL_RANK_RTOL = 1e10.
 # Even the worst-case growth rho = 2^(M-1) stays below the first up to
-# M = 16, and the growth of Gaussian draws is far smaller. The O(M u)
-# rounding of the Frobenius norm and of the scaling moves the bound by far
-# less than the margin.
+# M = 16, and the growth of Gaussian draws is far smaller. The O(M^2 u)
+# rounding of the one-pass Frobenius norm, and of the rescaling where it
+# is taken, moves the bound by far less than the margin.
 _BOUND_MARGIN = 1e3
 
 
@@ -63,18 +63,25 @@ def cond_bound_clears(mats, limit):
     With singular values s_1 >= ... >= s_M, |det A| = s_1 ... s_M,
     s_1 <= ||A||_F, and s_1 ... s_(M-1) <= (||A||_F^2 / (M-1))^((M-1)/2) by
     AM-GM, so cond(A) <= ||A||_F^M (M-1)^(-(M-1)/2) / |det A|. The bound is
-    taken in logs (slogdet) on each matrix divided by its largest |entry|,
-    which keeps it scale-invariant and free of overflow. A False entry
-    (near the limit, singular, zero) proves nothing: the caller decides it
-    by its exact singular-value test.
+    taken in logs, ||A||_F^2 from one dot product, slogdet on A itself where
+    ||A||_F^2 is in [2^-800, 2^800]: no entry then exceeds 2^400, so LU
+    cannot overflow even at pivot growth 2^(M-1) for M below 600, and what
+    underflows is far below u ||A||_F. Any other matrix (zero, non-finite,
+    entries beyond about 1e+-120) is first divided by its largest |entry|.
+    A False entry (near the limit, singular, zero) proves nothing.
     """
     m = mats.shape[-1]
-    scale = np.abs(mats).max(axis=(-2, -1), keepdims=True)
-    unit = mats / np.where(scale > 0.0, scale, 1.0)
-    # At least 1 once the largest entry is 1; the floor only spares the zero
-    # matrix a log(0), and its determinant of 0 fails the bound anyway.
-    norm2 = np.maximum((unit.real ** 2 + unit.imag ** 2).sum(axis=(-2, -1)), 1.0)
-    _, logdet = np.linalg.slogdet(unit)
+    parts = np.ascontiguousarray(mats).view(np.float64)
+    norm2 = np.einsum("...ij,...ij->...", parts, parts)[...]  # an array even for 2-D
+    far = ~((norm2 >= 2.0 ** -800) & (norm2 <= 2.0 ** 800))
+    if far.any():
+        # ||A||_F^2 >= 1 once the largest entry is 1; the floor is for A = 0.
+        scale = np.abs(mats[far]).max(axis=(-2, -1), keepdims=True)
+        mats = mats.copy()
+        mats[far] /= np.where(scale > 0.0, scale, 1.0)
+        unit = mats[far].view(np.float64)
+        norm2[far] = np.maximum(np.einsum("...ij,...ij->...", unit, unit), 1.0)
+    _, logdet = np.linalg.slogdet(mats)
     log_bound = 0.5 * (m * np.log(norm2) - (m - 1) * math.log(max(m - 1, 1))) - logdet
     return log_bound <= math.log(limit / _BOUND_MARGIN)
 

@@ -97,11 +97,12 @@ def render_nmse_svg(rows):
         parts.append(
             f'<polyline fill="none" stroke="{colour}" stroke-width="2" points="{coords}"/>')
         legend_y = MARGIN_TOP + 20 + idx * 20
+        label = scheme.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<rect x="{MARGIN_LEFT + plot_w + 15}" y="{legend_y - 9}" width="12" height="12" '
             f'fill="{colour}"/>')
         parts.append(
             f'<text x="{MARGIN_LEFT + plot_w + 32}" y="{legend_y + 2}" font-size="12" '
-            f'font-family="sans-serif">{scheme}</text>')
+            f'font-family="sans-serif">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

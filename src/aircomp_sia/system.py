@@ -294,16 +294,18 @@ class PrefetchedStreams:
 def _complex_normal(rng, shape):
     """CN(0, 1) draws of `shape` from one Generator, or of (T,) + `shape`
     from a chunk's PrefetchedStreams: all real parts, then all imaginary
-    parts, from each stream."""
+    parts, from each stream, each times fl(1/sqrt(2)) into its view of the
+    output. That is bit for bit a complex division by sqrt(2), which numpy
+    takes as (re + im * 0) * fl(1/sqrt(2)), but for the sign of a zero part.
+    """
     shape = (2,) + tuple(shape)
     if isinstance(rng, PrefetchedStreams):
         parts = rng.stacked(shape).swapaxes(0, 1)
     else:
         parts = rng.standard_normal(shape)
     draws = np.empty(parts.shape[1:], dtype=np.complex128)
-    draws.real = parts[0]
-    draws.imag = parts[1]
-    draws /= math.sqrt(2.0)
+    np.multiply(parts[0], 1.0 / math.sqrt(2.0), out=draws.real)
+    np.multiply(parts[1], 1.0 / math.sqrt(2.0), out=draws.imag)
     return draws
 
 

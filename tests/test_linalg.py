@@ -282,7 +282,9 @@ class TestRightInverseDecisions:
     LIMIT = 1.0 / FULL_RANK_RTOL
     CONDS = (1.0, 10.0, 1e3, 1e6, 1e7, 1e8, 1e9, LIMIT * (1 - 1e-3), LIMIT,
              LIMIT * (1 + 1e-3), 1e11, 1e13, 1e15, 1e17)
-    SCALES = (1e-170, 1.0, 1e170)
+    # At 1e+-110 ||A||_F^2 stays inside the range cond_bound_clears takes
+    # unscaled; at 1e+-170 it leaves it and the matrix is rescaled first.
+    SCALES = (1e-170, 1e-110, 1.0, 1e110, 1e170)
 
     @staticmethod
     def check_stack(mats, sets, devices=1, cells=2):
@@ -309,7 +311,7 @@ class TestRightInverseDecisions:
         cases = [(cond, scale, clustered) for cond in self.CONDS for scale in self.SCALES
                  for clustered in (True, False)]
         mats = np.array([planted_wide(rng, rows, cols, *case) for case in cases])
-        expected = self.check_stack(mats, 14, devices=3)
+        expected = self.check_stack(mats, 14, devices=len(self.SCALES))
         assert expected.any() == (rows > 1) and not expected.all()
         # Each matrix alone gets the oracle's verdict.
         for a, bad in zip(mats, expected):

@@ -1,5 +1,6 @@
 import io
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -197,6 +198,12 @@ class TestSvg:
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert "sia" in svg and "no_ia" in svg
+
+    def test_legend_text_is_escaped(self):
+        schemes = ("sia&<x>", "a > b")
+        root = ElementTree.fromstring(render_nmse_svg(self.rows_for(schemes)))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-2:] == sorted(schemes)
 
     def test_vertices_match_points(self):
         svg = render_nmse_svg(self.rows_for(("sia",)))

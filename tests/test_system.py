@@ -194,7 +194,9 @@ class TestConditioningBound:
     CONDS = (1.0, 10.0, 1e3, 1e6, 1e8, 1e9, 3e9, 1e10, 1e11,
              linalg.COND_LIMIT * (1 - 1e-3), linalg.COND_LIMIT,
              linalg.COND_LIMIT * (1 + 1e-3), 1e13, 1e15, 1e17)
-    SCALES = (1e-170, 1.0, 1e170)
+    # At 1e+-110 ||A||_F^2 stays inside the range cond_bound_clears takes
+    # unscaled; at 1e+-170 it leaves it and the matrix is rescaled first.
+    SCALES = (1e-170, 1e-110, 1.0, 1e110, 1e170)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16])
     def test_planted_spectra(self, m, svd_calls):
@@ -225,6 +227,16 @@ class TestConditioningBound:
         mats = np.array([np.zeros((m, m), dtype=complex), rank_one, singular, diag,
                          _complex_normal(rng, (m, m))])
         assert assert_matches_oracle(mats).tolist() == [True] * 4 + [False]
+
+    @pytest.mark.parametrize("m", [2, 4, 16])
+    def test_one_huge_entry(self, m):
+        # ||A||_F^2 is about 1e400: out of range, so rescaled, and the small
+        # entries underflow against the huge one.
+        rng = np.random.default_rng(20 + m)
+        mats = np.array([_complex_normal(rng, (m, m)) for _ in range(3)])
+        mats[0, 0, 0] = 1e200
+        mats[1, -1, 0] = -1e200j
+        assert assert_matches_oracle(mats).tolist() == [True, True, False]
 
     def test_low_limit_is_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(linalg, "COND_LIMIT", 4.0)
@@ -364,6 +376,26 @@ class TestPrefetchedStreams:
         for g, p in zip(chunk.generators, plain):
             p.standard_normal(2)
             assert g.standard_normal(3).tobytes() == p.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 4), (5, 2, 2)])
+    def test_matches_complex_division(self, shape):
+        # The parts are scaled in place; the old formula divided the
+        # assembled complex array by sqrt(2). On Gaussian parts, none of
+        # them an exact zero, the two agree bit for bit.
+        def divided(parts):
+            d = np.empty(parts.shape[1:], dtype=np.complex128)
+            d.real = parts[0]
+            d.imag = parts[1]
+            d /= np.sqrt(2.0)
+            return d
+
+        got = _complex_normal(np.random.default_rng(5), shape)
+        want = divided(np.random.default_rng(5).standard_normal((2,) + shape))
+        assert got.tobytes() == want.tobytes()
+        chunk = prefetched(config_for(4, 3), range(4))
+        got = _complex_normal(chunk, shape)
+        parts = chunk.buffer[:, :2 * got[0].size].reshape((4, 2) + shape).swapaxes(0, 1)
+        assert got.tobytes() == divided(parts).tobytes()
 
     def test_draw_past_the_buffer_raises(self):
         chunk = PrefetchedStreams(trial_streams(3, range(2)), np.empty((2, 10)))

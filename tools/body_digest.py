@@ -1,0 +1,71 @@
+"""One sha256 over the CSV bodies of a fixed set of 84 sweeps.
+
+    python3 tools/body_digest.py --workers 2
+
+The set is the 16 reference seeds of each of the three benchmark workload
+configs (read from benchmarks/workloads.py), then sia, no_ia and genie at
+(M, K) in {(2,1), (3,2), (4,5), (5,3), (6,2), (16,5)}, seeds 0 and 1, with
+the default SNR grid and trial count. Each sweep's CSV is written as
+`aircomp run` writes it, and its body (the # block stripped) is hashed in
+that order. Equal digests at two worker counts, or for two checkouts on
+one machine, mean byte-identical bodies on every sweep.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import workloads  # noqa: E402
+from gate import csv_body  # noqa: E402
+
+SCHEMES = ("sia", "no_ia", "genie")
+SHAPES = ((2, 1), (3, 2), (4, 5), (5, 3), (6, 2), (16, 5))
+SEEDS = (0, 1)
+
+
+def configs():
+    """The 84 sweep configs, in hashing order."""
+    from aircomp_sia import SystemConfig
+
+    for name in workloads.WORKLOADS:
+        for seed in workloads.REFERENCE_SEEDS:
+            yield workloads.make_config(name, seed)
+    for scheme in SCHEMES:
+        for m, k in SHAPES:
+            for seed in SEEDS:
+                yield SystemConfig(antennas=m, devices=k, scheme=scheme, seed=seed)
+
+
+def digest(workers):
+    from aircomp_sia.engine import run_sweep
+    from aircomp_sia.output import RunManifest, write_result_csv
+
+    sha = hashlib.sha256()
+    count = 0
+    for config in configs():
+        text = io.StringIO()
+        manifest = RunManifest.create("run", config.to_flat(), workers=workers)
+        write_result_csv(run_sweep(config, workers), manifest, text)
+        sha.update(csv_body(text.getvalue()).encode("utf-8"))
+        count += 1
+    return sha.hexdigest(), count
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, default=1, help="worker processes per sweep")
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("--workers must be positive")
+    workloads.use_checkout_source()
+    hexdigest, count = digest(args.workers)
+    print(f"{hexdigest}  {count} sweeps, {args.workers} worker(s)")
+
+
+if __name__ == "__main__":
+    main()
