@@ -68,7 +68,9 @@ class TrialResult:
 
     Every array field leads with the trial axis; the shapes below are
     per trial. Fields with a P axis hold one entry per grid point; the
-    others do not depend on the noise level.
+    others do not depend on the noise level. A chunk stores err, err_power
+    and nmse with the grid axis last and returns them as transposed views;
+    joined chunks are contiguous copies in the order shown.
     """
 
     target: np.ndarray         # (2, dof) sum of home-cell symbols
@@ -128,7 +130,7 @@ def _build(config, rngs, reference):
 def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
     """Draw, build and transmit the trials whose streams are `generators`
     together, then score each at every point of the SNR grid `snr_db` in
-    one broadcast.
+    one broadcast along the grid axis.
 
     Returns a TrialResult with a leading trial axis. Each trial draws one
     unit-variance noise vector; each grid point rescales it so the noise
@@ -165,20 +167,26 @@ def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
     # matches a scalar evaluation at that point to the bit.
     scale = np.float_power(10.0, np.asarray(snr_db, dtype=np.float64) / 10.0)
     noise_std = np.sqrt(signal_power[:, None] / scale)
-    err = noiseless[:, None] + noise_std[:, :, None, None] * beam_noise[:, None]
-    err_power = np.sum(np.abs(err) ** 2, axis=-1)
+    # The grid axis is innermost, (T, 2, dof, P), so every pass runs along
+    # it. The dof entries are added in order, as np.sum would not on a
+    # one-point grid, so a point scores the same bits on any grid.
+    err = noiseless[..., None] + noise_std[:, None, None, :] * beam_noise[..., None]
+    power = np.abs(err) ** 2
+    err_power = power[..., 0, :]
+    for j in range(1, power.shape[-2]):
+        err_power = err_power + power[..., j, :]
     sig_power = np.sum(np.abs(target) ** 2, axis=-1)
     # Functional data can aggregate to exactly zero (a sum that cancels, a
     # geomean of product 1); its ratios are then stored as inf or nan.
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = np.sqrt(np.sum(np.abs(noiseless) ** 2, axis=(-2, -1)) / sig_power.sum(axis=-1))
-        nmse = err_power / sig_power[:, None, :]
+        nmse = err_power / sig_power[..., None]
     return TrialResult(
         target=target,
-        err=err,
-        err_power=err_power,
+        err=err.transpose(0, 3, 1, 2),
+        err_power=err_power.swapaxes(1, 2),
         sig_power=sig_power,
-        nmse=nmse,
+        nmse=nmse.swapaxes(1, 2),
         noise_std=noise_std,
         analytic_nmse=np.float_power(noise_std, 2) / config.devices,
         leakage=leak_ratio,
@@ -379,13 +387,14 @@ def run_sweep(config, workers=None):
     merged = _concat(batches)
 
     # Every column is reduced over the trial (and cell) axes for all grid
-    # points at once: err_power is (T, P, 2), analytic_nmse (T, P).
+    # points at once: err_power is (T, P, 2), analytic_nmse (T, P). The two
+    # cells are summed once, as err_power.sum(axis=(0, 2)) adds a C array.
     grid = config.snr_db_grid
-    err = merged.err_power
+    cells = merged.err_power[..., 0] + merged.err_power[..., 1]
     predicted = merged.analytic_nmse
-    nmse_mean = err.sum(axis=(0, 2)) / merged.sig_power.sum()
+    nmse_mean = cells.sum(axis=0) / merged.sig_power.sum()
     nmse_median = np.median(merged.nmse, axis=(0, 2))
-    gap = err.mean(axis=2) / (config.devices * partition(config.antennas).signal_dim) - predicted
+    gap = cells / 2 / (config.devices * partition(config.antennas).signal_dim) - predicted
     if config.trials > 1:
         se = gap.std(axis=0, ddof=1) / math.sqrt(config.trials)
     else:

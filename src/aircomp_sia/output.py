@@ -67,7 +67,7 @@ class RunManifest:
 
 
 def sweep_rows(result):
-    """Flatten a SweepResult into one dict per SNR point, column order fixed."""
+    """Flatten a SweepResult into one dict per SNR point, keys in RESULT_COLUMNS order."""
     config = result.config
     rows = []
     for pt in result.points:
@@ -88,11 +88,9 @@ def sweep_rows(result):
 
 
 def write_result_csv(result, manifest, stream):
-    for line in manifest.comment_lines():
-        stream.write(line + "\n")
-    stream.write(",".join(RESULT_COLUMNS) + "\n")
-    for row in sweep_rows(result):
-        stream.write(",".join(fmt(row[col]) for col in RESULT_COLUMNS) + "\n")
+    lines = manifest.comment_lines() + [",".join(RESULT_COLUMNS)]
+    lines += [",".join(map(fmt, row.values())) for row in sweep_rows(result)]
+    stream.write("\n".join(lines) + "\n")
 
 
 def write_result_json(result, manifest, stream):

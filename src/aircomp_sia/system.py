@@ -52,8 +52,9 @@ class SystemConfig:
     def validate(self):
         for name in INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.antennas == 1:
             raise ConfigError("M=1 yields zero AirComp DoF")
         if self.antennas < 1:
@@ -67,6 +68,8 @@ class SystemConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
         try:
+            if isinstance(self.snr_db_grid, (str, bytes)):  # would split into characters
+                raise TypeError("a string is not a sequence")
             grid = tuple(float(s) for s in self.snr_db_grid)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"snr_db_grid must be a sequence of numbers, "

@@ -436,14 +436,57 @@ class TestRunSweep:
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_points_match_run_trial(self, scheme):
         # The sweep scores the whole grid in one pass; each point must equal
-        # a one-point run_trials at that SNR, bit for bit.
+        # a one-point run_trials at that SNR, bit for bit. A cell's dof
+        # entries are added in order on any grid, so this holds at dof = 8
+        # (M=16) too, where np.sum would add a one-point grid's pairwise.
         grid = (0.0, 7.5, 15.0, 22.5, 30.0)
-        cfg = config_for(4, 3, scheme=scheme, trials=1, seed=8, snr_db_grid=grid)
+        for m in (2, 4, 16):
+            cfg = config_for(m, 3, scheme=scheme, trials=3, seed=8, snr_db_grid=grid)
+            result = run_sweep(cfg, workers=1)
+            full = run_trials(cfg, range(3), grid)
+            for p, (pt, snr_db) in enumerate(zip(result.points, grid)):
+                res = run_trials(cfg, range(3), [snr_db])
+                for name in ("err", "err_power", "nmse", "analytic_nmse"):
+                    assert np.array_equal(getattr(full, name)[:, p], getattr(res, name)[:, 0])
+                cells = res.err_power[:, 0, 0] + res.err_power[:, 0, 1]
+                assert pt.nmse_mean == float(cells.sum() / res.sig_power.sum())
+                assert pt.nmse_median == float(np.median(res.nmse))
+                assert pt.analytic_nmse == float(res.analytic_nmse[:, 0].mean())
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    @pytest.mark.parametrize("m, k", [(2, 1), (4, 3)])
+    def test_reductions_match_full_axis_sums(self, monkeypatch, chunks, m, k):
+        # nmse_mean and oracle_gap are reduced from per-trial cell sums;
+        # they must equal the plain reductions over contiguous (T, P, 2)
+        # fields, the layout a pooled sweep unpickles, bit for bit, on one
+        # chunk's views and on joined chunks alike.
+        grid = tuple(float(s) for s in range(0, 41, 4))
+        cfg = config_for(m, k, trials=6, seed=4, snr_db_grid=grid)
+        if chunks == 2:
+            monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 3 * per_trial_elements(cfg, len(grid)))
+        sizes = record_chunk_sizes(monkeypatch)
+        seen = []
+        real = engine.run_trials
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(engine, "run_trials", spy)
         result = run_sweep(cfg, workers=1)
-        for pt, snr_db in zip(result.points, grid):
-            res = run_trials(cfg, [0], [snr_db])
-            assert pt.nmse_mean == float(res.err_power[0, 0].sum() / res.sig_power[0].sum())
-            assert pt.analytic_nmse == float(res.analytic_nmse[0, 0])
+        res, = seen
+        assert len(sizes) == chunks
+        dof = partition(m).signal_dim
+        assert res.err.shape == (6, len(grid), 2, dof)
+        assert res.err_power.shape == res.nmse.shape == (6, len(grid), 2)
+        err_power = np.ascontiguousarray(res.err_power)
+        nmse_mean = err_power.sum(axis=(0, 2)) / res.sig_power.sum()
+        gap = err_power.mean(axis=2) / (k * dof) - res.analytic_nmse
+        se = gap.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
+        for p, pt in enumerate(result.points):
+            assert pt.nmse_mean == float(nmse_mean[p])
+            assert pt.oracle_gap == float(gap[:, p].mean())
+            assert pt.oracle_gap_se == float(se[p])
 
     def test_point_layout_and_slope(self):
         cfg = config_for(4, 2, trials=6, seed=5)

@@ -95,6 +95,10 @@ class TestResultCsv:
         first = data[1].split(",")
         assert first[:5] == ["sia", "4", "2", "0", "3"]
 
+    def test_rows_follow_the_column_order(self, small_result):
+        # write_result_csv writes each row's values in key order.
+        assert all(tuple(row) == RESULT_COLUMNS for row in sweep_rows(small_result))
+
     def test_roundtrip(self, small_result, manifest, tmp_path):
         path = tmp_path / "out.csv"
         with open(path, "w", encoding="utf-8") as fh:

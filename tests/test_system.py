@@ -76,12 +76,31 @@ class TestConfigValidation:
         {"snr_db_grid": ("a",)},
         {"seed": 2**64},
         {"seed": 1.5},
+        {"snr_db_grid": "12"},
+        {"snr_db_grid": "059"},
+        {"snr_db_grid": b"12"},
+        {"antennas": np.True_},
+        {"antennas": np.float64(4.0)},
     ])
     def test_rejects(self, kw):
         base = dict(antennas=4, devices=2, snr_db_grid=(0.0,), trials=1)
         base.update(kw)
         with pytest.raises(ConfigError):
             SystemConfig(**base)
+
+    @pytest.mark.parametrize("grid", ["12", "059", b"12"])
+    def test_string_grid_is_not_split_into_characters(self, grid):
+        with pytest.raises(ConfigError, match="sequence of numbers"):
+            config_for(4, 2, snr_db_grid=grid)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = SystemConfig(antennas=np.int64(4), devices=np.uint8(2), trials=np.int32(3),
+                           seed=np.uint64(2**63))
+        plain = SystemConfig(antennas=4, devices=2, trials=3, seed=2**63)
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("antennas", "devices", "trials", "seed"))
+        assert cfg == plain and hash(cfg) == hash(plain)
+        assert cfg.to_flat() == plain.to_flat()
 
     def test_accepts_defaults(self):
         cfg = SystemConfig(antennas=4, devices=2, seed=3).validate()
