@@ -66,24 +66,23 @@ RESIDUAL_BOUND = 1e-8
 class TrialResult:
     """Seeded trials, each scored at every point of an SNR grid.
 
-    Every array field leads with the trial axis; the shapes below are
-    per trial. Fields with a P axis hold one entry per grid point; the
-    others do not depend on the noise level. A chunk stores err, err_power
-    and nmse with the grid axis last and returns them as transposed views;
-    joined chunks are contiguous copies in the order shown.
+    Every field leads with the trial axis; the shapes below are per
+    trial. Fields with a P axis hold one entry per grid point, the grid
+    axis last; the others do not depend on the noise level. A trial's
+    error at grid point p is noiseless + noise_std[p] * noise.
     """
 
-    target: np.ndarray         # (2, dof) sum of home-cell symbols
-    err: np.ndarray            # (P, 2, dof) recovered minus target
-    err_power: np.ndarray      # (P, 2) ||err||^2 per cell
-    sig_power: np.ndarray      # (2,) ||target||^2 per cell
-    nmse: np.ndarray           # (P, 2) err_power / sig_power
-    noise_std: np.ndarray      # (P,)
-    analytic_nmse: np.ndarray  # (P,) noise-only NMSE prediction, noise_std^2 / K
-    leakage: np.ndarray        # (2,) per AP, post-beamforming interference power ratio
-    aligned_rank: np.ndarray   # (2,) per interfering cell, at the victim AP
-    residual: np.ndarray       # () noiseless ||err|| / ||target|| over both cells
-    redraws: int               # channel-set redraws, over every trial
+    target: np.ndarray        # (2, dof) sum of home-cell symbols
+    noiseless: np.ndarray     # (2, dof) noise-free recovered minus target
+    noise: np.ndarray         # (2, dof) beamformed unit-variance noise
+    err_power: np.ndarray     # (2, P) ||err||^2 per cell
+    sig_power: np.ndarray     # (2,) ||target||^2 per cell
+    nmse: np.ndarray          # (2, P) err_power / sig_power
+    noise_std: np.ndarray     # (P,)
+    leakage: np.ndarray       # (2,) per AP, post-beamforming interference power ratio
+    aligned_rank: np.ndarray  # (2,) per interfering cell, at the victim AP
+    residual: np.ndarray      # () noiseless ||err|| / ||target|| over both cells
+    redraws: np.ndarray       # () channel-set redraws
 
 
 def _project(beamformer, vectors):
@@ -98,7 +97,7 @@ def _build(config, rngs, reference):
     of its matrices or when its construction loses rank, with at most
     SET_REDRAW_BUDGET sets per trial. The new set comes from the trial's
     own Generator, after its prefetched block. Returns (channels,
-    beamformer, precoders, set redraws).
+    beamformer, precoders, set redraws per trial).
     """
     channels = draw_channels(config, rngs)
     failed = channels.rejected
@@ -114,9 +113,9 @@ def _build(config, rngs, reference):
                     beamformer, precoders = build_sia_matrices(channels, reference)
                 else:
                     precoders = build_no_ia_precoders(channels, beamformer)
-                return channels, beamformer, precoders, int(sets.sum()) - len(rngs)
+                return channels, beamformer, precoders, sets - 1
             except RankDeficient as exc:
-                failed = np.ones(len(rngs), dtype=bool) if exc.failed is None else exc.failed
+                failed = exc.failed
         sets += failed
         if sets.max() > SET_REDRAW_BUDGET:
             raise DegenerateChannels(f"no usable channel draw after {SET_REDRAW_BUDGET} attempts")
@@ -181,19 +180,10 @@ def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = np.sqrt(np.sum(np.abs(noiseless) ** 2, axis=(-2, -1)) / sig_power.sum(axis=-1))
         nmse = err_power / sig_power[..., None]
-    return TrialResult(
-        target=target,
-        err=err.transpose(0, 3, 1, 2),
-        err_power=err_power.swapaxes(1, 2),
-        sig_power=sig_power,
-        nmse=nmse.swapaxes(1, 2),
-        noise_std=noise_std,
-        analytic_nmse=np.float_power(noise_std, 2) / config.devices,
-        leakage=leak_ratio,
-        aligned_rank=aligned,
-        residual=residual,
-        redraws=redraws,
-    )
+    return TrialResult(target=target, noiseless=noiseless, noise=beam_noise,
+                       err_power=err_power, sig_power=sig_power, nmse=nmse,
+                       noise_std=noise_std, leakage=leak_ratio, aligned_rank=aligned,
+                       residual=residual, redraws=redraws)
 
 
 def _chunk_trials(config, points):
@@ -205,20 +195,17 @@ def _chunk_trials(config, points):
 
 
 def _concat(parts):
-    """Join results along the trial axis, summing their redraws; a lone
-    part is returned as it is."""
+    """Join results along the trial axis; a lone part is returned as it is."""
     if len(parts) == 1:
         return parts[0]
-    return TrialResult(**{
-        f.name: (sum(p.redraws for p in parts) if f.name == "redraws"
-                 else np.concatenate([getattr(p, f.name) for p in parts]))
-        for f in fields(TrialResult)
-    })
+    return TrialResult(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                          for f in fields(TrialResult)})
 
 
 def run_trials(config, trials, snr_db, symbols=None):
     """Seeded trials `trials`, each drawn, built, transmitted and scored at
-    every point of the SNR grid `snr_db`; an infinite SNR is noiseless.
+    every point of the SNR grid `snr_db`: a non-empty 1-D sequence of
+    numbers, each finite or +inf (noiseless), or ConfigError is raised.
 
     Returns one TrialResult with a leading trial axis, in the order
     given. Every trial is a pure function of (config, trial index, grid
@@ -227,7 +214,14 @@ def run_trials(config, trials, snr_db, symbols=None):
     """
     if len(trials) == 0:
         raise ConfigError("run_trials needs at least one trial index, got an empty list")
-    grid = np.asarray(snr_db, dtype=np.float64)
+    try:
+        grid = np.asarray(snr_db, dtype=np.float64)
+    except (TypeError, ValueError):
+        grid = np.empty((0, 0))  # not numbers: rejected below
+    # grid > -inf is False for nan and -inf; +inf is the noiseless point.
+    if grid.ndim != 1 or grid.size == 0 or not np.all(grid > -math.inf):
+        raise ConfigError(f"snr_db must be a non-empty 1-D sequence of numbers, "
+                          f"each finite or +inf, got {snr_db!r}")
     # Seeding is hashed once for the whole call, since its fixed cost would
     # outweigh default_rng's on one-trial chunks; only one chunk's
     # Generators are alive at a time.
@@ -265,7 +259,8 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
         raise SizeMismatch(f"data must have shape {expected}, got {data.shape}")
     res = run_trials(config, [trial_index], [math.inf if snr_db is None else snr_db],
                      preprocess(spec, data)[None])
-    return postprocess(spec, res.target[0] + res.err[0, 0])
+    error = res.noiseless[0] + res.noise_std[0, 0] * res.noise[0]
+    return postprocess(spec, res.target[0] + error)
 
 
 @dataclass
@@ -387,13 +382,14 @@ def run_sweep(config, workers=None):
     merged = _concat(batches)
 
     # Every column is reduced over the trial (and cell) axes for all grid
-    # points at once: err_power is (T, P, 2), analytic_nmse (T, P). The two
-    # cells are summed once, as err_power.sum(axis=(0, 2)) adds a C array.
+    # points at once: err_power is (T, 2, P), noise_std (T, P). Each
+    # trial's two cells are added first, then the trials in order.
+    # Noise-only oracle sigma^2 / K: noise power sigma^2 * dof over target power K * dof.
     grid = config.snr_db_grid
-    cells = merged.err_power[..., 0] + merged.err_power[..., 1]
-    predicted = merged.analytic_nmse
+    cells = merged.err_power[:, 0] + merged.err_power[:, 1]
     nmse_mean = cells.sum(axis=0) / merged.sig_power.sum()
-    nmse_median = np.median(merged.nmse, axis=(0, 2))
+    nmse_median = np.median(merged.nmse.reshape(-1, len(grid)), axis=0)
+    predicted = np.float_power(merged.noise_std, 2) / config.devices
     gap = cells / 2 / (config.devices * partition(config.antennas).signal_dim) - predicted
     if config.trials > 1:
         se = gap.std(axis=0, ddof=1) / math.sqrt(config.trials)

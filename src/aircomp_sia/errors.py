@@ -12,11 +12,11 @@ class SizeMismatch(AirCompError, ValueError):
 class RankDeficient(AirCompError):
     """Matrix lacks the full rank the operation requires.
 
-    `failed`, when set, is a boolean mask over the leading (batch) axes of
-    the call's inputs marking the entries that hold a deficient matrix.
+    `failed` is a boolean mask over the leading (batch) axes of the
+    call's inputs marking the entries that hold a deficient matrix.
     """
 
-    def __init__(self, message, failed=None):
+    def __init__(self, message, failed):
         super().__init__(message)
         self.failed = failed
 

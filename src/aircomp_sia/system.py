@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -68,8 +69,9 @@ class SystemConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
         try:
-            if isinstance(self.snr_db_grid, (str, bytes)):  # would split into characters
-                raise TypeError("a string is not a sequence")
+            # A string would split into characters, a mapping give its keys, a set its hash order.
+            if isinstance(self.snr_db_grid, (str, bytes, Mapping, Set)):
+                raise TypeError("not a sequence")
             grid = tuple(float(s) for s in self.snr_db_grid)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"snr_db_grid must be a sequence of numbers, "

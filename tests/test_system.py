@@ -93,6 +93,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sequence of numbers"):
             config_for(4, 2, snr_db_grid=grid)
 
+    @pytest.mark.parametrize("grid", [{0: "a", 10: "b"}, {20, 10}, frozenset({0, 10}),
+                                      {0: "a", 10: "b"}.keys()],
+                             ids=["dict", "set", "frozenset", "keys"])
+    def test_keyed_and_unordered_grids_are_rejected(self, grid):
+        # A mapping would give its keys, a set its hash order.
+        with pytest.raises(ConfigError, match="sequence of numbers"):
+            config_for(4, 2, snr_db_grid=grid)
+
+    @pytest.mark.parametrize("grid", [[0, 10], (0.0, 10.0), range(0, 20, 10),
+                                      np.array([0.0, 10.0]), (s for s in (0, 10)),
+                                      ("0", "10")],
+                             ids=["list", "tuple", "range", "array", "generator", "strings"])
+    def test_sequences_are_accepted(self, grid):
+        # A tuple of strings is what from_flat hands over.
+        assert config_for(4, 2, snr_db_grid=grid).snr_db_grid == (0.0, 10.0)
+
     def test_numpy_integers_are_stored_as_int(self):
         cfg = SystemConfig(antennas=np.int64(4), devices=np.uint8(2), trials=np.int32(3),
                            seed=np.uint64(2**63))

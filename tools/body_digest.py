@@ -1,14 +1,21 @@
-"""One sha256 over the CSV bodies of a fixed set of 84 sweeps.
+"""One sha256 over the CSV bodies of a fixed set of 84 sweeps, and one
+over the outputs of 108 functional trials.
 
     python3 tools/body_digest.py --workers 2
 
-The set is the 16 reference seeds of each of the three benchmark workload
-configs (read from benchmarks/workloads.py), then sia, no_ia and genie at
-(M, K) in {(2,1), (3,2), (4,5), (5,3), (6,2), (16,5)}, seeds 0 and 1, with
-the default SNR grid and trial count. Each sweep's CSV is written as
-`aircomp run` writes it, and its body (the # block stripped) is hashed in
-that order. Equal digests at two worker counts, or for two checkouts on
-one machine, mean byte-identical bodies on every sweep.
+The sweeps are the 16 reference seeds of each of the three benchmark
+workload configs (read from benchmarks/workloads.py), then sia, no_ia and
+genie at (M, K) in {(2,1), (3,2), (4,5), (5,3), (6,2), (16,5)}, seeds 0
+and 1, with the default SNR grid and trial count. Each sweep's CSV is
+written as `aircomp run` writes it, and its body (the # block stripped) is
+hashed in that order. Equal digests at two worker counts, or for two
+checkouts on one machine, mean byte-identical bodies on every sweep.
+
+The functional trials are `run_functional_trial` for sia, no_ia and genie
+at (M, K) in {(2,1), (4,3), (5,2), (16,2)}, each of sum, mean and geomean,
+noiseless and at 0 and 17.5 dB, on data drawn from default_rng([M, K]).
+Their float64 estimates are hashed in that order, on the second line;
+they do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from gate import csv_body  # noqa: E402
 SCHEMES = ("sia", "no_ia", "genie")
 SHAPES = ((2, 1), (3, 2), (4, 5), (5, 3), (6, 2), (16, 5))
 SEEDS = (0, 1)
+FUNCTIONAL_SHAPES = ((2, 1), (4, 3), (5, 2), (16, 2))
+FUNCTIONAL_SNRS = (None, 0.0, 17.5)
 
 
 def configs():
@@ -56,6 +65,28 @@ def digest(workers):
     return sha.hexdigest(), count
 
 
+def functional_digest():
+    import numpy as np
+
+    from aircomp_sia import SystemConfig
+    from aircomp_sia.engine import run_functional_trial
+    from aircomp_sia.functions import FUNCTIONS
+    from aircomp_sia.system import partition
+
+    sha = hashlib.sha256()
+    count = 0
+    for scheme in SCHEMES:
+        for m, k in FUNCTIONAL_SHAPES:
+            config = SystemConfig(antennas=m, devices=k, scheme=scheme)
+            data = np.random.default_rng([m, k]).uniform(0.5, 2.0, (k, 2, partition(m).signal_dim))
+            for function in FUNCTIONS:
+                for snr_db in FUNCTIONAL_SNRS:
+                    estimate = run_functional_trial(config, function, data, snr_db=snr_db)
+                    sha.update(estimate.tobytes())
+                    count += 1
+    return sha.hexdigest(), count
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=1, help="worker processes per sweep")
@@ -65,6 +96,8 @@ def main(argv=None):
     workloads.use_checkout_source()
     hexdigest, count = digest(args.workers)
     print(f"{hexdigest}  {count} sweeps, {args.workers} worker(s)")
+    hexdigest, count = functional_digest()
+    print(f"{hexdigest}  {count} functional trials")
 
 
 if __name__ == "__main__":
