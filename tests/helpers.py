@@ -20,6 +20,13 @@ def prefetched(config, trials, symbols=True):
     return PrefetchedStreams(generators, np.empty((len(generators), trial_normals(config, symbols))))
 
 
+def complement_beamformer(reference):
+    """Beamformers for a planted reference pair (..., 2, M, N'): block i is
+    the trailing columns of a complete QR of reference[1 - i], conjugate-transposed."""
+    q = np.linalg.qr(reference[..., ::-1, :, :], mode="complete")[0]
+    return q[..., reference.shape[-1]:].conj().swapaxes(-1, -2)
+
+
 def span_residual(reference, block):
     """Part of `block` outside the span of the orthonormal `reference`,
     relative to the norm of `block`: zero, up to rounding, when the span
