@@ -28,12 +28,7 @@ from .errors import (
 )
 from .functions import FunctionSpec, postprocess, preprocess
 from .linalg import numerical_rank
-from .sia import (
-    aligned_interference_dimension,
-    build_aggregation_beamformers,
-    build_reference_matrices,
-    build_sia_matrices,
-)
+from .sia import aligned_interference_dimension, build_reference_matrices, build_sia_matrices
 from .system import (
     ChannelSet,
     Partition,
@@ -52,8 +47,7 @@ __all__ = [
     "numerical_rank",
     "SystemConfig", "Partition", "partition", "ChannelSet", "draw_channels",
     "draw_symbols", "superpose", "parse_config_file",
-    "build_reference_matrices", "build_aggregation_beamformers",
-    "build_sia_matrices", "aligned_interference_dimension",
+    "build_reference_matrices", "build_sia_matrices", "aligned_interference_dimension",
     "EfficiencyReport", "efficiency_report",
     "build_no_ia_precoders", "genie_channels",
     "FunctionSpec", "preprocess", "postprocess",

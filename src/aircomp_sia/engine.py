@@ -16,6 +16,7 @@ any worker count.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import threading
@@ -27,12 +28,7 @@ import numpy as np
 from .baselines import build_no_ia_precoders, genie_channels
 from .errors import ConfigError, DegenerateChannels, RankDeficient, SizeMismatch
 from .functions import FunctionSpec, postprocess, preprocess
-from .sia import (
-    aligned_interference_dimension,
-    build_aggregation_beamformers,
-    build_reference_matrices,
-    build_sia_matrices,
-)
+from .sia import aligned_interference_dimension, build_reference_matrices, build_sia_matrices
 from .system import (
     PrefetchedStreams,
     _complex_normal,
@@ -90,30 +86,29 @@ def _project(beamformer, vectors):
     return (beamformer @ vectors[..., None])[..., 0]
 
 
-def _build(config, rngs, reference):
-    """Draw every trial's channel set and build its precoders.
+def _build(config, rngs, reference, beamformer):
+    """Draw every trial's channel set and build its precoders on the
+    trial's reference and beamformer.
 
     A trial redraws its whole set when the conditioning guard rejects any
     of its matrices or when its construction loses rank, with at most
     SET_REDRAW_BUDGET sets per trial. The new set comes from the trial's
     own Generator, after its prefetched block. Returns (channels,
-    beamformer, precoders, set redraws per trial).
+    precoders, set redraws per trial).
     """
     channels = draw_channels(config, rngs)
     failed = channels.rejected
     sets = np.ones(len(rngs), dtype=int)
-    if config.scheme != "sia":
-        beamformer = build_aggregation_beamformers(reference)
     while True:
         if not failed.any():
             if config.scheme == "genie":
                 channels = genie_channels(channels)
             try:
                 if config.scheme == "sia":
-                    beamformer, precoders = build_sia_matrices(channels, reference)
+                    precoders = build_sia_matrices(channels, reference, beamformer)
                 else:
                     precoders = build_no_ia_precoders(channels, beamformer)
-                return channels, beamformer, precoders, sets - 1
+                return channels, precoders, sets - 1
             except RankDeficient as exc:
                 failed = exc.failed
         sets += failed
@@ -142,8 +137,8 @@ def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
     if buffer is None:
         buffer = np.empty((len(generators), trial_normals(config, symbols is None)))
     rngs = PrefetchedStreams(generators, buffer[:len(generators)])
-    reference = build_reference_matrices(config.antennas, rngs)
-    channels, beamformer, precoders, redraws = _build(config, rngs, reference)
+    reference, beamformer = build_reference_matrices(config.antennas, rngs)
+    channels, precoders, redraws = _build(config, rngs, reference, beamformer)
     if symbols is None:
         symbols = draw_symbols(config, rngs)
     noise_unit = _complex_normal(rngs, (2, config.antennas))
@@ -360,10 +355,14 @@ def run_sweep(config, workers=None):
     The slope of log10(mean NMSE) is fitted over the top half of the grid.
     Output is identical for any worker count. More than one worker runs
     on a process pool kept for later sweeps of the same worker count.
+    `workers` is None (worker_count()) or an integer of at least 1, or
+    ConfigError is raised.
     """
     if workers is None:
         workers = worker_count()
-    ranges = np.array_split(np.arange(config.trials), min(config.trials, max(1, workers)))
+    elif isinstance(workers, (bool, np.bool_)) or not hasattr(workers, "__index__") or workers < 1:
+        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
+    ranges = np.array_split(np.arange(config.trials), min(config.trials, operator.index(workers)))
     if len(ranges) == 1:
         batches = [run_trials(config, ranges[0], config.snr_db_grid)]
     else:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from aircomp_sia import linalg
+from aircomp_sia import linalg, sia
 from aircomp_sia.system import PrefetchedStreams, streams, trial_normals, trial_words
 
 
@@ -25,6 +25,13 @@ def complement_beamformer(reference):
     the trailing columns of a complete QR of reference[1 - i], conjugate-transposed."""
     q = np.linalg.qr(reference[..., ::-1, :, :], mode="complete")[0]
     return q[..., reference.shape[-1]:].conj().swapaxes(-1, -2)
+
+
+def plant_draws(monkeypatch, *draws):
+    """Make build_reference_matrices orthonormalise `draws`, one (M, N')
+    matrix per cell, in place of its random draws."""
+    cells = iter(draws)
+    monkeypatch.setattr(sia, "_complex_normal", lambda rng, shape: next(cells))
 
 
 def span_residual(reference, block):

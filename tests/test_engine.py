@@ -26,7 +26,7 @@ from aircomp_sia.errors import (
     SizeMismatch,
 )
 from aircomp_sia.functions import FunctionSpec, preprocess
-from aircomp_sia.sia import build_aggregation_beamformers, build_reference_matrices
+from aircomp_sia.sia import build_reference_matrices
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
@@ -103,7 +103,7 @@ class TestRunTrial:
             run_trials(config_for(1, 2), [0], NOISELESS)
 
     def test_degenerate_channels_after_budget(self, monkeypatch):
-        def always_deficient(channels, reference):
+        def always_deficient(channels, *bases):
             raise RankDeficient("forced", failed=np.ones(len(channels.direct), dtype=bool))
 
         monkeypatch.setattr("aircomp_sia.engine.build_sia_matrices",
@@ -111,6 +111,28 @@ class TestRunTrial:
         cfg = config_for(4, 2)
         with pytest.raises(DegenerateChannels):
             run_trials(cfg, [0], NOISELESS)
+
+
+@pytest.mark.parametrize("scheme, m, qr_calls", [
+    ("sia", 2, 1), ("sia", 4, 1), ("sia", 16, 1), ("sia", 3, 2), ("sia", 5, 2),
+    ("no_ia", 4, 2), ("no_ia", 5, 2), ("genie", 4, 2),
+])
+def test_qr_calls_per_chunk(monkeypatch, scheme, m, qr_calls):
+    # One complete QR builds both alignment bases of every trial of the
+    # chunk; a wide right inverse (sia at odd M, no_ia, genie) takes one more.
+    calls = []
+    real = np.linalg.qr
+
+    def counting(a, *args, **kw):
+        calls.append(np.shape(a)[:-2])
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    cfg = config_for(m, 3, scheme=scheme)
+    chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), np.asarray(cfg.snr_db_grid))
+    assert not chunk.redraws.any()
+    assert len(calls) == qr_calls
+    assert calls[0] == (4, 2)
 
 
 def per_trial_elements(cfg, points):
@@ -244,8 +266,7 @@ class TestAnalyticNoiseMse:
         rng = np.random.default_rng(0)
         m, k = 6, 3
         part = partition(m)
-        reference = build_reference_matrices(m, rng)
-        beam = build_aggregation_beamformers(reference)[0]
+        beam = build_reference_matrices(m, rng)[1][0]
         (want,), (sigma,) = one_trial_oracle(config_for(m, k, seed=1), (5.0,))
         reps = 20000
         noise = sigma * _complex_normal(rng, (reps, m))
@@ -404,6 +425,17 @@ class TestWorkerCount:
         pooled = run_sweep(cfg, workers=64)
         assert fake_pools.sizes == [2]
         assert pooled.points == run_sweep(cfg, workers=1).points
+
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", True, np.bool_(True), np.float64(2.0)])
+    def test_sweep_rejects_bad_worker_count(self, fake_pools, workers):
+        with pytest.raises(ConfigError, match="workers must be None or an integer"):
+            run_sweep(config_for(2, 1, trials=4), workers=workers)
+        assert fake_pools.sizes == []
+
+    def test_sweep_takes_numpy_worker_count(self, fake_pools):
+        cfg = config_for(2, 1, trials=4)
+        assert run_sweep(cfg, workers=np.int64(2)).points == run_sweep(cfg, workers=1).points
+        assert fake_pools.sizes == [2]
 
     def test_explicit_count_is_clamped_to_cpus(self, monkeypatch, capsys, fake_pools):
         affinity(monkeypatch, 3)
@@ -747,16 +779,16 @@ class TestChunks:
         # process, where the plant reaches them.
         cfg = config_for(m, 3, trials=6, seed=5)
         grid = np.asarray(cfg.snr_db_grid)
-        marked = build_reference_matrices(m, np.random.default_rng([cfg.seed, 4]))
+        marked = build_reference_matrices(m, np.random.default_rng([cfg.seed, 4]))[0]
         rng = np.random.default_rng(9)
         nearly_rank_one = (np.outer(_complex_normal(rng, (m,)), _complex_normal(rng, (m,)))
                            + 1e-8 * _complex_normal(rng, (m, m)))
         real = engine.build_sia_matrices
 
-        def planted(channels, reference):
+        def planted(channels, reference, beamformer):
             hit = np.all(reference == marked, axis=(-3, -2, -1))
             channels.direct[hit, 1, 0] = nearly_rank_one
-            return real(channels, reference)
+            return real(channels, reference, beamformer)
 
         monkeypatch.setattr(engine, "build_sia_matrices", planted)
         trials = range(6)
@@ -776,24 +808,25 @@ class TestChunks:
         # trial redraws its set, and gets what it would get alone.
         cfg = config_for(4, 3, scheme=scheme, seed=6)
         grid = np.asarray(cfg.snr_db_grid)
-        marked = build_reference_matrices(4, np.random.default_rng([cfg.seed, 2]))
+        marked = build_reference_matrices(4, np.random.default_rng([cfg.seed, 2]))[0]
         name = "build_sia_matrices" if scheme == "sia" else "build_no_ia_precoders"
         real = getattr(engine, name)
         planted = {"done": True}
 
-        def flaky(channels, second):
+        def flaky(channels, *bases):
             reference = planted["reference"]
             hit = np.all(reference == marked, axis=(-3, -2, -1))
             if hit.any() and not planted["done"]:
                 planted["done"] = True
                 raise RankDeficient("planted", failed=hit)
-            return real(channels, second)
+            return real(channels, *bases)
 
         real_refs = engine.build_reference_matrices
 
         def remember(*args):
-            planted["reference"] = real_refs(*args)
-            return planted["reference"]
+            bases = real_refs(*args)
+            planted["reference"] = bases[0]
+            return bases
 
         monkeypatch.setattr(engine, "build_reference_matrices", remember)
         monkeypatch.setattr(engine, name, flaky)
@@ -816,12 +849,12 @@ class TestChunks:
 
 def first_draws(cfg, g, symbols=True):
     """What a trial draws from its Generator `g` before any set redraw,
-    through the single-Generator path: the reference pair, the channel
-    set, the symbols unless they are planted, and the noise."""
-    reference = build_reference_matrices(cfg.antennas, g)
+    through the single-Generator path: the (reference, beamformer) pair,
+    the channel set, the symbols unless they are planted, and the noise."""
+    bases = build_reference_matrices(cfg.antennas, g)
     channels = draw_channels(cfg, g)
     drawn = draw_symbols(cfg, g) if symbols else None
-    return reference, channels, drawn, _complex_normal(g, (2, cfg.antennas))
+    return bases, channels, drawn, _complex_normal(g, (2, cfg.antennas))
 
 
 def oracle_chunk(monkeypatch, cfg, trials, grid, symbols=None, rank_losses=()):
@@ -831,10 +864,11 @@ def oracle_chunk(monkeypatch, cfg, trials, grid, symbols=None, rank_losses=()):
     set, and once for each time t is in `rank_losses` (a planted build
     failure of an accepted set). The engine then scores those draws with
     the real builders."""
-    refs, sets, drawn, noise, redraws = [], [], [], [], []
+    refs, beams, sets, drawn, noise, redraws = [], [], [], [], [], []
     for t in trials:
         g = np.random.default_rng([cfg.seed, t])
-        reference, channels, trial_symbols, trial_noise = first_draws(cfg, g, symbols is None)
+        (reference, beamformer), channels, trial_symbols, trial_noise = first_draws(
+            cfg, g, symbols is None)
         losses = list(rank_losses).count(t)
         redraws.append(0)
         while True:
@@ -845,13 +879,15 @@ def oracle_chunk(monkeypatch, cfg, trials, grid, symbols=None, rank_losses=()):
             channels = draw_channels(cfg, g)
             redraws[-1] += 1
         refs.append(reference)
+        beams.append(beamformer)
         sets.append(channels)
         drawn.append(trial_symbols)
         noise.append(trial_noise)
     stacked = ChannelSet(np.stack([c.direct for c in sets]), np.stack([c.cross for c in sets]),
                          np.zeros(len(sets), dtype=bool))
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "build_reference_matrices", lambda *args: np.stack(refs))
+        patch.setattr(engine, "build_reference_matrices",
+                      lambda *args: (np.stack(refs), np.stack(beams)))
         patch.setattr(engine, "draw_channels", lambda *args: stacked)
         patch.setattr(engine, "draw_symbols", lambda *args: np.stack(drawn))
         patch.setattr(engine, "_complex_normal", lambda *args: np.stack(noise))
@@ -870,11 +906,11 @@ def plant_rank_loss(monkeypatch, scheme, trial):
     real = getattr(engine, name)
     builds = []
 
-    def flaky(channels, second):
+    def flaky(channels, *bases):
         builds.append(len(channels.direct))
         if len(builds) == 1:
             raise RankDeficient("planted", failed=np.arange(len(channels.direct)) == trial)
-        return real(channels, second)
+        return real(channels, *bases)
 
     monkeypatch.setattr(engine, name, flaky)
     return builds

@@ -12,11 +12,7 @@ from aircomp_sia.linalg import (
     numerical_rank,
     right_inverse,
 )
-from aircomp_sia.sia import (
-    build_aggregation_beamformers,
-    build_reference_matrices,
-    build_sia_matrices,
-)
+from aircomp_sia.sia import build_reference_matrices, build_sia_matrices
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
@@ -26,7 +22,7 @@ from aircomp_sia.system import (
     superpose,
 )
 
-from helpers import prefetched, span_residual, trial_streams
+from helpers import plant_draws, prefetched, span_residual, trial_streams
 
 
 def rng_for(seed):
@@ -47,25 +43,25 @@ def build_with_cross(cfg, cell, matrix):
     start = 4 * m * partition(m).interference_dim + 4 * k * m * m
     cross = rngs.buffer[1, start:start + 4 * k * m * m].reshape(2, k, 2, m, m)
     cross[:, 0, cell] = matrix
-    return engine._build(cfg, rngs, build_reference_matrices(m, rngs))
+    return engine._build(cfg, rngs, *build_reference_matrices(m, rngs))
 
 
 def ia_setup(cross):
-    """References and the first device's precoder for a channel set whose
-    cross channels are all `cross` and whose direct channels are I."""
+    """References, beamformers and the first device's precoder for a
+    channel set whose cross channels are all `cross` and whose direct
+    channels are I."""
     m = cross.shape[-1]
     stack = np.broadcast_to(cross, (1, 2, m, m)).copy()
     channels = ChannelSet(np.broadcast_to(np.eye(m, dtype=complex), (1, 2, m, m)).copy(), stack)
-    reference = build_reference_matrices(m, rng_for(0))
-    _, precoder = build_sia_matrices(channels, reference)
-    return reference, precoder[0, 0]
+    reference, beam = build_reference_matrices(m, rng_for(0))
+    return reference, beam, build_sia_matrices(channels, reference, beam)[0, 0]
 
 
 def cross_leak(cross):
     """Part of cross @ precoder outside the reference span, relative to its
     norm, for ia_setup's device. The IA stage inverts the cross channel, so
     this is zero up to rounding."""
-    reference, precoder = ia_setup(cross)
+    reference, _, precoder = ia_setup(cross)
     return span_residual(reference[0], cross @ precoder)
 
 
@@ -135,8 +131,7 @@ class TestInverse:
         # cross channel inv(a) is a @ reference @ pinv(beam @ a @ reference).
         for seed in range(10):
             a = gaussian(rng_for(seed), 5, 5)
-            reference, precoder = ia_setup(np.linalg.inv(a))
-            beam = build_aggregation_beamformers(reference)
+            reference, beam, precoder = ia_setup(np.linalg.inv(a))
             aligned = a @ reference[0]
             expected = aligned @ np.linalg.pinv(beam[0] @ aligned)
             rel = np.linalg.norm(precoder - expected) / np.linalg.norm(expected)
@@ -153,7 +148,7 @@ class TestInverse:
         # its trial redraws the set, and with no redraw left the run is
         # degenerate (exit 3).
         cfg = SystemConfig(antennas=2, devices=2)
-        channels, _, _, redraws = build_with_cross(cfg, 1, np.diag([1.0, 1e-13]))
+        channels, _, redraws = build_with_cross(cfg, 1, np.diag([1.0, 1e-13]))
         assert redraws.tolist() == [0, 1]
         assert np.linalg.cond(channels.cross[1, 0, 1]) <= COND_LIMIT
         monkeypatch.setattr(engine, "SET_REDRAW_BUDGET", 1)
@@ -162,7 +157,7 @@ class TestInverse:
 
     def test_zero_matrix_raises(self, monkeypatch):
         cfg = SystemConfig(antennas=3, devices=2, scheme="no_ia")
-        channels, _, _, redraws = build_with_cross(cfg, 0, np.zeros((3, 3)))
+        channels, _, redraws = build_with_cross(cfg, 0, np.zeros((3, 3)))
         assert redraws.tolist() == [0, 1]
         assert numerical_rank(channels.cross[1, 0, 0]) == 3
         monkeypatch.setattr(engine, "SET_REDRAW_BUDGET", 1)
@@ -174,8 +169,6 @@ class TestInverse:
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
             numerical_rank(a)
-        with pytest.raises(ValueError):
-            build_aggregation_beamformers(np.stack([a[:, :1], a[:, :1]]))
 
 
 class TestRightInverse:
@@ -188,7 +181,7 @@ class TestRightInverse:
 
     def test_residual(self):
         rng = rng_for(11)
-        beam = build_aggregation_beamformers(build_reference_matrices(5, rng))[0]
+        beam = build_reference_matrices(5, rng)[1][0]
         direct = gaussian(rng, 5, 5)
         x = no_ia(beam, direct)
         a = beam @ direct
@@ -199,9 +192,9 @@ class TestRightInverse:
         # so the precoder is ia @ reference @ inv(effective).
         rng = rng_for(5)
         m = 4
-        reference = build_reference_matrices(m, rng)
+        reference, beam = build_reference_matrices(m, rng)
         channels = ChannelSet(_complex_normal(rng, (3, 2, m, m)), _complex_normal(rng, (3, 2, m, m)))
-        beam, precoder = build_sia_matrices(channels, reference)
+        precoder = build_sia_matrices(channels, reference, beam)
         for k in range(3):
             for i in (0, 1):
                 aligned = np.linalg.inv(channels.cross[k, i]) @ reference[i]
@@ -213,7 +206,7 @@ class TestRightInverse:
         # Any other right inverse differs by columns from the null space
         # of a and cannot have smaller Frobenius norm.
         rng = rng_for(9)
-        beam = build_aggregation_beamformers(build_reference_matrices(4, rng))[0]
+        beam = build_reference_matrices(4, rng)[1][0]
         direct = gaussian(rng, 4, 4)
         a = beam @ direct
         x = no_ia(beam, direct)
@@ -418,44 +411,38 @@ class TestRightInverseSvdCount:
 
 
 class TestLeftNullSpaceBasis:
-    """The beamformer at an AP is an orthonormal basis of the left null
-    space of the other cell's reference, taken from a complete QR; `basis`
-    gives both cells the reference `b`."""
+    """AP 0's beamformer is an orthonormal basis of the left null space of
+    cell 1's draw, the trailing columns of its complete QR; `basis` plants
+    the draw `b` for both cells."""
 
     @staticmethod
-    def basis(b):
-        return build_aggregation_beamformers(np.stack([b, b]))[0]
+    def basis(monkeypatch, b):
+        plant_draws(monkeypatch, b, b)
+        return build_reference_matrices(b.shape[0], None)[1][0]
 
-    def test_coordinate_columns(self):
+    def test_coordinate_columns(self, monkeypatch):
         b = np.eye(4, dtype=complex)[:, :2]
-        a = self.basis(b)
+        a = self.basis(monkeypatch, b)
         assert a.shape == (2, 4)
         assert np.all(a @ b == 0)
         assert np.all(a[:, :2] == 0)
         assert np.allclose(a @ a.conj().T, np.eye(2), atol=1e-14)
 
-    def test_single_vector(self):
-        b = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-        a = self.basis(b)
-        assert a.shape == (2, 3)
+    def test_single_vector(self, monkeypatch):
+        b = np.array([[1.0], [0.0]], dtype=complex)
+        a = self.basis(monkeypatch, b)
+        assert a.shape == (1, 2)
         assert np.all(a @ b == 0)
         assert np.all(a[:, 0] == 0)
-        assert numerical_rank(a[:, 1:]) == 2
+        assert numerical_rank(a[:, 1:]) == 1
 
-    def test_random_annihilation(self):
-        # A raw Gaussian b, not orthonormalised as the engine's references are.
-        b = gaussian(rng_for(2), 6, 3)
-        a = self.basis(b)
+    def test_random_annihilation(self, monkeypatch):
+        # A raw Gaussian b at a scale far from the unit-variance draws.
+        b = 1e3 * gaussian(rng_for(2), 6, 3)
+        a = self.basis(monkeypatch, b)
         assert a.shape == (3, 6)
         assert np.abs(a @ b).max() <= 1e-10 * np.linalg.norm(b)
         assert np.allclose(a @ a.conj().T, np.eye(3), atol=1e-10)
-
-    def test_not_tall_raises(self):
-        # A square or wide b leaves no complement: a complete QR would
-        # return no rows.
-        for shape in [(2, 2), (3, 4)]:
-            with pytest.raises(SizeMismatch):
-                self.basis(np.ones(shape, dtype=complex))
 
 
 class TestNumericalRank:

@@ -51,13 +51,21 @@ def _benchmark_module(monkeypatch, name):
     return module
 
 
+# Tracer targets whose function left the package on purpose: both
+# alignment bases now come from sia.build_reference_matrices, whose layer
+# covers them. The tracer reports them absent until the benchmark drops
+# them; this list is emptied then.
+REMOVED_TARGETS = [("aircomp_sia.engine", "build_aggregation_beamformers"),
+                   ("aircomp_sia.sia", "build_aggregation_beamformers")]
+
+
 def test_benchmark_tracer_targets_resolve(monkeypatch):
     # The benchmark wraps these names from outside the package; one renamed
     # or moved away drops its layer from every traced run.
     tracer = _benchmark_module(monkeypatch, "tracer")
     absent = [(module, attr) for module, attr, _, _ in tracer.TARGETS
               if not hasattr(importlib.import_module(module), attr)]
-    assert tracer.TARGETS and absent == []
+    assert tracer.TARGETS and absent == REMOVED_TARGETS
 
 
 @pytest.mark.parametrize("seed", [0, 1])

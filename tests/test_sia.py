@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from aircomp_sia.errors import RankDeficient, SizeMismatch
+from aircomp_sia.errors import RankDeficient
 from aircomp_sia.sia import (
     aligned_interference_dimension,
-    build_aggregation_beamformers,
     build_reference_matrices,
     build_sia_matrices,
 )
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
+    _complex_normal,
     draw_channels,
     draw_symbols,
     partition,
     superpose,
 )
 
-from helpers import prefetched, span_residual
+from helpers import complement_beamformer, plant_draws, prefetched, span_residual
 
 
 def config_for(m, k, **kw):
@@ -29,9 +29,9 @@ def config_for(m, k, **kw):
 def sia_setup(m, k, seed=0):
     cfg = config_for(m, k)
     rng = np.random.default_rng(seed)
-    reference = build_reference_matrices(m, rng)
+    reference, beam = build_reference_matrices(m, rng)
     channels = draw_channels(cfg, rng)
-    beam, precoder = build_sia_matrices(channels, reference)
+    precoder = build_sia_matrices(channels, reference, beam)
     return cfg, rng, channels, reference, beam, precoder
 
 
@@ -50,27 +50,52 @@ def precoder_oracle(device, cell, channels, beamformer, reference):
     return ia @ (reference @ np.linalg.pinv(effective))
 
 
+def herm(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def assert_alignment_bases(reference, beam, m):
+    """The builder's contract on a (reference, beamformer) pair with any
+    leading axes: the shapes, orthonormal reference columns and beamformer
+    rows, and each beamformer annihilating the other cell's reference."""
+    n = partition(m).interference_dim
+    lead = reference.shape[:-3]
+    assert reference.shape == lead + (2, m, n)
+    assert beam.shape == lead + (2, m - n, m)
+    # A strided view would round the engine's products differently and
+    # change CSV bodies in their last digits.
+    assert beam.flags.c_contiguous
+    assert np.abs(herm(reference) @ reference - np.eye(n)).max() <= 1e-14
+    assert np.abs(beam @ herm(beam) - np.eye(m - n)).max() <= 1e-14
+    assert np.abs(beam @ reference[..., ::-1, :, :]).max() <= 1e-14
+
+
 class TestReferenceMatrices:
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+    """The (reference, beamformer) pair of build_reference_matrices, from
+    one Generator."""
+
+    @pytest.mark.parametrize("m", range(2, 17))
     def test_shapes_and_orthonormal_columns(self, m):
-        part = partition(m)
-        ref = build_reference_matrices(m, np.random.default_rng(0))
-        assert ref.shape == (2, m, part.interference_dim)
-        for i in (0, 1):
-            gram = ref[i].conj().T @ ref[i]
-            assert np.allclose(gram, np.eye(part.interference_dim), atol=1e-10)
+        reference, beam = build_reference_matrices(m, np.random.default_rng(m))
+        assert_alignment_bases(reference, beam, m)
+        # The reference is the reduced QR of the same draws: bitwise here,
+        # but other BLAS builds may round the complete QR differently.
+        g = np.random.default_rng(m)
+        shape = (m, partition(m).interference_dim)
+        draws = np.stack([_complex_normal(g, shape) for _ in range(2)])
+        assert np.abs(reference - np.linalg.qr(draws)[0]).max() <= 1e-15
 
     def test_deterministic(self):
         a = build_reference_matrices(4, np.random.default_rng(9))
         b = build_reference_matrices(4, np.random.default_rng(9))
-        assert np.array_equal(a, b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_fixed_variant(self):
-        # Hand check with identity-column references at odd M, where the two
+    def test_fixed_variant(self, monkeypatch):
+        # Hand check with identity-column draws at odd M, where the two
         # cells' spans share coordinate 3: each beamformer keeps exactly the
         # coordinates outside the other cell's span.
-        ref = identity_reference(5, 3)
-        beam = build_aggregation_beamformers(ref)
+        plant_draws(monkeypatch, *identity_reference(5, 3))
+        ref, beam = build_reference_matrices(5, None)
         assert np.all(beam[0] @ ref[1] == 0)
         assert np.all(beam[1] @ ref[0] == 0)
         assert np.all(beam[0][:, 2:] == 0)
@@ -79,46 +104,65 @@ class TestReferenceMatrices:
 
 
 class TestAggregationBeamformers:
-    """The shape and orthonormality of build_aggregation_beamformers; its
-    left-null-space cases are in test_linalg.TestLeftNullSpaceBasis."""
+    """The beamformer half of the pair, and both halves on a chunk's
+    stacked streams."""
 
-    def test_coordinate_case(self):
-        # With reference subspaces on coordinate axes the beamformers pick
+    def test_coordinate_case(self, monkeypatch):
+        # With reference draws on coordinate axes the beamformers pick
         # out the complementary coordinates exactly.
         eye = np.eye(4, dtype=complex)
-        reference = np.stack([eye[:, 2:], eye[:, :2]])
-        beam = build_aggregation_beamformers(reference)
+        plant_draws(monkeypatch, eye[:, 2:], eye[:, :2])
+        reference, beam = build_reference_matrices(4, None)
         assert beam.shape == (2, 2, 4)
         assert np.all(beam[0] @ reference[1] == 0)
         assert np.all(beam[1] @ reference[0] == 0)
-        assert np.all(beam[0][:, :2] == 0)  # cell 1 lives on coords 3,4
+        assert np.all(beam[0][:, :2] == 0)  # cell 1 lives on coords 1,2
 
-    @pytest.mark.parametrize("m", [2, 3, 6, 9])
+    @pytest.mark.parametrize("m", range(2, 17))
     def test_annihilation_and_orthonormal_rows(self, m):
-        part = partition(m)
-        rng = np.random.default_rng(m)
-        reference = build_reference_matrices(m, rng)
-        beam = build_aggregation_beamformers(reference)
-        assert beam.shape == (2, part.signal_dim, m)
-        # A strided view would round the engine's products differently
-        # and change CSV bodies in their last digits.
-        assert beam.flags.c_contiguous
-        for i in (0, 1):
-            other = reference[1 - i]
-            assert np.abs(beam[i] @ other).max() <= 1e-10 * np.linalg.norm(other)
-            assert np.allclose(beam[i] @ beam[i].conj().T,
-                               np.eye(part.signal_dim), atol=1e-10)
+        # A chunk's pairs, stacked, are each what the trial's own
+        # Generator gives alone.
+        cfg = config_for(m, 1, seed=m)
+        reference, beam = build_reference_matrices(m, prefetched(cfg, range(3)))
+        assert_alignment_bases(reference, beam, m)
+        for t in range(3):
+            alone = build_reference_matrices(m, np.random.default_rng([cfg.seed, t]))
+            assert np.array_equal(reference[t], alone[0])
+            assert np.array_equal(beam[t], alone[1])
 
-    def test_rank_deficient_reference_is_annihilated(self):
-        # A complete QR annihilates a rank-deficient reference too.
-        reference = np.ones((2, 4, 2), dtype=complex)  # duplicate columns
-        beam = build_aggregation_beamformers(reference)
+    def test_rank_deficient_reference_is_annihilated(self, monkeypatch):
+        # A complete QR annihilates a rank-deficient draw too.
+        draws = np.ones((2, 4, 2), dtype=complex)  # duplicate columns
+        plant_draws(monkeypatch, *draws)
+        _, beam = build_reference_matrices(4, None)
         assert beam.shape == (2, 2, 4)
-        assert np.abs(beam[0] @ reference[1]).max() <= 1e-15
+        assert np.abs(beam[0] @ draws[1]).max() <= 1e-15
 
-    def test_bad_shape(self):
-        with pytest.raises(SizeMismatch):
-            build_aggregation_beamformers(np.zeros((3, 4, 2), dtype=complex))
+
+class TestCellSwap:
+    """Metamorphic: the two cells are interchangeable, so reversing the
+    cell axis of every input reverses every output, bit for bit."""
+
+    @pytest.mark.parametrize("m, k", [(2, 1), (4, 5), (5, 3), (16, 4)])
+    def test_swap_reverses_precoders_and_superposition(self, m, k):
+        cfg = config_for(m, k, seed=m + k)
+        rngs = prefetched(cfg, range(3))
+        reference, beam = build_reference_matrices(m, rngs)
+        channels = draw_channels(cfg, rngs)
+        symbols = draw_symbols(cfg, rngs)
+        assert not channels.rejected.any()
+
+        def swap(a, axis=-3):
+            return np.ascontiguousarray(np.flip(a, axis))
+
+        precoder = build_sia_matrices(channels, reference, beam)
+        swapped_channels = ChannelSet(swap(channels.direct), swap(channels.cross))
+        swapped = build_sia_matrices(swapped_channels, swap(reference), swap(beam))
+        assert np.array_equal(swapped, swap(precoder))
+        outputs = superpose(channels, precoder, symbols)
+        swapped_outputs = superpose(swapped_channels, swapped, swap(symbols, -2))
+        for got, want in zip(swapped_outputs, outputs):
+            assert np.array_equal(got, swap(want, -2))
 
 
 class TestBuildPrecoder:
@@ -147,9 +191,9 @@ class TestBuildPrecoder:
         m, k, trials = 5, 3, 4
         cfg = config_for(m, k, seed=8)
         rngs = prefetched(cfg, range(trials))
-        reference = build_reference_matrices(m, rngs)
+        reference, beam = build_reference_matrices(m, rngs)
         channels = draw_channels(cfg, rngs)
-        beam, precoder = build_sia_matrices(channels, reference)
+        precoder = build_sia_matrices(channels, reference, beam)
         assert beam.shape == (trials, 2, 2, m)
         assert precoder.shape == (trials, k, 2, m, 2)
         cascade = beam[:, None] @ channels.direct @ precoder
@@ -164,11 +208,11 @@ class TestBuildPrecoder:
         cross = np.broadcast_to(np.eye(m, dtype=complex), (1, 2, m, m)).copy()
         channels = ChannelSet(direct, cross)
         reference = identity_reference(m, 1)
-        beam = build_aggregation_beamformers(reference)
+        beam = complement_beamformer(reference)
         effective = beam[0] @ swap @ reference[0]
         assert np.all(effective == 0)
         with pytest.raises(RankDeficient):
-            build_sia_matrices(channels, reference)
+            build_sia_matrices(channels, reference, beam)
 
 
 class TestSiaMatrices:

@@ -1,7 +1,7 @@
 """One sha256 over the CSV bodies of a fixed set of 84 sweeps, and one
 over the outputs of 108 functional trials.
 
-    python3 tools/body_digest.py --workers 2
+    python3 tools/body_digest.py --workers 2 [--bodies bodies.json]
 
 The sweeps are the 16 reference seeds of each of the three benchmark
 workload configs (read from benchmarks/workloads.py), then sia, no_ia and
@@ -10,6 +10,10 @@ and 1, with the default SNR grid and trial count. Each sweep's CSV is
 written as `aircomp run` writes it, and its body (the # block stripped) is
 hashed in that order. Equal digests at two worker counts, or for two
 checkouts on one machine, mean byte-identical bodies on every sweep.
+With `--bodies PATH` the 84 (config, body) pairs are also written to PATH
+as a JSON list of {"config": flat config, "body": CSV body}, in hashing
+order, for tools/body_deviation.py to compare two checkouts column by
+column.
 
 The functional trials are `run_functional_trial` for sia, no_ia and genie
 at (M, K) in {(2,1), (4,3), (5,2), (16,2)}, each of sum, mean and geomean,
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -51,18 +56,20 @@ def configs():
 
 
 def digest(workers):
+    """(sha256 hex digest, the (flat config, body) pairs in hashing order)."""
     from aircomp_sia.engine import run_sweep
     from aircomp_sia.output import RunManifest, write_result_csv
 
     sha = hashlib.sha256()
-    count = 0
+    pairs = []
     for config in configs():
         text = io.StringIO()
         manifest = RunManifest.create("run", config.to_flat(), workers=workers)
         write_result_csv(run_sweep(config, workers), manifest, text)
-        sha.update(csv_body(text.getvalue()).encode("utf-8"))
-        count += 1
-    return sha.hexdigest(), count
+        body = csv_body(text.getvalue())
+        sha.update(body.encode("utf-8"))
+        pairs.append({"config": config.to_flat(), "body": body})
+    return sha.hexdigest(), pairs
 
 
 def functional_digest():
@@ -90,12 +97,15 @@ def functional_digest():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=1, help="worker processes per sweep")
+    parser.add_argument("--bodies", type=Path, help="also write the (config, body) pairs here as JSON")
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be positive")
     workloads.use_checkout_source()
-    hexdigest, count = digest(args.workers)
-    print(f"{hexdigest}  {count} sweeps, {args.workers} worker(s)")
+    hexdigest, pairs = digest(args.workers)
+    print(f"{hexdigest}  {len(pairs)} sweeps, {args.workers} worker(s)")
+    if args.bodies is not None:
+        args.bodies.write_text(json.dumps(pairs, indent=1) + "\n", encoding="utf-8")
     hexdigest, count = functional_digest()
     print(f"{hexdigest}  {count} functional trials")
 
