@@ -16,7 +16,6 @@ any worker count.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 import threading
@@ -362,7 +361,7 @@ def run_sweep(config, workers=None):
         workers = worker_count()
     elif isinstance(workers, (bool, np.bool_)) or not hasattr(workers, "__index__") or workers < 1:
         raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
-    ranges = np.array_split(np.arange(config.trials), min(config.trials, operator.index(workers)))
+    ranges = np.array_split(np.arange(config.trials), min(config.trials, workers))
     if len(ranges) == 1:
         batches = [run_trials(config, ranges[0], config.snr_db_grid)]
     else:

@@ -38,7 +38,11 @@ def build_reference_matrices(antennas, rng):
     n = partition(antennas).interference_dim
     draws = [_complex_normal(rng, (antennas, n)) for _ in range(2)]
     q, _ = np.linalg.qr(np.stack(draws, axis=-3), mode="complete")
-    return q[..., :n], np.ascontiguousarray(q[..., ::-1, :, n:].conj().swapaxes(-1, -2))
+    # Both are copied out contiguous: on strided views the stacked products
+    # that use them made small_dense sweeps about 8% slower (2-CPU VM, BLAS
+    # on one thread).
+    reference = np.ascontiguousarray(q[..., :n])
+    return reference, np.ascontiguousarray(q[..., ::-1, :, n:].conj().swapaxes(-1, -2))
 
 
 def build_sia_matrices(channels, reference, beamformer):

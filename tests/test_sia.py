@@ -62,9 +62,9 @@ def assert_alignment_bases(reference, beam, m):
     lead = reference.shape[:-3]
     assert reference.shape == lead + (2, m, n)
     assert beam.shape == lead + (2, m - n, m)
-    # A strided view would round the engine's products differently and
-    # change CSV bodies in their last digits.
-    assert beam.flags.c_contiguous
+    # A strided view would round the engine's products differently, and
+    # change CSV bodies in their last digits, or slow them down.
+    assert reference.flags.c_contiguous and beam.flags.c_contiguous
     assert np.abs(herm(reference) @ reference - np.eye(n)).max() <= 1e-14
     assert np.abs(beam @ herm(beam) - np.eye(m - n)).max() <= 1e-14
     assert np.abs(beam @ reference[..., ::-1, :, :]).max() <= 1e-14
