@@ -60,7 +60,8 @@ def build_sia_matrices(channels, reference, beamformer):
     ia = np.linalg.inv(channels.cross)
     aligned = ia @ reference[..., None, :, :, :]
     effective = (beamformer[..., None, :, :, :] @ channels.direct) @ aligned
-    return aligned @ right_inverse(effective, "effective channel lost row rank; redraw the channel set")
+    sa = right_inverse(effective, "effective channel lost row rank; redraw the channel set")
+    return aligned @ sa
 
 
 def aligned_interference_dimension(cell, channels, precoders):

@@ -83,8 +83,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     pairs_a, pairs_b = (json.loads(p.read_text(encoding="utf-8")) for p in (args.a, args.b))
     if [p["config"] for p in pairs_a] != [p["config"] for p in pairs_b]:
-        print(f"config lists differ: {len(pairs_a)} sweeps in {args.a}, {len(pairs_b)} in {args.b}, "
-              "or the same count in another order")
+        print(f"config lists differ: {len(pairs_a)} sweeps in {args.a}, "
+              f"{len(pairs_b)} in {args.b}, or the same count in another order")
         return 1
     largest, changed, total, problems = compare(pairs_a, pairs_b)
     print("\n".join(report(largest, changed, total, problems)))

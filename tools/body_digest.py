@@ -97,7 +97,8 @@ def functional_digest():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=1, help="worker processes per sweep")
-    parser.add_argument("--bodies", type=Path, help="also write the (config, body) pairs here as JSON")
+    parser.add_argument("--bodies", type=Path,
+                        help="also write the (config, body) pairs here as JSON")
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be positive")
