@@ -20,7 +20,7 @@ import os
 import sys
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -120,26 +120,24 @@ def _build(config, rngs, reference, beamformer):
             failed[t] = fresh.rejected
 
 
-def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
+def _run_chunk(config, generators, buffer, symbols=None):
     """Draw, build and transmit the trials whose streams are `generators`
-    together, then score each at every point of the SNR grid `snr_db` in
-    one broadcast along the grid axis.
+    together, then score each at every point of config.snr_db_grid in one
+    broadcast along the grid axis.
 
     Returns a TrialResult with a leading trial axis. Each trial draws one
     unit-variance noise vector; each grid point rescales it so the noise
-    power sits `snr_db` below the received desired power. An infinite SNR
-    is the noiseless pipeline. `symbols`, when given, replace the symbol
-    draw of every trial. The draws come through PrefetchedStreams, which
-    gives each trial the values of its Generator alone; its buffer is the
-    first T rows of `buffer`, `trial_normals` wide, or a new array.
+    power sits that many dB below the received desired power. `symbols`,
+    when given, replace every trial's drawn symbols after the draw. The
+    draws come through PrefetchedStreams, which gives each trial the values
+    of its Generator alone, from the first T rows of `buffer`, at least
+    `trial_normals` wide.
     """
-    if buffer is None:
-        buffer = np.empty((len(generators), trial_normals(config, symbols is None)))
     rngs = PrefetchedStreams(generators, buffer[:len(generators)])
     reference, beamformer = build_reference_matrices(config.antennas, rngs)
     channels, precoders, redraws = _build(config, rngs, reference, beamformer)
-    if symbols is None:
-        symbols = draw_symbols(config, rngs)
+    drawn = draw_symbols(config, rngs)
+    symbols = drawn if symbols is None else symbols
     noise_unit = _complex_normal(rngs, (2, config.antennas))
 
     desired, interference = superpose(channels, precoders, symbols)
@@ -158,7 +156,7 @@ def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
 
     # float_power is libm pow, as Python's float ** is, so every grid point
     # matches a scalar evaluation at that point to the bit.
-    scale = np.float_power(10.0, np.asarray(snr_db, dtype=np.float64) / 10.0)
+    scale = np.float_power(10.0, np.asarray(config.snr_db_grid) / 10.0)
     noise_std = np.sqrt(signal_power[:, None] / scale)
     # The grid axis is innermost, (T, 2, dof, P), so every pass runs along
     # it. The dof entries are added in order, as np.sum would not on a
@@ -180,11 +178,11 @@ def _run_chunk(config, generators, snr_db, symbols=None, buffer=None):
                        residual=residual, redraws=redraws)
 
 
-def _chunk_trials(config, points):
-    """Most trials a chunk scored at `points` grid points may hold: as
-    many as fit CHUNK_ELEMENTS, at least one."""
+def _chunk_trials(config):
+    """Most trials a chunk scored on config.snr_db_grid may hold: as many
+    as fit CHUNK_ELEMENTS, at least one."""
     m, k = config.antennas, config.devices
-    per_trial = 4 * k * m * m + 2 * points * partition(m).signal_dim
+    per_trial = 4 * k * m * m + 2 * len(config.snr_db_grid) * partition(m).signal_dim
     return max(1, CHUNK_ELEMENTS // per_trial)
 
 
@@ -196,26 +194,18 @@ def _concat(parts):
                           for f in fields(TrialResult)})
 
 
-def run_trials(config, trials, snr_db, symbols=None):
+def run_trials(config, trials, symbols=None):
     """Seeded trials `trials`, each drawn, built, transmitted and scored at
-    every point of the SNR grid `snr_db`: a non-empty 1-D sequence of
-    numbers, each finite or +inf (noiseless), or ConfigError is raised.
+    every point of config.snr_db_grid.
 
     Returns one TrialResult with a leading trial axis, in the order
-    given. Every trial is a pure function of (config, trial index, grid
-    point), whatever else runs with it. `symbols`, when given, has one
-    (K, 2, dof) block per trial and replaces that trial's symbol draw.
+    given. Every trial is a pure function of (config, trial index),
+    whatever else runs with it, and draws the same values whether or not
+    its symbols are planted. `symbols`, when given, has one (K, 2, dof)
+    block per trial and replaces that trial's drawn symbols.
     """
     if len(trials) == 0:
         raise ConfigError("run_trials needs at least one trial index, got an empty list")
-    try:
-        grid = np.asarray(snr_db, dtype=np.float64)
-    except (TypeError, ValueError):
-        grid = np.empty((0, 0))  # not numbers: rejected below
-    # grid > -inf is False for nan and -inf; +inf is the noiseless point.
-    if grid.ndim != 1 or grid.size == 0 or not np.all(grid > -math.inf):
-        raise ConfigError(f"snr_db must be a non-empty 1-D sequence of numbers, "
-                          f"each finite or +inf, got {snr_db!r}")
     # Seeding is hashed once for the whole call, since its fixed cost would
     # outweigh default_rng's on one-trial chunks; only one chunk's
     # Generators are alive at a time.
@@ -223,14 +213,14 @@ def run_trials(config, trials, snr_db, symbols=None):
     # The fewest chunks under the cap, as equal as array_split makes them
     # (the first ones largest), so that no runt pays a chunk's fixed cost
     # for a few trials.
-    count = -(-len(words) // _chunk_trials(config, len(grid)))
+    count = -(-len(words) // _chunk_trials(config))
     chunks = np.array_split(words, count)
     planted = [None] * count if symbols is None else np.array_split(symbols, count)
     # One prefetch buffer serves every chunk: one allocated and freed per
     # chunk had its pages returned and faulted in again, chunk after chunk.
-    buffer = np.empty((len(chunks[0]), trial_normals(config, symbols is None)))
+    buffer = np.empty((len(chunks[0]), trial_normals(config)))
     return _concat([
-        _run_chunk(config, streams(chunk), grid, chunk_symbols, buffer)
+        _run_chunk(config, streams(chunk), buffer, chunk_symbols)
         for chunk, chunk_symbols in zip(chunks, planted)
     ])
 
@@ -242,18 +232,23 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     (sum, mean or geomean); an unknown kind raises DomainError. `data` has
     shape (K, 2, signal_dim) and holds each device's real inputs. The
     values are pre-processed for `function`, sent over the air with
-    config.scheme, recovered and post-processed. Returns the per-cell
-    function estimates, shape (2, signal_dim).
+    config.scheme in sweep trial `trial_index`'s channel use, its noise
+    included, recovered and post-processed. Returns the per-cell function
+    estimates, shape (2, signal_dim). `snr_db` None is noise-free; a
+    number is scored as a one-point grid, so it must be finite.
     """
     spec = FunctionSpec(function, config.devices)
     dof = partition(config.antennas).signal_dim
-    data = np.asarray(data, dtype=np.float64)
+    symbols = preprocess(spec, data)
     expected = (config.devices, 2, dof)
-    if data.shape != expected:
-        raise SizeMismatch(f"data must have shape {expected}, got {data.shape}")
-    res = run_trials(config, [trial_index], [math.inf if snr_db is None else snr_db],
-                     preprocess(spec, data)[None])
-    error = res.noiseless[0] + res.noise_std[0, 0] * res.noise[0]
+    if symbols.shape != expected:
+        raise SizeMismatch(f"data must have shape {expected}, got {symbols.shape}")
+    if snr_db is None:
+        res = run_trials(config, [trial_index], symbols[None])
+        error = res.noiseless[0]
+    else:
+        res = run_trials(replace(config, snr_db_grid=(snr_db,)), [trial_index], symbols[None])
+        error = res.noiseless[0] + res.noise_std[0, 0] * res.noise[0]
     return postprocess(spec, res.target[0] + error)
 
 
@@ -363,12 +358,12 @@ def run_sweep(config, workers=None):
         raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
     ranges = np.array_split(np.arange(config.trials), min(config.trials, workers))
     if len(ranges) == 1:
-        batches = [run_trials(config, ranges[0], config.snr_db_grid)]
+        batches = [run_trials(config, ranges[0])]
     else:
         pool = _worker_pool(len(ranges))
         futures = []
         try:
-            futures = [pool.submit(run_trials, config, r, config.snr_db_grid) for r in ranges]
+            futures = [pool.submit(run_trials, config, r) for r in ranges]
             batches = [f.result() for f in futures]
         except BrokenExecutor:
             _discard_pool(pool)

@@ -35,6 +35,8 @@ def preprocess(spec, data):
     aggregation); geomean transmits logarithms, so the sum of the
     transmitted values is the log of the product.
     """
+    if np.iscomplexobj(data):
+        raise DomainError("data must be real, got complex values")
     data = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise ValueError("data must be finite")

@@ -254,17 +254,14 @@ def streams(words):
     return [make(row) for row in words]
 
 
-def trial_normals(config, symbols=True):
+def trial_normals(config):
     """Standard normals one trial draws before any set redraw: the
     reference pair (2·M·N' complex), the direct and cross stacks
-    (2·2·K·M²), the symbols (2·K·floor(M/2)) unless they are planted, and
-    the noise (2·M); each complex value takes two."""
+    (2·2·K·M²), the symbols (2·K·floor(M/2)) and the noise (2·M); each
+    complex value takes two."""
     m, k = config.antennas, config.devices
     part = partition(m)
-    values = 2 * m * part.interference_dim + 4 * k * m * m + 2 * m
-    if symbols:
-        values += 2 * k * part.signal_dim
-    return 2 * values
+    return 2 * (2 * m * part.interference_dim + 4 * k * m * m + 2 * k * part.signal_dim + 2 * m)
 
 
 class PrefetchedStreams:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from aircomp_sia import linalg, sia
+from aircomp_sia import engine, linalg, sia
 from aircomp_sia.system import PrefetchedStreams, streams, trial_normals, trial_words
 
 
@@ -13,11 +13,25 @@ def trial_streams(seed, trials):
     return streams(trial_words(seed, trials))
 
 
-def prefetched(config, trials, symbols=True):
+def prefetched(config, trials):
     """The PrefetchedStreams a chunk of trial indices `trials` draws
     through: config.seed's streams, `trial_normals` wide."""
     generators = trial_streams(config.seed, trials)
-    return PrefetchedStreams(generators, np.empty((len(generators), trial_normals(config, symbols))))
+    return PrefetchedStreams(generators, np.empty((len(generators), trial_normals(config))))
+
+
+def run_chunk(config, trials, symbols=None):
+    """`engine._run_chunk` on one chunk of trial indices `trials`, as
+    `run_trials` runs it: config.seed's streams and a buffer
+    `trial_normals` wide."""
+    return engine._run_chunk(config, trial_streams(config.seed, trials),
+                             np.empty((len(trials), trial_normals(config))), symbols)
+
+
+def noiseless_nmse(result):
+    """Per-trial, per-cell noise-free NMSE of a TrialResult, (T, 2):
+    sum |noiseless|^2 over the dof axis, over the cell's target power."""
+    return np.sum(np.abs(result.noiseless) ** 2, axis=-1) / result.sig_power
 
 
 def complement_beamformer(reference):

@@ -57,9 +57,9 @@ def _rank(a):
     return int(np.count_nonzero(s > RANK_RTOL * s[0])) if s[0] > 0.0 else 0
 
 
-def reference_trial(config, t, snr_db):
-    """Trial t of `config` scored at every point of `snr_db`, as a dict
-    of nmse (2, P), leakage (2,), aligned_rank (2,) and residual."""
+def reference_trial(config, t):
+    """Trial t of `config` scored at every point of config.snr_db_grid, as
+    a dict of nmse (2, P), leakage (2,), aligned_rank (2,) and residual."""
     m, k = config.antennas, config.devices
     dof = m // 2
     n = m - dof
@@ -100,13 +100,13 @@ def reference_trial(config, t, snr_db):
             target[i] += symbols[dev, i]
 
     signal_power = sum(np.vdot(desired[i], desired[i]).real for i in (0, 1)) / (2 * m)
-    nmse = np.empty((2, len(snr_db)))
+    nmse = np.empty((2, len(config.snr_db_grid)))
     leakage = np.empty(2)
     aligned_rank = np.empty(2, dtype=int)
     noiseless_power = target_power = 0.0
     for i in (0, 1):
         tp = np.vdot(target[i], target[i]).real
-        for p, snr in enumerate(snr_db):
+        for p, snr in enumerate(config.snr_db_grid):
             sigma = math.sqrt(signal_power / 10.0 ** (snr / 10.0))
             err = beamformer[i] @ (desired[i] + interference[i] + sigma * noise[i]) - target[i]
             nmse[i, p] = np.vdot(err, err).real / tp

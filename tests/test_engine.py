@@ -22,6 +22,7 @@ from aircomp_sia.output import RunManifest, write_result_csv
 from aircomp_sia.errors import (
     ConfigError,
     DegenerateChannels,
+    DomainError,
     RankDeficient,
     SizeMismatch,
 )
@@ -37,9 +38,7 @@ from aircomp_sia.system import (
     trial_normals,
 )
 
-from helpers import svd_guard, trial_streams
-
-NOISELESS = [math.inf]
+from helpers import noiseless_nmse, run_chunk, svd_guard, trial_streams
 
 
 def config_for(m, k, **kw):
@@ -51,33 +50,31 @@ def config_for(m, k, **kw):
 class TestRunTrial:
     def test_noiseless_recovery(self):
         cfg = config_for(4, 3)
-        res = run_trials(cfg, [0], NOISELESS)
-        assert np.all(np.sqrt(res.nmse) < 1e-8)
+        res = run_trials(cfg, [0])
+        assert np.all(np.sqrt(noiseless_nmse(res)) < 1e-8)
         assert np.all(res.leakage < 1e-9)
         assert np.array_equal(res.aligned_rank, [[2, 2]])
-        assert res.nmse.shape == (1, 2, 1)
-        assert np.array_equal(res.noise_std, [[0.0]])
-        # With no noise the noiseless error is the whole error.
-        assert np.array_equal(res.err_power[..., 0], np.sum(np.abs(res.noiseless) ** 2, axis=-1))
+        assert res.nmse.shape == (1, 2, 3)
+        assert res.noiseless.shape == (1, 2, 2)
 
     def test_deterministic(self):
         cfg = config_for(5, 2, seed=11)
-        a = run_trials(cfg, [7], [10.0])
-        b = run_trials(cfg, [7], [10.0])
+        a = run_trials(cfg, [7])
+        b = run_trials(cfg, [7])
         assert np.array_equal(a.nmse, b.nmse)
         assert np.array_equal(a.err_power, b.err_power)
         assert np.array_equal(a.noise_std, b.noise_std)
 
     def test_trial_index_moves_channels(self):
         cfg = config_for(4, 2)
-        a = run_trials(cfg, [0], NOISELESS)
-        b = run_trials(cfg, [1], NOISELESS)
+        a = run_trials(cfg, [0])
+        b = run_trials(cfg, [1])
         assert not np.array_equal(a.err_power, b.err_power)
 
     def test_noise_fields_scale_with_snr(self):
         cfg = config_for(4, 2, seed=3)
-        lo = run_trials(cfg, [0], [10.0])
-        hi = run_trials(cfg, [0], [20.0])
+        lo = run_trials(replace(cfg, snr_db_grid=(10.0,)), [0])
+        hi = run_trials(replace(cfg, snr_db_grid=(20.0,)), [0])
         # Channel-dependent fields are shared, noise power drops 10x.
         assert np.array_equal(lo.leakage, hi.leakage)
         assert np.array_equal(lo.aligned_rank, hi.aligned_rank)
@@ -87,20 +84,20 @@ class TestRunTrial:
 
     def test_no_ia_leaks(self):
         cfg = config_for(4, 2, scheme="no_ia")
-        res = run_trials(cfg, range(50), NOISELESS)
+        res = run_trials(cfg, range(50))
         hits = np.all(res.leakage > 1e-3, axis=1).sum()
         assert hits >= 49
 
     def test_genie_is_clean(self):
         cfg = config_for(4, 2, scheme="genie")
-        res = run_trials(cfg, [0], NOISELESS)
+        res = run_trials(cfg, [0])
         assert np.all(res.leakage == 0.0)
         assert np.array_equal(res.aligned_rank, [[0, 0]])
-        assert np.all(np.sqrt(res.nmse) < 1e-9)
+        assert np.all(np.sqrt(noiseless_nmse(res)) < 1e-9)
 
     def test_validates_config(self):
         with pytest.raises(ConfigError, match="M=1 yields zero AirComp DoF"):
-            run_trials(config_for(1, 2), [0], NOISELESS)
+            run_trials(config_for(1, 2), [0])
 
     def test_degenerate_channels_after_budget(self, monkeypatch):
         def always_deficient(channels, *bases):
@@ -110,7 +107,7 @@ class TestRunTrial:
                             always_deficient)
         cfg = config_for(4, 2)
         with pytest.raises(DegenerateChannels):
-            run_trials(cfg, [0], NOISELESS)
+            run_trials(cfg, [0])
 
 
 @pytest.mark.parametrize("scheme, m, qr_calls", [
@@ -129,14 +126,15 @@ def test_qr_calls_per_chunk(monkeypatch, scheme, m, qr_calls):
 
     monkeypatch.setattr(np.linalg, "qr", counting)
     cfg = config_for(m, 3, scheme=scheme)
-    chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), np.asarray(cfg.snr_db_grid))
+    chunk = run_chunk(cfg, range(4))
     assert not chunk.redraws.any()
     assert len(calls) == qr_calls
     assert calls[0] == (4, 2)
 
 
-def per_trial_elements(cfg, points):
+def per_trial_elements(cfg):
     """Chunk elements one trial takes, as _chunk_trials counts them."""
+    points = len(cfg.snr_db_grid)
     return 4 * cfg.devices * cfg.antennas**2 + 2 * points * partition(cfg.antennas).signal_dim
 
 
@@ -153,11 +151,11 @@ def record_chunk_sizes(monkeypatch):
     return sizes
 
 
-def assert_matches_alone(cfg, together, trials, grid, symbols=None):
+def assert_matches_alone(cfg, together, trials, symbols=None):
     """Every field of each trial in `together`, its redraws included,
     equals the same trial run alone, bit for bit."""
     for i, t in enumerate(trials):
-        alone = run_trials(cfg, [t], grid, None if symbols is None else symbols[i:i + 1])
+        alone = run_trials(cfg, [t], None if symbols is None else symbols[i:i + 1])
         for f in fields(alone):
             assert np.array_equal(getattr(together, f.name)[i],
                                   getattr(alone, f.name)[0]), (t, f.name)
@@ -169,34 +167,36 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
     def test_chunked_order_matches_trials_alone(self, monkeypatch, scheme):
-        cfg = config_for(4, 2, scheme=scheme, seed=3)
-        grid = [0.0, 20.0, math.inf]
-        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 3 * per_trial_elements(cfg, len(grid)))
-        assert engine._chunk_trials(cfg, len(grid)) == 3
+        cfg = config_for(4, 2, scheme=scheme, seed=3, snr_db_grid=(0.0, 20.0, 40.0))
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 3 * per_trial_elements(cfg))
+        assert engine._chunk_trials(cfg) == 3
         trials = [5, 2, 9, 0]
-        together = run_trials(cfg, trials, grid)
+        together = run_trials(cfg, trials)
         assert together.noiseless.shape == together.noise.shape == (4, 2, 2)
         assert together.err_power.shape == (4, 2, 3)
-        assert_matches_alone(cfg, together, trials, grid)
+        assert_matches_alone(cfg, together, trials)
 
     def test_planted_symbols_reach_their_trials(self, monkeypatch):
         cfg = config_for(4, 2, seed=5)
-        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(cfg, 1))
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(cfg))
         trials = [3, 1, 4, 0, 2]
         symbols = _complex_normal(np.random.default_rng(0), (5, 2, 2, 2))
-        together = run_trials(cfg, trials, NOISELESS, symbols)
+        together = run_trials(cfg, trials, symbols)
         assert np.array_equal(together.target, symbols.sum(axis=1))
-        assert_matches_alone(cfg, together, trials, NOISELESS, symbols)
+        assert_matches_alone(cfg, together, trials, symbols)
 
     def test_chunks_are_sized_from_the_given_grid(self, monkeypatch):
-        # The config's grid has 3 points; a 1-point call fits two trials
-        # per chunk where a 3-point call would fit one.
-        cfg = config_for(4, 2)
-        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(cfg, 1))
-        assert engine._chunk_trials(cfg, len(cfg.snr_db_grid)) == 1
+        # Chunks are sized from the config's own grid: under a cap of two
+        # 1-point trials, a 1-point config runs two trials per chunk and a
+        # 3-point config one.
+        narrow = config_for(4, 2, snr_db_grid=(0.0,))
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(narrow))
         sizes = record_chunk_sizes(monkeypatch)
-        run_trials(cfg, range(4), NOISELESS)
+        run_trials(narrow, range(4))
         assert sizes == [2, 2]
+        sizes.clear()
+        run_trials(config_for(4, 2), range(4))
+        assert sizes == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("trials, cap", [(200, 167), (10, 3), (7, 7), (8, 1), (9, 4),
                                              (401, 184), (400, 46)])
@@ -204,9 +204,9 @@ class TestRunTrials:
         # The fewest chunks under the cap, their sizes within one of each
         # other: no runt chunk.
         cfg = config_for(2, 1)
-        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", cap * per_trial_elements(cfg, 1))
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", cap * per_trial_elements(cfg))
         sizes = record_chunk_sizes(monkeypatch)
-        res = run_trials(cfg, range(trials), NOISELESS)
+        res = run_trials(cfg, range(trials))
         assert len(res.residual) == sum(sizes) == trials
         assert len(sizes) == -(-trials // cap)
         assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
@@ -214,29 +214,47 @@ class TestRunTrials:
     def test_small_dense_sweep_is_one_chunk(self, monkeypatch):
         cfg = config_for(2, 1, trials=200, snr_db_grid=tuple(float(s) for s in range(41)))
         sizes = record_chunk_sizes(monkeypatch)
-        run_trials(cfg, range(cfg.trials), cfg.snr_db_grid)
+        run_trials(cfg, range(cfg.trials))
         assert sizes == [200]
 
     def test_many_devices_chunks_hold_several_trials(self, monkeypatch):
         cfg = SystemConfig(antennas=4, devices=200, trials=10)
         sizes = record_chunk_sizes(monkeypatch)
-        run_trials(cfg, range(cfg.trials), cfg.snr_db_grid)
+        run_trials(cfg, range(cfg.trials))
         assert sum(sizes) == 10 and min(sizes) >= 2
 
     def test_empty_trial_list(self):
         with pytest.raises(ConfigError, match="at least one trial"):
-            run_trials(config_for(4, 2), [], [0.0])
+            run_trials(config_for(4, 2), [])
 
-    @pytest.mark.parametrize("grid", [[math.nan], [-math.inf], [], [[0.0, 10.0]], ["a"]],
-                             ids=["nan", "-inf", "empty", "2-D", "text"])
+    @pytest.mark.parametrize("grid", [(), ("a",)], ids=["empty", "text"])
     def test_rejects_bad_grid(self, grid):
-        # +inf is the noiseless point; nan and -inf would score NaN or
-        # divide by zero, and an empty or 2-D grid has no points to score.
-        with pytest.raises(ConfigError, match="snr_db must be a non-empty 1-D sequence"):
-            run_trials(config_for(2, 1), [0], grid)
+        # run_trials scores the config's own grid, so an empty or
+        # non-numeric grid is refused before any trial is drawn.
+        with pytest.raises(ConfigError, match="snr_db_grid must"):
+            run_trials(config_for(2, 1, snr_db_grid=grid), [0])
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+    @pytest.mark.parametrize("m", [2, 4, 5])
+    def test_planted_symbols_draw_what_drawn_ones_do(self, monkeypatch, scheme, m):
+        # A trial draws its symbols whether or not they are planted, so
+        # run_functional_trial's trial t is sweep trial t: the same set
+        # redraws under a low condition limit, and the same noise.
+        monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", 10.0)
+        cfg = config_for(m, 1, scheme=scheme, seed=3)
+        symbols = _complex_normal(np.random.default_rng(2), (1, 1, 2, partition(m).signal_dim))
+        redraws = 0
+        for t in range(6):
+            drawn = run_trials(cfg, [t])
+            planted = run_trials(cfg, [t], symbols)
+            for name in ("noise", "redraws", "aligned_rank"):
+                assert np.array_equal(getattr(planted, name), getattr(drawn, name)), (t, name)
+            assert np.array_equal(planted.target[0], symbols[0].sum(axis=0))
+            redraws += int(drawn.redraws[0])
+        assert redraws > 0
 
     def test_lone_part_is_not_copied(self):
-        res = run_trials(config_for(2, 1), [0], NOISELESS)
+        res = run_trials(config_for(2, 1), [0])
         assert engine._concat([res]) is res
 
 
@@ -245,7 +263,7 @@ def one_trial_oracle(cfg, grid):
     trial's noise_std there."""
     cfg = replace(cfg, trials=1, snr_db_grid=grid)
     points = run_sweep(cfg, workers=1).points
-    return [pt.analytic_nmse for pt in points], run_trials(cfg, [0], grid).noise_std[0]
+    return [pt.analytic_nmse for pt in points], run_trials(cfg, [0]).noise_std[0]
 
 
 class TestAnalyticNoiseMse:
@@ -357,9 +375,9 @@ def batches(monkeypatch, fake_pools):
     calls = []
     real = engine.run_trials
 
-    def recording(config, trials, snr_db):
+    def recording(config, trials):
         calls.append([int(t) for t in trials])
-        return real(config, trials, snr_db)
+        return real(config, trials)
 
     monkeypatch.setattr(engine, "run_trials", recording)
     return calls
@@ -501,9 +519,9 @@ class TestTrialResultLayout:
     def test_run_trials(self, monkeypatch, chunks):
         cfg = self.CFG
         if chunks == 2:
-            monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 4 * per_trial_elements(cfg, 5))
+            monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 4 * per_trial_elements(cfg))
         sizes = record_chunk_sizes(monkeypatch)
-        self.assert_layout(run_trials(cfg, range(cfg.trials), cfg.snr_db_grid))
+        self.assert_layout(run_trials(cfg, range(cfg.trials)))
         assert len(sizes) == chunks
 
     def test_pooled_sweep(self, monkeypatch):
@@ -549,9 +567,9 @@ class TestRunSweep:
         for m in (2, 4, 16):
             cfg = config_for(m, 3, scheme=scheme, trials=3, seed=8, snr_db_grid=grid)
             result = run_sweep(cfg, workers=1)
-            full = run_trials(cfg, range(3), grid)
+            full = run_trials(cfg, range(3))
             for p, (pt, snr_db) in enumerate(zip(result.points, grid)):
-                res = run_trials(cfg, range(3), [snr_db])
+                res = run_trials(replace(cfg, snr_db_grid=(snr_db,)), range(3))
                 for name in ("err_power", "nmse", "noise_std"):
                     assert np.array_equal(getattr(full, name)[..., p], getattr(res, name)[..., 0])
                 for name in ("target", "noiseless", "noise", "residual", "redraws"):
@@ -576,7 +594,7 @@ class TestRunSweep:
         grid = tuple(float(s) for s in range(0, 41, 4))
         cfg = config_for(m, k, trials=6, seed=4, snr_db_grid=grid)
         if chunks == 2:
-            monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 3 * per_trial_elements(cfg, len(grid)))
+            monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 3 * per_trial_elements(cfg))
         sizes = record_chunk_sizes(monkeypatch)
         seen = []
         real = engine.run_trials
@@ -691,8 +709,17 @@ class TestRunFunctionalTrial:
             run_functional_trial(cfg, "mean", np.ones((2, 2, 3)))
 
     def test_nan_snr_raises(self):
-        with pytest.raises(ConfigError, match="snr_db"):
-            run_functional_trial(config_for(4, 2), "mean", np.ones((2, 2, 2)), snr_db=math.nan)
+        # None is the one way to ask for a noise-free estimate.
+        for snr_db in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="snr_db"):
+                run_functional_trial(config_for(4, 2), "mean", np.ones((2, 2, 2)), snr_db=snr_db)
+
+    def test_complex_data_raises(self):
+        # Complex data would be cut to its real part; it is refused instead.
+        with pytest.raises(DomainError, match="real"):
+            run_functional_trial(config_for(4, 2), "sum", (1 + 1j) * np.ones((2, 2, 2)))
+        with pytest.raises(DomainError, match="real"):
+            preprocess(FunctionSpec("sum", 2), [1 + 0j, 2.0])
 
     def test_geomean_domain(self):
         cfg = config_for(4, 2)
@@ -711,7 +738,7 @@ class TestRunFunctionalTrial:
         data = np.broadcast_to(np.array(values)[:, None, None], (2, 2, 2))
         assert np.allclose(run_functional_trial(cfg, kind, data), want, rtol=0, atol=1e-12)
         symbols = preprocess(FunctionSpec(kind, 2), data)[None]
-        res = run_trials(cfg, [0], NOISELESS, symbols)
+        res = run_trials(cfg, [0], symbols)
         assert np.all(res.sig_power == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             assert np.array_equal(res.nmse, res.err_power / res.sig_power[:, :, None],
@@ -724,9 +751,9 @@ def sweep_body(result):
     return "".join(ln for ln in text.getvalue().splitlines(True) if not ln.startswith("#"))
 
 
-def assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid):
+def assert_trial_matches_chunk_of_one(cfg, chunk, trials):
     for t, trial in enumerate(trials):
-        alone = engine._run_chunk(cfg, trial_streams(cfg.seed, [trial]), grid)
+        alone = run_chunk(cfg, [trial])
         for name, value in vars(chunk).items():
             assert np.array_equal(value[t], getattr(alone, name)[0]), (trial, name)
 
@@ -741,10 +768,10 @@ class TestChunks:
         cfg = config_for(m, k, scheme=scheme, trials=7, seed=4,
                          snr_db_grid=(0.0, 10.0, 20.0, 30.0))
         monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 1)
-        assert engine._chunk_trials(cfg, 4) == 1
+        assert engine._chunk_trials(cfg) == 1
         alone = run_sweep(cfg, workers=1)
         monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 10**9)
-        assert engine._chunk_trials(cfg, 4) >= cfg.trials
+        assert engine._chunk_trials(cfg) >= cfg.trials
         together = run_sweep(cfg, workers=1)
         assert sweep_body(alone) == sweep_body(together)
         assert alone.points == together.points
@@ -753,20 +780,19 @@ class TestChunks:
     def test_chunk_cap(self):
         # 4*K*M^2 channel elements plus the scored grid per trial; a K = 200
         # chunk holds several trials.
-        k200 = engine._chunk_trials(config_for(4, 200), 3)
+        k200 = engine._chunk_trials(config_for(4, 200))
         assert k200 == engine.CHUNK_ELEMENTS // (12800 + 12) == 5
-        assert engine._chunk_trials(config_for(2, 1), 3) == engine.CHUNK_ELEMENTS // (16 + 6)
+        assert engine._chunk_trials(config_for(2, 1)) == engine.CHUNK_ELEMENTS // (16 + 6)
 
     def test_guard_rejection_matches_chunk_of_one(self, monkeypatch):
         # A low condition limit makes the guard reject many sets; each is
         # redrawn from its own trial's stream, as if the trial ran alone.
         monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", 4.0)
         cfg = config_for(2, 2, seed=3)
-        grid = np.asarray(cfg.snr_db_grid)
         trials = range(6)
-        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid)
+        chunk = run_chunk(cfg, trials)
         assert chunk.redraws.any()
-        assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid)
+        assert_trial_matches_chunk_of_one(cfg, chunk, trials)
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_unsure_inverse_matches_chunk_of_one(self, monkeypatch, svd_calls, fake_pools, m):
@@ -778,7 +804,6 @@ class TestChunks:
         # or on the worker split. The fake pool runs its batches in this
         # process, where the plant reaches them.
         cfg = config_for(m, 3, trials=6, seed=5)
-        grid = np.asarray(cfg.snr_db_grid)
         marked = build_reference_matrices(m, np.random.default_rng([cfg.seed, 4]))[0]
         rng = np.random.default_rng(9)
         nearly_rank_one = (np.outer(_complex_normal(rng, (m,)), _complex_normal(rng, (m,)))
@@ -792,11 +817,11 @@ class TestChunks:
 
         monkeypatch.setattr(engine, "build_sia_matrices", planted)
         trials = range(6)
-        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid)
+        chunk = run_chunk(cfg, trials)
         assert not chunk.redraws.any()
         # The planted matrix's inverse alone, then two aligned ranks.
         assert svd_calls == [(1,), (6,), (6,)]
-        assert_trial_matches_chunk_of_one(cfg, chunk, trials, grid)
+        assert_trial_matches_chunk_of_one(cfg, chunk, trials)
         one, two = run_sweep(cfg, workers=1), run_sweep(cfg, workers=2)
         assert fake_pools.sizes == [2]
         assert sweep_body(one) == sweep_body(two)
@@ -807,7 +832,6 @@ class TestChunks:
         # Plant one rank failure on trial 2's first channel set: only that
         # trial redraws its set, and gets what it would get alone.
         cfg = config_for(4, 3, scheme=scheme, seed=6)
-        grid = np.asarray(cfg.snr_db_grid)
         marked = build_reference_matrices(4, np.random.default_rng([cfg.seed, 2]))[0]
         name = "build_sia_matrices" if scheme == "sia" else "build_no_ia_precoders"
         real = getattr(engine, name)
@@ -831,9 +855,9 @@ class TestChunks:
         monkeypatch.setattr(engine, "build_reference_matrices", remember)
         monkeypatch.setattr(engine, name, flaky)
         trials = range(5)
-        clean = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid)
+        clean = run_chunk(cfg, trials)
         planted["done"] = False
-        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid)
+        chunk = run_chunk(cfg, trials)
         assert planted["done"]
         assert np.array_equal(chunk.redraws - clean.redraws, np.arange(5) == 2)
         for t in trials:
@@ -841,34 +865,33 @@ class TestChunks:
             assert same == (t != 2)
         for t in trials:
             planted["done"] = False
-            alone = engine._run_chunk(cfg, trial_streams(cfg.seed, [t]), grid)
+            alone = run_chunk(cfg, [t])
             assert planted["done"] == (t == 2)
             for field, value in vars(chunk).items():
                 assert np.array_equal(value[t], getattr(alone, field)[0]), (t, field)
 
 
-def first_draws(cfg, g, symbols=True):
+def first_draws(cfg, g):
     """What a trial draws from its Generator `g` before any set redraw,
     through the single-Generator path: the (reference, beamformer) pair,
-    the channel set, the symbols unless they are planted, and the noise."""
+    the channel set, the symbols and the noise."""
     bases = build_reference_matrices(cfg.antennas, g)
     channels = draw_channels(cfg, g)
-    drawn = draw_symbols(cfg, g) if symbols else None
+    drawn = draw_symbols(cfg, g)
     return bases, channels, drawn, _complex_normal(g, (2, cfg.antennas))
 
 
-def oracle_chunk(monkeypatch, cfg, trials, grid, symbols=None, rank_losses=()):
+def oracle_chunk(monkeypatch, cfg, trials, symbols=None, rank_losses=()):
     """The chunk as the single-Generator path draws it, the reference for
     the prefetched draws. Trial t's `default_rng([seed, t])` gives its
     first draws, then its set redraws: while an SVD rejects a matrix of the
     set, and once for each time t is in `rank_losses` (a planted build
     failure of an accepted set). The engine then scores those draws with
-    the real builders."""
+    the real builders, `symbols`, when given, in place of the drawn ones."""
     refs, beams, sets, drawn, noise, redraws = [], [], [], [], [], []
     for t in trials:
         g = np.random.default_rng([cfg.seed, t])
-        (reference, beamformer), channels, trial_symbols, trial_noise = first_draws(
-            cfg, g, symbols is None)
+        (reference, beamformer), channels, trial_symbols, trial_noise = first_draws(cfg, g)
         losses = list(rank_losses).count(t)
         redraws.append(0)
         while True:
@@ -893,7 +916,7 @@ def oracle_chunk(monkeypatch, cfg, trials, grid, symbols=None, rank_losses=()):
         patch.setattr(engine, "_complex_normal", lambda *args: np.stack(noise))
         patch.setattr(engine, "build_sia_matrices", sia.build_sia_matrices)
         patch.setattr(engine, "build_no_ia_precoders", baselines.build_no_ia_precoders)
-        result = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), grid, symbols)
+        result = run_chunk(cfg, trials, symbols)
     assert not result.redraws.any()
     result.redraws = np.array(redraws, dtype=result.redraws.dtype)
     return result
@@ -927,11 +950,9 @@ class TestPrefetchedStreams:
     field and in its redraws, the chunk the single-Generator path draws
     trial by trial, however many set redraws the trials need."""
 
-    GRID = np.array([0.0, 20.0, math.inf])
-
     def assert_same_chunk(self, monkeypatch, cfg, trials, symbols=None, rank_losses=()):
-        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, trials), self.GRID, symbols)
-        oracle = oracle_chunk(monkeypatch, cfg, trials, self.GRID, symbols, rank_losses)
+        chunk = run_chunk(cfg, trials, symbols)
+        oracle = oracle_chunk(monkeypatch, cfg, trials, symbols, rank_losses)
         assert_same_bits(chunk, oracle)
         return chunk
 
@@ -967,9 +988,9 @@ class TestPrefetchedStreams:
         # symbols and noise are those of the clean run and only its
         # channels change; the other trials do not change at all.
         cfg = config_for(4, 3, scheme=scheme, seed=6)
-        clean = engine._run_chunk(cfg, trial_streams(cfg.seed, range(5)), self.GRID)
+        clean = run_chunk(cfg, range(5))
         plant_rank_loss(monkeypatch, scheme, trial=2)
-        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(5)), self.GRID)
+        chunk = run_chunk(cfg, range(5))
         assert (clean.redraws.tolist(), chunk.redraws.tolist()) == ([0] * 5, [0, 0, 1, 0, 0])
         assert np.array_equal(chunk.target[2], clean.target[2])
         assert not np.array_equal(chunk.err_power[2], clean.err_power[2])
@@ -979,7 +1000,7 @@ class TestPrefetchedStreams:
 
     @pytest.mark.parametrize("m", [2, 5])
     def test_planted_symbols(self, monkeypatch, m):
-        # run_functional_trial's path: the symbol draw is skipped.
+        # run_functional_trial's path: the drawn symbols are replaced.
         cfg = config_for(m, 3, seed=8)
         symbols = _complex_normal(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
         chunk = self.assert_same_chunk(monkeypatch, cfg, range(4), symbols)
@@ -995,22 +1016,22 @@ class TestPrefetchedStreams:
         cfg = config_for(m, 3, scheme=scheme, seed=2)
         symbols = (_complex_normal(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
                    if planted else None)
-        count = trial_normals(cfg, symbols=not planted)
+        count = trial_normals(cfg)
         for t in range(4):
             g = np.random.default_rng([cfg.seed, t])
-            first_draws(cfg, g, symbols=not planted)
+            first_draws(cfg, g)
             oracle = np.random.default_rng([cfg.seed, t])
             oracle.standard_normal(count)
             assert g.bit_generator.state == oracle.bit_generator.state, t
-        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), self.GRID, symbols,
-                                  np.empty((4, count)))
+        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), np.empty((4, count)),
+                                  symbols)
         assert not chunk.redraws.any()
 
     def test_narrow_buffer_raises(self):
         cfg = config_for(4, 3)
         narrow = np.empty((2, trial_normals(cfg) - 1))
         with pytest.raises(SizeMismatch, match="trial_normals"):
-            engine._run_chunk(cfg, trial_streams(cfg.seed, range(2)), self.GRID, buffer=narrow)
+            engine._run_chunk(cfg, trial_streams(cfg.seed, range(2)), narrow)
 
 
 class TestResidual:
@@ -1025,7 +1046,8 @@ class TestResidual:
 
     def test_matches_run_trial(self):
         cfg = config_for(5, 2, trials=3, seed=12)
-        worst = float(run_trials(cfg, range(3), NOISELESS).residual.max())
+        worst = float(run_trials(cfg, range(3)).residual.max())
         assert run_sweep(cfg, workers=1).max_residual == worst
-        res = run_trials(cfg, [1], NOISELESS)
-        assert res.residual[0] == np.sqrt(res.err_power[0, :, 0].sum() / res.sig_power[0].sum())
+        res = run_trials(cfg, [1])
+        assert res.residual[0] == np.sqrt(np.sum(np.abs(res.noiseless[0]) ** 2)
+                                          / res.sig_power[0].sum())

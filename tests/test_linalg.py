@@ -22,7 +22,7 @@ from aircomp_sia.system import (
     superpose,
 )
 
-from helpers import plant_draws, prefetched, span_residual, trial_streams
+from helpers import plant_draws, prefetched, run_chunk, span_residual
 
 
 def rng_for(seed):
@@ -358,8 +358,7 @@ class TestRightInverseSvdCount:
                              [("sia", 4, 200, 1), ("sia", 5, 3, 4), ("no_ia", 4, 5, 4)])
     def test_gaussian_chunk(self, svd_calls, scheme, m, k, trials):
         cfg = SystemConfig(antennas=m, devices=k, scheme=scheme, trials=trials)
-        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(trials)),
-                                  np.asarray(cfg.snr_db_grid))
+        chunk = run_chunk(cfg, range(trials))
         assert not chunk.redraws.any()
         assert svd_calls == [(trials,), (trials,)]
 
@@ -370,7 +369,6 @@ class TestRightInverseSvdCount:
         # and the call marks the same set as the SVD-only path, which then
         # redraws it.
         cfg = SystemConfig(antennas=4, devices=5, scheme=scheme, seed=6, trials=4)
-        grid = np.asarray(cfg.snr_db_grid)
         module = sia if scheme == "sia" else baselines
         real_draw = engine.draw_channels
         rank_one = np.outer(gaussian(rng_for(1), 4, 1), gaussian(rng_for(2), 1, 4))
@@ -394,7 +392,7 @@ class TestRightInverseSvdCount:
 
             monkeypatch.setattr(engine, "draw_channels", planted_draw)
             monkeypatch.setattr(module, "right_inverse", recording)
-            chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), grid)
+            chunk = run_chunk(cfg, range(4))
             return chunk, draws, masks
 
         fast, fast_draws, fast_masks = run(right_inverse)

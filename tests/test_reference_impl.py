@@ -17,11 +17,11 @@ SEED = 1
 @pytest.mark.parametrize("m, k", [(2, 1), (3, 2), (4, 5), (5, 3), (16, 5)])
 @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
 def test_run_trials_matches_reference(scheme, m, k):
-    config = SystemConfig(antennas=m, devices=k, scheme=scheme, seed=SEED)
-    result = run_trials(config, range(TRIALS), GRID)
+    config = SystemConfig(antennas=m, devices=k, scheme=scheme, seed=SEED, snr_db_grid=GRID)
+    result = run_trials(config, range(TRIALS))
     assert not result.redraws.any()
     for t in range(TRIALS):
-        want = reference_trial(config, t, GRID)
+        want = reference_trial(config, t)
         np.testing.assert_allclose(result.nmse[t], want["nmse"], rtol=1e-9, atol=0)
         assert np.array_equal(result.aligned_rank[t], want["aligned_rank"])
         if scheme == "no_ia":

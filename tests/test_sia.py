@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aircomp_sia.baselines import build_no_ia_precoders
 from aircomp_sia.errors import RankDeficient
 from aircomp_sia.sia import (
     aligned_interference_dimension,
@@ -163,6 +164,70 @@ class TestCellSwap:
         swapped_outputs = superpose(swapped_channels, swapped, swap(symbols, -2))
         for got, want in zip(swapped_outputs, outputs):
             assert np.array_equal(got, swap(want, -2))
+
+
+def chunk_draws(m, k):
+    """A stack of 3 trials' alignment bases, accepted channel sets and
+    symbols, drawn as a chunk draws them."""
+    cfg = config_for(m, k, seed=m + k)
+    rngs = prefetched(cfg, range(3))
+    reference, beam = build_reference_matrices(m, rngs)
+    channels = draw_channels(cfg, rngs)
+    assert not channels.rejected.any()
+    return reference, beam, channels, draw_symbols(cfg, rngs)
+
+
+def build_precoders(scheme, channels, reference, beam):
+    if scheme == "sia":
+        return build_sia_matrices(channels, reference, beam)
+    return build_no_ia_precoders(channels, beam)
+
+
+class TestDevicePermutation:
+    """Metamorphic: the devices of a cell are interchangeable, so
+    reordering one cell's devices reorders their precoders bit for bit,
+    and the received vectors, which sum over the devices, to rounding."""
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
+    @pytest.mark.parametrize("m, k", [(2, 1), (4, 5), (5, 3), (16, 4)])
+    def test_permutation_reorders_precoders(self, scheme, m, k):
+        reference, beam, channels, symbols = chunk_draws(m, k)
+        precoder = build_precoders(scheme, channels, reference, beam)
+        outputs = superpose(channels, precoder, symbols)
+        order = np.arange(k)[::-1]
+
+        for cell in (0, 1):
+            def permute(a):
+                out = a.copy()
+                out[:, :, cell] = a[:, order, cell]
+                return out
+
+            permuted_channels = ChannelSet(permute(channels.direct), permute(channels.cross))
+            permuted = build_precoders(scheme, permuted_channels, reference, beam)
+            assert np.array_equal(permuted, permute(precoder))
+            got = superpose(permuted_channels, permuted, permute(symbols))
+            for a, b in zip(got, outputs):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+class TestCommonScale:
+    """Metamorphic: scaling every channel by c scales every precoder by
+    1/c, so the received vectors do not change: bit for bit at a power of
+    two, to rounding otherwise."""
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
+    @pytest.mark.parametrize("m, k", [(2, 1), (4, 5), (5, 3), (16, 4)])
+    @pytest.mark.parametrize("c, rtol", [(2.0**10, 0.0), (3.0, 1e-12)])
+    def test_scale_leaves_superposition(self, scheme, m, k, c, rtol):
+        reference, beam, channels, symbols = chunk_draws(m, k)
+        outputs = superpose(channels, build_precoders(scheme, channels, reference, beam), symbols)
+        scaled_channels = ChannelSet(c * channels.direct, c * channels.cross)
+        scaled = build_precoders(scheme, scaled_channels, reference, beam)
+        for a, b in zip(superpose(scaled_channels, scaled, symbols), outputs):
+            if rtol == 0.0:
+                assert np.array_equal(a, b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=rtol, atol=0)
 
 
 class TestBuildPrecoder:
