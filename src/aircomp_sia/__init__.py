@@ -34,7 +34,6 @@ from .system import (
     Partition,
     SystemConfig,
     draw_channels,
-    draw_symbols,
     parse_config_file,
     partition,
     superpose,
@@ -46,7 +45,7 @@ __all__ = [
     "RankDeficient", "SizeMismatch",
     "numerical_rank",
     "SystemConfig", "Partition", "partition", "ChannelSet", "draw_channels",
-    "draw_symbols", "superpose", "parse_config_file",
+    "superpose", "parse_config_file",
     "build_reference_matrices", "build_sia_matrices", "aligned_interference_dimension",
     "EfficiencyReport", "efficiency_report",
     "build_no_ia_precoders", "genie_channels",

@@ -29,10 +29,8 @@ from .errors import ConfigError, DegenerateChannels, RankDeficient, SizeMismatch
 from .functions import FunctionSpec, postprocess, preprocess
 from .sia import aligned_interference_dimension, build_reference_matrices, build_sia_matrices
 from .system import (
-    PrefetchedStreams,
-    _complex_normal,
     draw_channels,
-    draw_symbols,
+    draw_trials,
     partition,
     streams,
     superpose,
@@ -45,7 +43,7 @@ from .system import (
 # rejects one of its matrices or its construction loses rank.
 SET_REDRAW_BUDGET = 100
 # Complex elements a chunk's channel stacks and scored grid may hold; a
-# chunk always has at least one trial. The prefetch buffer and the build's
+# chunk always has at least one trial. The draw buffer and the build's
 # K-sized intermediates are not counted, so a chunk's peak is a K-dependent
 # multiple of the cap (3.3 MiB for a 5-trial M=4, K=200 chunk, against the
 # 1 MiB of 2**16 elements). A chunk pays a fixed cost of about a hundred
@@ -85,19 +83,18 @@ def _project(beamformer, vectors):
     return (beamformer @ vectors[..., None])[..., 0]
 
 
-def _build(config, rngs, reference, beamformer):
-    """Draw every trial's channel set and build its precoders on the
-    trial's reference and beamformer.
+def _build(config, channels, generators, reference, beamformer):
+    """Build every trial's precoders on its drawn channel set, reference
+    and beamformer.
 
     A trial redraws its whole set when the conditioning guard rejects any
     of its matrices or when its construction loses rank, with at most
     SET_REDRAW_BUDGET sets per trial. The new set comes from the trial's
-    own Generator, after its prefetched block. Returns (channels,
-    precoders, set redraws per trial).
+    own Generator, after its first draws. Returns (channels, precoders,
+    set redraws per trial).
     """
-    channels = draw_channels(config, rngs)
     failed = channels.rejected
-    sets = np.ones(len(rngs), dtype=int)
+    sets = np.ones(len(generators), dtype=int)
     while True:
         if not failed.any():
             if config.scheme == "genie":
@@ -114,7 +111,7 @@ def _build(config, rngs, reference, beamformer):
         if sets.max() > SET_REDRAW_BUDGET:
             raise DegenerateChannels(f"no usable channel draw after {SET_REDRAW_BUDGET} attempts")
         for t in np.flatnonzero(failed):
-            fresh = draw_channels(config, rngs.generators[t])
+            fresh = draw_channels(config, generators[t])
             channels.direct[t] = fresh.direct
             channels.cross[t] = fresh.cross
             failed[t] = fresh.rejected
@@ -129,16 +126,12 @@ def _run_chunk(config, generators, buffer, symbols=None):
     unit-variance noise vector; each grid point rescales it so the noise
     power sits that many dB below the received desired power. `symbols`,
     when given, replace every trial's drawn symbols after the draw. The
-    draws come through PrefetchedStreams, which gives each trial the values
-    of its Generator alone, from the first T rows of `buffer`, at least
-    `trial_normals` wide.
+    draws are `draw_trials`' on `buffer`, (T, trial_normals).
     """
-    rngs = PrefetchedStreams(generators, buffer[:len(generators)])
-    reference, beamformer = build_reference_matrices(config.antennas, rngs)
-    channels, precoders, redraws = _build(config, rngs, reference, beamformer)
-    drawn = draw_symbols(config, rngs)
+    draws, channels, drawn, noise_unit = draw_trials(config, generators, buffer)
+    reference, beamformer = build_reference_matrices(draws)
+    channels, precoders, redraws = _build(config, channels, generators, reference, beamformer)
     symbols = drawn if symbols is None else symbols
-    noise_unit = _complex_normal(rngs, (2, config.antennas))
 
     desired, interference = superpose(channels, precoders, symbols)
     target = symbols.sum(axis=-3)
@@ -216,11 +209,11 @@ def run_trials(config, trials, symbols=None):
     count = -(-len(words) // _chunk_trials(config))
     chunks = np.array_split(words, count)
     planted = [None] * count if symbols is None else np.array_split(symbols, count)
-    # One prefetch buffer serves every chunk: one allocated and freed per
+    # One draw buffer serves every chunk: one allocated and freed per
     # chunk had its pages returned and faulted in again, chunk after chunk.
     buffer = np.empty((len(chunks[0]), trial_normals(config)))
     return _concat([
-        _run_chunk(config, streams(chunk), buffer, chunk_symbols)
+        _run_chunk(config, streams(chunk), buffer[:len(chunk)], chunk_symbols)
         for chunk, chunk_symbols in zip(chunks, planted)
     ])
 

@@ -39,7 +39,7 @@ def preprocess(spec, data):
         raise DomainError("data must be real, got complex values")
     data = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(data)):
-        raise ValueError("data must be finite")
+        raise DomainError("data must be finite")
     if spec.kind == "geomean":
         if np.any(data <= 0):
             raise DomainError("geomean needs strictly positive data")

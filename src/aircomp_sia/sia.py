@@ -19,25 +19,23 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import numerical_rank, right_inverse
-from .system import _complex_normal, partition
 
 
-def build_reference_matrices(antennas, rng):
+def build_reference_matrices(draws):
     """Both alignment bases of both cells from one complete QR of each
     cell's draw, as the pair (reference, beamformer).
 
-    reference (..., 2, M, N'), N' = partition(M).interference_dim, holds
-    the first N' columns of each Q: orthonormal, and the subspace the
-    cell's interference is aligned to. beamformer (..., 2, M - N', M)
+    `draws` (..., 2, M, N'), N' = partition(M).interference_dim, holds
+    each cell's draw. reference, of the same shape, holds the first N'
+    columns of each Q: orthonormal, and the subspace the cell's
+    interference is aligned to. beamformer (..., 2, M - N', M)
     holds in block i the trailing columns of the other cell's Q,
     conjugate-transposed: its rows are orthonormal and span the orthogonal
     complement of that cell's reference (Golub & Van Loan, §5.2), so
-    beamformer[i] @ reference[1 - i] = 0. `rng` is one Generator, or a
-    chunk's PrefetchedStreams giving one pair per trial.
+    beamformer[i] @ reference[1 - i] = 0.
     """
-    n = partition(antennas).interference_dim
-    draws = [_complex_normal(rng, (antennas, n)) for _ in range(2)]
-    q, _ = np.linalg.qr(np.stack(draws, axis=-3), mode="complete")
+    n = draws.shape[-1]
+    q, _ = np.linalg.qr(draws, mode="complete")
     # Both are copied out contiguous: on strided views the stacked products
     # that use them made small_dense sweeps about 8% slower (2-CPU VM, BLAS
     # on one thread).

@@ -8,11 +8,12 @@ holds only what shapes the channel construction and the sweep; the
 nomographic function computed on top of the aggregated streams is an
 argument of `engine.run_functional_trial`, not a setting.
 
-Every draw takes either one `numpy.random.Generator` or a chunk's
-`PrefetchedStreams`, which stacks each trial's draw along a new leading
-axis from the values its own Generator gives first. A set the
-conditioning guard rejects is only marked here; the engine redraws it
-from its trial's Generator.
+`_layout` is the one statement of what a trial draws and in which order.
+`draw_trials` fills each trial's row of a chunk's buffer from its own
+Generator and splits the rows by that table, so every stacked draw holds
+the values the trial's Generator alone gives. A set the conditioning
+guard rejects is only marked here; the engine redraws it from its
+trial's Generator with `draw_channels`.
 """
 
 from __future__ import annotations
@@ -69,10 +70,14 @@ class SystemConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
         try:
-            # A string would split into characters, a mapping give its keys, a set its hash order.
+            # A string would split into characters, a mapping give its keys, a set
+            # its hash order, and float() would take a bool as 0 or 1 dB.
             if isinstance(self.snr_db_grid, (str, bytes, Mapping, Set)):
                 raise TypeError("not a sequence")
-            grid = tuple(float(s) for s in self.snr_db_grid)
+            entries = tuple(self.snr_db_grid)
+            if any(isinstance(s, (bool, np.bool_)) for s in entries):
+                raise TypeError("bool entry")
+            grid = tuple(float(s) for s in entries)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"snr_db_grid must be a sequence of numbers, "
                               f"got {self.snr_db_grid!r}") from exc
@@ -254,57 +259,36 @@ def streams(words):
     return [make(row) for row in words]
 
 
-def trial_normals(config):
-    """Standard normals one trial draws before any set redraw: the
-    reference pair (2·M·N' complex), the direct and cross stacks
-    (2·2·K·M²), the symbols (2·K·floor(M/2)) and the noise (2·M); each
-    complex value takes two."""
+def _layout(config):
+    """A trial's draws in stream order, as (blocks, complex shape): the two
+    cells' reference draws, the direct then the cross stack, the symbols
+    and the noise. Each block takes all its real parts, then all its
+    imaginary parts."""
     m, k = config.antennas, config.devices
     part = partition(m)
-    return 2 * (2 * m * part.interference_dim + 4 * k * m * m + 2 * k * part.signal_dim + 2 * m)
+    return ((2, (m, part.interference_dim)), (2, (k, 2, m, m)),
+            (1, (k, 2, part.signal_dim)), (1, (2, m)))
 
 
-class PrefetchedStreams:
-    """A chunk's per-trial Generators, each trial's first N standard normals
-    drawn ahead, one call per trial, into row t of a (T, N) `buffer`.
+def _normals(blocks, shape):
+    return 2 * blocks * math.prod(shape)
 
-    Every stacked draw is the next view of the buffer; a draw past its end
-    means N is out of step with the draws, and raises. Each Generator
-    resumes after its N values, which is where a trial's set redraws come
-    from, so every value is the one its Generator alone gives.
+
+def trial_normals(config):
+    """Standard normals one trial draws before any set redraw: every entry
+    of `_layout`, two per complex value."""
+    return sum(_normals(blocks, shape) for blocks, shape in _layout(config))
+
+
+def _complex_normal(normals, blocks, shape):
+    """CN(0, 1) draws (..., blocks) + `shape` from standard normals
+    (..., N): each block's real parts, then its imaginary parts, each
+    times fl(1/sqrt(2)) into its view of the output. That is bit for bit
+    a complex division by sqrt(2), which numpy takes as
+    (re + im * 0) * fl(1/sqrt(2)), but for the sign of a zero part.
     """
-
-    def __init__(self, generators, buffer):
-        self.generators = generators
-        self.buffer = buffer
-        for g, row in zip(generators, self.buffer):
-            g.standard_normal(out=row)
-        self.taken = 0
-
-    def __len__(self):
-        return len(self.generators)
-
-    def stacked(self, shape):
-        """Every trial's next draws of `shape`, stacked: (T,) + shape."""
-        start, self.taken = self.taken, self.taken + math.prod(shape)
-        if self.taken > self.buffer.shape[1]:
-            raise SizeMismatch(f"draw of {self.taken} normals per trial from a buffer of "
-                               f"{self.buffer.shape[1]}; trial_normals is out of step")
-        return self.buffer[:, start:self.taken].reshape((len(self),) + shape)
-
-
-def _complex_normal(rng, shape):
-    """CN(0, 1) draws of `shape` from one Generator, or of (T,) + `shape`
-    from a chunk's PrefetchedStreams: all real parts, then all imaginary
-    parts, from each stream, each times fl(1/sqrt(2)) into its view of the
-    output. That is bit for bit a complex division by sqrt(2), which numpy
-    takes as (re + im * 0) * fl(1/sqrt(2)), but for the sign of a zero part.
-    """
-    shape = (2,) + tuple(shape)
-    if isinstance(rng, PrefetchedStreams):
-        parts = rng.stacked(shape).swapaxes(0, 1)
-    else:
-        parts = rng.standard_normal(shape)
+    lead = normals.shape[:-1]
+    parts = np.moveaxis(normals.reshape(lead + (blocks, 2) + shape), len(lead) + 1, 0)
     draws = np.empty(parts.shape[1:], dtype=np.complex128)
     np.multiply(parts[0], 1.0 / math.sqrt(2.0), out=draws.real)
     np.multiply(parts[1], 1.0 / math.sqrt(2.0), out=draws.imag)
@@ -329,29 +313,41 @@ def _ill_conditioned(mats):
     return bad
 
 
-def draw_channels(config, rng):
-    """Draw all 4*K channel matrices of a trial, or of every trial of a chunk.
+def _guard(draws):
+    """ChannelSet of channel draws (..., 2, K, 2, M, M), direct stack first,
+    with each set marked `rejected` that holds a matrix `_ill_conditioned`
+    rejects; the engine redraws such a set whole, so the cross channels
+    stay invertible in double precision."""
+    rejected = _ill_conditioned(draws).any(axis=(-3, -2, -1))
+    return ChannelSet(draws[..., 0, :, :, :, :], draws[..., 1, :, :, :, :], rejected)
 
-    Both stacks are i.i.d. CN(0, 1), the direct stack drawn first. A set
-    holding a matrix with condition number above linalg.COND_LIMIT is
-    marked `rejected`, and the engine redraws it whole, so the cross
-    channels stay invertible in double precision. The guard clears a
-    matrix on the bound cond(A) <= ||A||_F^M (M-1)^(-(M-1)/2) / |det A|
-    when that is at least linalg._BOUND_MARGIN below the limit, and takes
-    the SVD of the rest, so its verdicts are those of the exact
-    singular-value test.
+
+def draw_trials(config, generators, buffer):
+    """Every first draw of a chunk's trials, one trial per Generator.
+
+    Row t of `buffer`, (T, trial_normals), takes trial t's first standard
+    normals in one call and is split by `_layout`. Returns the reference
+    draws (T, 2, M, N'), the guarded ChannelSet (T, K, 2, M, M), the
+    symbols (T, K, 2, signal_dim) and the noise (T, 2, M). Each Generator
+    resumes after its row, which is where its trial's set redraws come
+    from, so every value is the one its Generator alone gives.
     """
-    k, m = config.devices, config.antennas
-    direct = _complex_normal(rng, (k, 2, m, m))
-    cross = _complex_normal(rng, (k, 2, m, m))
-    rejected = (_ill_conditioned(direct) | _ill_conditioned(cross)).any(axis=(-2, -1))
-    return ChannelSet(direct, cross, rejected)
+    for g, row in zip(generators, buffer):
+        g.standard_normal(out=row)
+    layout = _layout(config)
+    bounds = np.cumsum([_normals(blocks, shape) for blocks, shape in layout])[:-1]
+    reference, channels, symbols, noise = (
+        _complex_normal(segment, blocks, shape)
+        for segment, (blocks, shape) in zip(np.split(buffer, bounds, axis=-1), layout))
+    return reference, _guard(channels), symbols[:, 0], noise[:, 0]
 
 
-def draw_symbols(config, rng):
-    """Unit-variance i.i.d. complex Gaussian symbols, shape (..., K, 2, signal_dim)."""
-    dof = partition(config.antennas).signal_dim
-    return _complex_normal(rng, (config.devices, 2, dof))
+def draw_channels(config, rng):
+    """A new channel set for one trial from its Generator `rng`: the
+    channel entry of `_layout` in one call, guarded as in `draw_trials`.
+    Both stacks are i.i.d. CN(0, 1), shape (K, 2, M, M)."""
+    blocks, shape = _layout(config)[1]
+    return _guard(_complex_normal(rng.standard_normal(_normals(blocks, shape)), blocks, shape))
 
 
 def _check_superpose_args(channels, precoders, symbols):

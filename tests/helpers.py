@@ -1,9 +1,19 @@
 """Shared test helpers."""
 
+import math
+
 import numpy as np
 
-from aircomp_sia import engine, linalg, sia
-from aircomp_sia.system import PrefetchedStreams, streams, trial_normals, trial_words
+from aircomp_sia import engine, linalg
+from aircomp_sia.sia import build_reference_matrices
+from aircomp_sia.system import (
+    _complex_normal,
+    draw_trials,
+    partition,
+    streams,
+    trial_normals,
+    trial_words,
+)
 
 
 def trial_streams(seed, trials):
@@ -13,11 +23,26 @@ def trial_streams(seed, trials):
     return streams(trial_words(seed, trials))
 
 
-def prefetched(config, trials):
-    """The PrefetchedStreams a chunk of trial indices `trials` draws
-    through: config.seed's streams, `trial_normals` wide."""
-    generators = trial_streams(config.seed, trials)
-    return PrefetchedStreams(generators, np.empty((len(generators), trial_normals(config))))
+def cn(g, shape):
+    """CN(0, 1) draws of `shape` from one Generator `g`, as a trial draws
+    one block: all real parts, then all imaginary parts."""
+    shape = tuple(shape)
+    return _complex_normal(g.standard_normal(2 * math.prod(shape)), 1, shape)[0]
+
+
+def reference_pair(g, antennas):
+    """build_reference_matrices on the reference draws a trial takes first
+    from its Generator `g`, one (M, N') block per cell."""
+    shape = (antennas, partition(antennas).interference_dim)
+    return build_reference_matrices(np.stack([cn(g, shape) for _ in range(2)]))
+
+
+def draw_chunk(config, trials):
+    """`draw_trials` on a chunk of trial indices `trials` as `run_trials`
+    draws it, from config.seed's streams: (reference draws, ChannelSet,
+    symbols, noise)."""
+    return draw_trials(config, trial_streams(config.seed, trials),
+                       np.empty((len(trials), trial_normals(config))))
 
 
 def run_chunk(config, trials, symbols=None):
@@ -39,13 +64,6 @@ def complement_beamformer(reference):
     the trailing columns of a complete QR of reference[1 - i], conjugate-transposed."""
     q = np.linalg.qr(reference[..., ::-1, :, :], mode="complete")[0]
     return q[..., reference.shape[-1]:].conj().swapaxes(-1, -2)
-
-
-def plant_draws(monkeypatch, *draws):
-    """Make build_reference_matrices orthonormalise `draws`, one (M, N')
-    matrix per cell, in place of its random draws."""
-    cells = iter(draws)
-    monkeypatch.setattr(sia, "_complex_normal", lambda rng, shape: next(cells))
 
 
 def span_residual(reference, block):

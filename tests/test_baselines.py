@@ -12,10 +12,9 @@ from aircomp_sia.baselines import (
 )
 from aircomp_sia.engine import run_trials
 from aircomp_sia.errors import ConfigError
-from aircomp_sia.sia import build_reference_matrices
 from aircomp_sia.system import Partition, SystemConfig, draw_channels, partition
 
-from helpers import noiseless_nmse
+from helpers import noiseless_nmse, reference_pair
 
 
 class TestArraySizes:
@@ -195,7 +194,7 @@ class TestNoIaPrecoder:
         cfg = SystemConfig(antennas=4, devices=3, snr_db_grid=(0.0,), trials=1)
         rng = np.random.default_rng(1)
         part = partition(4)
-        _, beam = build_reference_matrices(4, rng)
+        _, beam = reference_pair(rng, 4)
         channels = draw_channels(cfg, rng)
         stacked = build_no_ia_precoders(channels, beam)
         assert stacked.shape == (3, 2, 4, part.signal_dim)

@@ -27,18 +27,9 @@ from aircomp_sia.errors import (
     SizeMismatch,
 )
 from aircomp_sia.functions import FunctionSpec, preprocess
-from aircomp_sia.sia import build_reference_matrices
-from aircomp_sia.system import (
-    ChannelSet,
-    SystemConfig,
-    _complex_normal,
-    draw_channels,
-    draw_symbols,
-    partition,
-    trial_normals,
-)
+from aircomp_sia.system import ChannelSet, SystemConfig, draw_channels, partition, trial_normals
 
-from helpers import noiseless_nmse, run_chunk, svd_guard, trial_streams
+from helpers import cn, noiseless_nmse, reference_pair, run_chunk, svd_guard, trial_streams
 
 
 def config_for(m, k, **kw):
@@ -180,7 +171,7 @@ class TestRunTrials:
         cfg = config_for(4, 2, seed=5)
         monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(cfg))
         trials = [3, 1, 4, 0, 2]
-        symbols = _complex_normal(np.random.default_rng(0), (5, 2, 2, 2))
+        symbols = cn(np.random.default_rng(0), (5, 2, 2, 2))
         together = run_trials(cfg, trials, symbols)
         assert np.array_equal(together.target, symbols.sum(axis=1))
         assert_matches_alone(cfg, together, trials, symbols)
@@ -242,7 +233,7 @@ class TestRunTrials:
         # redraws under a low condition limit, and the same noise.
         monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", 10.0)
         cfg = config_for(m, 1, scheme=scheme, seed=3)
-        symbols = _complex_normal(np.random.default_rng(2), (1, 1, 2, partition(m).signal_dim))
+        symbols = cn(np.random.default_rng(2), (1, 1, 2, partition(m).signal_dim))
         redraws = 0
         for t in range(6):
             drawn = run_trials(cfg, [t])
@@ -284,10 +275,10 @@ class TestAnalyticNoiseMse:
         rng = np.random.default_rng(0)
         m, k = 6, 3
         part = partition(m)
-        beam = build_reference_matrices(m, rng)[1][0]
+        beam = reference_pair(rng, m)[1][0]
         (want,), (sigma,) = one_trial_oracle(config_for(m, k, seed=1), (5.0,))
         reps = 20000
-        noise = sigma * _complex_normal(rng, (reps, m))
+        noise = sigma * cn(rng, (reps, m))
         projected = np.abs(noise @ beam.conj().T) ** 2
         mc = projected.sum(axis=1).mean() / (k * part.signal_dim)
         se = sigma**2 * np.sqrt(part.signal_dim / reps) / (k * part.signal_dim)
@@ -710,7 +701,8 @@ class TestRunFunctionalTrial:
 
     def test_nan_snr_raises(self):
         # None is the one way to ask for a noise-free estimate.
-        for snr_db in (math.nan, math.inf):
+        # A bool is no number of dB either; float() would run it at 1 dB.
+        for snr_db in (math.nan, math.inf, True, np.True_):
             with pytest.raises(ConfigError, match="snr_db"):
                 run_functional_trial(config_for(4, 2), "mean", np.ones((2, 2, 2)), snr_db=snr_db)
 
@@ -804,10 +796,9 @@ class TestChunks:
         # or on the worker split. The fake pool runs its batches in this
         # process, where the plant reaches them.
         cfg = config_for(m, 3, trials=6, seed=5)
-        marked = build_reference_matrices(m, np.random.default_rng([cfg.seed, 4]))[0]
+        marked = reference_pair(np.random.default_rng([cfg.seed, 4]), m)[0]
         rng = np.random.default_rng(9)
-        nearly_rank_one = (np.outer(_complex_normal(rng, (m,)), _complex_normal(rng, (m,)))
-                           + 1e-8 * _complex_normal(rng, (m, m)))
+        nearly_rank_one = np.outer(cn(rng, (m,)), cn(rng, (m,))) + 1e-8 * cn(rng, (m, m))
         real = engine.build_sia_matrices
 
         def planted(channels, reference, beamformer):
@@ -832,7 +823,7 @@ class TestChunks:
         # Plant one rank failure on trial 2's first channel set: only that
         # trial redraws its set, and gets what it would get alone.
         cfg = config_for(4, 3, scheme=scheme, seed=6)
-        marked = build_reference_matrices(4, np.random.default_rng([cfg.seed, 2]))[0]
+        marked = reference_pair(np.random.default_rng([cfg.seed, 2]), 4)[0]
         name = "build_sia_matrices" if scheme == "sia" else "build_no_ia_precoders"
         real = getattr(engine, name)
         planted = {"done": True}
@@ -873,17 +864,17 @@ class TestChunks:
 
 def first_draws(cfg, g):
     """What a trial draws from its Generator `g` before any set redraw,
-    through the single-Generator path: the (reference, beamformer) pair,
-    the channel set, the symbols and the noise."""
-    bases = build_reference_matrices(cfg.antennas, g)
+    one draw at a time: the (reference, beamformer) pair, the channel set,
+    the symbols and the noise."""
+    bases = reference_pair(g, cfg.antennas)
     channels = draw_channels(cfg, g)
-    drawn = draw_symbols(cfg, g)
-    return bases, channels, drawn, _complex_normal(g, (2, cfg.antennas))
+    drawn = cn(g, (cfg.devices, 2, partition(cfg.antennas).signal_dim))
+    return bases, channels, drawn, cn(g, (2, cfg.antennas))
 
 
 def oracle_chunk(monkeypatch, cfg, trials, symbols=None, rank_losses=()):
-    """The chunk as the single-Generator path draws it, the reference for
-    the prefetched draws. Trial t's `default_rng([seed, t])` gives its
+    """The chunk as each trial's Generator draws it alone, the reference
+    for `draw_trials`. Trial t's `default_rng([seed, t])` gives its
     first draws, then its set redraws: while an SVD rejects a matrix of the
     set, and once for each time t is in `rank_losses` (a planted build
     failure of an accepted set). The engine then scores those draws with
@@ -911,9 +902,8 @@ def oracle_chunk(monkeypatch, cfg, trials, symbols=None, rank_losses=()):
     with monkeypatch.context() as patch:
         patch.setattr(engine, "build_reference_matrices",
                       lambda *args: (np.stack(refs), np.stack(beams)))
-        patch.setattr(engine, "draw_channels", lambda *args: stacked)
-        patch.setattr(engine, "draw_symbols", lambda *args: np.stack(drawn))
-        patch.setattr(engine, "_complex_normal", lambda *args: np.stack(noise))
+        patch.setattr(engine, "draw_trials",
+                      lambda *args: (None, stacked, np.stack(drawn), np.stack(noise)))
         patch.setattr(engine, "build_sia_matrices", sia.build_sia_matrices)
         patch.setattr(engine, "build_no_ia_precoders", baselines.build_no_ia_precoders)
         result = run_chunk(cfg, trials, symbols)
@@ -946,9 +936,9 @@ def assert_same_bits(got, want):
 
 
 class TestPrefetchedStreams:
-    """A chunk drawn through PrefetchedStreams equals, bit for bit in every
-    field and in its redraws, the chunk the single-Generator path draws
-    trial by trial, however many set redraws the trials need."""
+    """A chunk drawn by draw_trials equals, bit for bit in every field and
+    in its redraws, the chunk each trial's Generator draws alone, however
+    many set redraws the trials need."""
 
     def assert_same_chunk(self, monkeypatch, cfg, trials, symbols=None, rank_losses=()):
         chunk = run_chunk(cfg, trials, symbols)
@@ -984,7 +974,7 @@ class TestPrefetchedStreams:
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_set_redraw_keeps_symbols_and_noise(self, monkeypatch, scheme):
-        # Trial 2's new set comes after its prefetched block, so its
+        # Trial 2's new set comes after its first draws, so its
         # symbols and noise are those of the clean run and only its
         # channels change; the other trials do not change at all.
         cfg = config_for(4, 3, scheme=scheme, seed=6)
@@ -1002,7 +992,7 @@ class TestPrefetchedStreams:
     def test_planted_symbols(self, monkeypatch, m):
         # run_functional_trial's path: the drawn symbols are replaced.
         cfg = config_for(m, 3, seed=8)
-        symbols = _complex_normal(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
+        symbols = cn(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
         chunk = self.assert_same_chunk(monkeypatch, cfg, range(4), symbols)
         assert np.array_equal(chunk.target, symbols.sum(axis=1))
 
@@ -1010,11 +1000,10 @@ class TestPrefetchedStreams:
     @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_prefetch_is_what_a_trial_draws(self, scheme, m, planted):
-        # A trial's first draws take exactly trial_normals values, so the
-        # prefetch count stays in step with the draw functions, and a chunk
-        # with a buffer that wide needs no more.
+        # A trial's first draws take exactly trial_normals values, so a
+        # chunk with a buffer that wide draws what its trials draw alone.
         cfg = config_for(m, 3, scheme=scheme, seed=2)
-        symbols = (_complex_normal(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
+        symbols = (cn(np.random.default_rng(1), (4, 3, 2, partition(m).signal_dim))
                    if planted else None)
         count = trial_normals(cfg)
         for t in range(4):
@@ -1026,12 +1015,6 @@ class TestPrefetchedStreams:
         chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), np.empty((4, count)),
                                   symbols)
         assert not chunk.redraws.any()
-
-    def test_narrow_buffer_raises(self):
-        cfg = config_for(4, 3)
-        narrow = np.empty((2, trial_normals(cfg) - 1))
-        with pytest.raises(SizeMismatch, match="trial_normals"):
-            engine._run_chunk(cfg, trial_streams(cfg.seed, range(2)), narrow)
 
 
 class TestResidual:

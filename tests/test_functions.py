@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aircomp_sia.engine import run_functional_trial
 from aircomp_sia.errors import DomainError
 from aircomp_sia.functions import FunctionSpec, postprocess, preprocess
+from aircomp_sia.system import SystemConfig
 
 
 class TestFunctionSpec:
@@ -42,8 +44,12 @@ class TestPreprocess:
             preprocess(FunctionSpec("geomean", 2), np.array([1.0, -3.0]))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            preprocess(FunctionSpec("sum", 2), np.array([1.0, np.inf]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DomainError, match="finite"):
+                preprocess(FunctionSpec("sum", 2), np.array([1.0, bad]))
+        cfg = SystemConfig(antennas=2, devices=1, snr_db_grid=(0.0,), trials=1)
+        with pytest.raises(DomainError, match="finite"):
+            run_functional_trial(cfg, "sum", np.full((1, 2, 1), np.inf))
 
 
 class TestPostprocess:

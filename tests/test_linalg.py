@@ -16,13 +16,14 @@ from aircomp_sia.sia import build_reference_matrices, build_sia_matrices
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
-    _complex_normal,
+    _guard,
     _ill_conditioned,
-    partition,
+    draw_trials,
     superpose,
+    trial_normals,
 )
 
-from helpers import plant_draws, prefetched, run_chunk, span_residual
+from helpers import cn, reference_pair, run_chunk, span_residual, trial_streams
 
 
 def rng_for(seed):
@@ -30,20 +31,17 @@ def rng_for(seed):
 
 
 def gaussian(rng, rows, cols):
-    return _complex_normal(rng, (rows, cols))
+    return cn(rng, (rows, cols))
 
 
 def build_with_cross(cfg, cell, matrix):
     """engine._build on a chunk of two trials whose first channel set
-    holds `matrix`, real and imaginary parts alike, as trial 1's cross
-    channel of device 0 in `cell`."""
-    m, k = cfg.antennas, cfg.devices
-    rngs = prefetched(cfg, range(2))
-    # After the reference pair come the direct stack, then the cross stack.
-    start = 4 * m * partition(m).interference_dim + 4 * k * m * m
-    cross = rngs.buffer[1, start:start + 4 * k * m * m].reshape(2, k, 2, m, m)
-    cross[:, 0, cell] = matrix
-    return engine._build(cfg, rngs, *build_reference_matrices(m, rngs))
+    holds `matrix` as trial 1's cross channel of device 0 in `cell`."""
+    generators = trial_streams(cfg.seed, range(2))
+    draws, channels, _, _ = draw_trials(cfg, generators, np.empty((2, trial_normals(cfg))))
+    stacks = np.stack([channels.direct, channels.cross], axis=1)
+    stacks[1, 1, 0, cell] = matrix
+    return engine._build(cfg, _guard(stacks), generators, *build_reference_matrices(draws))
 
 
 def ia_setup(cross):
@@ -53,7 +51,7 @@ def ia_setup(cross):
     m = cross.shape[-1]
     stack = np.broadcast_to(cross, (1, 2, m, m)).copy()
     channels = ChannelSet(np.broadcast_to(np.eye(m, dtype=complex), (1, 2, m, m)).copy(), stack)
-    reference, beam = build_reference_matrices(m, rng_for(0))
+    reference, beam = reference_pair(rng_for(0), m)
     return reference, beam, build_sia_matrices(channels, reference, beam)[0, 0]
 
 
@@ -86,7 +84,7 @@ class TestGaussianMatrix:
         # Reference draws take their size from the partition of M.
         for antennas in (0, -1):
             with pytest.raises(ValueError):
-                build_reference_matrices(antennas, rng_for(0))
+                reference_pair(rng_for(0), antennas)
 
     def test_moments(self):
         # Sample mean of each part has sd sqrt(0.5/n); |z|^2 is Exp(1).
@@ -181,7 +179,7 @@ class TestRightInverse:
 
     def test_residual(self):
         rng = rng_for(11)
-        beam = build_reference_matrices(5, rng)[1][0]
+        beam = reference_pair(rng, 5)[1][0]
         direct = gaussian(rng, 5, 5)
         x = no_ia(beam, direct)
         a = beam @ direct
@@ -192,8 +190,8 @@ class TestRightInverse:
         # so the precoder is ia @ reference @ inv(effective).
         rng = rng_for(5)
         m = 4
-        reference, beam = build_reference_matrices(m, rng)
-        channels = ChannelSet(_complex_normal(rng, (3, 2, m, m)), _complex_normal(rng, (3, 2, m, m)))
+        reference, beam = reference_pair(rng, m)
+        channels = ChannelSet(cn(rng, (3, 2, m, m)), cn(rng, (3, 2, m, m)))
         precoder = build_sia_matrices(channels, reference, beam)
         for k in range(3):
             for i in (0, 1):
@@ -206,7 +204,7 @@ class TestRightInverse:
         # Any other right inverse differs by columns from the null space
         # of a and cannot have smaller Frobenius norm.
         rng = rng_for(9)
-        beam = build_reference_matrices(4, rng)[1][0]
+        beam = reference_pair(rng, 4)[1][0]
         direct = gaussian(rng, 4, 4)
         a = beam @ direct
         x = no_ia(beam, direct)
@@ -337,7 +335,7 @@ class TestRightInverseDecisions:
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_degenerate(self, rows, cols):
         rng = np.random.default_rng([10, rows, cols])
-        rank_one = np.outer(_complex_normal(rng, (rows,)), _complex_normal(rng, (cols,)))
+        rank_one = np.outer(cn(rng, (rows,)), cn(rng, (cols,)))
         singular = gaussian(rng, rows, cols)
         singular[-1] = singular[0]
         plants = [np.zeros((rows, cols), dtype=complex), rank_one, singular,
@@ -345,7 +343,7 @@ class TestRightInverseDecisions:
         assert [svd_deficient(a) for a in plants] == [True, rows > 1, rows > 1, False]
         for plant in plants:
             # One planted matrix among Gaussian ones, in the second of three sets.
-            mats = _complex_normal(rng, (12, rows, cols))
+            mats = cn(rng, (12, rows, cols))
             mats[5] = plant
             self.check_stack(mats, 3, devices=2)
 
@@ -370,16 +368,20 @@ class TestRightInverseSvdCount:
         # redraws it.
         cfg = SystemConfig(antennas=4, devices=5, scheme=scheme, seed=6, trials=4)
         module = sia if scheme == "sia" else baselines
-        real_draw = engine.draw_channels
+        real_trials, real_redraw = engine.draw_trials, engine.draw_channels
         rank_one = np.outer(gaussian(rng_for(1), 4, 1), gaussian(rng_for(2), 1, 4))
 
         def run(inverse):
             draws, masks = [], []
 
-            def planted_draw(config, rngs):
-                channels = real_draw(config, rngs)
-                if not draws:
-                    channels.direct[2, 3, 1] = rank_one
+            def planted_draw(*args):
+                drawn = real_trials(*args)
+                drawn[1].direct[2, 3, 1] = rank_one
+                draws.append(drawn[1].rejected.shape)
+                return drawn
+
+            def redraw(*args):
+                channels = real_redraw(*args)
                 draws.append(channels.rejected.shape)
                 return channels
 
@@ -390,7 +392,8 @@ class TestRightInverseSvdCount:
                     masks.append(exc.failed.tolist())
                     raise
 
-            monkeypatch.setattr(engine, "draw_channels", planted_draw)
+            monkeypatch.setattr(engine, "draw_trials", planted_draw)
+            monkeypatch.setattr(engine, "draw_channels", redraw)
             monkeypatch.setattr(module, "right_inverse", recording)
             chunk = run_chunk(cfg, range(4))
             return chunk, draws, masks
@@ -410,34 +413,33 @@ class TestRightInverseSvdCount:
 
 class TestLeftNullSpaceBasis:
     """AP 0's beamformer is an orthonormal basis of the left null space of
-    cell 1's draw, the trailing columns of its complete QR; `basis` plants
+    cell 1's draw, the trailing columns of its complete QR; `basis` takes
     the draw `b` for both cells."""
 
     @staticmethod
-    def basis(monkeypatch, b):
-        plant_draws(monkeypatch, b, b)
-        return build_reference_matrices(b.shape[0], None)[1][0]
+    def basis(b):
+        return build_reference_matrices(np.stack([b, b]))[1][0]
 
-    def test_coordinate_columns(self, monkeypatch):
+    def test_coordinate_columns(self):
         b = np.eye(4, dtype=complex)[:, :2]
-        a = self.basis(monkeypatch, b)
+        a = self.basis(b)
         assert a.shape == (2, 4)
         assert np.all(a @ b == 0)
         assert np.all(a[:, :2] == 0)
         assert np.allclose(a @ a.conj().T, np.eye(2), atol=1e-14)
 
-    def test_single_vector(self, monkeypatch):
+    def test_single_vector(self):
         b = np.array([[1.0], [0.0]], dtype=complex)
-        a = self.basis(monkeypatch, b)
+        a = self.basis(b)
         assert a.shape == (1, 2)
         assert np.all(a @ b == 0)
         assert np.all(a[:, 0] == 0)
         assert numerical_rank(a[:, 1:]) == 1
 
-    def test_random_annihilation(self, monkeypatch):
+    def test_random_annihilation(self):
         # A raw Gaussian b at a scale far from the unit-variance draws.
         b = 1e3 * gaussian(rng_for(2), 6, 3)
-        a = self.basis(monkeypatch, b)
+        a = self.basis(b)
         assert a.shape == (3, 6)
         assert np.abs(a @ b).max() <= 1e-10 * np.linalg.norm(b)
         assert np.allclose(a @ a.conj().T, np.eye(3), atol=1e-10)

@@ -8,17 +8,9 @@ from aircomp_sia.sia import (
     build_reference_matrices,
     build_sia_matrices,
 )
-from aircomp_sia.system import (
-    ChannelSet,
-    SystemConfig,
-    _complex_normal,
-    draw_channels,
-    draw_symbols,
-    partition,
-    superpose,
-)
+from aircomp_sia.system import ChannelSet, SystemConfig, draw_channels, partition, superpose
 
-from helpers import complement_beamformer, plant_draws, prefetched, span_residual
+from helpers import cn, complement_beamformer, draw_chunk, reference_pair, span_residual
 
 
 def config_for(m, k, **kw):
@@ -30,10 +22,15 @@ def config_for(m, k, **kw):
 def sia_setup(m, k, seed=0):
     cfg = config_for(m, k)
     rng = np.random.default_rng(seed)
-    reference, beam = build_reference_matrices(m, rng)
+    reference, beam = reference_pair(rng, m)
     channels = draw_channels(cfg, rng)
     precoder = build_sia_matrices(channels, reference, beam)
     return cfg, rng, channels, reference, beam, precoder
+
+
+def symbols_for(cfg, rng):
+    """A trial's symbols (K, 2, signal_dim) from one Generator."""
+    return cn(rng, (cfg.devices, 2, partition(cfg.antennas).signal_dim))
 
 
 def identity_reference(m, n):
@@ -73,30 +70,28 @@ def assert_alignment_bases(reference, beam, m):
 
 class TestReferenceMatrices:
     """The (reference, beamformer) pair of build_reference_matrices, from
-    one Generator."""
+    one pair of draws."""
 
     @pytest.mark.parametrize("m", range(2, 17))
     def test_shapes_and_orthonormal_columns(self, m):
-        reference, beam = build_reference_matrices(m, np.random.default_rng(m))
+        g = np.random.default_rng(m)
+        draws = np.stack([cn(g, (m, partition(m).interference_dim)) for _ in range(2)])
+        reference, beam = build_reference_matrices(draws)
         assert_alignment_bases(reference, beam, m)
         # The reference is the reduced QR of the same draws: bitwise here,
         # but other BLAS builds may round the complete QR differently.
-        g = np.random.default_rng(m)
-        shape = (m, partition(m).interference_dim)
-        draws = np.stack([_complex_normal(g, shape) for _ in range(2)])
         assert np.abs(reference - np.linalg.qr(draws)[0]).max() <= 1e-15
 
     def test_deterministic(self):
-        a = build_reference_matrices(4, np.random.default_rng(9))
-        b = build_reference_matrices(4, np.random.default_rng(9))
+        a = reference_pair(np.random.default_rng(9), 4)
+        b = reference_pair(np.random.default_rng(9), 4)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_fixed_variant(self, monkeypatch):
+    def test_fixed_variant(self):
         # Hand check with identity-column draws at odd M, where the two
         # cells' spans share coordinate 3: each beamformer keeps exactly the
         # coordinates outside the other cell's span.
-        plant_draws(monkeypatch, *identity_reference(5, 3))
-        ref, beam = build_reference_matrices(5, None)
+        ref, beam = build_reference_matrices(identity_reference(5, 3))
         assert np.all(beam[0] @ ref[1] == 0)
         assert np.all(beam[1] @ ref[0] == 0)
         assert np.all(beam[0][:, 2:] == 0)
@@ -108,12 +103,11 @@ class TestAggregationBeamformers:
     """The beamformer half of the pair, and both halves on a chunk's
     stacked streams."""
 
-    def test_coordinate_case(self, monkeypatch):
+    def test_coordinate_case(self):
         # With reference draws on coordinate axes the beamformers pick
         # out the complementary coordinates exactly.
         eye = np.eye(4, dtype=complex)
-        plant_draws(monkeypatch, eye[:, 2:], eye[:, :2])
-        reference, beam = build_reference_matrices(4, None)
+        reference, beam = build_reference_matrices(np.stack([eye[:, 2:], eye[:, :2]]))
         assert beam.shape == (2, 2, 4)
         assert np.all(beam[0] @ reference[1] == 0)
         assert np.all(beam[1] @ reference[0] == 0)
@@ -124,18 +118,17 @@ class TestAggregationBeamformers:
         # A chunk's pairs, stacked, are each what the trial's own
         # Generator gives alone.
         cfg = config_for(m, 1, seed=m)
-        reference, beam = build_reference_matrices(m, prefetched(cfg, range(3)))
+        reference, beam = build_reference_matrices(draw_chunk(cfg, range(3))[0])
         assert_alignment_bases(reference, beam, m)
         for t in range(3):
-            alone = build_reference_matrices(m, np.random.default_rng([cfg.seed, t]))
+            alone = reference_pair(np.random.default_rng([cfg.seed, t]), m)
             assert np.array_equal(reference[t], alone[0])
             assert np.array_equal(beam[t], alone[1])
 
-    def test_rank_deficient_reference_is_annihilated(self, monkeypatch):
+    def test_rank_deficient_reference_is_annihilated(self):
         # A complete QR annihilates a rank-deficient draw too.
         draws = np.ones((2, 4, 2), dtype=complex)  # duplicate columns
-        plant_draws(monkeypatch, *draws)
-        _, beam = build_reference_matrices(4, None)
+        _, beam = build_reference_matrices(draws)
         assert beam.shape == (2, 2, 4)
         assert np.abs(beam[0] @ draws[1]).max() <= 1e-15
 
@@ -147,10 +140,8 @@ class TestCellSwap:
     @pytest.mark.parametrize("m, k", [(2, 1), (4, 5), (5, 3), (16, 4)])
     def test_swap_reverses_precoders_and_superposition(self, m, k):
         cfg = config_for(m, k, seed=m + k)
-        rngs = prefetched(cfg, range(3))
-        reference, beam = build_reference_matrices(m, rngs)
-        channels = draw_channels(cfg, rngs)
-        symbols = draw_symbols(cfg, rngs)
+        draws, channels, symbols, _ = draw_chunk(cfg, range(3))
+        reference, beam = build_reference_matrices(draws)
         assert not channels.rejected.any()
 
         def swap(a, axis=-3):
@@ -170,11 +161,9 @@ def chunk_draws(m, k):
     """A stack of 3 trials' alignment bases, accepted channel sets and
     symbols, drawn as a chunk draws them."""
     cfg = config_for(m, k, seed=m + k)
-    rngs = prefetched(cfg, range(3))
-    reference, beam = build_reference_matrices(m, rngs)
-    channels = draw_channels(cfg, rngs)
+    draws, channels, symbols, _ = draw_chunk(cfg, range(3))
     assert not channels.rejected.any()
-    return reference, beam, channels, draw_symbols(cfg, rngs)
+    return *build_reference_matrices(draws), channels, symbols
 
 
 def build_precoders(scheme, channels, reference, beam):
@@ -255,9 +244,8 @@ class TestBuildPrecoder:
         # device's beamformer @ direct @ precoder is the identity.
         m, k, trials = 5, 3, 4
         cfg = config_for(m, k, seed=8)
-        rngs = prefetched(cfg, range(trials))
-        reference, beam = build_reference_matrices(m, rngs)
-        channels = draw_channels(cfg, rngs)
+        draws, channels, _, _ = draw_chunk(cfg, range(trials))
+        reference, beam = build_reference_matrices(draws)
         precoder = build_sia_matrices(channels, reference, beam)
         assert beam.shape == (trials, 2, 2, m)
         assert precoder.shape == (trials, k, 2, m, 2)
@@ -292,7 +280,7 @@ class TestSiaMatrices:
     def test_interference_nulling(self, m):
         k = 3
         cfg, rng, channels, reference, beam, precoder = sia_setup(m, k, seed=m)
-        x = draw_symbols(cfg, rng)
+        x = symbols_for(cfg, rng)
         _, interference = superpose(channels, precoder, x)
         for i in (0, 1):
             leaked = np.linalg.norm(beam[i] @ interference[i])
@@ -331,7 +319,7 @@ class TestRecover:
     @pytest.mark.parametrize("m,k", [(2, 1), (4, 5), (5, 3)])
     def test_noiseless_sum(self, m, k):
         cfg, rng, channels, _, beam, precoder = sia_setup(m, k, seed=m * 3 + k)
-        x = draw_symbols(cfg, rng)
+        x = symbols_for(cfg, rng)
         desired, interference = superpose(channels, precoder, x)
         for i in (0, 1):
             estimate = beam[i] @ (desired[i] + interference[i])
@@ -340,7 +328,7 @@ class TestRecover:
 
     def test_single_device_passthrough(self):
         cfg, rng, channels, _, beam, precoder = sia_setup(4, 1, seed=2)
-        x = draw_symbols(cfg, rng)
+        x = symbols_for(cfg, rng)
         y1, _ = np.stack(superpose(channels, precoder, x)).sum(axis=0), None
         estimate = beam[0] @ y1[0]
         assert np.allclose(estimate, x[0, 0], atol=1e-10 * np.linalg.norm(x[0, 0]))
@@ -349,7 +337,7 @@ class TestRecover:
         # The same array recovers the aggregate for 1 and for 200 devices.
         for k in (1, 2, 5, 20, 50, 200):
             cfg, rng, channels, _, beam, precoder = sia_setup(4, k, seed=k)
-            x = draw_symbols(cfg, rng)
+            x = symbols_for(cfg, rng)
             desired, interference = superpose(channels, precoder, x)
             for i in (0, 1):
                 estimate = beam[i] @ (desired[i] + interference[i])

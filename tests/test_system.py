@@ -11,18 +11,19 @@ from aircomp_sia.errors import ConfigError, SizeMismatch
 from aircomp_sia.linalg import numerical_rank
 from aircomp_sia.system import (
     ChannelSet,
-    PrefetchedStreams,
     SystemConfig,
     _complex_normal,
+    _guard,
     _ill_conditioned,
     draw_channels,
-    draw_symbols,
+    draw_trials,
     parse_config_file,
     partition,
     superpose,
+    trial_normals,
 )
 
-from helpers import prefetched, svd_guard, svd_rejects, trial_streams
+from helpers import cn, draw_chunk, svd_guard, svd_rejects, trial_streams
 
 
 def config_for(m, k, **kw):
@@ -84,6 +85,9 @@ class TestConfigValidation:
         {"snr_db_grid": (float("nan"),)},
         {"snr_db_grid": (-float("inf"),)},
         {"snr_db_grid": [[0.0, 10.0]]},
+        {"snr_db_grid": (True, 2.0)},
+        {"snr_db_grid": (1.0, np.True_)},
+        {"snr_db_grid": np.array([False, True])},
     ])
     def test_rejects(self, kw):
         base = dict(antennas=4, devices=2, snr_db_grid=(0.0,), trials=1)
@@ -207,8 +211,8 @@ class TestDrawChannels:
 def planted(rng, m, cond, scale, clustered):
     """scale * U diag(s) V^H with s_1 / s_M = cond; the middle singular
     values sit at s_1 (where the bound is tightest) or spread geometrically."""
-    u = np.linalg.qr(_complex_normal(rng, (m, m)))[0]
-    v = np.linalg.qr(_complex_normal(rng, (m, m)))[0]
+    u = np.linalg.qr(cn(rng, (m, m)))[0]
+    v = np.linalg.qr(cn(rng, (m, m)))[0]
     if clustered:
         s = np.ones(m)
         s[-1] = 1.0 / cond
@@ -258,12 +262,12 @@ class TestConditioningBound:
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
     def test_degenerate(self, m):
         rng = np.random.default_rng(10 + m)
-        rank_one = np.outer(_complex_normal(rng, (m,)), _complex_normal(rng, (m,)))
-        singular = _complex_normal(rng, (m, m))
+        rank_one = np.outer(cn(rng, (m,)), cn(rng, (m,)))
+        singular = cn(rng, (m, m))
         singular[-1] = singular[0]
         diag = np.diag(np.r_[np.ones(m - 1), 0.0]).astype(complex)
         mats = np.array([np.zeros((m, m), dtype=complex), rank_one, singular, diag,
-                         _complex_normal(rng, (m, m))])
+                         cn(rng, (m, m))])
         assert assert_matches_oracle(mats).tolist() == [True] * 4 + [False]
 
     @pytest.mark.parametrize("m", [2, 4, 16])
@@ -271,7 +275,7 @@ class TestConditioningBound:
         # ||A||_F^2 is about 1e400: out of range, so rescaled, and the small
         # entries underflow against the huge one.
         rng = np.random.default_rng(20 + m)
-        mats = np.array([_complex_normal(rng, (m, m)) for _ in range(3)])
+        mats = np.array([cn(rng, (m, m)) for _ in range(3)])
         mats[0, 0, 0] = 1e200
         mats[1, -1, 0] = -1e200j
         assert assert_matches_oracle(mats).tolist() == [True, True, False]
@@ -288,32 +292,34 @@ class TestConditioningBound:
 
     def test_gaussian_draws(self):
         for m in (2, 4, 16):
-            mats = _complex_normal(np.random.default_rng(m), (300, m, m))
+            mats = cn(np.random.default_rng(m), (300, m, m))
             assert not assert_matches_oracle(mats).any()
 
 
 class TestGuardFastPath:
-    """draw_channels rejects a set exactly when the SVD test rejects one
+    """The guard rejects a set exactly when the SVD test rejects one
     of its matrices, and takes an SVD only of the matrices near the limit."""
 
     def test_well_conditioned_stack_takes_no_svd(self, svd_calls):
         cfg = config_for(4, 200)
-        channels = draw_channels(cfg, prefetched(cfg, range(3)))
+        channels = draw_chunk(cfg, range(3))[1]
         assert channels.rejected.tolist() == [False] * 3
         assert svd_calls == []
 
     def test_planted_matrices_match_svd_guard(self, svd_calls):
         k, m = 200, 4
         cfg = config_for(m, k, seed=7)
-        rngs = prefetched(cfg, range(3))
-        # The buffer's first values are the direct then the cross stack,
-        # each all real parts then all imaginary parts.
-        stacks = rngs.buffer[:, :8 * k * m * m].reshape(3, 2, 2, k, 2, m, m)
-        stacks[0, 0, :, 17, 1] = np.diag([1.0, 1.0, 1.0, 1e-13])
-        stacks[2, 1, :, 150, 0] = 0.0
-        channels = draw_channels(cfg, rngs)
-        # Only the two planted matrices are unsure, one in each stack.
-        assert svd_calls == [(1,), (1,)]
+        drawn = draw_chunk(cfg, range(3))[1]
+        assert svd_calls == []
+        # The direct then the cross stack of each trial, as the chunk's
+        # guard takes them.
+        stacks = np.stack([drawn.direct, drawn.cross], axis=1)
+        stacks[0, 0, 17, 1] = np.diag([1.0, 1.0, 1.0, 1e-13])
+        stacks[2, 1, 150, 0] = 0.0
+        channels = _guard(stacks)
+        # Only the two planted matrices are unsure, one in each stack, and
+        # one SVD takes both.
+        assert svd_calls == [(2,)]
         assert channels.rejected.tolist() == svd_guard(channels).tolist() == [True, False, True]
 
     def test_low_limit_redraws_match_svd_guard(self, monkeypatch):
@@ -321,7 +327,7 @@ class TestGuardFastPath:
         # guard rejects it, from a chunk's streams or from one Generator.
         monkeypatch.setattr(linalg, "COND_LIMIT", 4.0)
         cfg = config_for(2, 1, seed=3)
-        chunk = draw_channels(cfg, prefetched(cfg, range(8)))
+        chunk = draw_chunk(cfg, range(8))[1]
         assert np.array_equal(chunk.rejected, svd_guard(chunk))
         assert chunk.rejected.any() and not chunk.rejected.all()
         for seed in range(8):
@@ -333,18 +339,17 @@ class TestGuardFastPath:
 class TestDrawSymbols:
     def test_shape(self):
         cfg = config_for(4, 3)
-        x = draw_symbols(cfg, np.random.default_rng(1))
-        assert x.shape == (3, 2, 2)
+        x = draw_chunk(cfg, range(2))[2]
+        assert x.shape == (2, 3, 2, 2)
 
     def test_deterministic(self):
         cfg = config_for(6, 2)
-        a = draw_symbols(cfg, np.random.default_rng(3))
-        b = draw_symbols(cfg, np.random.default_rng(3))
+        a = draw_chunk(cfg, range(3))[2]
+        b = draw_chunk(cfg, range(3))[2]
         assert np.array_equal(a, b)
 
     def test_unit_variance(self):
-        cfg = config_for(4, 25000)
-        x = draw_symbols(cfg, np.random.default_rng(6)).ravel()
+        x = cn(np.random.default_rng(6), (25000, 2, 2)).ravel()
         n = x.size
         assert n == 100_000
         assert abs((np.abs(x) ** 2).mean() - 1.0) < 3 / np.sqrt(n)
@@ -397,23 +402,26 @@ class TestTrialStreams:
 
 
 class TestPrefetchedStreams:
-    """Stacked draws through a chunk's prefetched streams are successive
-    views of the buffer and give each trial its own Generator's values;
-    each Generator then resumes after its block."""
+    """draw_trials gives each trial of a chunk, stacked, the draws its own
+    Generator gives alone, block by block in `_layout` order; each
+    Generator then resumes after its row."""
 
     def test_draws_follow_each_stream(self):
-        chunk = PrefetchedStreams(trial_streams(3, range(4)), np.empty((4, 10)))
-        plain = trial_streams(3, range(4))
-        first = chunk.stacked((2,))
-        assert np.shares_memory(first, chunk.buffer)
-        assert first.tobytes() == np.stack([g.standard_normal(2) for g in plain]).tobytes()
-        for shape in [(1, 2), (1,)]:
-            got = _complex_normal(chunk, shape)
-            want = np.stack([_complex_normal(g, shape) for g in plain])
-            assert got.tobytes() == want.tobytes() and got.shape == want.shape, shape
-        for g, p in zip(chunk.generators, plain):
-            p.standard_normal(2)
-            assert g.standard_normal(3).tobytes() == p.standard_normal(3).tobytes()
+        k, m = 2, 3
+        cfg = config_for(m, k)
+        generators, plain = trial_streams(3, range(4)), trial_streams(3, range(4))
+        reference, channels, symbols, noise = draw_trials(
+            cfg, generators, np.empty((4, trial_normals(cfg))))
+        assert not channels.rejected.any()
+        part = partition(m)
+        for t, g in enumerate(plain):
+            want = [np.stack([cn(g, (m, part.interference_dim)) for _ in range(2)]),
+                    cn(g, (k, 2, m, m)), cn(g, (k, 2, m, m)),
+                    cn(g, (k, 2, part.signal_dim)), cn(g, (2, m))]
+            got = [reference[t], channels.direct[t], channels.cross[t], symbols[t], noise[t]]
+            for a, b in zip(got, want):
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), t
+            assert generators[t].standard_normal(3).tobytes() == g.standard_normal(3).tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 2, 4, 4), (5, 2, 2)])
     def test_matches_complex_division(self, shape):
@@ -427,19 +435,15 @@ class TestPrefetchedStreams:
             d /= np.sqrt(2.0)
             return d
 
-        got = _complex_normal(np.random.default_rng(5), shape)
+        got = cn(np.random.default_rng(5), shape)
         want = divided(np.random.default_rng(5).standard_normal((2,) + shape))
         assert got.tobytes() == want.tobytes()
-        chunk = prefetched(config_for(4, 3), range(4))
-        got = _complex_normal(chunk, shape)
-        parts = chunk.buffer[:, :2 * got[0].size].reshape((4, 2) + shape).swapaxes(0, 1)
-        assert got.tobytes() == divided(parts).tobytes()
-
-    def test_draw_past_the_buffer_raises(self):
-        chunk = PrefetchedStreams(trial_streams(3, range(2)), np.empty((2, 10)))
-        chunk.stacked((2, 4))
-        with pytest.raises(SizeMismatch, match="trial_normals"):
-            chunk.stacked((3,))
+        # Two blocks over four trials: each block is its real parts, then
+        # its imaginary parts.
+        normals = np.random.default_rng(6).standard_normal((4, 2 * 2 * got.size))
+        got = _complex_normal(normals, 2, shape)
+        parts = normals.reshape((4, 2, 2) + shape)
+        assert got.tobytes() == divided(np.moveaxis(parts, 2, 0)).tobytes()
 
 
 def identity_channels(m, k):
