@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, SizeMismatch
-from .linalg import right_inverse
+from .linalg import mm, right_inverse
 from .system import ChannelSet, partition
 
 SCHEME_NAMES = ("conventional_ia", "sia")
@@ -59,7 +59,7 @@ def build_no_ia_precoders(channels, beamformer):
     shape = beamformer.shape
     if len(shape) < 3 or shape[-3] != 2 or shape[-2] > shape[-1]:
         raise SizeMismatch(f"beamformer must be (..., 2, dof, M) with dof <= M, got {shape}")
-    effective = beamformer[..., None, :, :, :] @ channels.direct
+    effective = mm(beamformer[..., None, :, :, :], channels.direct)
     return right_inverse(effective, "home channel lost row rank; redraw the channel set")
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .baselines import build_no_ia_precoders, genie_channels
 from .errors import ConfigError, DegenerateChannels, RankDeficient, SizeMismatch
 from .functions import FunctionSpec, postprocess, preprocess
+from .linalg import mm
 from .sia import aligned_interference_dimension, build_reference_matrices, build_sia_matrices
 from .system import (
     draw_channels,
@@ -80,7 +81,7 @@ class TrialResult:
 
 def _project(beamformer, vectors):
     """Apply each AP's beamformer to its received vector: (..., 2, M) -> (..., 2, dof)."""
-    return (beamformer @ vectors[..., None])[..., 0]
+    return mm(beamformer, vectors[..., None])[..., 0]
 
 
 def _build(config, channels, generators, reference, beamformer):

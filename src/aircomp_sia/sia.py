@@ -1,16 +1,17 @@
 """Simultaneous signal-and-interference alignment for two-cell AirComp.
 
 Each device cascades three stages. An interference-alignment stage
-inverts the device's cross channel, so every device of a cell reaches the
-neighbour AP through the cell's common reference matrix; that confines
-the whole cell's interference to a fixed low-dimensional subspace
-regardless of the device count. The reference matrix itself is the
-second stage. A signal-alignment stage then right-inverts the effective
-home-AP channel so the wanted symbols arrive pre-summed. Each AP projects
-its received vector onto the orthogonal complement of the other cell's
-reference subspace, which removes the aligned interference and leaves the
-plain sum of the home cell's symbol vectors. One complete QR of each
-cell's random draw gives both bases: its leading columns are the cell's
+solves the device's cross channel against the cell's common reference
+matrix, with no inverse formed, so every device of the cell reaches the
+neighbour AP through that reference; that confines the whole cell's
+interference to a fixed low-dimensional subspace regardless of the
+device count. The reference matrix itself is the second stage. A
+signal-alignment stage then right-inverts the effective home-AP channel
+so the wanted symbols arrive pre-summed. Each AP projects its received
+vector onto the orthogonal complement of the other cell's reference
+subspace, which removes the aligned interference and leaves the plain
+sum of the home cell's symbol vectors. One complete QR of each cell's
+random draw gives both bases: its leading columns are the cell's
 reference, its trailing columns the complement the other AP keeps.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import numerical_rank, right_inverse
+from .linalg import mm, numerical_rank, right_inverse
 
 
 def build_reference_matrices(draws):
@@ -48,18 +49,17 @@ def build_sia_matrices(channels, reference, beamformer):
     stack of draws with matching leading axes on channels, reference and
     beamformer, the pair build_reference_matrices gives.
 
-    Per device: ia inverts the cross channel, sa right-inverts the
-    effective channel beamformer @ direct @ ia @ reference, and the
-    precoder is ia @ reference @ sa. Assumes the cross channels already
+    Per device: aligned solves cross @ aligned = reference, sa
+    right-inverts the effective channel beamformer @ direct @ aligned, and
+    the precoder is aligned @ sa. Assumes the cross channels already
     passed the draw-time conditioning guard; raises RankDeficient, marking
     the draws that failed, when an effective channel loses row rank, and
     the caller redraws those sets.
     """
-    ia = np.linalg.inv(channels.cross)
-    aligned = ia @ reference[..., None, :, :, :]
-    effective = (beamformer[..., None, :, :, :] @ channels.direct) @ aligned
+    aligned = np.linalg.solve(channels.cross, reference[..., None, :, :, :])
+    effective = mm(mm(beamformer[..., None, :, :, :], channels.direct), aligned)
     sa = right_inverse(effective, "effective channel lost row rank; redraw the channel set")
-    return aligned @ sa
+    return mm(aligned, sa)
 
 
 def aligned_interference_dimension(cell, channels, precoders):
@@ -70,6 +70,6 @@ def aligned_interference_dimension(cell, channels, precoders):
     array over any leading axes.
     """
     precoders = np.asarray(precoders)
-    blocks = channels.cross[..., cell, :, :] @ precoders[..., cell, :, :]
+    blocks = mm(channels.cross[..., cell, :, :], precoders[..., cell, :, :])
     stack = np.moveaxis(blocks, -3, -2)
     return numerical_rank(stack.reshape(stack.shape[:-2] + (-1,)))

@@ -373,7 +373,7 @@ def superpose(channels, precoders, symbols):
     through their cross channels.
     """
     precoders, symbols = _check_superpose_args(channels, precoders, symbols)
-    tx = precoders @ symbols[..., None]
-    desired = (channels.direct @ tx).sum(axis=-4)[..., 0]
-    caused = (channels.cross @ tx).sum(axis=-4)[..., 0]
+    tx = linalg.mm(precoders, symbols[..., None])
+    desired = linalg.mm(channels.direct, tx).sum(axis=-4)[..., 0]
+    caused = linalg.mm(channels.cross, tx).sum(axis=-4)[..., 0]
     return desired, caused[..., ::-1, :].copy()

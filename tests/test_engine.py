@@ -123,6 +123,31 @@ def test_qr_calls_per_chunk(monkeypatch, scheme, m, qr_calls):
     assert calls[0] == (4, 2)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 16])
+def test_solve_and_inv_calls_per_chunk(monkeypatch, m):
+    # The IA stage is one solve over the chunk's (T, K, 2) cross stack. The
+    # one inv is the SA stage's, on dof x dof matrices (the square effective
+    # channels at even M, the R factors at odd M); none gets a cross channel.
+    calls = {"solve": [], "inv": []}
+    real = {name: getattr(np.linalg, name) for name in calls}
+
+    def counting(name):
+        def call(a, *args, **kw):
+            calls[name].append(np.shape(a))
+            return real[name](a, *args, **kw)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    cfg = config_for(m, 3)
+    chunk = run_chunk(cfg, range(4))
+    assert not chunk.redraws.any()
+    dof = partition(m).signal_dim
+    assert calls["solve"] == [(4, 3, 2, m, m)]
+    assert len(calls["inv"]) == 1
+    assert calls["inv"][0][-2:] == (dof, dof)
+
+
 def per_trial_elements(cfg):
     """Chunk elements one trial takes, as _chunk_trials counts them."""
     points = len(cfg.snr_db_grid)

@@ -9,6 +9,7 @@ from aircomp_sia.errors import DegenerateChannels, RankDeficient, SizeMismatch
 from aircomp_sia.linalg import (
     COND_LIMIT,
     FULL_RANK_RTOL,
+    mm,
     numerical_rank,
     right_inverse,
 )
@@ -57,8 +58,8 @@ def ia_setup(cross):
 
 def cross_leak(cross):
     """Part of cross @ precoder outside the reference span, relative to its
-    norm, for ia_setup's device. The IA stage inverts the cross channel, so
-    this is zero up to rounding."""
+    norm, for ia_setup's device. The IA stage solves the cross channel
+    against the reference, so this is zero up to rounding."""
     reference, _, precoder = ia_setup(cross)
     return span_residual(reference[0], cross @ precoder)
 
@@ -443,6 +444,44 @@ class TestLeftNullSpaceBasis:
         assert a.shape == (3, 6)
         assert np.abs(a @ b).max() <= 1e-10 * np.linalg.norm(b)
         assert np.allclose(a @ a.conj().T, np.eye(3), atol=1e-10)
+
+
+class TestMm:
+    # (T, 1, 2) against (T, K, 2) leading axes on either side: the left
+    # operand spread as beamformer[..., None, :, :, :] meets the direct
+    # stack, the right one as reference[..., None, :, :, :] meets the cross
+    # stack in the IA solve.
+    SPREAD, STACK = (3, 1, 2), (3, 5, 2)
+
+    @pytest.mark.parametrize("inner", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows, cols", [(2, 4), (4, 2), (4, 1)])
+    @pytest.mark.parametrize("broadcast_left", [True, False])
+    def test_broadcast_sums_match_matmul(self, inner, rows, cols, broadcast_left):
+        rng = rng_for(inner)
+        lead_a, lead_b = (self.SPREAD, self.STACK) if broadcast_left else (self.STACK, self.SPREAD)
+        a = cn(rng, lead_a + (rows, inner))
+        b = cn(rng, lead_b + (inner, cols))
+        want = np.matmul(a, b)
+        got = mm(a, b)
+        assert got.shape == want.shape == self.STACK + (rows, cols)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("inner", [5, 16])
+    def test_larger_inner_is_matmul(self, inner):
+        rng = rng_for(inner)
+        a = cn(rng, self.SPREAD + (4, inner))
+        b = cn(rng, self.STACK + (inner, 2))
+        assert np.array_equal(mm(a, b), a @ b)
+
+    def test_strided_right_operand(self):
+        # right_inverse's wide path: q @ inv(r)^H, the right operand a
+        # swapped-axes view that is not C-contiguous.
+        rng = rng_for(7)
+        q = cn(rng, self.STACK + (3, 2))
+        rh = np.linalg.inv(cn(rng, self.STACK + (2, 2))).conj().swapaxes(-1, -2)
+        assert not rh.flags.c_contiguous
+        np.testing.assert_allclose(mm(q, rh), q @ rh, rtol=1e-13, atol=0)
+        assert np.array_equal(mm(q, rh), mm(q, np.ascontiguousarray(rh)))
 
 
 class TestNumericalRank:
