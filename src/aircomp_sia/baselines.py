@@ -65,4 +65,4 @@ def build_no_ia_precoders(channels, beamformer):
 
 def genie_channels(channels):
     """Copy of the channel set with the cross links physically removed."""
-    return ChannelSet(channels.direct, np.zeros_like(channels.cross), channels.rejected)
+    return ChannelSet(channels.direct, np.zeros_like(channels.cross))

@@ -4,8 +4,9 @@ Every trial has its own random stream, the one
 `np.random.default_rng([seed, trial_index])` gives. From it the trial draws
 reference matrices, channels, symbols and one unit-variance noise vector,
 and it scores the whole SNR grid at once by rescaling that noise. A trial
-whose channel set is rejected by the conditioning guard, or loses rank in
-construction, draws a new set from the same stream, after those values.
+whose channel set its construction rejects (an ill-conditioned cross
+channel in the IA stage, an effective channel that loses rank) draws a
+new set from the same stream, after those values.
 Trials run in chunks: each stage draws or builds for every trial of the
 chunk in one stacked call, and every stream is consumed exactly as if its
 trial ran alone. Results are therefore independent of chunking and
@@ -40,8 +41,8 @@ from .system import (
 )
 
 # Channel sets a trial may draw, its first included, before the run is
-# declared degenerate; a set is redrawn whole when the conditioning guard
-# rejects one of its matrices or its construction loses rank.
+# declared degenerate; a set is redrawn whole when its construction raises
+# RankDeficient for it.
 SET_REDRAW_BUDGET = 100
 # Complex elements a chunk's channel stacks and scored grid may hold; a
 # chunk always has at least one trial. The draw buffer and the build's
@@ -88,26 +89,23 @@ def _build(config, channels, generators, reference, beamformer):
     """Build every trial's precoders on its drawn channel set, reference
     and beamformer.
 
-    A trial redraws its whole set when the conditioning guard rejects any
-    of its matrices or when its construction loses rank, with at most
-    SET_REDRAW_BUDGET sets per trial. The new set comes from the trial's
-    own Generator, after its first draws. Returns (channels, precoders,
-    set redraws per trial).
+    A trial redraws its whole set when the build raises RankDeficient
+    for it, with at most SET_REDRAW_BUDGET sets per trial. The new set
+    comes from the trial's own Generator, after its first draws. Returns
+    (channels, precoders, set redraws per trial).
     """
-    failed = channels.rejected
     sets = np.ones(len(generators), dtype=int)
     while True:
-        if not failed.any():
-            if config.scheme == "genie":
-                channels = genie_channels(channels)
-            try:
-                if config.scheme == "sia":
-                    precoders = build_sia_matrices(channels, reference, beamformer)
-                else:
-                    precoders = build_no_ia_precoders(channels, beamformer)
-                return channels, precoders, sets - 1
-            except RankDeficient as exc:
-                failed = exc.failed
+        if config.scheme == "genie":
+            channels = genie_channels(channels)
+        try:
+            if config.scheme == "sia":
+                precoders = build_sia_matrices(channels, reference, beamformer)
+            else:
+                precoders = build_no_ia_precoders(channels, beamformer)
+            return channels, precoders, sets - 1
+        except RankDeficient as exc:
+            failed = exc.failed
         sets += failed
         if sets.max() > SET_REDRAW_BUDGET:
             raise DegenerateChannels(f"no usable channel draw after {SET_REDRAW_BUDGET} attempts")
@@ -115,7 +113,6 @@ def _build(config, channels, generators, reference, beamformer):
             fresh = draw_channels(config, generators[t])
             channels.direct[t] = fresh.direct
             channels.cross[t] = fresh.cross
-            failed[t] = fresh.rejected
 
 
 def _run_chunk(config, generators, buffer, symbols=None):

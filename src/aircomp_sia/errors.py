@@ -10,7 +10,8 @@ class SizeMismatch(AirCompError, ValueError):
 
 
 class RankDeficient(AirCompError):
-    """Matrix lacks the full rank the operation requires.
+    """Matrix lacks the full rank the operation requires, or, for a cross
+    channel the IA stage solves against, is ill-conditioned.
 
     `failed` is a boolean mask over the leading (batch) axes of the
     call's inputs marking the entries that hold a deficient matrix.

@@ -1,6 +1,6 @@
-"""Dense complex linear algebra: rank via the SVD, right inverses
-certified by a condition-number bound, and the tolerances the
-conditioning and rank guards share.
+"""Dense complex linear algebra: rank via the SVD, the conditioning test
+and right inverses, both certified by a condition-number bound, and the
+tolerances they share.
 
 Every function takes a matrix or a stack of matrices with any number of
 leading axes and works on each matrix independently. All tolerances are
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import RankDeficient, SizeMismatch
 
-# Draws whose 2-norm condition number exceeds this are treated as degenerate.
+# Cross channels whose 2-norm condition number exceeds this are degenerate.
 COND_LIMIT = 1e12
 # Relative singular-value cutoff for rank counting.
 RANK_RTOL = 1e-8
@@ -24,8 +24,8 @@ RANK_RTOL = 1e-8
 FULL_RANK_RTOL = 1e-10
 
 # A matrix is cleared without an SVD only when its condition-number bound
-# sits at least this factor below the caller's limit (COND_LIMIT for the
-# conditioning guard, 1/FULL_RANK_RTOL for right inverses). The determinant
+# sits at least this factor below the caller's limit (COND_LIMIT for
+# `ill_conditioned`, 1/FULL_RANK_RTOL for right inverses). The determinant
 # from LU with partial pivoting (slogdet) is, up to O(M u) relative
 # rounding in the product of pivots, the exact determinant of A + E with
 # ||E|| <= c(M) rho u ||A|| (u = 1.1e-16 the unit roundoff, rho the pivot
@@ -84,6 +84,19 @@ def cond_bound_clears(mats, limit):
     _, logdet = np.linalg.slogdet(mats)
     log_bound = 0.5 * (m * np.log(norm2) - (m - 1) * math.log(max(m - 1, 1))) - logdet
     return log_bound <= math.log(limit / _BOUND_MARGIN)
+
+
+def ill_conditioned(mats):
+    """Mask over the leading axes of a stack of square matrices: True where
+    sigma_1 > COND_LIMIT * sigma_M or sigma_1 = 0. `cond_bound_clears`
+    clears most matrices without an SVD; the exact test on the SVD decides
+    every other one, so the mask is that test's verdict on every matrix."""
+    unsure = ~cond_bound_clears(mats, COND_LIMIT)
+    bad = np.zeros(mats.shape[:-2], dtype=bool)
+    if unsure.any():
+        s = np.linalg.svd(mats[unsure], compute_uv=False)
+        bad[unsure] = ~((s[..., 0] != 0.0) & (s[..., 0] <= COND_LIMIT * s[..., -1]))
+    return bad
 
 
 def mm(a, b):

@@ -2,8 +2,9 @@
 
 Each device cascades three stages. An interference-alignment stage
 solves the device's cross channel against the cell's common reference
-matrix, with no inverse formed, so every device of the cell reaches the
-neighbour AP through that reference; that confines the whole cell's
+matrix, with no inverse formed, after a condition-number test has
+certified every cross channel. Every device of the cell then reaches the
+neighbour AP through that reference, which confines the whole cell's
 interference to a fixed low-dimensional subspace regardless of the
 device count. The reference matrix itself is the second stage. A
 signal-alignment stage then right-inverts the effective home-AP channel
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import mm, numerical_rank, right_inverse
+from .errors import RankDeficient
+from .linalg import ill_conditioned, mm, numerical_rank, right_inverse
 
 
 def build_reference_matrices(draws):
@@ -51,11 +53,15 @@ def build_sia_matrices(channels, reference, beamformer):
 
     Per device: aligned solves cross @ aligned = reference, sa
     right-inverts the effective channel beamformer @ direct @ aligned, and
-    the precoder is aligned @ sa. Assumes the cross channels already
-    passed the draw-time conditioning guard; raises RankDeficient, marking
-    the draws that failed, when an effective channel loses row rank, and
-    the caller redraws those sets.
+    the precoder is aligned @ sa. Raises RankDeficient, marking the draws
+    that failed, when a cross channel is ill-conditioned (the solve's
+    certificate, `ill_conditioned`) or an effective channel loses row
+    rank; the caller redraws those sets.
     """
+    bad = ill_conditioned(channels.cross)
+    if bad.any():
+        raise RankDeficient("cross channel ill-conditioned; redraw the channel set",
+                            failed=bad.any(axis=(-2, -1)))
     aligned = np.linalg.solve(channels.cross, reference[..., None, :, :, :])
     effective = mm(mm(beamformer[..., None, :, :, :], channels.direct), aligned)
     sa = right_inverse(effective, "effective channel lost row rank; redraw the channel set")

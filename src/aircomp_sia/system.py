@@ -11,9 +11,9 @@ argument of `engine.run_functional_trial`, not a setting.
 `_layout` is the one statement of what a trial draws and in which order.
 `draw_trials` fills each trial's row of a chunk's buffer from its own
 Generator and splits the rows by that table, so every stacked draw holds
-the values the trial's Generator alone gives. A set the conditioning
-guard rejects is only marked here; the engine redraws it from its
-trial's Generator with `draw_channels`.
+the values the trial's Generator alone gives. Nothing is tested here: a
+set the construction rejects is redrawn by the engine from its trial's
+Generator with `draw_channels`.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ def partition(antennas):
 class ChannelSet:
     direct: np.ndarray  # (..., K, 2, M, M), device (k, i) to its own AP i
     cross: np.ndarray   # (..., K, 2, M, M), device (k, i) to the other AP
-    rejected: np.ndarray = False  # (...,) sets holding a matrix the conditioning guard rejects
 
 
 # numpy's SeedSequence hash (bit_generator.pyx) on a pool of four 32-bit
@@ -196,8 +195,14 @@ def _mix(x, y):
     return result ^ (result >> _SHIFT)
 
 
+# Exact types: isinstance on a numpy integer costs about 0.3 us per index.
+_BOOLS = (bool, np.bool_)
+
+
 def _u64(value, what):
     try:
+        if type(value) in _BOOLS:
+            raise TypeError("bool")
         value = operator.index(value)
     except TypeError as exc:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
@@ -295,39 +300,12 @@ def _complex_normal(normals, blocks, shape):
     return draws
 
 
-def _ill_conditioned(mats):
-    """Mask over the leading axes of a stack of square matrices: True where
-    the guard rejects the matrix, i.e. where sigma_1 > COND_LIMIT * sigma_M
-    or sigma_1 = 0 on its singular values.
-
-    `linalg.cond_bound_clears` accepts most matrices on a log-determinant
-    bound on cond(A); every other one (near the limit, singular or zero)
-    is decided by the exact test on its SVD, so the mask equals that
-    test's verdict on every matrix.
-    """
-    unsure = ~linalg.cond_bound_clears(mats, linalg.COND_LIMIT)
-    bad = np.zeros(mats.shape[:-2], dtype=bool)
-    if unsure.any():
-        s = np.linalg.svd(mats[unsure], compute_uv=False)
-        bad[unsure] = ~((s[..., 0] != 0.0) & (s[..., 0] <= linalg.COND_LIMIT * s[..., -1]))
-    return bad
-
-
-def _guard(draws):
-    """ChannelSet of channel draws (..., 2, K, 2, M, M), direct stack first,
-    with each set marked `rejected` that holds a matrix `_ill_conditioned`
-    rejects; the engine redraws such a set whole, so the cross channels
-    stay invertible in double precision."""
-    rejected = _ill_conditioned(draws).any(axis=(-3, -2, -1))
-    return ChannelSet(draws[..., 0, :, :, :, :], draws[..., 1, :, :, :, :], rejected)
-
-
 def draw_trials(config, generators, buffer):
     """Every first draw of a chunk's trials, one trial per Generator.
 
     Row t of `buffer`, (T, trial_normals), takes trial t's first standard
     normals in one call and is split by `_layout`. Returns the reference
-    draws (T, 2, M, N'), the guarded ChannelSet (T, K, 2, M, M), the
+    draws (T, 2, M, N'), the untested ChannelSet (T, K, 2, M, M), the
     symbols (T, K, 2, signal_dim) and the noise (T, 2, M). Each Generator
     resumes after its row, which is where its trial's set redraws come
     from, so every value is the one its Generator alone gives.
@@ -339,15 +317,16 @@ def draw_trials(config, generators, buffer):
     reference, channels, symbols, noise = (
         _complex_normal(segment, blocks, shape)
         for segment, (blocks, shape) in zip(np.split(buffer, bounds, axis=-1), layout))
-    return reference, _guard(channels), symbols[:, 0], noise[:, 0]
+    return reference, ChannelSet(channels[:, 0], channels[:, 1]), symbols[:, 0], noise[:, 0]
 
 
 def draw_channels(config, rng):
     """A new channel set for one trial from its Generator `rng`: the
-    channel entry of `_layout` in one call, guarded as in `draw_trials`.
+    channel entry of `_layout` in one call, untested as in `draw_trials`.
     Both stacks are i.i.d. CN(0, 1), shape (K, 2, M, M)."""
     blocks, shape = _layout(config)[1]
-    return _guard(_complex_normal(rng.standard_normal(_normals(blocks, shape)), blocks, shape))
+    normals = rng.standard_normal(_normals(blocks, shape))
+    return ChannelSet(*_complex_normal(normals, blocks, shape))
 
 
 def _check_superpose_args(channels, precoders, symbols):

@@ -75,14 +75,17 @@ def span_residual(reference, block):
 
 
 def svd_rejects(a):
-    """The guard's exact test on one matrix, as a brute-force oracle."""
+    """The conditioning test's exact verdict on one matrix, as a
+    brute-force oracle."""
     s = np.linalg.svd(a, compute_uv=False)
     return not (s[0] != 0.0 and s[0] <= linalg.COND_LIMIT * s[-1])
 
 
 def svd_guard(channels):
-    """Reference guard: the rejected-set mask by an SVD of every matrix."""
-    mats = np.stack([channels.direct, channels.cross], axis=-5)
-    m = mats.shape[-1]
-    bad = np.array([svd_rejects(a) for a in mats.reshape(-1, m, m)]).reshape(mats.shape[:-2])
-    return bad.any(axis=(-3, -2, -1))
+    """Reference for the IA stage's certificate: the mask of sets holding a
+    cross matrix that an SVD of every cross matrix rejects. Only sia tests
+    it; no_ia and genie invert no square channel."""
+    cross = channels.cross
+    m = cross.shape[-1]
+    bad = np.array([svd_rejects(a) for a in cross.reshape(-1, m, m)]).reshape(cross.shape[:-2])
+    return bad.any(axis=(-2, -1))

@@ -214,7 +214,8 @@ class TestGenieChannels:
         clean = genie_channels(channels)
         assert np.array_equal(clean.direct, channels.direct)
         assert np.all(clean.cross == 0)
-        assert clean.rejected is channels.rejected
+        # The direct stack is shared, not copied: a set redraw writes it once.
+        assert clean.direct is channels.direct
 
     def test_noiseless_recovery(self):
         cfg = SystemConfig(antennas=4, devices=3, snr_db_grid=(0.0,),

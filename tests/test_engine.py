@@ -123,12 +123,19 @@ def test_qr_calls_per_chunk(monkeypatch, scheme, m, qr_calls):
     assert calls[0] == (4, 2)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 16])
-def test_solve_and_inv_calls_per_chunk(monkeypatch, m):
-    # The IA stage is one solve over the chunk's (T, K, 2) cross stack. The
-    # one inv is the SA stage's, on dof x dof matrices (the square effective
-    # channels at even M, the R factors at odd M); none gets a cross channel.
-    calls = {"solve": [], "inv": []}
+@pytest.mark.parametrize("scheme, m", [
+    # sia's cases are named by M alone, so their names match earlier runs'.
+    pytest.param(scheme, m, id=str(m) if scheme == "sia" else f"{scheme}-{m}")
+    for scheme in ("sia", "no_ia", "genie") for m in (2, 3, 4, 5, 16)
+])
+def test_solve_and_inv_calls_per_chunk(monkeypatch, scheme, m):
+    # The IA stage is one solve over the chunk's (T, K, 2) cross stack,
+    # after one slogdet over that stack alone: the conditioning test of
+    # the only matrices anything solves against. The one inv is the SA
+    # stage's (no_ia's and genie's right inverse), on dof x dof matrices
+    # (the square effective channels at even M, the R factors at odd M),
+    # after its own slogdet; none gets a cross channel.
+    calls = {"solve": [], "inv": [], "slogdet": []}
     real = {name: getattr(np.linalg, name) for name in calls}
 
     def counting(name):
@@ -139,11 +146,15 @@ def test_solve_and_inv_calls_per_chunk(monkeypatch, m):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
-    cfg = config_for(m, 3)
+    cfg = config_for(m, 3, scheme=scheme)
     chunk = run_chunk(cfg, range(4))
     assert not chunk.redraws.any()
     dof = partition(m).signal_dim
-    assert calls["solve"] == [(4, 3, 2, m, m)]
+    ia = [(4, 3, 2, m, m)] if scheme == "sia" else []
+    assert calls["solve"] == ia
+    assert calls["slogdet"][:-1] == ia
+    assert len(calls["slogdet"]) == len(ia) + 1
+    assert calls["slogdet"][-1][-2:] == (dof, dof)
     assert len(calls["inv"]) == 1
     assert calls["inv"][0][-2:] == (dof, dof)
 
@@ -255,7 +266,8 @@ class TestRunTrials:
     def test_planted_symbols_draw_what_drawn_ones_do(self, monkeypatch, scheme, m):
         # A trial draws its symbols whether or not they are planted, so
         # run_functional_trial's trial t is sweep trial t: the same set
-        # redraws under a low condition limit, and the same noise.
+        # redraws under a low condition limit, and the same noise. Only
+        # sia's IA stage tests the limit; no_ia and genie never redraw.
         monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", 10.0)
         cfg = config_for(m, 1, scheme=scheme, seed=3)
         symbols = cn(np.random.default_rng(2), (1, 1, 2, partition(m).signal_dim))
@@ -267,7 +279,7 @@ class TestRunTrials:
                 assert np.array_equal(getattr(planted, name), getattr(drawn, name)), (t, name)
             assert np.array_equal(planted.target[0], symbols[0].sum(axis=0))
             redraws += int(drawn.redraws[0])
-        assert redraws > 0
+        assert (redraws > 0) == (scheme == "sia")
 
     def test_lone_part_is_not_copied(self):
         res = run_trials(config_for(2, 1), [0])
@@ -802,8 +814,8 @@ class TestChunks:
         assert engine._chunk_trials(config_for(2, 1)) == engine.CHUNK_ELEMENTS // (16 + 6)
 
     def test_guard_rejection_matches_chunk_of_one(self, monkeypatch):
-        # A low condition limit makes the guard reject many sets; each is
-        # redrawn from its own trial's stream, as if the trial ran alone.
+        # A low condition limit makes the IA stage reject many sets; each
+        # is redrawn from its own trial's stream, as if the trial ran alone.
         monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", 4.0)
         cfg = config_for(2, 2, seed=3)
         trials = range(6)
@@ -900,21 +912,19 @@ def first_draws(cfg, g):
 def oracle_chunk(monkeypatch, cfg, trials, symbols=None, rank_losses=()):
     """The chunk as each trial's Generator draws it alone, the reference
     for `draw_trials`. Trial t's `default_rng([seed, t])` gives its
-    first draws, then its set redraws: while an SVD rejects a matrix of the
-    set, and once for each time t is in `rank_losses` (a planted build
-    failure of an accepted set). The engine then scores those draws with
-    the real builders, `symbols`, when given, in place of the drawn ones."""
+    first draws, then its set redraws: once for each time t is in
+    `rank_losses` (a planted failure of the chunk's first build), then,
+    for sia alone, while an SVD rejects a cross matrix of the set. The
+    engine then scores those draws with the real builders, `symbols`, when
+    given, in place of the drawn ones."""
     refs, beams, sets, drawn, noise, redraws = [], [], [], [], [], []
     for t in trials:
         g = np.random.default_rng([cfg.seed, t])
         (reference, beamformer), channels, trial_symbols, trial_noise = first_draws(cfg, g)
-        losses = list(rank_losses).count(t)
-        redraws.append(0)
-        while True:
-            if not svd_guard(channels):
-                if not losses:
-                    break
-                losses -= 1
+        redraws.append(list(rank_losses).count(t))
+        for _ in range(redraws[-1]):
+            channels = draw_channels(cfg, g)
+        while cfg.scheme == "sia" and svd_guard(channels):
             channels = draw_channels(cfg, g)
             redraws[-1] += 1
         refs.append(reference)
@@ -922,8 +932,7 @@ def oracle_chunk(monkeypatch, cfg, trials, symbols=None, rank_losses=()):
         sets.append(channels)
         drawn.append(trial_symbols)
         noise.append(trial_noise)
-    stacked = ChannelSet(np.stack([c.direct for c in sets]), np.stack([c.cross for c in sets]),
-                         np.zeros(len(sets), dtype=bool))
+    stacked = ChannelSet(np.stack([c.direct for c in sets]), np.stack([c.cross for c in sets]))
     with monkeypatch.context() as patch:
         patch.setattr(engine, "build_reference_matrices",
                       lambda *args: (np.stack(refs), np.stack(beams)))
@@ -980,13 +989,19 @@ class TestPrefetchedStreams:
     @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
     @pytest.mark.parametrize("m, limit", [(2, 4.0), (3, 6.0), (4, 10.0), (5, 10.0)])
     def test_guard_redraws(self, monkeypatch, scheme, m, limit):
-        # A low condition limit makes the guard reject many sets, each
-        # redrawn from its own trial's Generator. One device per cell keeps
-        # a set's acceptance (p^4 for a matrix acceptance p of 0.53-0.69)
-        # well inside the set budget.
+        # A low condition limit makes sia's IA stage reject many sets, each
+        # redrawn from its own trial's Generator; 16 trials redraw 17-38
+        # sets at these limits, 8 as few as 5. One device per cell keeps
+        # a set's acceptance (p^2 for a cross-matrix acceptance p of
+        # 0.53-0.69) well inside the set budget. no_ia and genie invert no
+        # cross channel, so the limit redraws none of their sets.
         monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", limit)
         cfg = config_for(m, 1, scheme=scheme, seed=3)
-        assert self.assert_same_chunk(monkeypatch, cfg, range(8)).redraws.sum() > 8
+        redraws = self.assert_same_chunk(monkeypatch, cfg, range(16)).redraws.sum()
+        if scheme == "sia":
+            assert redraws > 8
+        else:
+            assert redraws == 0
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_set_redraw(self, monkeypatch, scheme):

@@ -9,6 +9,7 @@ from aircomp_sia.errors import DegenerateChannels, RankDeficient, SizeMismatch
 from aircomp_sia.linalg import (
     COND_LIMIT,
     FULL_RANK_RTOL,
+    ill_conditioned,
     mm,
     numerical_rank,
     right_inverse,
@@ -17,8 +18,6 @@ from aircomp_sia.sia import build_reference_matrices, build_sia_matrices
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
-    _guard,
-    _ill_conditioned,
     draw_trials,
     superpose,
     trial_normals,
@@ -40,9 +39,8 @@ def build_with_cross(cfg, cell, matrix):
     holds `matrix` as trial 1's cross channel of device 0 in `cell`."""
     generators = trial_streams(cfg.seed, range(2))
     draws, channels, _, _ = draw_trials(cfg, generators, np.empty((2, trial_normals(cfg))))
-    stacks = np.stack([channels.direct, channels.cross], axis=1)
-    stacks[1, 1, 0, cell] = matrix
-    return engine._build(cfg, _guard(stacks), generators, *build_reference_matrices(draws))
+    channels.cross[1, 0, cell] = matrix
+    return engine._build(cfg, channels, generators, *build_reference_matrices(draws))
 
 
 def ia_setup(cross):
@@ -112,8 +110,8 @@ class TestGaussianMatrix:
 
 class TestInverse:
     """Cross-channel inversion: the IA stage of build_sia_matrices, seen on
-    the precoder, whose cross block lies in the reference span, and behind
-    it the draw-time conditioning guard."""
+    the precoder, whose cross block lies in the reference span, and the
+    conditioning test that certifies its cross channels."""
 
     def test_identity(self):
         assert cross_leak(np.eye(4, dtype=complex)) < 1e-15
@@ -143,9 +141,9 @@ class TestInverse:
             superpose(channels, np.zeros((1, 2, 3, 1)), np.zeros((1, 2, 1)))
 
     def test_near_singular_raises(self, monkeypatch):
-        # The guard rejects the set holding a near-singular cross channel;
-        # its trial redraws the set, and with no redraw left the run is
-        # degenerate (exit 3).
+        # The IA stage rejects the set holding a near-singular cross
+        # channel; its trial redraws the set, and with no redraw left the
+        # run is degenerate (exit 3).
         cfg = SystemConfig(antennas=2, devices=2)
         channels, _, redraws = build_with_cross(cfg, 1, np.diag([1.0, 1e-13]))
         assert redraws.tolist() == [0, 1]
@@ -155,10 +153,16 @@ class TestInverse:
             build_with_cross(cfg, 1, np.diag([1.0, 1e-13]))
 
     def test_zero_matrix_raises(self, monkeypatch):
-        cfg = SystemConfig(antennas=3, devices=2, scheme="no_ia")
+        # sia redraws the set holding a zero cross channel; no_ia, which
+        # inverts no cross channel, keeps it.
+        cfg = SystemConfig(antennas=3, devices=2)
         channels, _, redraws = build_with_cross(cfg, 0, np.zeros((3, 3)))
         assert redraws.tolist() == [0, 1]
         assert numerical_rank(channels.cross[1, 0, 0]) == 3
+        no_ia_channels, _, no_ia_redraws = build_with_cross(
+            SystemConfig(antennas=3, devices=2, scheme="no_ia"), 0, np.zeros((3, 3)))
+        assert no_ia_redraws.tolist() == [0, 0]
+        assert not no_ia_channels.cross[1, 0, 0].any()
         monkeypatch.setattr(engine, "SET_REDRAW_BUDGET", 1)
         with pytest.raises(DegenerateChannels):
             build_with_cross(cfg, 0, np.zeros((3, 3)))
@@ -378,12 +382,12 @@ class TestRightInverseSvdCount:
             def planted_draw(*args):
                 drawn = real_trials(*args)
                 drawn[1].direct[2, 3, 1] = rank_one
-                draws.append(drawn[1].rejected.shape)
+                draws.append(drawn[1].direct.shape[:-4])
                 return drawn
 
             def redraw(*args):
                 channels = real_redraw(*args)
-                draws.append(channels.rejected.shape)
+                draws.append(channels.direct.shape[:-4])
                 return channels
 
             def recording(a, message):
@@ -518,8 +522,8 @@ class TestNumericalRank:
 
 
 def test_condition_number_diag():
-    # The guard keeps a matrix at exactly COND_LIMIT and rejects anything
-    # worse, including a singular one (condition number inf).
+    # The conditioning test keeps a matrix at exactly COND_LIMIT and
+    # rejects anything worse, including a singular one (condition number inf).
     mats = np.array([np.diag([COND_LIMIT, 1.0]), np.diag([1.01 * COND_LIMIT, 1.0]),
                      np.zeros((2, 2))], dtype=complex)
-    assert _ill_conditioned(mats).tolist() == [False, True, True]
+    assert ill_conditioned(mats).tolist() == [False, True, True]

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from aircomp_sia import linalg
 from aircomp_sia.engine import run_trials
-from aircomp_sia.errors import ConfigError, SizeMismatch
-from aircomp_sia.linalg import numerical_rank
+from aircomp_sia.errors import ConfigError, RankDeficient, SizeMismatch
+from aircomp_sia.linalg import ill_conditioned, numerical_rank
+from aircomp_sia.sia import build_reference_matrices, build_sia_matrices
 from aircomp_sia.system import (
     ChannelSet,
     SystemConfig,
     _complex_normal,
-    _guard,
-    _ill_conditioned,
     draw_channels,
     draw_trials,
     parse_config_file,
@@ -23,7 +22,7 @@ from aircomp_sia.system import (
     trial_normals,
 )
 
-from helpers import cn, draw_chunk, svd_guard, svd_rejects, trial_streams
+from helpers import cn, draw_chunk, reference_pair, svd_guard, svd_rejects, trial_streams
 
 
 def config_for(m, k, **kw):
@@ -201,10 +200,11 @@ class TestDrawChannels:
         assert np.array_equal(a.cross, b.cross)
 
     def test_redraw_census(self):
-        # The conditioning guard should essentially never fire for
-        # Gaussian draws at this size.
+        # The IA stage's conditioning test should essentially never fire
+        # for Gaussian cross channels at this size.
         cfg = config_for(16, 4)
-        rejected = [draw_channels(cfg, np.random.default_rng(seed)).rejected for seed in range(25)]
+        rejected = [ill_conditioned(draw_channels(cfg, np.random.default_rng(seed)).cross).any()
+                    for seed in range(25)]
         assert not any(rejected)
 
 
@@ -223,14 +223,14 @@ def planted(rng, m, cond, scale, clustered):
 
 def assert_matches_oracle(mats):
     expected = np.array([svd_rejects(a) for a in mats])
-    got = _ill_conditioned(mats)
+    got = ill_conditioned(mats)
     assert got.dtype == bool and got.shape == expected.shape
     assert np.array_equal(got, expected), np.nonzero(got != expected)
     return expected
 
 
 class TestConditioningBound:
-    """`_ill_conditioned` clears most matrices on a log-determinant bound and
+    """`ill_conditioned` clears most matrices on a log-determinant bound and
     must give the exact SVD test's verdict on every matrix."""
 
     CONDS = (1.0, 10.0, 1e3, 1e6, 1e8, 1e9, 3e9, 1e10, 1e11,
@@ -252,11 +252,11 @@ class TestConditioningBound:
         assert expected.any() and not expected.all()
         # Each matrix alone gets the verdict it gets in the stack.
         for a, bad in zip(mats, expected):
-            assert _ill_conditioned(a[None])[0] == bad
+            assert ill_conditioned(a[None])[0] == bad
         # Well inside the limit the bound decides at every scale, without an
         # SVD; it is within sqrt(M - 1) of cond when s_1 = ... = s_(M-1).
         del svd_calls[:]
-        assert not _ill_conditioned(mats[flat_top & (conds <= 1e6)]).any()
+        assert not ill_conditioned(mats[flat_top & (conds <= 1e6)]).any()
         assert svd_calls == []
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
@@ -296,44 +296,63 @@ class TestConditioningBound:
             assert not assert_matches_oracle(mats).any()
 
 
+def sia_rejects(channels, reference, beamformer):
+    """The `failed` mask of build_sia_matrices on a channel set or stack,
+    all False when it builds."""
+    try:
+        build_sia_matrices(channels, reference, beamformer)
+    except RankDeficient as exc:
+        return exc.failed
+    return np.zeros(channels.cross.shape[:-4], dtype=bool)
+
+
 class TestGuardFastPath:
-    """The guard rejects a set exactly when the SVD test rejects one
-    of its matrices, and takes an SVD only of the matrices near the limit."""
+    """The IA stage rejects a set exactly when the SVD test rejects one of
+    its cross matrices, and takes an SVD only of the matrices near the
+    limit. Direct matrices are not tested: the SA right inverse certifies
+    what it inverts."""
 
     def test_well_conditioned_stack_takes_no_svd(self, svd_calls):
         cfg = config_for(4, 200)
-        channels = draw_chunk(cfg, range(3))[1]
-        assert channels.rejected.tolist() == [False] * 3
+        draws, channels = draw_chunk(cfg, range(3))[:2]
+        bases = build_reference_matrices(draws)
+        assert sia_rejects(channels, *bases).tolist() == [False] * 3
         assert svd_calls == []
 
     def test_planted_matrices_match_svd_guard(self, svd_calls):
         k, m = 200, 4
         cfg = config_for(m, k, seed=7)
-        drawn = draw_chunk(cfg, range(3))[1]
+        draws, channels = draw_chunk(cfg, range(3))[:2]
+        bases = build_reference_matrices(draws)
         assert svd_calls == []
-        # The direct then the cross stack of each trial, as the chunk's
-        # guard takes them.
-        stacks = np.stack([drawn.direct, drawn.cross], axis=1)
-        stacks[0, 0, 17, 1] = np.diag([1.0, 1.0, 1.0, 1e-13])
-        stacks[2, 1, 150, 0] = 0.0
-        channels = _guard(stacks)
-        # Only the two planted matrices are unsure, one in each stack, and
-        # one SVD takes both.
-        assert svd_calls == [(2,)]
-        assert channels.rejected.tolist() == svd_guard(channels).tolist() == [True, False, True]
+        channels.direct[0, 17, 1] = np.diag([1.0, 1.0, 1.0, 1e-13])
+        channels.cross[2, 150, 0] = 0.0
+        # Only the planted cross matrix is unsure, and one SVD takes it;
+        # the stage raises before the SA stage sees the planted direct one.
+        assert sia_rejects(channels, *bases).tolist() == [False, False, True]
+        assert svd_calls == [(1,)]
+        assert svd_guard(channels).tolist() == [False, False, True]
+        # A direct matrix at cond 1e13 alone marks no set.
+        channels.cross[2, 150, 0] = np.eye(m)
+        assert sia_rejects(channels, *bases).tolist() == [False] * 3
 
     def test_low_limit_redraws_match_svd_guard(self, monkeypatch):
         # With COND_LIMIT = 4 many sets are rejected, each as the SVD-only
-        # guard rejects it, from a chunk's streams or from one Generator.
+        # test of its cross matrices rejects it, from a chunk's streams or
+        # from one Generator.
         monkeypatch.setattr(linalg, "COND_LIMIT", 4.0)
         cfg = config_for(2, 1, seed=3)
-        chunk = draw_chunk(cfg, range(8))[1]
-        assert np.array_equal(chunk.rejected, svd_guard(chunk))
-        assert chunk.rejected.any() and not chunk.rejected.all()
+        draws, chunk = draw_chunk(cfg, range(8))[:2]
+        failed = sia_rejects(chunk, *build_reference_matrices(draws))
+        assert np.array_equal(failed, svd_guard(chunk))
+        assert failed.any() and not failed.all()
         for seed in range(8):
-            alone = draw_channels(cfg, np.random.default_rng(seed))
-            assert alone.rejected.shape == ()
-            assert alone.rejected == svd_guard(alone)
+            g = np.random.default_rng(seed)
+            bases = reference_pair(g, 2)
+            alone = draw_channels(cfg, g)
+            failed = sia_rejects(alone, *bases)
+            assert failed.shape == ()
+            assert failed == svd_guard(alone)
 
 
 class TestDrawSymbols:
@@ -376,7 +395,7 @@ class TestTrialStreams:
     def test_empty(self):
         assert trial_streams(0, []) == []
 
-    @pytest.mark.parametrize("bad", [1.5, -1, 2**64, "3", None])
+    @pytest.mark.parametrize("bad", [1.5, -1, 2**64, "3", None, True])
     def test_rejects_bad_index(self, bad):
         with pytest.raises(ConfigError, match="trial index"):
             trial_streams(0, [0, bad])
@@ -412,7 +431,7 @@ class TestPrefetchedStreams:
         generators, plain = trial_streams(3, range(4)), trial_streams(3, range(4))
         reference, channels, symbols, noise = draw_trials(
             cfg, generators, np.empty((4, trial_normals(cfg))))
-        assert not channels.rejected.any()
+        assert not svd_guard(channels).any()
         part = partition(m)
         for t, g in enumerate(plain):
             want = [np.stack([cn(g, (m, part.interference_dim)) for _ in range(2)]),
