@@ -142,7 +142,8 @@ def _run_chunk(config, generators, buffer, symbols=None):
     beam_noise = _project(beamformer, noise_unit)
     signal_power = np.sum(np.abs(desired) ** 2, axis=(-2, -1)) / (2.0 * config.antennas)
     aligned = np.stack([
-        aligned_interference_dimension(i, channels, precoders) for i in (0, 1)
+        aligned_interference_dimension(i, channels, precoders, reference, beamformer)
+        for i in (0, 1)
     ], axis=-1)
 
     # float_power is libm pow, as Python's float ** is, so every grid point

@@ -1,6 +1,6 @@
-"""Dense complex linear algebra: rank via the SVD, the conditioning test
-and right inverses, both certified by a condition-number bound, and the
-tolerances they share.
+"""Dense complex linear algebra: rank, the conditioning test and right
+inverses, each certified by a condition-number bound where one clears and
+decided by the SVD elsewhere, and the tolerances they share.
 
 Every function takes a matrix or a stack of matrices with any number of
 leading axes and works on each matrix independently. All tolerances are
@@ -25,7 +25,8 @@ FULL_RANK_RTOL = 1e-10
 
 # A matrix is cleared without an SVD only when its condition-number bound
 # sits at least this factor below the caller's limit (COND_LIMIT for
-# `ill_conditioned`, 1/FULL_RANK_RTOL for right inverses). The determinant
+# `ill_conditioned`, 1/FULL_RANK_RTOL for right inverses, 1e11 for the
+# Gram matrices of `aligned_rank`). The determinant
 # from LU with partial pivoting (slogdet) is, up to O(M u) relative
 # rounding in the product of pivots, the exact determinant of A + E with
 # ||E|| <= c(M) rho u ||A|| (u = 1.1e-16 the unit roundoff, rho the pivot
@@ -56,6 +57,24 @@ def as_stack(a):
     return arr
 
 
+def _unit_scaled(mats):
+    """(mats, norm2 = ||A||_F^2, far, scale): where norm2 leaves [2^-800,
+    2^800] (zero, non-finite, entries beyond about 1e+-120) the matrix is
+    divided by its largest |entry|, `scale`, and norm2 floored at 1."""
+    parts = np.ascontiguousarray(mats).view(np.float64)
+    norm2 = np.einsum("...ij,...ij->...", parts, parts)[...]  # an array even for 2-D
+    far = ~((norm2 >= 2.0 ** -800) & (norm2 <= 2.0 ** 800))
+    scale = None
+    if far.any():
+        scale = np.abs(mats[far]).max(axis=(-2, -1), keepdims=True)
+        scale[scale == 0.0] = 1.0
+        mats = mats.copy()
+        mats[far] /= scale
+        unit = mats[far].view(np.float64)
+        norm2[far] = np.maximum(np.einsum("...ij,...ij->...", unit, unit), 1.0)
+    return mats, norm2, far, scale
+
+
 def cond_bound_clears(mats, limit):
     """Mask over the leading axes of a stack of square matrices: True where
     a bound certifies cond(A) <= limit / _BOUND_MARGIN without an SVD.
@@ -63,27 +82,36 @@ def cond_bound_clears(mats, limit):
     With singular values s_1 >= ... >= s_M, |det A| = s_1 ... s_M,
     s_1 <= ||A||_F, and s_1 ... s_(M-1) <= (||A||_F^2 / (M-1))^((M-1)/2) by
     AM-GM, so cond(A) <= ||A||_F^M (M-1)^(-(M-1)/2) / |det A|. The bound is
-    taken in logs, ||A||_F^2 from one dot product, slogdet on A itself where
-    ||A||_F^2 is in [2^-800, 2^800]: no entry then exceeds 2^400, so LU
-    cannot overflow even at pivot growth 2^(M-1) for M below 600, and what
-    underflows is far below u ||A||_F. Any other matrix (zero, non-finite,
-    entries beyond about 1e+-120) is first divided by its largest |entry|.
-    A False entry (near the limit, singular, zero) proves nothing.
+    taken in logs, slogdet on the `_unit_scaled` matrices: no entry exceeds
+    2^400, so LU cannot overflow even at pivot growth 2^(M-1) for M below
+    600, and what underflows is far below u ||A||_F. A False entry (near
+    the limit, singular, zero) proves nothing.
     """
     m = mats.shape[-1]
-    parts = np.ascontiguousarray(mats).view(np.float64)
-    norm2 = np.einsum("...ij,...ij->...", parts, parts)[...]  # an array even for 2-D
-    far = ~((norm2 >= 2.0 ** -800) & (norm2 <= 2.0 ** 800))
-    if far.any():
-        # ||A||_F^2 >= 1 once the largest entry is 1; the floor is for A = 0.
-        scale = np.abs(mats[far]).max(axis=(-2, -1), keepdims=True)
-        mats = mats.copy()
-        mats[far] /= np.where(scale > 0.0, scale, 1.0)
-        unit = mats[far].view(np.float64)
-        norm2[far] = np.maximum(np.einsum("...ij,...ij->...", unit, unit), 1.0)
+    mats, norm2, _, _ = _unit_scaled(mats)
     _, logdet = np.linalg.slogdet(mats)
     log_bound = 0.5 * (m * np.log(norm2) - (m - 1) * math.log(max(m - 1, 1))) - logdet
     return log_bound <= math.log(limit / _BOUND_MARGIN)
+
+
+def _closed_form(mats, limit):
+    """`cond_bound_clears` for 1x1 or 2x2 matrices without LAPACK, as
+    (clear, x = adj(A) / det A where clear): 1x1 clears unless 0, and 2x2
+    takes cond(A) <= ||A||_F^2 / |det A|, det = ps - qr being good to
+    4u ||A||_F^2 (|ps| + |qr| <= ||A||_F^2 / 2, a complex product good to
+    2 sqrt(2) u)."""
+    a, norm2, far, scale = _unit_scaled(mats)
+    if a.shape[-1] == 1:
+        det, adj = a[..., 0, 0], np.ones_like(a)
+        clear = det != 0.0
+    else:
+        p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+        det, adj = p * s - q * r, np.stack([s, -q, -r, p], axis=-1).reshape(a.shape)
+        clear = np.abs(det) > (_BOUND_MARGIN / limit + 4 * 2.0 ** -53) * norm2
+    x = adj / np.where(clear, det, 1.0)[..., None, None]
+    if far.any():
+        x[far] /= scale  # the inverse of the matrix before rescaling
+    return clear, x
 
 
 def ill_conditioned(mats):
@@ -127,6 +155,41 @@ def numerical_rank(a):
     return int(rank) if a.ndim == 2 else rank
 
 
+def _gram_clears(a):
+    """True where the smaller Gram G of A clears a limit of 1e11, so that
+    cond(G) <= 1e8 puts A's r = min(rows, cols) singular values within 1e4
+    of each other. G's own rounding, ~cols r u tr G, is negligible."""
+    rows, cols = a.shape[-2:]
+    ah = a.conj().swapaxes(-1, -2)
+    g = a @ ah if rows <= cols else ah @ a
+    return _closed_form(g, 1e11)[0] if g.shape[-1] <= 2 else cond_bound_clears(g, 1e11)
+
+
+def aligned_rank(x, basis, dim):
+    """`numerical_rank` per matrix of x (..., M, n), certified where it can be.
+    The unitary `basis` splits x into Y = basis[:dim] x and Z = basis[dim:] x:
+    s_i(x) >= s_i(Y), and s_(r+1)(x) <= ||Z||_2 at Y's rank r = min(dim, n)
+    (Weyl). So rank r holds where Y clears `_gram_clears` and ||Z||_F sqrt(r)
+    _BOUND_MARGIN <= RANK_RTOL ||Y||_F, rank M where M <= n and x clears it;
+    every other matrix takes the SVD."""
+    lead, (m, n) = x.shape[:-2], x.shape[-2:]
+    x = x.reshape(-1, m, n)
+    unit = _unit_scaled(x)[0]  # no norm or Gram of it over- or underflows
+    split = basis.reshape(-1, m, m) @ unit
+    y, r = split[:, :dim], min(dim, n)
+    y2, z2 = (np.einsum("...ij,...ij->...", b.conj(), b).real for b in (y, split[:, dim:]))
+    clear = z2 * (r * _BOUND_MARGIN ** 2) <= RANK_RTOL ** 2 * y2
+    if clear.any():
+        clear &= _gram_clears(y)
+    rank = np.where(clear, r, m)
+    unsure = ~clear
+    if m <= n and unsure.any():
+        unsure[unsure] = ~_gram_clears(unit[unsure])
+    if unsure.any():
+        rank[unsure] = numerical_rank(x[unsure])
+    return rank.reshape(lead)[()]
+
+
 def right_inverse(a, message):
     """Minimum-norm right inverses of a stack of wide (or square) per-device
     matrices.
@@ -138,21 +201,29 @@ def right_inverse(a, message):
     of the leading axes, that hold one.
 
     The path is chosen per matrix, so each inverse depends on its matrix
-    alone, not on the others of the call. A matrix that `cond_bound_clears`
-    certifies at 1/FULL_RANK_RTOL is not deficient, and its inverse is
+    alone, not on the others of the call. A 1x1 or 2x2 matrix that
+    `_closed_form` clears at 1/FULL_RANK_RTOL is not deficient, and its
+    inverse is adj(A) / det A. A larger matrix that `cond_bound_clears`
+    certifies at that limit is not deficient either, and its inverse is
     inv(A) when square, or Q R^-H from the reduced QR of A^H = QR when
     wide. Every other matrix takes one SVD, serving both the rank test and
     the inverse, so every raise and mask is that of the SVD test.
     """
     rows, cols = a.shape[-2:]
-    x = np.empty(a.shape[:-2] + (cols, rows), dtype=np.complex128)
-    if rows == cols:
+    if rows == cols and rows <= 2:
+        clear, x = _closed_form(a, 1.0 / FULL_RANK_RTOL)
+    elif rows == cols:
+        x = np.empty(a.shape[:-2] + (cols, rows), dtype=np.complex128)
         clear = cond_bound_clears(a, 1.0 / FULL_RANK_RTOL)
         x[clear] = np.linalg.inv(a[clear])
     else:
         q, r = np.linalg.qr(a.conj().swapaxes(-1, -2))
         clear = cond_bound_clears(r, 1.0 / FULL_RANK_RTOL)
-        x[clear] = mm(q[clear], np.linalg.inv(r[clear]).conj().swapaxes(-1, -2))
+        if clear.all():  # as on Gaussian draws: q itself, not a copy of it
+            return mm(q, np.linalg.inv(r).conj().swapaxes(-1, -2))
+        # The full q is dropped before the product.
+        q, x = q[clear], np.empty(a.shape[:-2] + (cols, rows), dtype=np.complex128)
+        x[clear] = mm(q, np.linalg.inv(r[clear]).conj().swapaxes(-1, -2))
     unsure = ~clear
     if unsure.any():
         u, s, vh = np.linalg.svd(a[unsure], full_matrices=False)

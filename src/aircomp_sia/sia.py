@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankDeficient
-from .linalg import ill_conditioned, mm, numerical_rank, right_inverse
+from .linalg import aligned_rank, ill_conditioned, mm, right_inverse
 
 
 def build_reference_matrices(draws):
@@ -68,14 +68,18 @@ def build_sia_matrices(channels, reference, beamformer):
     return mm(aligned, sa)
 
 
-def aligned_interference_dimension(cell, channels, precoders):
+def aligned_interference_dimension(cell, channels, precoders, reference, beamformer):
     """Dimension cell `cell` occupies at the other AP after precoding.
 
     Numerical rank of the M x (K * dof) horizontal stack of the
     cross-channel blocks cross[k, cell] @ precoders[k, cell]; an int
-    array over any leading axes.
+    array over any leading axes. `aligned_rank` certifies it without an
+    SVD through the unitary [V, W^H] of the cell's reference V and the
+    other AP's beamformer W, the pair build_reference_matrices gives.
     """
     precoders = np.asarray(precoders)
     blocks = mm(channels.cross[..., cell, :, :], precoders[..., cell, :, :])
     stack = np.moveaxis(blocks, -3, -2)
-    return numerical_rank(stack.reshape(stack.shape[:-2] + (-1,)))
+    basis = np.concatenate([reference[..., cell, :, :].conj().swapaxes(-1, -2),
+                            beamformer[..., 1 - cell, :, :]], axis=-2)
+    return aligned_rank(stack.reshape(stack.shape[:-2] + (-1,)), basis, reference.shape[-1])

@@ -157,7 +157,7 @@ class TestRun:
         # at M = 4 breaks the other half of the claim: exit 4, result written.
         from aircomp_sia import engine
 
-        def spread(cell, channels, precoders):
+        def spread(cell, channels, precoders, reference, beamformer):
             return np.full(channels.cross.shape[:-4], 3)
 
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")
@@ -167,6 +167,30 @@ class TestRun:
         assert code == 4
         assert "aligned interference rank 3 exceeds 2" in err
         assert "exact recovery failed" not in err
+        header, *rows = body_lines(out_path.read_text(encoding="utf-8"))
+        column = header.split(",").index("aligned_rank")
+        assert [row.split(",")[column] for row in rows] == ["3"] * 3
+
+    def test_broken_alignment_exit_code(self, capsys, monkeypatch, tmp_path):
+        # The real check, not a stub: a 1e-6 nudge to one entry of every
+        # trial's first precoder adds one direction outside the N' = 2
+        # reference dimensions at M = 4. The certificate cannot clear that
+        # stack, so its SVD counts rank 3: exit 4, result written.
+        from aircomp_sia import engine
+
+        real = engine.build_sia_matrices
+
+        def nudged(channels, reference, beamformer):
+            precoders = real(channels, reference, beamformer)
+            precoders[..., 0, :, 0, 0] += 1e-6
+            return precoders
+
+        monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        monkeypatch.setattr(engine, "build_sia_matrices", nudged)
+        out_path = tmp_path / "res.csv"
+        code, _, err = run_cli(RUN_ARGS + ["--out", str(out_path)], capsys)
+        assert code == 4
+        assert "aligned interference rank 3 exceeds 2" in err
         header, *rows = body_lines(out_path.read_text(encoding="utf-8"))
         column = header.split(",").index("aligned_rank")
         assert [row.split(",")[column] for row in rows] == ["3"] * 3

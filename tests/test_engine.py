@@ -131,10 +131,13 @@ def test_qr_calls_per_chunk(monkeypatch, scheme, m, qr_calls):
 def test_solve_and_inv_calls_per_chunk(monkeypatch, scheme, m):
     # The IA stage is one solve over the chunk's (T, K, 2) cross stack,
     # after one slogdet over that stack alone: the conditioning test of
-    # the only matrices anything solves against. The one inv is the SA
-    # stage's (no_ia's and genie's right inverse), on dof x dof matrices
-    # (the square effective channels at even M, the R factors at odd M),
-    # after its own slogdet; none gets a cross channel.
+    # the only matrices anything solves against. sia at even M <= 4
+    # inverts its 1x1 or 2x2 effective channels in closed form, with no
+    # LAPACK call. Every other SA stage (no_ia's and genie's right inverse)
+    # takes one inv on dof x dof matrices (the square effective channels
+    # at even M, the R factors at odd M), after its own slogdet; none gets
+    # a cross channel. Any later slogdet is an aligned-rank check's Gram
+    # certificate, over one matrix per trial.
     calls = {"solve": [], "inv": [], "slogdet": []}
     real = {name: getattr(np.linalg, name) for name in calls}
 
@@ -151,12 +154,15 @@ def test_solve_and_inv_calls_per_chunk(monkeypatch, scheme, m):
     assert not chunk.redraws.any()
     dof = partition(m).signal_dim
     ia = [(4, 3, 2, m, m)] if scheme == "sia" else []
+    closed = scheme == "sia" and m in (2, 4)
+    sa = [] if closed else [(4, 3, 2, dof, dof)]
     assert calls["solve"] == ia
-    assert calls["slogdet"][:-1] == ia
-    assert len(calls["slogdet"]) == len(ia) + 1
-    assert calls["slogdet"][-1][-2:] == (dof, dof)
-    assert len(calls["inv"]) == 1
-    assert calls["inv"][0][-2:] == (dof, dof)
+    assert [shape[-2:] for shape in calls["inv"]] == [(dof, dof)] * len(sa)
+    assert calls["slogdet"][:len(ia) + len(sa)] == ia + sa
+    grams = calls["slogdet"][len(ia) + len(sa):]
+    assert all(len(shape) == 3 and shape[0] <= 4 for shape in grams)
+    if closed:
+        assert grams == []
 
 
 def per_trial_elements(cfg):
@@ -847,8 +853,10 @@ class TestChunks:
         trials = range(6)
         chunk = run_chunk(cfg, trials)
         assert not chunk.redraws.any()
-        # The planted matrix's inverse alone, then two aligned ranks.
-        assert svd_calls == [(1,), (6,), (6,)]
+        # The planted matrix's inverse alone, then the aligned rank of
+        # trial 4's planted cell: the inverse's large precoder puts that
+        # cell's Y beyond the Gram certificate. Every other rank certifies.
+        assert svd_calls == [(1,), (1,)]
         assert_trial_matches_chunk_of_one(cfg, chunk, trials)
         one, two = run_sweep(cfg, workers=1), run_sweep(cfg, workers=2)
         assert fake_pools.sizes == [2]

@@ -9,6 +9,8 @@ from aircomp_sia.errors import DegenerateChannels, RankDeficient, SizeMismatch
 from aircomp_sia.linalg import (
     COND_LIMIT,
     FULL_RANK_RTOL,
+    RANK_RTOL,
+    aligned_rank,
     ill_conditioned,
     mm,
     numerical_rank,
@@ -354,8 +356,8 @@ class TestRightInverseDecisions:
 
 
 class TestRightInverseSvdCount:
-    """On Gaussian draws a chunk's only SVDs are the two aligned-rank
-    checks: neither the beamformers nor any right inverse takes one."""
+    """On Gaussian draws a sia or no_ia chunk takes no SVD: neither the
+    beamformers, nor any right inverse, nor the aligned-rank checks."""
 
     @pytest.mark.parametrize("scheme, m, k, trials",
                              [("sia", 4, 200, 1), ("sia", 5, 3, 4), ("no_ia", 4, 5, 4)])
@@ -363,7 +365,7 @@ class TestRightInverseSvdCount:
         cfg = SystemConfig(antennas=m, devices=k, scheme=scheme, trials=trials)
         chunk = run_chunk(cfg, range(trials))
         assert not chunk.redraws.any()
-        assert svd_calls == [(trials,), (trials,)]
+        assert svd_calls == []
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_planted_deficient_matches_svd_only(self, monkeypatch, scheme):
@@ -414,6 +416,108 @@ class TestRightInverseSvdCount:
         for name, value in vars(fast).items():
             np.testing.assert_allclose(value, getattr(slow, name), rtol=1e-9, atol=1e-12,
                                        err_msg=name)
+
+
+def planted_spectrum(rng, rows, cols, s):
+    """rows x cols with the nonzero singular values s, random singular vectors."""
+    u = np.linalg.qr(gaussian(rng, rows, len(s)))[0]
+    v = np.linalg.qr(gaussian(rng, cols, len(s)))[0]
+    return (u * s) @ v.conj().T
+
+
+class TestAlignedRankDecisions:
+    """`aligned_rank` certifies a rank without an SVD only where the SVD
+    test agrees, so every rank equals `numerical_rank`'s, near each of
+    the certificates' limits and at the cutoff RANK_RTOL itself."""
+
+    NEAR = (1 - 1e-3, 1 + 1e-3)
+    # cond(Y) where its Gram sits at the certificate's limit, cond(G) = 1e8,
+    # and where s_r / s_1 sits at the cutoff.
+    CONDS = (1.0, 10.0, 1e4 * NEAR[0], 1e4 * NEAR[1], 1e8 * NEAR[0], 1e8 * NEAR[1])
+    # X is rescaled first at 1e+-170, and its Gram's entries reach 1e+-220
+    # at 1e+-110.
+    SCALES = (1e-170, 1e-110, 1.0, 1e110, 1e170)
+
+    @staticmethod
+    def aligned(rng, m, dim, n, cond, leak):
+        """X = V S + W^H T in one random unitary [V, W^H], as `basis`:
+        S (dim x n) has singular values from 1 down to 1/cond; T adds one
+        singular value `leak` along a null vector of S when n > dim.
+        leak ("z", f) is f times the leak at which the Z test flips."""
+        q = np.linalg.qr(gaussian(rng, m, m))[0]
+        r = min(dim, n)
+        s = planted_spectrum(rng, dim, n, np.logspace(0.0, -np.log10(cond), r))
+        if isinstance(leak, tuple):
+            leak = leak[1] * RANK_RTOL * np.linalg.norm(s) / (np.sqrt(r) * 1e3)
+        g = cn(rng, (n,))
+        null = g - np.linalg.pinv(s) @ (s @ g)
+        t = np.outer(cn(rng, (m - dim,)), null.conj())
+        t *= leak / np.linalg.norm(t) if n > dim else 0.0
+        return q[:, :dim] @ s + q[:, dim:] @ t, q.conj().T
+
+    def check(self, mats, bases, dim):
+        """Ranks of the stack and of each matrix alone, against the SVD's."""
+        expected = numerical_rank(mats)
+        assert np.array_equal(aligned_rank(mats, bases, dim), expected)
+        for x, basis, rank in zip(mats, bases, expected):
+            assert aligned_rank(x, basis, dim) == rank
+        return expected
+
+    @pytest.mark.parametrize("m, dim, n", [(2, 1, 1), (4, 2, 6), (4, 2, 400), (5, 3, 2),
+                                           (5, 3, 6), (16, 8, 24)])
+    def test_planted_split(self, m, dim, n, svd_calls):
+        rng = np.random.default_rng([m, dim, n])
+        leaks = [0.0, ("z", self.NEAR[0]), ("z", self.NEAR[1]),
+                 RANK_RTOL * self.NEAR[0], RANK_RTOL * self.NEAR[1]]
+        cases = [(c, leak) for c in self.CONDS for leak in leaks]
+        planted = [self.aligned(rng, m, dim, n, *case) for case in cases]
+        mats, bases = (np.array(part) for part in zip(*planted))
+        r = min(dim, n)
+        for scale in self.SCALES:
+            expected = self.check(scale * mats, bases, dim)
+            assert set(expected.tolist()) <= {r - 1, r, r + 1} and r in expected
+        if n > dim:  # a leak at the cutoff flips the SVD's verdict
+            assert {r, r + 1} <= set(self.check(mats, bases, dim).tolist())
+        # Well inside both limits the certificate decides, at every scale.
+        well = [i for i, (c, leak) in enumerate(cases)
+                if c <= 10.0 and (leak == 0.0 or leak == ("z", self.NEAR[0]))]
+        del svd_calls[:]
+        for scale in self.SCALES:
+            assert np.all(aligned_rank(scale * mats[well], bases[well], dim) == r)
+        assert svd_calls == []
+
+        def svd_taken(case):
+            i = cases.index(case)
+            del svd_calls[:]
+            aligned_rank(mats[i], bases[i], dim)
+            return bool(svd_calls)
+
+        # Each limit sits where stated: a leak just inside the Z test clears
+        # and one just outside takes the SVD, as does a 2 x 2 Gram outside.
+        if n > dim:
+            assert not svd_taken((1.0, ("z", self.NEAR[0])))
+            assert svd_taken((1.0, ("z", self.NEAR[1])))
+        if r == 2:
+            assert not svd_taken((self.CONDS[2], 0.0)) and svd_taken((self.CONDS[3], 0.0))
+
+    def test_full_rank(self, svd_calls):
+        # The no_ia shape: X spans all M = 4 dimensions, not V's, and M <= n;
+        # the Gram of X decides near its limit and at the cutoff.
+        rng = np.random.default_rng(44)
+        bases = np.array([np.linalg.qr(gaussian(rng, 4, 4))[0] for _ in self.CONDS])
+        mats = np.array([planted_spectrum(rng, 4, 10, np.logspace(0.0, -np.log10(c), 4))
+                         for c in self.CONDS])
+        for scale in self.SCALES:
+            assert self.check(scale * mats, bases, 2).tolist() == [4] * 5 + [3]
+        del svd_calls[:]
+        assert np.all(aligned_rank(mats[:2], bases[:2], 2) == 4)
+        assert svd_calls == []
+
+    def test_zero(self):
+        # genie: no cross channel, so nothing reaches the other AP.
+        bases = np.array([np.linalg.qr(gaussian(rng_for(3), 4, 4))[0]] * 2)
+        for n in (3, 6):
+            assert self.check(np.zeros((2, 4, n), dtype=complex), bases, 2).tolist() == [0, 0]
 
 
 class TestLeftNullSpaceBasis:

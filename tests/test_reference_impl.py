@@ -14,8 +14,14 @@ TRIALS = 6
 SEED = 1
 
 
-@pytest.mark.parametrize("m, k", [(2, 1), (3, 2), (4, 5), (5, 3), (16, 5)])
-@pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+@pytest.mark.parametrize("scheme, m, k", [
+    (scheme, m, k) for scheme in ("sia", "no_ia", "genie")
+    for m, k in [(2, 1), (3, 2), (4, 5), (5, 3), (16, 5)]
+] + [
+    # The many_devices shape: sia's closed-form 2x2 inverses and the
+    # aligned-rank certificate decide every trial there.
+    ("sia", 4, 200),
+])
 def test_run_trials_matches_reference(scheme, m, k):
     config = SystemConfig(antennas=m, devices=k, scheme=scheme, seed=SEED, snr_db_grid=GRID)
     result = run_trials(config, range(TRIALS))

@@ -312,11 +312,12 @@ class TestAlignedDimension:
         (8, 2, 4),
     ])
     def test_matches_min_rule(self, m, k, expected):
-        cfg, rng, channels, _, beam, precoder = sia_setup(m, k, seed=7 * m + k)
+        cfg, rng, channels, reference, beam, precoder = sia_setup(m, k, seed=7 * m + k)
         part = partition(m)
         assert expected == min(k * part.signal_dim, part.interference_dim)
         for i in (0, 1):
-            assert aligned_interference_dimension(i, channels, precoder) == expected
+            got = aligned_interference_dimension(i, channels, precoder, reference, beam)
+            assert got == expected
 
 
 class TestRecover:
