@@ -25,36 +25,29 @@ FULL_RANK_RTOL = 1e-10
 
 # A matrix is cleared without an SVD only when its condition-number bound
 # sits at least this factor below the caller's limit (COND_LIMIT for
-# `ill_conditioned`, 1/FULL_RANK_RTOL for right inverses, 1e11 for the
-# Gram matrices of `aligned_rank`). The determinant
-# from LU with partial pivoting (slogdet) is, up to O(M u) relative
-# rounding in the product of pivots, the exact determinant of A + E with
-# ||E|| <= c(M) rho u ||A|| (u = 1.1e-16 the unit roundoff, rho the pivot
-# growth, c(M) about M^2). A right inverse of a wide A takes the bound on
-# the R of a Householder QR of A^H, which is the exact R of A^H + E' with
-# ||E'|| <= c'(M) u ||A||, and has the singular values of A^H + E'. The
-# singular values the exact test compares are within p(M) u sigma_1 of the
-# true ones. So if that test rejects A at limit L, then
-# sigma_M(A + E'') <= sigma_1 (1/L + (p(M) + c'(M) + c(M) rho) u), and the
-# bound, which is at least cond(A + E''), exceeds L / margin unless the
-# rounding terms reach (margin - 1) / L: about 1e-9 = 1e7 u at
-# COND_LIMIT = 1e12, and about 1e-7 = 1e9 u at 1/FULL_RANK_RTOL = 1e10.
-# Even the worst-case growth rho = 2^(M-1) stays below the first up to
-# M = 16, and the growth of Gaussian draws is far smaller. The O(M^2 u)
-# rounding of the one-pass Frobenius norm, and of the rescaling where it
-# is taken, moves the bound by far less than the margin.
+# `ill_conditioned`, 1/FULL_RANK_RTOL for square right inverses,
+# _GRAM_LIMIT for the Grams of wide ones, 1e11 for the Gram matrices of
+# `aligned_rank`). The determinant from LU with partial pivoting (slogdet)
+# is, up to O(M u) relative rounding in the product of pivots, the exact
+# determinant of A + E with ||E|| <= c(M) rho u ||A|| (u = 1.1e-16 the
+# unit roundoff, rho the pivot growth, c(M) about M^2). The singular
+# values the exact test compares are within p(M) u sigma_1 of the true
+# ones. So if that test rejects A at limit L, then sigma_M(A + E'') <=
+# sigma_1 (1/L + (p(M) + c(M) rho) u), and the bound, which is at least
+# cond(A + E''), exceeds L / margin unless the rounding terms reach
+# (margin - 1) / L: about 1e-9 = 1e7 u at COND_LIMIT = 1e12, and about
+# 1e-7 = 1e9 u at 1/FULL_RANK_RTOL = 1e10. Even the worst-case growth
+# rho = 2^(M-1) stays below the first up to M = 16, and the growth of
+# Gaussian draws is far smaller. The O(M^2 u) rounding of the one-pass
+# Frobenius norm, and of the rescaling where it is taken, moves the bound
+# by far less than the margin. A wide A's Gram G = B B^H, B = A / max|a_ij|,
+# is the exact Gram of B + E' with ||E'|| <= cols u ||B||, so a clear at
+# _GRAM_LIMIT puts cond(A) = cond(G)^(1/2) near 31.6 at most, far inside
+# 1/FULL_RANK_RTOL: every wide A the exact test rejects takes the SVD.
 _BOUND_MARGIN = 1e3
-
-
-def as_stack(a):
-    """Return `a` as a complex128 matrix or stack of matrices, rejecting
-    non-finite entries."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim < 2:
-        raise SizeMismatch(f"matrix must be at least 2-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
-    return arr
+# Set by accuracy, not speed: the normal equations' error grows like u cond(A)^2
+# and stays within 1e-12 + 1e-14 cond(A) of pinv while cond(A) <= 31.6.
+_GRAM_LIMIT = 1e6
 
 
 def _unit_scaled(mats):
@@ -94,12 +87,16 @@ def cond_bound_clears(mats, limit):
     return log_bound <= math.log(limit / _BOUND_MARGIN)
 
 
-def _closed_form(mats, limit):
-    """`cond_bound_clears` for 1x1 or 2x2 matrices without LAPACK, as
-    (clear, x = adj(A) / det A where clear): 1x1 clears unless 0, and 2x2
-    takes cond(A) <= ||A||_F^2 / |det A|, det = ps - qr being good to
-    4u ||A||_F^2 (|ps| + |qr| <= ||A||_F^2 / 2, a complex product good to
-    2 sqrt(2) u)."""
+def _certified_inverse(mats, limit):
+    """(clear, x): x = A^-1 where `cond_bound_clears` certifies A at `limit`,
+    a finite placeholder elsewhere. 1x1 and 2x2 take no LAPACK call: 1x1
+    clears unless 0, and 2x2 takes cond(A) <= ||A||_F^2 / |det A| and
+    x = adj(A) / det A, det = ps - qr being good to 4u ||A||_F^2
+    (|ps| + |qr| <= ||A||_F^2 / 2, a complex product good to 2 sqrt(2) u)."""
+    if mats.shape[-1] > 2:
+        clear, x = cond_bound_clears(mats, limit), np.zeros_like(mats)
+        x[clear] = np.linalg.inv(mats[clear])
+        return clear, x
     a, norm2, far, scale = _unit_scaled(mats)
     if a.shape[-1] == 1:
         det, adj = a[..., 0, 0], np.ones_like(a)
@@ -145,8 +142,13 @@ def mm(a, b):
 
 def numerical_rank(a):
     """Number of singular values above RANK_RTOL relative to the largest
-    one: an int for a matrix, an int array for a stack."""
-    a = as_stack(a)
+    one: an int for a matrix, an int array for a stack, of `a` taken as
+    complex128. Raises on fewer than 2 axes or a non-finite entry."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2:
+        raise SizeMismatch(f"matrix must be at least 2-D, got shape {a.shape}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
     if a.shape[-1] == 0 or a.shape[-2] == 0:
         rank = np.zeros(a.shape[:-2], dtype=np.intp)
     else:
@@ -162,7 +164,7 @@ def _gram_clears(a):
     rows, cols = a.shape[-2:]
     ah = a.conj().swapaxes(-1, -2)
     g = a @ ah if rows <= cols else ah @ a
-    return _closed_form(g, 1e11)[0] if g.shape[-1] <= 2 else cond_bound_clears(g, 1e11)
+    return _certified_inverse(g, 1e11)[0] if g.shape[-1] <= 2 else cond_bound_clears(g, 1e11)
 
 
 def aligned_rank(x, basis, dim):
@@ -170,19 +172,22 @@ def aligned_rank(x, basis, dim):
     The unitary `basis` splits x into Y = basis[:dim] x and Z = basis[dim:] x:
     s_i(x) >= s_i(Y), and s_(r+1)(x) <= ||Z||_2 at Y's rank r = min(dim, n)
     (Weyl). So rank r holds where Y clears `_gram_clears` and ||Z||_F sqrt(r)
-    _BOUND_MARGIN <= RANK_RTOL ||Y||_F, rank M where M <= n and x clears it;
-    every other matrix takes the SVD."""
+    _BOUND_MARGIN < RANK_RTOL ||Y||_F, rank M where M <= n and x clears it,
+    and rank 0 where x = 0 (genie's stacks); every other matrix takes the
+    SVD."""
     lead, (m, n) = x.shape[:-2], x.shape[-2:]
     x = x.reshape(-1, m, n)
     unit = _unit_scaled(x)[0]  # no norm or Gram of it over- or underflows
     split = basis.reshape(-1, m, m) @ unit
     y, r = split[:, :dim], min(dim, n)
     y2, z2 = (np.einsum("...ij,...ij->...", b.conj(), b).real for b in (y, split[:, dim:]))
-    clear = z2 * (r * _BOUND_MARGIN ** 2) <= RANK_RTOL ** 2 * y2
+    zero = y2 + z2 == 0.0  # x = 0: the basis is unitary, and ||unit||_F >= 2^-400
+    clear = z2 * (r * _BOUND_MARGIN ** 2) < RANK_RTOL ** 2 * y2  # strict: x = 0 fails
     if clear.any():
         clear &= _gram_clears(y)
     rank = np.where(clear, r, m)
-    unsure = ~clear
+    rank[zero] = 0
+    unsure = ~(clear | zero)
     if m <= n and unsure.any():
         unsure[unsure] = ~_gram_clears(unit[unsure])
     if unsure.any():
@@ -201,29 +206,24 @@ def right_inverse(a, message):
     of the leading axes, that hold one.
 
     The path is chosen per matrix, so each inverse depends on its matrix
-    alone, not on the others of the call. A 1x1 or 2x2 matrix that
-    `_closed_form` clears at 1/FULL_RANK_RTOL is not deficient, and its
-    inverse is adj(A) / det A. A larger matrix that `cond_bound_clears`
-    certifies at that limit is not deficient either, and its inverse is
-    inv(A) when square, or Q R^-H from the reduced QR of A^H = QR when
-    wide. Every other matrix takes one SVD, serving both the rank test and
-    the inverse, so every raise and mask is that of the SVD test.
+    alone. `_certified_inverse` inverts A itself at 1/FULL_RANK_RTOL when
+    square, and when wide the Gram G = B B^H of B = A / max|a_ij| at
+    _GRAM_LIMIT, A^+ being B^H G^-1 / max|a_ij| (the normal equations,
+    Golub & Van Loan, 4th ed., 5.3). Every other matrix takes one SVD,
+    serving both the rank test and the inverse, so every raise and mask is
+    the SVD test's.
     """
     rows, cols = a.shape[-2:]
-    if rows == cols and rows <= 2:
-        clear, x = _closed_form(a, 1.0 / FULL_RANK_RTOL)
-    elif rows == cols:
-        x = np.empty(a.shape[:-2] + (cols, rows), dtype=np.complex128)
-        clear = cond_bound_clears(a, 1.0 / FULL_RANK_RTOL)
-        x[clear] = np.linalg.inv(a[clear])
+    if rows == cols:
+        clear, x = _certified_inverse(a, 1.0 / FULL_RANK_RTOL)
     else:
-        q, r = np.linalg.qr(a.conj().swapaxes(-1, -2))
-        clear = cond_bound_clears(r, 1.0 / FULL_RANK_RTOL)
-        if clear.all():  # as on Gaussian draws: q itself, not a copy of it
-            return mm(q, np.linalg.inv(r).conj().swapaxes(-1, -2))
-        # The full q is dropped before the product.
-        q, x = q[clear], np.empty(a.shape[:-2] + (cols, rows), dtype=np.complex128)
-        x[clear] = mm(q, np.linalg.inv(r[clear]).conj().swapaxes(-1, -2))
+        scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+        scale[scale == 0.0] = 1.0
+        b = a / scale  # no entry above 1, so G cannot overflow
+        bh = b.conj().swapaxes(-1, -2)
+        clear, x = _certified_inverse(mm(b, bh), _GRAM_LIMIT)
+        x = mm(bh, x)
+        np.divide(x, scale, out=x, where=clear[..., None, None])  # a placeholder could overflow
     unsure = ~clear
     if unsure.any():
         u, s, vh = np.linalg.svd(a[unsure], full_matrices=False)

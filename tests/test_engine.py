@@ -101,13 +101,16 @@ class TestRunTrial:
             run_trials(cfg, [0])
 
 
-@pytest.mark.parametrize("scheme, m, qr_calls", [
-    ("sia", 2, 1), ("sia", 4, 1), ("sia", 16, 1), ("sia", 3, 2), ("sia", 5, 2),
-    ("no_ia", 4, 2), ("no_ia", 5, 2), ("genie", 4, 2),
+@pytest.mark.parametrize("scheme, m", [
+    # Each id keeps the QR count of the days when a wide right inverse
+    # took a second QR, so the names match earlier runs'.
+    pytest.param(scheme, m, id=f"{scheme}-{m}-{old}") for scheme, m, old in [
+        ("sia", 2, 1), ("sia", 4, 1), ("sia", 16, 1), ("sia", 3, 2), ("sia", 5, 2),
+        ("no_ia", 4, 2), ("no_ia", 5, 2), ("genie", 4, 2)]
 ])
-def test_qr_calls_per_chunk(monkeypatch, scheme, m, qr_calls):
+def test_qr_calls_per_chunk(monkeypatch, scheme, m):
     # One complete QR builds both alignment bases of every trial of the
-    # chunk; a wide right inverse (sia at odd M, no_ia, genie) takes one more.
+    # chunk; no right inverse takes one, wide or square.
     calls = []
     real = np.linalg.qr
 
@@ -119,8 +122,7 @@ def test_qr_calls_per_chunk(monkeypatch, scheme, m, qr_calls):
     cfg = config_for(m, 3, scheme=scheme)
     chunk = run_chunk(cfg, range(4))
     assert not chunk.redraws.any()
-    assert len(calls) == qr_calls
-    assert calls[0] == (4, 2)
+    assert calls == [(4, 2)]
 
 
 @pytest.mark.parametrize("scheme, m", [
@@ -128,16 +130,17 @@ def test_qr_calls_per_chunk(monkeypatch, scheme, m, qr_calls):
     pytest.param(scheme, m, id=str(m) if scheme == "sia" else f"{scheme}-{m}")
     for scheme in ("sia", "no_ia", "genie") for m in (2, 3, 4, 5, 16)
 ])
-def test_solve_and_inv_calls_per_chunk(monkeypatch, scheme, m):
+def test_solve_and_inv_calls_per_chunk(monkeypatch, svd_calls, scheme, m):
     # The IA stage is one solve over the chunk's (T, K, 2) cross stack,
     # after one slogdet over that stack alone: the conditioning test of
-    # the only matrices anything solves against. sia at even M <= 4
-    # inverts its 1x1 or 2x2 effective channels in closed form, with no
-    # LAPACK call. Every other SA stage (no_ia's and genie's right inverse)
-    # takes one inv on dof x dof matrices (the square effective channels
-    # at even M, the R factors at odd M), after its own slogdet; none gets
-    # a cross channel. Any later slogdet is an aligned-rank check's Gram
-    # certificate, over one matrix per trial.
+    # the only matrices anything solves against. Every SA stage inverts one
+    # dof x dof matrix per device: the effective channel when square (sia
+    # at even M), its Gram when wide (sia at odd M, no_ia, genie). Up to
+    # dof = 2 (M <= 5) that inverse is closed-form, with no LAPACK call;
+    # above it takes one inv, after its own slogdet over the whole stack.
+    # None gets a cross channel. Any later slogdet is an aligned-rank
+    # check's Gram certificate, over one matrix per trial; genie's aligned
+    # stacks are zero, and take neither that nor an SVD.
     calls = {"solve": [], "inv": [], "slogdet": []}
     real = {name: getattr(np.linalg, name) for name in calls}
 
@@ -154,15 +157,16 @@ def test_solve_and_inv_calls_per_chunk(monkeypatch, scheme, m):
     assert not chunk.redraws.any()
     dof = partition(m).signal_dim
     ia = [(4, 3, 2, m, m)] if scheme == "sia" else []
-    closed = scheme == "sia" and m in (2, 4)
-    sa = [] if closed else [(4, 3, 2, dof, dof)]
+    sa = [] if dof <= 2 else [(4, 3, 2, dof, dof)]
     assert calls["solve"] == ia
     assert [shape[-2:] for shape in calls["inv"]] == [(dof, dof)] * len(sa)
     assert calls["slogdet"][:len(ia) + len(sa)] == ia + sa
     grams = calls["slogdet"][len(ia) + len(sa):]
     assert all(len(shape) == 3 and shape[0] <= 4 for shape in grams)
-    if closed:
+    if scheme == "sia" and m in (2, 4):
         assert grams == []
+    if scheme == "genie":
+        assert grams == [] and svd_calls == []
 
 
 def per_trial_elements(cfg):
@@ -853,10 +857,12 @@ class TestChunks:
         trials = range(6)
         chunk = run_chunk(cfg, trials)
         assert not chunk.redraws.any()
-        # The planted matrix's inverse alone, then the aligned rank of
-        # trial 4's planted cell: the inverse's large precoder puts that
-        # cell's Y beyond the Gram certificate. Every other rank certifies.
-        assert svd_calls == [(1,), (1,)]
+        # The planted matrix's inverse, then the aligned rank of trial 4's
+        # planted cell: the inverse's large precoder puts that cell's Y
+        # beyond the Gram certificate. Every other rank certifies. At M = 5
+        # two other effective channels of the chunk lie beyond cond 31.6,
+        # where a wide matrix's Gram clears, and take the SVD with it.
+        assert svd_calls == [(3 if m == 5 else 1,), (1,)]
         assert_trial_matches_chunk_of_one(cfg, chunk, trials)
         one, two = run_sweep(cfg, workers=1), run_sweep(cfg, workers=2)
         assert fake_pools.sizes == [2]

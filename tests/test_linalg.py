@@ -283,6 +283,8 @@ class TestRightInverseDecisions:
     # At 1e+-110 ||A||_F^2 stays inside the range cond_bound_clears takes
     # unscaled; at 1e+-170 it leaves it and the matrix is rescaled first.
     SCALES = (1e-170, 1e-110, 1.0, 1e110, 1e170)
+    # Around the edge where a wide matrix's Gram clears (cond 31.6).
+    EDGE = (10.0, 30.0, 100.0, 300.0, 3e3)
 
     @staticmethod
     def check_stack(mats, sets, devices=1, cells=2):
@@ -316,22 +318,52 @@ class TestRightInverseDecisions:
             assert self.check_stack(a[None], 1, cells=1).tolist() == [bad]
         # Well inside the limit the bound decides at every scale, without an
         # SVD; it is within sqrt(rows - 1) of cond when s_1 = ... = s_(rows-1).
+        # A wide matrix's limit is its Gram's, cond(A) <= 31.6.
         conds = np.array([case[0] for case in cases])
         flat_top = np.array([case[2] for case in cases])
-        well = mats[flat_top & (conds <= 1e6)]
+        well = mats[flat_top & (conds <= (1e6 if rows == cols else 10.0))]
         del svd_calls[:]
         x = right_inverse(well.reshape(-1, 1, 2, rows, cols), "planted")
         assert svd_calls == []
         for xi, a in zip(x.reshape(-1, cols, rows), well):
             assert_matches_pinv(xi, a)
 
+    @pytest.mark.parametrize("rows, cols", [s for s in SHAPES if s[0] < s[1]])
+    def test_gram_edge(self, rows, cols, svd_calls):
+        # A wide matrix is certified on its Gram, which clears only up to
+        # cond(A) = 31.6. Around that edge, at every scale, the verdict and
+        # mask are the SVD test's and each inverse matches pinv, whichever
+        # path it takes; the SVD takes each matrix beyond the edge and none
+        # well inside it.
+        rng = np.random.default_rng([30, rows, cols])
+        cases = [(cond, scale, clustered) for cond in self.EDGE for scale in self.SCALES
+                 for clustered in (True, False)]
+        mats = np.array([planted_wide(rng, rows, cols, *case) for case in cases])
+        sets = len(self.EDGE)
+        assert not self.check_stack(mats, sets, devices=len(self.SCALES)).any()
+        for case, a in zip(cases, mats):
+            del svd_calls[:]
+            x = right_inverse(a[None, None, None], "planted")[0, 0, 0]
+            if case[0] <= 10.0 or case[0] >= 100.0:
+                assert svd_calls == ([(1,)] if case[0] >= 100.0 else [])
+            assert_matches_pinv(x, a)
+        # A deficient matrix in the second set: the mask marks that set alone.
+        mats[len(mats) // sets + 3] = planted_wide(rng, rows, cols, 1e13, 1e170, True)
+        assert self.check_stack(mats, sets, devices=len(self.SCALES)).sum() == 1
+
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_each_inverse_ignores_its_neighbours(self, rows, cols, svd_calls):
-        # Matrices the bound cannot certify (cond 1e8 and 1e9) take the SVD
-        # among certified ones, and every inverse is bit-identical to that
-        # of its matrix alone.
+        # Matrices the bound cannot certify (cond 1e8 and 1e9; 1e2 and 1e3
+        # when wide, beyond the Gram's limit) take the SVD among certified
+        # ones, and every inverse is bit-identical to that of its matrix
+        # alone.
         rng = np.random.default_rng([20, rows, cols])
-        conds = [1.0, 1e8, 10.0, 1e9, 1e3, 1e2] if rows > 1 else [1.0] * 6
+        if rows == 1:
+            conds = [1.0] * 6
+        elif rows == cols:
+            conds = [1.0, 1e8, 10.0, 1e9, 1e3, 1e2]
+        else:
+            conds = [1.0, 1e2, 10.0, 1e3, 3.0, 2.0]
         mats = np.array([planted_wide(rng, rows, cols, c, 1.0, False) for c in conds])
         x = right_inverse(mats.reshape(3, 1, 2, rows, cols), "planted")
         assert svd_calls == ([(2,)] if rows > 1 else [])
@@ -356,16 +388,21 @@ class TestRightInverseDecisions:
 
 
 class TestRightInverseSvdCount:
-    """On Gaussian draws a sia or no_ia chunk takes no SVD: neither the
-    beamformers, nor any right inverse, nor the aligned-rank checks."""
+    """On Gaussian draws a sia or no_ia chunk takes almost no SVD: neither
+    the beamformers, nor the aligned-rank checks, nor any right inverse
+    but the odd wide one whose Gram the certificate cannot clear."""
 
-    @pytest.mark.parametrize("scheme, m, k, trials",
-                             [("sia", 4, 200, 1), ("sia", 5, 3, 4), ("no_ia", 4, 5, 4)])
-    def test_gaussian_chunk(self, svd_calls, scheme, m, k, trials):
+    @pytest.mark.parametrize("scheme, m, k, trials, svds", [
+        # sia's 2 x 3 effective channels at M = 5 are products of draws; one
+        # of this chunk's 24 lies beyond cond 31.6, the Gram's limit.
+        pytest.param(*case, id="-".join(map(str, case[:4])))
+        for case in [("sia", 4, 200, 1, []), ("sia", 5, 3, 4, [(1,)]), ("no_ia", 4, 5, 4, [])]
+    ])
+    def test_gaussian_chunk(self, svd_calls, scheme, m, k, trials, svds):
         cfg = SystemConfig(antennas=m, devices=k, scheme=scheme, trials=trials)
         chunk = run_chunk(cfg, range(trials))
         assert not chunk.redraws.any()
-        assert svd_calls == []
+        assert svd_calls == svds
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_planted_deficient_matches_svd_only(self, monkeypatch, scheme):
@@ -411,8 +448,9 @@ class TestRightInverseSvdCount:
         assert fast_draws == slow_draws == [(4,), ()]
         assert fast.redraws.tolist() == slow.redraws.tolist() == [0, 0, 1, 0]
         assert np.array_equal(fast.aligned_rank, slow.aligned_rank)
-        # The rebuild after the redraw takes inv/QR where the SVD-only path
-        # takes the SVD, so the results agree to rounding, not to the bit.
+        # The rebuild after the redraw takes a certified inverse where the
+        # SVD-only path takes the SVD, so the results agree to rounding, not
+        # to the bit.
         for name, value in vars(fast).items():
             np.testing.assert_allclose(value, getattr(slow, name), rtol=1e-9, atol=1e-12,
                                        err_msg=name)
@@ -582,14 +620,22 @@ class TestMm:
         assert np.array_equal(mm(a, b), a @ b)
 
     def test_strided_right_operand(self):
-        # right_inverse's wide path: q @ inv(r)^H, the right operand a
+        # right_inverse's wide path: the Gram B @ B^H, the right operand a
         # swapped-axes view that is not C-contiguous.
         rng = rng_for(7)
-        q = cn(rng, self.STACK + (3, 2))
-        rh = np.linalg.inv(cn(rng, self.STACK + (2, 2))).conj().swapaxes(-1, -2)
-        assert not rh.flags.c_contiguous
-        np.testing.assert_allclose(mm(q, rh), q @ rh, rtol=1e-13, atol=0)
-        assert np.array_equal(mm(q, rh), mm(q, np.ascontiguousarray(rh)))
+        b = cn(rng, self.STACK + (2, 3))
+        bh = b.conj().swapaxes(-1, -2)
+        assert not bh.flags.c_contiguous
+        np.testing.assert_allclose(mm(b, bh), b @ bh, rtol=1e-13, atol=0)
+        assert np.array_equal(mm(b, bh), mm(b, np.ascontiguousarray(bh)))
+
+    def test_strided_left_operand(self):
+        # ... and then B^H @ inv(G), the left operand the same view.
+        rng = rng_for(8)
+        bh = cn(rng, self.STACK + (2, 3)).conj().swapaxes(-1, -2)
+        g_inv = np.linalg.inv(cn(rng, self.STACK + (2, 2)))
+        np.testing.assert_allclose(mm(bh, g_inv), bh @ g_inv, rtol=1e-13, atol=0)
+        assert np.array_equal(mm(bh, g_inv), mm(np.ascontiguousarray(bh), g_inv))
 
 
 class TestNumericalRank:
