@@ -47,7 +47,7 @@ SET_REDRAW_BUDGET = 100
 # Complex elements a chunk's channel stacks and scored grid may hold; a
 # chunk always has at least one trial. The draw buffer and the build's
 # K-sized intermediates are not counted, so a chunk's peak is a K-dependent
-# multiple of the cap (3.3 MiB for a 5-trial M=4, K=200 chunk, against the
+# multiple of the cap (3.6 MiB for a 5-trial M=4, K=200 chunk, against the
 # 1 MiB of 2**16 elements). A chunk pays a fixed cost of about a hundred
 # numpy calls whatever its size, so the cap is set high; 2**17 raised peak
 # memory by more than 10%.

@@ -48,15 +48,18 @@ _BOUND_MARGIN = 1e3
 # Set by accuracy, not speed: the normal equations' error grows like u cond(A)^2
 # and stays within 1e-12 + 1e-14 cond(A) of pinv while cond(A) <= 31.6.
 _GRAM_LIMIT = 1e6
+# Sizes `_certified_inverse` inverts in closed form, with no LAPACK call.
+CLOSED_FORM_SIZES = (1, 2, 4)
 
 
-def _unit_scaled(mats):
-    """(mats, norm2 = ||A||_F^2, far, scale): where norm2 leaves [2^-800,
-    2^800] (zero, non-finite, entries beyond about 1e+-120) the matrix is
-    divided by its largest |entry|, `scale`, and norm2 floored at 1."""
+def _unit_scaled(mats, window=800):
+    """(mats, norm2 = ||A||_F^2, far, scale): where norm2 leaves [2^-window,
+    2^window] (zero, non-finite, entries beyond about 2^+-(window / 2)) the
+    matrix is divided by its largest |entry|, `scale`, and norm2 floored
+    at 1."""
     parts = np.ascontiguousarray(mats).view(np.float64)
     norm2 = np.einsum("...ij,...ij->...", parts, parts)[...]  # an array even for 2-D
-    far = ~((norm2 >= 2.0 ** -800) & (norm2 <= 2.0 ** 800))
+    far = ~((norm2 >= 2.0 ** -window) & (norm2 <= 2.0 ** window))
     scale = None
     if far.any():
         scale = np.abs(mats[far]).max(axis=(-2, -1), keepdims=True)
@@ -87,36 +90,73 @@ def cond_bound_clears(mats, limit):
     return log_bound <= math.log(limit / _BOUND_MARGIN)
 
 
+def _adjugate4(a):
+    """(det, adj) of a stack of 4x4 matrices by Laplace expansion along rows
+    0-1: det = sum of +-s c over the six 2x2 minors s of rows 0-1 and their
+    complementary minors c of rows 2-3, and each adjugate entry three terms
+    a c or a s. Taken on contiguous per-entry planes, one copy of the stack."""
+    (a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23,
+     a30, a31, a32, a33) = np.moveaxis(a.reshape(a.shape[:-2] + (16,)), -1, 0).copy()
+    s0, s1, s2 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
+    s3, s4, s5 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
+    c0, c1, c2 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
+    c3, c4, c5 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    adj = np.empty(a.shape[:-2] + (16,), dtype=a.dtype)
+    adj[..., 0], adj[..., 1] = a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3
+    adj[..., 2], adj[..., 3] = a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3
+    adj[..., 4], adj[..., 5] = a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1
+    adj[..., 6], adj[..., 7] = a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1
+    adj[..., 8], adj[..., 9] = a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0
+    adj[..., 10], adj[..., 11] = a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0
+    adj[..., 12], adj[..., 13] = a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0
+    adj[..., 14], adj[..., 15] = a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0
+    return det, adj.reshape(a.shape)
+
+
 def _certified_inverse(mats, limit):
     """(clear, x): x = A^-1 where `cond_bound_clears` certifies A at `limit`,
-    a finite placeholder elsewhere. 1x1 and 2x2 take no LAPACK call: 1x1
-    clears unless 0, and 2x2 takes cond(A) <= ||A||_F^2 / |det A| and
-    x = adj(A) / det A, det = ps - qr being good to 4u ||A||_F^2
-    (|ps| + |qr| <= ||A||_F^2 / 2, a complex product good to 2 sqrt(2) u)."""
-    if mats.shape[-1] > 2:
+    a finite placeholder elsewhere. 1x1, 2x2 and 4x4 take no LAPACK call
+    and x = adj(A) / det A. 1x1 clears unless 0. 2x2 takes cond(A) <=
+    ||A||_F^2 / |det A|, det = ps - qr being good to 4u ||A||_F^2 (|ps| +
+    |qr| <= ||A||_F^2 / 2, a complex product good to 2 sqrt(2) u). 4x4
+    takes cond_bound_clears' cond(A) <= 3^(-3/2) ||A||_F^4 / |det A| from
+    `_adjugate4`: each of the 24 terms of perm(|A|) in det carries
+    (1 + 2 sqrt(2)) u from each of its two minors, 2 sqrt(2) u from their
+    product and 5u from the sum of six, under 16u in all, and perm(|A|) <=
+    prod_i ||a_i||_1 <= prod_i 2 ||a_i||_2 <= ||A||_F^4 (AM-GM), so det is
+    good to 16u ||A||_F^4. Its window is 2^+-400: no entry above 2^200, so
+    no product of four overflows, and 16u ||A||_F^4 >= 2^-849 stays clear
+    of underflow."""
+    n = mats.shape[-1]
+    if n not in CLOSED_FORM_SIZES:
         clear, x = cond_bound_clears(mats, limit), np.zeros_like(mats)
         x[clear] = np.linalg.inv(mats[clear])
         return clear, x
-    a, norm2, far, scale = _unit_scaled(mats)
-    if a.shape[-1] == 1:
+    a, norm2, far, scale = _unit_scaled(mats, 400 if n == 4 else 800)
+    if n == 1:
         det, adj = a[..., 0, 0], np.ones_like(a)
         clear = det != 0.0
-    else:
+    elif n == 2:
         p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
         det, adj = p * s - q * r, np.stack([s, -q, -r, p], axis=-1).reshape(a.shape)
         clear = np.abs(det) > (_BOUND_MARGIN / limit + 4 * 2.0 ** -53) * norm2
-    x = adj / np.where(clear, det, 1.0)[..., None, None]
+    else:
+        det, adj = _adjugate4(a)
+        clear = np.abs(det) > (3 ** -1.5 * _BOUND_MARGIN / limit + 16 * 2.0 ** -53) * norm2 ** 2
+    adj /= np.where(clear, det, 1.0)[..., None, None]
     if far.any():
-        x[far] /= scale  # the inverse of the matrix before rescaling
-    return clear, x
+        adj[far] /= scale  # the inverse of the matrix before rescaling
+    return clear, adj
 
 
-def ill_conditioned(mats):
+def ill_conditioned(mats, clear=None):
     """Mask over the leading axes of a stack of square matrices: True where
-    sigma_1 > COND_LIMIT * sigma_M or sigma_1 = 0. `cond_bound_clears`
-    clears most matrices without an SVD; the exact test on the SVD decides
-    every other one, so the mask is that test's verdict on every matrix."""
-    unsure = ~cond_bound_clears(mats, COND_LIMIT)
+    sigma_1 > COND_LIMIT * sigma_M or sigma_1 = 0. `cond_bound_clears`, or
+    the caller's `clear` from a certificate at COND_LIMIT, clears most
+    matrices without an SVD; the exact test on the SVD decides every other
+    one, so the mask is that test's verdict on every matrix."""
+    unsure = ~(cond_bound_clears(mats, COND_LIMIT) if clear is None else clear)
     bad = np.zeros(mats.shape[:-2], dtype=bool)
     if unsure.any():
         s = np.linalg.svd(mats[unsure], compute_uv=False)

@@ -1,25 +1,28 @@
 """Simultaneous signal-and-interference alignment for two-cell AirComp.
 
-Each device cascades three stages. An interference-alignment stage
-solves the device's cross channel against the cell's common reference
-matrix, with no inverse formed, after a condition-number test has
-certified every cross channel. Every device of the cell then reaches the
-neighbour AP through that reference, which confines the whole cell's
-interference to a fixed low-dimensional subspace regardless of the
-device count. The reference matrix itself is the second stage. A
-signal-alignment stage then right-inverts the effective home-AP channel
-so the wanted symbols arrive pre-summed. Each AP projects its received
-vector onto the orthogonal complement of the other cell's reference
-subspace, which removes the aligned interference and leaves the plain
-sum of the home cell's symbol vectors. One complete QR of each cell's
-random draw gives both bases: its leading columns are the cell's
-reference, its trailing columns the complement the other AP keeps.
+Each device cascades three stages. An interference-alignment stage maps
+the cell's common reference matrix through the inverse of the device's
+cross channel, after a condition-number test has certified every cross
+channel: a closed-form inverse where the channel is 1x1, 2x2 or 4x4 and
+clears that inverse's own certificate, a solve with no inverse formed
+elsewhere. Every device of the cell then reaches the neighbour AP
+through that reference, which confines the whole cell's interference to
+a fixed low-dimensional subspace regardless of the device count. The
+reference matrix itself is the second stage. A signal-alignment stage
+then right-inverts the effective home-AP channel so the wanted symbols
+arrive pre-summed. Each AP projects its received vector onto the
+orthogonal complement of the other cell's reference subspace, which
+removes the aligned interference and leaves the plain sum of the home
+cell's symbol vectors. One complete QR of each cell's random draw gives
+both bases: its leading columns are the cell's reference, its trailing
+columns the complement the other AP keeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import RankDeficient
 from .linalg import aligned_rank, ill_conditioned, mm, right_inverse
 
@@ -51,18 +54,31 @@ def build_sia_matrices(channels, reference, beamformer):
     stack of draws with matching leading axes on channels, reference and
     beamformer, the pair build_reference_matrices gives.
 
-    Per device: aligned solves cross @ aligned = reference, sa
-    right-inverts the effective channel beamformer @ direct @ aligned, and
-    the precoder is aligned @ sa. Raises RankDeficient, marking the draws
-    that failed, when a cross channel is ill-conditioned (the solve's
-    certificate, `ill_conditioned`) or an effective channel loses row
-    rank; the caller redraws those sets.
+    Per device: aligned = cross^-1 @ reference, sa right-inverts the
+    effective channel beamformer @ direct @ aligned, and the precoder is
+    aligned @ sa. A 1x1, 2x2 or 4x4 cross matrix (CLOSED_FORM_SIZES) is
+    inverted by `linalg._certified_inverse` at COND_LIMIT, read at each
+    call, or solved where that certificate does not clear it; at other
+    sizes every one is solved. Raises RankDeficient, marking the draws that
+    failed, when a cross channel is ill-conditioned (`ill_conditioned`, the
+    SVD test on every matrix the certificate does not clear) or an
+    effective channel loses row rank; the caller redraws those sets.
     """
-    bad = ill_conditioned(channels.cross)
+    cross, target = channels.cross, reference[..., None, :, :, :]
+    clear = None
+    if cross.shape[-1] in linalg.CLOSED_FORM_SIZES:
+        clear, inverse = linalg._certified_inverse(cross, linalg.COND_LIMIT)
+    bad = ill_conditioned(cross, clear)
     if bad.any():
         raise RankDeficient("cross channel ill-conditioned; redraw the channel set",
                             failed=bad.any(axis=(-2, -1)))
-    aligned = np.linalg.solve(channels.cross, reference[..., None, :, :, :])
+    if clear is None:
+        aligned = np.linalg.solve(cross, target)
+    else:
+        aligned, unsure = mm(inverse, target), ~clear
+        if unsure.any():
+            target = np.broadcast_to(target, aligned.shape)
+            aligned[unsure] = np.linalg.solve(cross[unsure], target[unsure])
     effective = mm(mm(beamformer[..., None, :, :, :], channels.direct), aligned)
     sa = right_inverse(effective, "effective channel lost row rank; redraw the channel set")
     return mm(aligned, sa)

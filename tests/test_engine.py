@@ -131,16 +131,18 @@ def test_qr_calls_per_chunk(monkeypatch, scheme, m):
     for scheme in ("sia", "no_ia", "genie") for m in (2, 3, 4, 5, 16)
 ])
 def test_solve_and_inv_calls_per_chunk(monkeypatch, svd_calls, scheme, m):
-    # The IA stage is one solve over the chunk's (T, K, 2) cross stack,
-    # after one slogdet over that stack alone: the conditioning test of
-    # the only matrices anything solves against. Every SA stage inverts one
+    # The IA stage inverts the chunk's (T, K, 2) cross stack, the only
+    # matrices anything solves against. Where they are 2x2 or 4x4 (sia at
+    # M = 2 and 4) the inverse is closed-form and certifies itself, with no
+    # LAPACK call; at other M it is one solve, after one slogdet over that
+    # stack alone, its conditioning test. Every SA stage inverts one
     # dof x dof matrix per device: the effective channel when square (sia
     # at even M), its Gram when wide (sia at odd M, no_ia, genie). Up to
-    # dof = 2 (M <= 5) that inverse is closed-form, with no LAPACK call;
-    # above it takes one inv, after its own slogdet over the whole stack.
-    # None gets a cross channel. Any later slogdet is an aligned-rank
-    # check's Gram certificate, over one matrix per trial; genie's aligned
-    # stacks are zero, and take neither that nor an SVD.
+    # dof = 2 (M <= 5) that inverse is closed-form; above it takes one inv,
+    # after its own slogdet over the whole stack. None gets a cross
+    # channel. Any later slogdet is an aligned-rank check's Gram
+    # certificate, over one matrix per trial; genie's aligned stacks are
+    # zero, and take neither that nor an SVD.
     calls = {"solve": [], "inv": [], "slogdet": []}
     real = {name: getattr(np.linalg, name) for name in calls}
 
@@ -156,7 +158,7 @@ def test_solve_and_inv_calls_per_chunk(monkeypatch, svd_calls, scheme, m):
     chunk = run_chunk(cfg, range(4))
     assert not chunk.redraws.any()
     dof = partition(m).signal_dim
-    ia = [(4, 3, 2, m, m)] if scheme == "sia" else []
+    ia = [(4, 3, 2, m, m)] if scheme == "sia" and m not in (2, 4) else []
     sa = [] if dof <= 2 else [(4, 3, 2, dof, dof)]
     assert calls["solve"] == ia
     assert [shape[-2:] for shape in calls["inv"]] == [(dof, dof)] * len(sa)

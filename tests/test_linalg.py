@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircomp_sia import baselines, engine, sia
+from aircomp_sia import baselines, engine, linalg, sia
 from aircomp_sia.baselines import build_no_ia_precoders
 from aircomp_sia.errors import DegenerateChannels, RankDeficient, SizeMismatch
 from aircomp_sia.linalg import (
@@ -58,8 +58,8 @@ def ia_setup(cross):
 
 def cross_leak(cross):
     """Part of cross @ precoder outside the reference span, relative to its
-    norm, for ia_setup's device. The IA stage solves the cross channel
-    against the reference, so this is zero up to rounding."""
+    norm, for ia_setup's device. The IA stage maps the reference through
+    the cross channel's inverse, so this is zero up to rounding."""
     reference, _, precoder = ia_setup(cross)
     return span_residual(reference[0], cross @ precoder)
 
@@ -141,6 +141,20 @@ class TestInverse:
         channels = ChannelSet(wide, wide.copy())
         with pytest.raises(SizeMismatch):
             superpose(channels, np.zeros((1, 2, 3, 1)), np.zeros((1, 2, 1)))
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_solved_where_closed_form_does_not_clear(self, m, monkeypatch, svd_calls):
+        # At M = 2 and 4 the closed form inverts what its certificate
+        # clears. At a limit of 1e4 it leaves a cond-100 cross matrix to
+        # the SVD test, which passes it, and to a solve: the precoder is
+        # the closed form's to rounding.
+        cross = planted_wide(rng_for(m), m, m, 100.0, 1.0, False)
+        closed = ia_setup(cross)[2]
+        assert svd_calls == []
+        monkeypatch.setattr(linalg, "COND_LIMIT", 1e4)
+        solved = ia_setup(cross)[2]
+        assert svd_calls == [(2,)]
+        assert np.abs(solved - closed).max() <= 1e-13 * np.abs(closed).max()
 
     def test_near_singular_raises(self, monkeypatch):
         # The IA stage rejects the set holding a near-singular cross
@@ -269,7 +283,7 @@ def planted_wide(rng, rows, cols, cond, scale, clustered):
     return scale * (u * s) @ v.conj().T
 
 
-SHAPES = [(1, 1), (2, 2), (3, 3), (2, 3), (2, 4), (3, 5)]
+SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
 
 
 class TestRightInverseDecisions:
@@ -280,8 +294,9 @@ class TestRightInverseDecisions:
     LIMIT = 1.0 / FULL_RANK_RTOL
     CONDS = (1.0, 10.0, 1e3, 1e6, 1e7, 1e8, 1e9, LIMIT * (1 - 1e-3), LIMIT,
              LIMIT * (1 + 1e-3), 1e11, 1e13, 1e15, 1e17)
-    # At 1e+-110 ||A||_F^2 stays inside the range cond_bound_clears takes
-    # unscaled; at 1e+-170 it leaves it and the matrix is rescaled first.
+    # At 1e+-110 ||A||_F^2 stays inside the range cond_bound_clears and the
+    # 2x2 closed form take unscaled, but leaves the 4x4 one's 2^+-400; at
+    # 1e+-170 it leaves both and the matrix is rescaled first.
     SCALES = (1e-170, 1e-110, 1.0, 1e110, 1e170)
     # Around the edge where a wide matrix's Gram clears (cond 31.6).
     EDGE = (10.0, 30.0, 100.0, 300.0, 3e3)
@@ -344,7 +359,9 @@ class TestRightInverseDecisions:
         for case, a in zip(cases, mats):
             del svd_calls[:]
             x = right_inverse(a[None, None, None], "planted")[0, 0, 0]
-            if case[0] <= 10.0 or case[0] >= 100.0:
+            # The AM-GM bound on a 4x4 Gram clears a spread spectrum only
+            # up to cond(A) of about 8, a flat-top one up to 31.6.
+            if (case[0] <= 10.0 and (rows < 4 or case[2])) or case[0] >= 100.0:
                 assert svd_calls == ([(1,)] if case[0] >= 100.0 else [])
             assert_matches_pinv(x, a)
         # A deficient matrix in the second set: the mask marks that set alone.
@@ -362,8 +379,8 @@ class TestRightInverseDecisions:
             conds = [1.0] * 6
         elif rows == cols:
             conds = [1.0, 1e8, 10.0, 1e9, 1e3, 1e2]
-        else:
-            conds = [1.0, 1e2, 10.0, 1e3, 3.0, 2.0]
+        else:  # a 4x4 Gram's bound clears a spread spectrum up to cond(A) ~ 8
+            conds = [1.0, 1e2, 10.0 if rows < 4 else 5.0, 1e3, 3.0, 2.0]
         mats = np.array([planted_wide(rng, rows, cols, c, 1.0, False) for c in conds])
         x = right_inverse(mats.reshape(3, 1, 2, rows, cols), "planted")
         assert svd_calls == ([(2,)] if rows > 1 else [])
@@ -385,6 +402,22 @@ class TestRightInverseDecisions:
             mats = cn(rng, (12, rows, cols))
             mats[5] = plant
             self.check_stack(mats, 3, devices=2)
+
+
+class TestClosedFormCertificate:
+    """The 4x4 closed form clears a matrix only where its determinant,
+    less the 16u ||A||_F^4 its rounding may reach, proves the bound."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-110, 1.0, 1e110, 1e170])
+    def test_singular_never_clears(self, scale):
+        # Row 3 repeats row 0, so det A is exactly 0, while the computed
+        # one is mostly rounding. At an infinite limit the rounding term is
+        # all the threshold holds, and it still rejects every matrix.
+        mats = scale * cn(rng_for(40), (400, 4, 4))
+        mats[:, 3] = mats[:, 0]
+        assert np.count_nonzero(linalg._adjugate4(mats / scale)[0]) > 200
+        clear, x = linalg._certified_inverse(mats, np.inf)
+        assert not clear.any() and np.isfinite(x).all()
 
 
 class TestRightInverseSvdCount:
@@ -596,7 +629,7 @@ class TestMm:
     # (T, 1, 2) against (T, K, 2) leading axes on either side: the left
     # operand spread as beamformer[..., None, :, :, :] meets the direct
     # stack, the right one as reference[..., None, :, :, :] meets the cross
-    # stack in the IA solve.
+    # channels' closed-form inverses in the IA stage.
     SPREAD, STACK = (3, 1, 2), (3, 5, 2)
 
     @pytest.mark.parametrize("inner", [1, 2, 3, 4])

@@ -336,6 +336,34 @@ class TestGuardFastPath:
         channels.cross[2, 150, 0] = np.eye(m)
         assert sia_rejects(channels, *bases).tolist() == [False] * 3
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_planted_spectra(self, m, svd_calls):
+        # At M = 2 and 4 the IA stage's certificate is the closed-form
+        # inverse's own. Planted cross matrices at every condition number
+        # and scale (1e+-110 inside the 2x2 window but rescaled at 4x4,
+        # 1e+-170 rescaled at both) get the SVD test's mask, stacked and one set at a time, with no
+        # overflow or invalid operation. Each direct channel equals its
+        # cross channel, so the effective channel is beamformer @ reference
+        # and the SA stage certifies it without an SVD.
+        bound = TestConditioningBound
+        rng = np.random.default_rng(30 + m)
+        cases = [(cond, scale, clustered) for cond in bound.CONDS for scale in bound.SCALES
+                 for clustered in (True, False)]
+        cross = np.array([[planted(rng, m, *case) for _ in range(2)] for case in cases])
+        channels = ChannelSet(cross.copy()[:, None], cross[:, None])
+        bases = reference_pair(rng, m)
+        expected = svd_guard(channels)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(sia_rejects(channels, *bases), expected)
+        for i, bad in enumerate(expected):
+            alone = ChannelSet(channels.direct[i], channels.cross[i])
+            assert sia_rejects(alone, *bases) == bad
+        # Well inside the limit the certificate decides at every scale.
+        well = np.array([clustered and cond <= 1e6 for cond, _, clustered in cases])
+        del svd_calls[:]
+        build_sia_matrices(ChannelSet(channels.direct[well], channels.cross[well]), *bases)
+        assert svd_calls == []
+
     def test_low_limit_redraws_match_svd_guard(self, monkeypatch):
         # With COND_LIMIT = 4 many sets are rejected, each as the SVD-only
         # test of its cross matrices rejects it, from a chunk's streams or
