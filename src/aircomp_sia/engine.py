@@ -141,10 +141,7 @@ def _run_chunk(config, generators, buffer, symbols=None):
     leak_ratio = np.where(interference_power > 0.0, leak_power / safe, 0.0)
     beam_noise = _project(beamformer, noise_unit)
     signal_power = np.sum(np.abs(desired) ** 2, axis=(-2, -1)) / (2.0 * config.antennas)
-    aligned = np.stack([
-        aligned_interference_dimension(i, channels, precoders, reference, beamformer)
-        for i in (0, 1)
-    ], axis=-1)
+    aligned = aligned_interference_dimension(channels, precoders, reference, beamformer)
 
     # float_power is libm pow, as Python's float ** is, so every grid point
     # matches a scalar evaluation at that point to the bit.

@@ -84,18 +84,17 @@ def build_sia_matrices(channels, reference, beamformer):
     return mm(aligned, sa)
 
 
-def aligned_interference_dimension(cell, channels, precoders, reference, beamformer):
-    """Dimension cell `cell` occupies at the other AP after precoding.
+def aligned_interference_dimension(channels, precoders, reference, beamformer):
+    """Dimension each cell occupies at the other AP after precoding, (..., 2).
 
-    Numerical rank of the M x (K * dof) horizontal stack of the
-    cross-channel blocks cross[k, cell] @ precoders[k, cell]; an int
+    Entry i is the numerical rank of the M x (K * dof) horizontal stack of
+    cell i's cross-channel blocks cross[k, i] @ precoders[k, i]; an int
     array over any leading axes. `aligned_rank` certifies it without an
     SVD through the unitary [V, W^H] of the cell's reference V and the
     other AP's beamformer W, the pair build_reference_matrices gives.
     """
-    precoders = np.asarray(precoders)
-    blocks = mm(channels.cross[..., cell, :, :], precoders[..., cell, :, :])
-    stack = np.moveaxis(blocks, -3, -2)
-    basis = np.concatenate([reference[..., cell, :, :].conj().swapaxes(-1, -2),
-                            beamformer[..., 1 - cell, :, :]], axis=-2)
+    blocks = mm(channels.cross, np.asarray(precoders))
+    stack = np.moveaxis(blocks, -4, -2)
+    basis = np.concatenate([reference.conj().swapaxes(-1, -2), beamformer[..., ::-1, :, :]],
+                           axis=-2)
     return aligned_rank(stack.reshape(stack.shape[:-2] + (-1,)), basis, reference.shape[-1])

@@ -53,10 +53,8 @@ class SystemConfig:
 
     def validate(self):
         for name in INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            check = _u64 if name == "seed" else _integer
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.antennas == 1:
             raise ConfigError("M=1 yields zero AirComp DoF")
         if self.antennas < 1:
@@ -65,8 +63,6 @@ class SystemConfig:
             raise ConfigError(f"devices must be positive, got {self.devices}")
         if self.trials < 1:
             raise ConfigError(f"trials must be positive, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
         try:
@@ -199,13 +195,18 @@ def _mix(x, y):
 _BOOLS = (bool, np.bool_)
 
 
-def _u64(value, what):
+def _integer(value, what):
+    """`value` as an int: any integer but a bool, else ConfigError."""
     try:
         if type(value) in _BOOLS:
             raise TypeError("bool")
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError as exc:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _u64(value, what):
+    value = _integer(value, what)
     if not 0 <= value < 2**64:
         raise ConfigError(f"{what} must fit in an unsigned 64-bit integer, got {value}")
     return value

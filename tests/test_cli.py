@@ -157,8 +157,8 @@ class TestRun:
         # at M = 4 breaks the other half of the claim: exit 4, result written.
         from aircomp_sia import engine
 
-        def spread(cell, channels, precoders, reference, beamformer):
-            return np.full(channels.cross.shape[:-4], 3)
+        def spread(channels, precoders, reference, beamformer):
+            return np.full(channels.cross.shape[:-4] + (2,), 3)
 
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")
         monkeypatch.setattr(engine, "aligned_interference_dimension", spread)

@@ -140,9 +140,10 @@ def test_solve_and_inv_calls_per_chunk(monkeypatch, svd_calls, scheme, m):
     # at even M), its Gram when wide (sia at odd M, no_ia, genie). Up to
     # dof = 2 (M <= 5) that inverse is closed-form; above it takes one inv,
     # after its own slogdet over the whole stack. None gets a cross
-    # channel. Any later slogdet is an aligned-rank check's Gram
-    # certificate, over one matrix per trial; genie's aligned stacks are
-    # zero, and take neither that nor an SVD.
+    # channel. Any later slogdet is a Gram certificate of the one
+    # aligned-rank check, at most two (its Y blocks, its whole blocks), over
+    # one matrix per trial and cell, both cells in one stack; genie's
+    # aligned stacks are zero, and take neither that nor an SVD.
     calls = {"solve": [], "inv": [], "slogdet": []}
     real = {name: getattr(np.linalg, name) for name in calls}
 
@@ -164,7 +165,7 @@ def test_solve_and_inv_calls_per_chunk(monkeypatch, svd_calls, scheme, m):
     assert [shape[-2:] for shape in calls["inv"]] == [(dof, dof)] * len(sa)
     assert calls["slogdet"][:len(ia) + len(sa)] == ia + sa
     grams = calls["slogdet"][len(ia) + len(sa):]
-    assert all(len(shape) == 3 and shape[0] <= 4 for shape in grams)
+    assert len(grams) <= 2 and all(len(shape) == 3 and shape[0] <= 8 for shape in grams)
     if scheme == "sia" and m in (2, 4):
         assert grams == []
     if scheme == "genie":

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from aircomp_sia.baselines import build_no_ia_precoders
+from aircomp_sia.baselines import build_no_ia_precoders, genie_channels
 from aircomp_sia.errors import RankDeficient
+from aircomp_sia.linalg import numerical_rank
 from aircomp_sia.sia import (
     aligned_interference_dimension,
     build_reference_matrices,
@@ -315,9 +316,38 @@ class TestAlignedDimension:
         cfg, rng, channels, reference, beam, precoder = sia_setup(m, k, seed=7 * m + k)
         part = partition(m)
         assert expected == min(k * part.signal_dim, part.interference_dim)
-        for i in (0, 1):
-            got = aligned_interference_dimension(i, channels, precoder, reference, beam)
-            assert got == expected
+        got = aligned_interference_dimension(channels, precoder, reference, beam)
+        assert np.array_equal(got, [expected, expected])
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+    @pytest.mark.parametrize("m", [2, 4, 5])
+    def test_break_in_one_cell(self, svd_calls, scheme, m):
+        # A 1e-6 nudge to one entry of cell 0's first precoder adds one
+        # direction outside sia's N' reference dimensions in cell 0 alone.
+        # Each cell must be ranked on its own blocks and its own basis: a
+        # swapped cell moves the N' + 1, and an unflipped beamformer is no
+        # unitary basis, so sia's intact cell 1 would take the SVD too.
+        trials = 3
+        cfg = config_for(m, 3, scheme=scheme)
+        draws, channels, _, _ = draw_chunk(cfg, range(trials))
+        reference, beam = build_reference_matrices(draws)
+        if scheme == "sia":
+            precoders = build_sia_matrices(channels, reference, beam)
+        else:
+            if scheme == "genie":
+                channels = genie_channels(channels)
+            precoders = build_no_ia_precoders(channels, beam)
+        precoders[:, 0, 0, 0, 0] += 1e-6
+        got = aligned_interference_dimension(channels, precoders, reference, beam)
+        svd_matrices = sum(np.prod(shape, dtype=int) for shape in svd_calls)
+        blocks = channels.cross @ precoders
+        own = [[numerical_rank(np.hstack(list(blocks[t, :, i]))) for i in (0, 1)]
+               for t in range(trials)]
+        assert got.shape == (trials, 2) and np.array_equal(got, own)
+        if scheme == "sia":
+            n = partition(m).interference_dim
+            assert np.array_equal(got, [[n + 1, n]] * trials)
+            assert svd_matrices <= trials
 
 
 class TestRecover:

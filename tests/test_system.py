@@ -87,6 +87,7 @@ class TestConfigValidation:
         {"snr_db_grid": (True, 2.0)},
         {"snr_db_grid": (1.0, np.True_)},
         {"snr_db_grid": np.array([False, True])},
+        {"antennas": np.array(4.0)},
     ])
     def test_rejects(self, kw):
         base = dict(antennas=4, devices=2, snr_db_grid=(0.0,), trials=1)
