@@ -31,6 +31,7 @@ from .functions import FunctionSpec, postprocess, preprocess
 from .linalg import mm
 from .sia import aligned_interference_dimension, build_reference_matrices, build_sia_matrices
 from .system import (
+    _integer,
     draw_channels,
     draw_trials,
     partition,
@@ -72,7 +73,6 @@ class TrialResult:
     noise: np.ndarray         # (2, dof) beamformed unit-variance noise
     err_power: np.ndarray     # (2, P) ||err||^2 per cell
     sig_power: np.ndarray     # (2,) ||target||^2 per cell
-    nmse: np.ndarray          # (2, P) err_power / sig_power
     noise_std: np.ndarray     # (P,)
     leakage: np.ndarray       # (2,) per AP, post-beamforming interference power ratio
     aligned_rank: np.ndarray  # (2,) per interfering cell, at the victim AP
@@ -157,12 +157,11 @@ def _run_chunk(config, generators, buffer, symbols=None):
         err_power = err_power + power[..., j, :]
     sig_power = np.sum(np.abs(target) ** 2, axis=-1)
     # Functional data can aggregate to exactly zero (a sum that cancels, a
-    # geomean of product 1); its ratios are then stored as inf or nan.
+    # geomean of product 1); its residual is then stored as inf or nan.
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = np.sqrt(np.sum(np.abs(noiseless) ** 2, axis=(-2, -1)) / sig_power.sum(axis=-1))
-        nmse = err_power / sig_power[..., None]
     return TrialResult(target=target, noiseless=noiseless, noise=beam_noise,
-                       err_power=err_power, sig_power=sig_power, nmse=nmse,
+                       err_power=err_power, sig_power=sig_power,
                        noise_std=noise_std, leakage=leak_ratio, aligned_rank=aligned,
                        residual=residual, redraws=redraws)
 
@@ -341,10 +340,14 @@ def run_sweep(config, workers=None):
     `workers` is None (worker_count()) or an integer of at least 1, or
     ConfigError is raised.
     """
+    try:
+        valid = workers is None or _integer(workers, "workers") >= 1
+    except ConfigError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
     if workers is None:
         workers = worker_count()
-    elif isinstance(workers, (bool, np.bool_)) or not hasattr(workers, "__index__") or workers < 1:
-        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
     ranges = np.array_split(np.arange(config.trials), min(config.trials, workers))
     if len(ranges) == 1:
         batches = [run_trials(config, ranges[0])]
@@ -370,7 +373,9 @@ def run_sweep(config, workers=None):
     grid = config.snr_db_grid
     cells = merged.err_power[:, 0] + merged.err_power[:, 1]
     nmse_mean = cells.sum(axis=0) / merged.sig_power.sum()
-    nmse_median = np.median(merged.nmse.reshape(-1, len(grid)), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero target gives inf or nan
+        nmse = merged.err_power / merged.sig_power[..., None]
+    nmse_median = np.median(nmse.reshape(-1, len(grid)), axis=0)
     predicted = np.float_power(merged.noise_std, 2) / config.devices
     gap = cells / 2 / (config.devices * partition(config.antennas).signal_dim) - predicted
     if config.trials > 1:

@@ -1,11 +1,23 @@
-"""Dense complex linear algebra: rank, the conditioning test and right
-inverses, each certified by a condition-number bound where one clears and
-decided by the SVD elsewhere, and the tolerances they share.
+"""Dense complex linear algebra: rank, certified solves and right
+inverses, and the tolerances they share.
 
 Every function takes a matrix or a stack of matrices with any number of
 leading axes and works on each matrix independently. All tolerances are
 relative to the largest singular value, so the decisions are invariant
-to overall scaling.
+to overall scaling. A matrix's path is set by its role and size, here
+alone (dof = M // 2; `right_inverse`'s matrix is square for sia at even
+M, wide otherwise; r = min(rows, cols) of the matrix whose Gram it is):
+
+    matrix, size (function)                  limit             closed form    else
+    IA cross, M x M (certified_solve)        COND_LIMIT        M = 2, 4       bound, solve
+    square right inverse, dof x dof          1/FULL_RANK_RTOL  dof = 1, 2, 4  bound, inv
+    wide right inverse's Gram, dof x dof     _GRAM_LIMIT       dof = 1, 2, 4  bound, inv
+    aligned-rank Gram, r x r (aligned_rank)  1e11              r <= 2         bound
+
+"closed form" is `_certified_inverse`: adj(A) / det A behind its own
+determinant certificate, no LAPACK call. "bound" is `cond_bound_clears`,
+one slogdet. A matrix neither clears takes the SVD, whose exact test
+makes every raise, mask and rank; each result depends on its matrix alone.
 """
 
 from __future__ import annotations
@@ -24,11 +36,9 @@ RANK_RTOL = 1e-8
 FULL_RANK_RTOL = 1e-10
 
 # A matrix is cleared without an SVD only when its condition-number bound
-# sits at least this factor below the caller's limit (COND_LIMIT for
-# `ill_conditioned`, 1/FULL_RANK_RTOL for square right inverses,
-# _GRAM_LIMIT for the Grams of wide ones, 1e11 for the Gram matrices of
-# `aligned_rank`). The determinant from LU with partial pivoting (slogdet)
-# is, up to O(M u) relative rounding in the product of pivots, the exact
+# sits at least this factor below its limit in the module's table. The
+# determinant from LU with partial pivoting (slogdet) is, up to O(M u)
+# relative rounding in the product of pivots, the exact
 # determinant of A + E with ||E|| <= c(M) rho u ||A|| (u = 1.1e-16 the
 # unit roundoff, rho the pivot growth, c(M) about M^2). The singular
 # values the exact test compares are within p(M) u sigma_1 of the true
@@ -48,7 +58,7 @@ _BOUND_MARGIN = 1e3
 # Set by accuracy, not speed: the normal equations' error grows like u cond(A)^2
 # and stays within 1e-12 + 1e-14 cond(A) of pinv while cond(A) <= 31.6.
 _GRAM_LIMIT = 1e6
-# Sizes `_certified_inverse` inverts in closed form, with no LAPACK call.
+# The table's closed-form sizes.
 CLOSED_FORM_SIZES = (1, 2, 4)
 
 
@@ -115,9 +125,9 @@ def _adjugate4(a):
 
 
 def _certified_inverse(mats, limit):
-    """(clear, x): x = A^-1 where `cond_bound_clears` certifies A at `limit`,
-    a finite placeholder elsewhere. 1x1, 2x2 and 4x4 take no LAPACK call
-    and x = adj(A) / det A. 1x1 clears unless 0. 2x2 takes cond(A) <=
+    """(clear, x): x = A^-1 where A is certified at `limit`, a finite
+    placeholder elsewhere; the closed form at CLOSED_FORM_SIZES, bound and
+    inv at others. 1x1 clears unless 0. 2x2 takes cond(A) <=
     ||A||_F^2 / |det A|, det = ps - qr being good to 4u ||A||_F^2 (|ps| +
     |qr| <= ||A||_F^2 / 2, a complex product good to 2 sqrt(2) u). 4x4
     takes cond_bound_clears' cond(A) <= 3^(-3/2) ||A||_F^4 / |det A| from
@@ -150,27 +160,10 @@ def _certified_inverse(mats, limit):
     return clear, adj
 
 
-def ill_conditioned(mats, clear=None):
-    """Mask over the leading axes of a stack of square matrices: True where
-    sigma_1 > COND_LIMIT * sigma_M or sigma_1 = 0. `cond_bound_clears`, or
-    the caller's `clear` from a certificate at COND_LIMIT, clears most
-    matrices without an SVD; the exact test on the SVD decides every other
-    one, so the mask is that test's verdict on every matrix."""
-    unsure = ~(cond_bound_clears(mats, COND_LIMIT) if clear is None else clear)
-    bad = np.zeros(mats.shape[:-2], dtype=bool)
-    if unsure.any():
-        s = np.linalg.svd(mats[unsure], compute_uv=False)
-        bad[unsure] = ~((s[..., 0] != 0.0) & (s[..., 0] <= COND_LIMIT * s[..., -1]))
-    return bad
-
-
 def mm(a, b):
-    """`a @ b` on stacks; for inner dimensions 1 to 4 a sum of broadcast
-    rank-one terms in column order, a few whole-stack passes in place of a
-    per-matrix matmul call. Over 2,000-matrix complex stacks (2-vCPU VM, BLAS
-    on one thread) it took 1.0-5.8x less time than matmul on the hot path's
-    shapes at inner dimensions 1 to 4, was mixed at 5 and took 3-11x more at
-    8 and 16."""
+    """`a @ b` on stacks; for inner dimensions 1 to 4, where it is faster
+    than matmul, a sum of broadcast rank-one terms in column order: a few
+    whole-stack passes in place of a per-matrix matmul call."""
     n = a.shape[-1]
     if n > 4:
         return a @ b
@@ -178,6 +171,11 @@ def mm(a, b):
     for j in range(1, n):
         out += a[..., :, j, None] * b[..., j, None, :]
     return out
+
+
+def complete_qr(a):
+    """Q (..., M, M) of each matrix's complete QR (Golub & Van Loan, 4th ed., 5.2)."""
+    return np.linalg.qr(a, mode="complete")[0]
 
 
 def numerical_rank(a):
@@ -243,15 +241,10 @@ def right_inverse(a, message):
     devices of one channel set. Raises RankDeficient(message) when a
     matrix lacks full row rank, s_rows <= FULL_RANK_RTOL * s_1 on its
     singular values; its `failed` mask marks the channel sets, the entries
-    of the leading axes, that hold one.
-
-    The path is chosen per matrix, so each inverse depends on its matrix
-    alone. `_certified_inverse` inverts A itself at 1/FULL_RANK_RTOL when
-    square, and when wide the Gram G = B B^H of B = A / max|a_ij| at
-    _GRAM_LIMIT, A^+ being B^H G^-1 / max|a_ij| (the normal equations,
-    Golub & Van Loan, 4th ed., 5.3). Every other matrix takes one SVD,
-    serving both the rank test and the inverse, so every raise and mask is
-    the SVD test's.
+    of the leading axes, that hold one. A wide A's Gram is G = B B^H, B =
+    A / max|a_ij|, and A^+ = B^H G^-1 / max|a_ij| (the normal equations,
+    Golub & Van Loan, 4th ed., 5.3). An SVD serves both the rank test and
+    the inverse.
     """
     rows, cols = a.shape[-2:]
     if rows == cols:
@@ -272,4 +265,28 @@ def right_inverse(a, message):
         if deficient.any():
             raise RankDeficient(message, failed=deficient.any(axis=(-2, -1)))
         x[unsure] = vh.conj().swapaxes(-1, -2) @ (u.conj().swapaxes(-1, -2) / s[..., :, None])
+    return x
+
+
+def certified_solve(a, b, message):
+    """A^-1 b for per-device matrices a (..., K, 2, M, M), b broadcasting as for
+    `np.linalg.solve`. Raises RankDeficient(message), `failed` as in `right_inverse`,
+    where sigma_1 > COND_LIMIT * sigma_M (read at each call) or sigma_1 = 0."""
+    closed = a.shape[-1] in CLOSED_FORM_SIZES
+    if closed:
+        clear, inverse = _certified_inverse(a, COND_LIMIT)
+    else:
+        clear = cond_bound_clears(a, COND_LIMIT)
+    unsure = ~clear
+    if unsure.any():
+        s = np.linalg.svd(a[unsure], compute_uv=False)
+        bad = np.zeros(a.shape[:-2], dtype=bool)
+        bad[unsure] = ~((s[..., 0] != 0.0) & (s[..., 0] <= COND_LIMIT * s[..., -1]))
+        if bad.any():
+            raise RankDeficient(message, failed=bad.any(axis=(-2, -1)))
+    if not closed:
+        return np.linalg.solve(a, b)
+    x = mm(inverse, b)
+    if unsure.any():
+        x[unsure] = np.linalg.solve(a[unsure], np.broadcast_to(b, x.shape)[unsure])
     return x

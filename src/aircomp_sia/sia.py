@@ -3,11 +3,9 @@
 Each device cascades three stages. An interference-alignment stage maps
 the cell's common reference matrix through the inverse of the device's
 cross channel, after a condition-number test has certified every cross
-channel: a closed-form inverse where the channel is 1x1, 2x2 or 4x4 and
-clears that inverse's own certificate, a solve with no inverse formed
-elsewhere. Every device of the cell then reaches the neighbour AP
-through that reference, which confines the whole cell's interference to
-a fixed low-dimensional subspace regardless of the device count. The
+channel. Every device of the cell then reaches the neighbour AP through
+that reference, which confines the whole cell's interference to a fixed
+low-dimensional subspace regardless of the device count. The
 reference matrix itself is the second stage. A signal-alignment stage
 then right-inverts the effective home-AP channel so the wanted symbols
 arrive pre-summed. Each AP projects its received vector onto the
@@ -22,9 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
-from .errors import RankDeficient
-from .linalg import aligned_rank, ill_conditioned, mm, right_inverse
+from .linalg import aligned_rank, certified_solve, complete_qr, mm, right_inverse
 
 
 def build_reference_matrices(draws):
@@ -34,17 +30,15 @@ def build_reference_matrices(draws):
     `draws` (..., 2, M, N'), N' = partition(M).interference_dim, holds
     each cell's draw. reference, of the same shape, holds the first N'
     columns of each Q: orthonormal, and the subspace the cell's
-    interference is aligned to. beamformer (..., 2, M - N', M)
-    holds in block i the trailing columns of the other cell's Q,
-    conjugate-transposed: its rows are orthonormal and span the orthogonal
-    complement of that cell's reference (Golub & Van Loan, §5.2), so
-    beamformer[i] @ reference[1 - i] = 0.
+    interference is aligned to. beamformer (..., 2, M - N', M) holds in
+    block i the trailing columns of the other cell's Q, conjugate-transposed:
+    its rows are orthonormal and span the orthogonal complement of that
+    cell's reference, so beamformer[i] @ reference[1 - i] = 0.
     """
     n = draws.shape[-1]
-    q, _ = np.linalg.qr(draws, mode="complete")
-    # Both are copied out contiguous: on strided views the stacked products
-    # that use them made small_dense sweeps about 8% slower (2-CPU VM, BLAS
-    # on one thread).
+    q = complete_qr(draws)
+    # Both are copied out contiguous: on strided views the products that use
+    # them made small_dense sweeps about 8% slower (2-CPU VM, one BLAS thread).
     reference = np.ascontiguousarray(q[..., :n])
     return reference, np.ascontiguousarray(q[..., ::-1, :, n:].conj().swapaxes(-1, -2))
 
@@ -56,29 +50,12 @@ def build_sia_matrices(channels, reference, beamformer):
 
     Per device: aligned = cross^-1 @ reference, sa right-inverts the
     effective channel beamformer @ direct @ aligned, and the precoder is
-    aligned @ sa. A 1x1, 2x2 or 4x4 cross matrix (CLOSED_FORM_SIZES) is
-    inverted by `linalg._certified_inverse` at COND_LIMIT, read at each
-    call, or solved where that certificate does not clear it; at other
-    sizes every one is solved. Raises RankDeficient, marking the draws that
-    failed, when a cross channel is ill-conditioned (`ill_conditioned`, the
-    SVD test on every matrix the certificate does not clear) or an
-    effective channel loses row rank; the caller redraws those sets.
+    aligned @ sa. Raises RankDeficient, marking the draws that failed, when
+    a cross channel is ill-conditioned or an effective channel loses row
+    rank; the caller redraws those sets.
     """
-    cross, target = channels.cross, reference[..., None, :, :, :]
-    clear = None
-    if cross.shape[-1] in linalg.CLOSED_FORM_SIZES:
-        clear, inverse = linalg._certified_inverse(cross, linalg.COND_LIMIT)
-    bad = ill_conditioned(cross, clear)
-    if bad.any():
-        raise RankDeficient("cross channel ill-conditioned; redraw the channel set",
-                            failed=bad.any(axis=(-2, -1)))
-    if clear is None:
-        aligned = np.linalg.solve(cross, target)
-    else:
-        aligned, unsure = mm(inverse, target), ~clear
-        if unsure.any():
-            target = np.broadcast_to(target, aligned.shape)
-            aligned[unsure] = np.linalg.solve(cross[unsure], target[unsure])
+    aligned = certified_solve(channels.cross, reference[..., None, :, :, :],
+                              "cross channel ill-conditioned; redraw the channel set")
     effective = mm(mm(beamformer[..., None, :, :, :], channels.direct), aligned)
     sa = right_inverse(effective, "effective channel lost row rank; redraw the channel set")
     return mm(aligned, sa)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from aircomp_sia import engine, linalg
+from aircomp_sia.errors import RankDeficient
 from aircomp_sia.sia import build_reference_matrices
 from aircomp_sia.system import (
     _complex_normal,
@@ -79,6 +80,17 @@ def svd_rejects(a):
     brute-force oracle."""
     s = np.linalg.svd(a, compute_uv=False)
     return not (s[0] != 0.0 and s[0] <= linalg.COND_LIMIT * s[-1])
+
+
+def solve_rejects(mats):
+    """`linalg.certified_solve`'s verdict on each matrix of an (n, M, M)
+    stack: each is passed as a channel set of its own, so `failed` is that
+    matrix's verdict. All False when the stack is solved."""
+    try:
+        linalg.certified_solve(mats[:, None, None], np.eye(mats.shape[-1]), "planted")
+    except RankDeficient as exc:
+        return exc.failed
+    return np.zeros(len(mats), dtype=bool)
 
 
 def svd_guard(channels):

@@ -45,14 +45,15 @@ class TestRunTrial:
         assert np.all(np.sqrt(noiseless_nmse(res)) < 1e-8)
         assert np.all(res.leakage < 1e-9)
         assert np.array_equal(res.aligned_rank, [[2, 2]])
-        assert res.nmse.shape == (1, 2, 3)
+        assert res.err_power.shape == (1, 2, 3)
         assert res.noiseless.shape == (1, 2, 2)
 
     def test_deterministic(self):
         cfg = config_for(5, 2, seed=11)
         a = run_trials(cfg, [7])
         b = run_trials(cfg, [7])
-        assert np.array_equal(a.nmse, b.nmse)
+        assert np.array_equal(a.err_power / a.sig_power[..., None],
+                              b.err_power / b.sig_power[..., None])
         assert np.array_equal(a.err_power, b.err_power)
         assert np.array_equal(a.noise_std, b.noise_std)
 
@@ -485,7 +486,8 @@ class TestWorkerCount:
         assert fake_pools.sizes == [2]
         assert pooled.points == run_sweep(cfg, workers=1).points
 
-    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", True, np.bool_(True), np.float64(2.0)])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", True, np.bool_(True), np.float64(2.0),
+                                         np.array(1.5)])
     def test_sweep_rejects_bad_worker_count(self, fake_pools, workers):
         with pytest.raises(ConfigError, match="workers must be None or an integer"):
             run_sweep(config_for(2, 1, trials=4), workers=workers)
@@ -553,8 +555,8 @@ class TestTrialResultLayout:
             shape = getattr(res, f.name).shape
             assert shape[0] == t, f.name
             assert not (p in shape[1:] and dof in shape[1:]), f.name
-        assert res.err_power.shape == res.nmse.shape == (t, 2, p)
-        assert res.err_power.flags.c_contiguous and res.nmse.flags.c_contiguous
+        assert res.err_power.shape == (t, 2, p)
+        assert res.err_power.flags.c_contiguous
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_run_trials(self, monkeypatch, chunks):
@@ -611,7 +613,7 @@ class TestRunSweep:
             full = run_trials(cfg, range(3))
             for p, (pt, snr_db) in enumerate(zip(result.points, grid)):
                 res = run_trials(replace(cfg, snr_db_grid=(snr_db,)), range(3))
-                for name in ("err_power", "nmse", "noise_std"):
+                for name in ("err_power", "noise_std"):
                     assert np.array_equal(getattr(full, name)[..., p], getattr(res, name)[..., 0])
                 for name in ("target", "noiseless", "noise", "residual", "redraws"):
                     assert np.array_equal(getattr(full, name), getattr(res, name))
@@ -622,7 +624,7 @@ class TestRunSweep:
                 assert np.array_equal(full.err_power[..., p], in_order)
                 cells = res.err_power[:, 0, 0] + res.err_power[:, 1, 0]
                 assert pt.nmse_mean == float(cells.sum() / res.sig_power.sum())
-                assert pt.nmse_median == float(np.median(res.nmse))
+                assert pt.nmse_median == float(np.median(res.err_power / res.sig_power[..., None]))
                 assert pt.analytic_nmse == float((np.float_power(res.noise_std[:, 0], 2) / 3).mean())
 
     @pytest.mark.parametrize("chunks", [1, 2])
@@ -650,10 +652,10 @@ class TestRunSweep:
         assert len(sizes) == chunks
         dof = partition(m).signal_dim
         assert res.noiseless.shape == res.noise.shape == (6, 2, dof)
-        assert res.err_power.shape == res.nmse.shape == (6, 2, len(grid))
+        assert res.err_power.shape == (6, 2, len(grid))
         err_power = np.ascontiguousarray(res.err_power.swapaxes(1, 2))
         nmse_mean = err_power.sum(axis=(0, 2)) / res.sig_power.sum()
-        nmse_median = np.median(np.ascontiguousarray(res.nmse.swapaxes(1, 2)), axis=(0, 2))
+        nmse_median = np.median(err_power / res.sig_power[:, None, :], axis=(0, 2))
         gap = err_power.mean(axis=2) / (k * dof) - np.float_power(res.noise_std, 2) / k
         se = gap.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
         for p, pt in enumerate(result.points):
@@ -774,7 +776,7 @@ class TestRunFunctionalTrial:
     ])
     def test_zero_aggregate(self, kind, values, want):
         # Both cells aggregate to exactly zero: the estimate comes back
-        # without a divide-by-zero warning, and the stored ratios stay the
+        # without a divide-by-zero warning, and the stored residual is the
         # inf or nan that the division gives.
         cfg = config_for(4, 2)
         data = np.broadcast_to(np.array(values)[:, None, None], (2, 2, 2))
@@ -783,8 +785,8 @@ class TestRunFunctionalTrial:
         res = run_trials(cfg, [0], symbols)
         assert np.all(res.sig_power == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.array_equal(res.nmse, res.err_power / res.sig_power[:, :, None],
-                                  equal_nan=True)
+            residual = np.sqrt(np.sum(np.abs(res.noiseless) ** 2, axis=(-2, -1)) / 0.0)
+        assert np.array_equal(res.residual, residual, equal_nan=True)
 
 
 def sweep_body(result):

@@ -11,7 +11,7 @@ from aircomp_sia.linalg import (
     FULL_RANK_RTOL,
     RANK_RTOL,
     aligned_rank,
-    ill_conditioned,
+    certified_solve,
     mm,
     numerical_rank,
     right_inverse,
@@ -25,7 +25,7 @@ from aircomp_sia.system import (
     trial_normals,
 )
 
-from helpers import cn, reference_pair, run_chunk, span_residual, trial_streams
+from helpers import cn, reference_pair, run_chunk, solve_rejects, span_residual, trial_streams
 
 
 def rng_for(seed):
@@ -705,8 +705,11 @@ class TestNumericalRank:
 
 
 def test_condition_number_diag():
-    # The conditioning test keeps a matrix at exactly COND_LIMIT and
-    # rejects anything worse, including a singular one (condition number inf).
+    # The conditioning test keeps and solves a matrix at exactly COND_LIMIT
+    # and rejects anything worse, including a singular one (condition
+    # number inf).
     mats = np.array([np.diag([COND_LIMIT, 1.0]), np.diag([1.01 * COND_LIMIT, 1.0]),
                      np.zeros((2, 2))], dtype=complex)
-    assert ill_conditioned(mats).tolist() == [False, True, True]
+    assert solve_rejects(mats).tolist() == [False, True, True]
+    x = certified_solve(mats[:1, None, None], np.eye(2), "planted")
+    np.testing.assert_allclose(x[0, 0, 0], np.diag([1.0 / COND_LIMIT, 1.0]), rtol=1e-15, atol=0)

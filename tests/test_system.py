@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from aircomp_sia import linalg
 from aircomp_sia.engine import run_trials
 from aircomp_sia.errors import ConfigError, RankDeficient, SizeMismatch
-from aircomp_sia.linalg import ill_conditioned, numerical_rank
+from aircomp_sia.linalg import certified_solve, numerical_rank
 from aircomp_sia.sia import build_reference_matrices, build_sia_matrices
 from aircomp_sia.system import (
     ChannelSet,
@@ -22,7 +22,15 @@ from aircomp_sia.system import (
     trial_normals,
 )
 
-from helpers import cn, draw_chunk, reference_pair, svd_guard, svd_rejects, trial_streams
+from helpers import (
+    cn,
+    draw_chunk,
+    reference_pair,
+    solve_rejects,
+    svd_guard,
+    svd_rejects,
+    trial_streams,
+)
 
 
 def config_for(m, k, **kw):
@@ -204,7 +212,8 @@ class TestDrawChannels:
         # The IA stage's conditioning test should essentially never fire
         # for Gaussian cross channels at this size.
         cfg = config_for(16, 4)
-        rejected = [ill_conditioned(draw_channels(cfg, np.random.default_rng(seed)).cross).any()
+        rejected = [solve_rejects(draw_channels(cfg, np.random.default_rng(seed)).cross
+                                  .reshape(-1, 16, 16)).any()
                     for seed in range(25)]
         assert not any(rejected)
 
@@ -224,15 +233,16 @@ def planted(rng, m, cond, scale, clustered):
 
 def assert_matches_oracle(mats):
     expected = np.array([svd_rejects(a) for a in mats])
-    got = ill_conditioned(mats)
+    got = solve_rejects(mats)
     assert got.dtype == bool and got.shape == expected.shape
     assert np.array_equal(got, expected), np.nonzero(got != expected)
     return expected
 
 
 class TestConditioningBound:
-    """`ill_conditioned` clears most matrices on a log-determinant bound and
-    must give the exact SVD test's verdict on every matrix."""
+    """`certified_solve` clears most matrices on a certificate (the closed
+    form at M = 2 and 4, a log-determinant bound elsewhere) and must give
+    the exact SVD test's verdict on every matrix."""
 
     CONDS = (1.0, 10.0, 1e3, 1e6, 1e8, 1e9, 3e9, 1e10, 1e11,
              linalg.COND_LIMIT * (1 - 1e-3), linalg.COND_LIMIT,
@@ -253,11 +263,12 @@ class TestConditioningBound:
         assert expected.any() and not expected.all()
         # Each matrix alone gets the verdict it gets in the stack.
         for a, bad in zip(mats, expected):
-            assert ill_conditioned(a[None])[0] == bad
-        # Well inside the limit the bound decides at every scale, without an
-        # SVD; it is within sqrt(M - 1) of cond when s_1 = ... = s_(M-1).
+            assert solve_rejects(a[None])[0] == bad
+        # Well inside the limit the certificate decides at every scale,
+        # without an SVD; the bound is within sqrt(M - 1) of cond when
+        # s_1 = ... = s_(M-1).
         del svd_calls[:]
-        assert not ill_conditioned(mats[flat_top & (conds <= 1e6)]).any()
+        assert not solve_rejects(mats[flat_top & (conds <= 1e6)]).any()
         assert svd_calls == []
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
@@ -295,6 +306,10 @@ class TestConditioningBound:
         for m in (2, 4, 16):
             mats = cn(np.random.default_rng(m), (300, m, m))
             assert not assert_matches_oracle(mats).any()
+            # What it solves is the inverse, here against the identity.
+            x = certified_solve(mats[:, None, None], np.eye(m), "planted")[:, 0, 0]
+            np.testing.assert_allclose(x @ mats, np.broadcast_to(np.eye(m), mats.shape),
+                                       rtol=0, atol=1e-9)
 
 
 def sia_rejects(channels, reference, beamformer):
