@@ -80,9 +80,11 @@ class TrialResult:
     redraws: np.ndarray       # () channel-set redraws
 
 
-def _project(beamformer, vectors):
-    """Apply each AP's beamformer to its received vector: (..., 2, M) -> (..., 2, dof)."""
-    return mm(beamformer, vectors[..., None])[..., 0]
+def _project(beamformer, *vectors):
+    """Apply each AP's beamformer to each of its received vectors, in one
+    product: each (..., 2, M) -> (..., 2, dof), stored C-contiguous, so that
+    sums over its last axis add in one order whatever the layout."""
+    return np.ascontiguousarray(mm(beamformer, np.array(vectors)[..., None])[..., 0])
 
 
 def _build(config, channels, generators, reference, beamformer):
@@ -133,13 +135,12 @@ def _run_chunk(config, generators, buffer, symbols=None):
 
     desired, interference = superpose(channels, precoders, symbols)
     target = symbols.sum(axis=-3)
-    leak_vec = _project(beamformer, interference)
-    noiseless = (_project(beamformer, desired) - target) + leak_vec
+    leak_vec, received, beam_noise = _project(beamformer, interference, desired, noise_unit)
+    noiseless = (received - target) + leak_vec
     interference_power = np.sum(np.abs(interference) ** 2, axis=-1)
     leak_power = np.sum(np.abs(leak_vec) ** 2, axis=-1)
     safe = np.where(interference_power > 0.0, interference_power, 1.0)
     leak_ratio = np.where(interference_power > 0.0, leak_power / safe, 0.0)
-    beam_noise = _project(beamformer, noise_unit)
     signal_power = np.sum(np.abs(desired) ** 2, axis=(-2, -1)) / (2.0 * config.antennas)
     aligned = aligned_interference_dimension(channels, precoders, reference, beamformer)
 
@@ -375,7 +376,8 @@ def run_sweep(config, workers=None):
     nmse_mean = cells.sum(axis=0) / merged.sig_power.sum()
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero target gives inf or nan
         nmse = merged.err_power / merged.sig_power[..., None]
-    nmse_median = np.median(nmse.reshape(-1, len(grid)), axis=0)
+    # Each point's median runs along its own contiguous row of T * 2 ratios.
+    nmse_median = np.median(np.ascontiguousarray(nmse.reshape(-1, len(grid)).T), axis=-1)
     predicted = np.float_power(merged.noise_std, 2) / config.devices
     gap = cells / 2 / (config.devices * partition(config.antennas).signal_dim) - predicted
     if config.trials > 1:
@@ -384,20 +386,22 @@ def run_sweep(config, workers=None):
         se = np.full(len(grid), math.nan)
     leakage = float(merged.leakage.mean())
     aligned = int(merged.aligned_rank.max())
+    columns = (nmse_mean, nmse_median, predicted.mean(axis=0), gap.mean(axis=0), se)
     points = [
         SweepPoint(
             snr_db=snr_db,
             trials=config.trials,
-            nmse_mean=float(mean),
-            nmse_median=float(median),
+            nmse_mean=mean,
+            nmse_median=median,
             leakage_mean=leakage,
             aligned_rank=aligned,
-            analytic_nmse=float(analytic),
-            oracle_gap=float(gap_mean),
-            oracle_gap_se=float(gap_se),
+            analytic_nmse=analytic,
+            oracle_gap=gap_mean,
+            oracle_gap_se=gap_se,
         )
+        # tolist gives each column's entries as Python floats in one call.
         for snr_db, mean, median, analytic, gap_mean, gap_se in zip(
-            grid, nmse_mean, nmse_median, predicted.mean(axis=0), gap.mean(axis=0), se)
+            grid, *(column.tolist() for column in columns))
     ]
     lo = (min(grid) + max(grid)) / 2.0
     slope = fit_nmse_slope(grid, nmse_mean, lo=lo)

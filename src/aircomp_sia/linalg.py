@@ -18,10 +18,21 @@ M, wide otherwise; r = min(rows, cols) of the matrix whose Gram it is):
 determinant certificate, no LAPACK call. "bound" is `cond_bound_clears`,
 one slogdet. A matrix neither clears takes the SVD, whose exact test
 makes every raise, mask and rank; each result depends on its matrix alone.
+
+Per-device stacks are stored as entry planes: the two matrix axes
+outermost in memory, so that `_entry_planes(x)`, (rows, cols) + lead, is
+C-contiguous and each matrix entry is one contiguous plane over the
+stack (trials x devices x cells). Logical shapes are unchanged. `system`
+draws the channel stacks so at M <= 4, the sizes `mm` multiplies itself,
+and `mm` and the closed-form inverses return their results so: each of
+their elementwise passes is one long pass over a plane, not a short one
+per matrix. Any layout gives the same bits; matmul, which rounds
+differently off BLAS, is handed contiguous matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,22 +73,67 @@ _GRAM_LIMIT = 1e6
 CLOSED_FORM_SIZES = (1, 2, 4)
 
 
+@functools.cache
+def _plane_axes(ndim):
+    """The axis orders from a stack of `ndim` axes to its entry planes and back."""
+    return (ndim - 2, ndim - 1, *range(ndim - 2)), (*range(2, ndim), 0, 1)
+
+
+def _entry_planes(x):
+    """The view of x with its two matrix axes first: (rows, cols) + lead."""
+    return x.transpose(_plane_axes(x.ndim)[0])
+
+
+def _stack(planes):
+    """The stack (lead + (rows, cols)) whose entry planes are `planes`."""
+    return planes.transpose(_plane_axes(planes.ndim)[1])
+
+
+def _planes(x, lead):
+    """x's entry planes over the stack axes `lead`: a view where x has them,
+    else a copy spread along the axes x is broadcast on, so that no pass
+    runs along a short axis."""
+    if x.shape[:-2] == lead:
+        return _entry_planes(x)
+    out = np.empty(x.shape[-2:] + lead, dtype=x.dtype)
+    out[...] = _entry_planes(x[(None,) * (len(lead) + 2 - x.ndim)])
+    return out
+
+
+def _blas_ready(x):
+    """x, or a C-contiguous copy where no matrix axis has unit stride, as in
+    entry planes: matmul calls BLAS only on the first."""
+    return x if min(x.strides[-2:]) <= x.itemsize else np.ascontiguousarray(x)
+
+
+def _norm2(mats):
+    """||A||_F^2 per matrix, inf without a warning where it overflows, added
+    in memory order: entry by entry on entry planes, else matrix by matrix.
+    Only windows and certificate margins read it, far wider than the
+    rounding either order leaves."""
+    lead = mats.shape[:-2]
+    if not mats[..., 0, 0].flags.c_contiguous:
+        parts = np.ascontiguousarray(mats).view(np.float64)
+        return np.einsum("...ij,...ij->...", parts, parts)
+    parts = _entry_planes(mats).reshape(mats.shape[-2:] + (math.prod(lead),)).view(np.float64)
+    sums = np.einsum("ijk,ijk->k", parts, parts)
+    return (sums[0::2] + sums[1::2]).reshape(lead)
+
+
 def _unit_scaled(mats, window=800):
     """(mats, norm2 = ||A||_F^2, far, scale): where norm2 leaves [2^-window,
     2^window] (zero, non-finite, entries beyond about 2^+-(window / 2)) the
     matrix is divided by its largest |entry|, `scale`, and norm2 floored
     at 1."""
-    parts = np.ascontiguousarray(mats).view(np.float64)
-    norm2 = np.einsum("...ij,...ij->...", parts, parts)[...]  # an array even for 2-D
+    norm2 = _norm2(mats)
     far = ~((norm2 >= 2.0 ** -window) & (norm2 <= 2.0 ** window))
     scale = None
     if far.any():
         scale = np.abs(mats[far]).max(axis=(-2, -1), keepdims=True)
         scale[scale == 0.0] = 1.0
-        mats = mats.copy()
+        mats = mats.copy(order="K")
         mats[far] /= scale
-        unit = mats[far].view(np.float64)
-        norm2[far] = np.maximum(np.einsum("...ij,...ij->...", unit, unit), 1.0)
+        norm2[far] = np.maximum(_norm2(mats[far]), 1.0)
     return mats, norm2, far, scale
 
 
@@ -104,24 +160,25 @@ def _adjugate4(a):
     """(det, adj) of a stack of 4x4 matrices by Laplace expansion along rows
     0-1: det = sum of +-s c over the six 2x2 minors s of rows 0-1 and their
     complementary minors c of rows 2-3, and each adjugate entry three terms
-    a c or a s. Taken on contiguous per-entry planes, one copy of the stack."""
+    a c or a s. Taken on the entry planes; adj is returned as planes."""
+    lead = a.shape[:-2]
     (a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23,
-     a30, a31, a32, a33) = np.moveaxis(a.reshape(a.shape[:-2] + (16,)), -1, 0).copy()
+     a30, a31, a32, a33) = _entry_planes(a).reshape((16,) + lead)
     s0, s1, s2 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
     s3, s4, s5 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
     c0, c1, c2 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
     c3, c4, c5 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
     det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    adj = np.empty(a.shape[:-2] + (16,), dtype=a.dtype)
-    adj[..., 0], adj[..., 1] = a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3
-    adj[..., 2], adj[..., 3] = a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3
-    adj[..., 4], adj[..., 5] = a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1
-    adj[..., 6], adj[..., 7] = a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1
-    adj[..., 8], adj[..., 9] = a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0
-    adj[..., 10], adj[..., 11] = a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0
-    adj[..., 12], adj[..., 13] = a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0
-    adj[..., 14], adj[..., 15] = a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0
-    return det, adj.reshape(a.shape)
+    adj = np.empty((16,) + lead, dtype=a.dtype)
+    adj[0], adj[1] = a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3
+    adj[2], adj[3] = a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3
+    adj[4], adj[5] = a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1
+    adj[6], adj[7] = a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1
+    adj[8], adj[9] = a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0
+    adj[10], adj[11] = a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0
+    adj[12], adj[13] = a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0
+    adj[14], adj[15] = a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0
+    return det, _stack(adj.reshape((4, 4) + lead))
 
 
 def _certified_inverse(mats, limit):
@@ -149,7 +206,7 @@ def _certified_inverse(mats, limit):
         clear = det != 0.0
     elif n == 2:
         p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-        det, adj = p * s - q * r, np.stack([s, -q, -r, p], axis=-1).reshape(a.shape)
+        det, adj = p * s - q * r, _stack(np.stack([s, -q, -r, p]).reshape((2, 2) + s.shape))
         clear = np.abs(det) > (_BOUND_MARGIN / limit + 4 * 2.0 ** -53) * norm2
     else:
         det, adj = _adjugate4(a)
@@ -161,16 +218,28 @@ def _certified_inverse(mats, limit):
 
 
 def mm(a, b):
-    """`a @ b` on stacks; for inner dimensions 1 to 4, where it is faster
-    than matmul, a sum of broadcast rank-one terms in column order: a few
-    whole-stack passes in place of a per-matrix matmul call."""
+    """`a @ b` on stacks. For inner dimensions 1 to 4, where it is faster
+    than matmul, each output entry is a sum of products in column order on
+    the entry planes, returned as entry planes: every product and sum is
+    one pass over planes of one shape, which numpy takes without a buffer,
+    so the call holds its result and one plane more. An operand broadcast
+    along a stack axis is first spread to the full stack. Above 4, matmul."""
     n = a.shape[-1]
     if n > 4:
-        return a @ b
-    out = a[..., :, 0, None] * b[..., 0, None, :]
-    for j in range(1, n):
-        out += a[..., :, j, None] * b[..., j, None, :]
-    return out
+        return _blas_ready(a) @ _blas_ready(b)
+    lead = a.shape[:-2]
+    if b.shape[:-2] != lead:
+        lead = np.broadcast_shapes(lead, b.shape[:-2])
+    pa, pb = _planes(a, lead), _planes(b, lead)
+    out = np.empty(a.shape[-2:-1] + b.shape[-1:] + lead, dtype=np.promote_types(a.dtype, b.dtype))
+    term = np.empty(lead, dtype=out.dtype)
+    for i in range(out.shape[0]):
+        for k in range(out.shape[1]):
+            entry = out[i, k, ...]  # an array, even for 2-D operands
+            np.multiply(pa[i, 0, ...], pb[0, k, ...], out=entry)
+            for j in range(1, n):
+                entry += np.multiply(pa[i, j, ...], pb[j, k, ...], out=term)
+    return _stack(out)
 
 
 def complete_qr(a):

@@ -20,6 +20,11 @@ RESULT_COLUMNS = (
     "scheme", "M", "K", "snr_db", "trials", "nmse_mean", "nmse_median",
     "leakage_mean", "aligned_rank", "analytic_nmse", "dof_slope",
 )
+# fmt's rendering of a data row, in one format string: the float columns to
+# 12 significant digits, the others verbatim.
+_CSV_ROW = ",".join("{:.12g}" if column in ("snr_db", "nmse_mean", "nmse_median", "leakage_mean",
+                                            "analytic_nmse", "dof_slope") else "{}"
+                    for column in RESULT_COLUMNS)
 COMPARE_COLUMNS = ("scheme", "M", "K", "streams", "efficiency_num", "efficiency_den")
 SCHEMA_VERSION = 1
 
@@ -89,7 +94,7 @@ def sweep_rows(result):
 
 def write_result_csv(result, manifest, stream):
     lines = manifest.comment_lines() + [",".join(RESULT_COLUMNS)]
-    lines += [",".join(map(fmt, row.values())) for row in sweep_rows(result)]
+    lines += [_CSV_ROW.format(*row.values()) for row in sweep_rows(result)]
     stream.write("\n".join(lines) + "\n")
 
 

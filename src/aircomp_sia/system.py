@@ -292,13 +292,23 @@ def _complex_normal(normals, blocks, shape):
     times fl(1/sqrt(2)) into its view of the output. That is bit for bit
     a complex division by sqrt(2), which numpy takes as
     (re + im * 0) * fl(1/sqrt(2)), but for the sign of a zero part.
+    A block of per-device matrices, `shape` (K, 2, rows, cols), with at
+    most 4 columns, the inner dimensions `linalg.mm` takes on entry planes,
+    is stored as entry planes (see `linalg`), each block apart, and
+    written in that order.
     """
     lead = normals.shape[:-1]
     parts = np.moveaxis(normals.reshape(lead + (blocks, 2) + shape), len(lead) + 1, 0)
-    draws = np.empty(parts.shape[1:], dtype=np.complex128)
-    np.multiply(parts[0], 1.0 / math.sqrt(2.0), out=draws.real)
-    np.multiply(parts[1], 1.0 / math.sqrt(2.0), out=draws.imag)
-    return draws
+    order = None
+    if len(shape) == 4 and shape[-1] <= 4:
+        # Memory order: the blocks, the matrix axes, then the stack axes.
+        n = len(lead)
+        order = (n, n + 3, n + 4) + tuple(range(n)) + (n + 1, n + 2)
+        parts = parts.transpose((0,) + tuple(i + 1 for i in order))
+    memory = np.empty(parts.shape[1:], dtype=np.complex128)
+    np.multiply(parts[0], 1.0 / math.sqrt(2.0), out=memory.real)
+    np.multiply(parts[1], 1.0 / math.sqrt(2.0), out=memory.imag)
+    return memory if order is None else memory.transpose(np.argsort(order))
 
 
 def draw_trials(config, generators, buffer):
@@ -350,10 +360,14 @@ def superpose(channels, precoders, symbols):
     Returns (desired, interference), each of shape (..., 2, M). desired[i]
     accumulates direct[k, i] @ precoders[k, i] @ symbols[k, i] over the
     home cell; interference[i] accumulates the other cell's devices
-    through their cross channels.
+    through their cross channels. Both are C-contiguous, so that sums over
+    their last axes add in one order whatever the channels' layout.
     """
     precoders, symbols = _check_superpose_args(channels, precoders, symbols)
     tx = linalg.mm(precoders, symbols[..., None])
-    desired = linalg.mm(channels.direct, tx).sum(axis=-4)[..., 0]
-    caused = linalg.mm(channels.cross, tx).sum(axis=-4)[..., 0]
-    return desired, caused[..., ::-1, :].copy()
+    # np.add.accumulate adds the devices in order in any layout; on entry
+    # planes its passes run along the device axis, where a sum's would run
+    # along the two cells.
+    desired = np.add.accumulate(linalg.mm(channels.direct, tx), axis=-4)[..., -1, :, :, 0]
+    caused = np.add.accumulate(linalg.mm(channels.cross, tx), axis=-4)[..., -1, :, :, 0]
+    return np.ascontiguousarray(desired), caused[..., ::-1, :].copy()

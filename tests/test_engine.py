@@ -686,12 +686,16 @@ class TestRunSweep:
         assert abs(tail) < 0.02
 
     def test_worker_split_changes_nothing(self):
-        cfg = config_for(4, 3, trials=5, seed=2)
-        serial = run_sweep(cfg, workers=1)
-        pooled = run_sweep(cfg, workers=2)
-        for a, b in zip(serial.points, pooled.points):
-            assert a == b
-        assert serial.dof_slope == pooled.dof_slope
+        # K = 20 puts more than 8 devices on the device axis, where numpy
+        # would sum a contiguous run pairwise rather than in order.
+        for k in (3, 20):
+            cfg = config_for(4, k, trials=5, seed=2)
+            serial = run_sweep(cfg, workers=1)
+            pooled = run_sweep(cfg, workers=2)
+            for a, b in zip(serial.points, pooled.points):
+                assert a == b
+            assert serial.dof_slope == pooled.dof_slope
+            assert sweep_body(serial) == sweep_body(pooled)
 
     def test_prediction_gap_is_noise_level(self):
         cfg = config_for(4, 2, trials=300, seed=9, snr_db_grid=(10.0,))
@@ -806,8 +810,9 @@ class TestChunks:
     """Trials run in stacked chunks; a trial's result must not depend on
     the chunk it ran in."""
 
+    # K = 20: a device axis longer than 8, where numpy's sums go pairwise.
     @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
-    @pytest.mark.parametrize("m, k", [(2, 1), (4, 5), (5, 3), (6, 2)])
+    @pytest.mark.parametrize("m, k", [(2, 1), (4, 5), (4, 20), (5, 3), (6, 2)])
     def test_chunk_size_changes_nothing(self, monkeypatch, scheme, m, k):
         cfg = config_for(m, k, scheme=scheme, trials=7, seed=4,
                          snr_db_grid=(0.0, 10.0, 20.0, 30.0))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -645,6 +647,13 @@ class TestMm:
         assert got.shape == want.shape == self.STACK + (rows, cols)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("inner", [1, 2, 4])
+    def test_single_matrices(self, inner):
+        # No stack axes: each output entry is a 0-d plane.
+        rng = rng_for(inner)
+        a, b = cn(rng, (3, inner)), cn(rng, (inner, 2))
+        np.testing.assert_allclose(mm(a, b), a @ b, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("inner", [5, 16])
     def test_larger_inner_is_matmul(self, inner):
         rng = rng_for(inner)
@@ -669,6 +678,62 @@ class TestMm:
         g_inv = np.linalg.inv(cn(rng, self.STACK + (2, 2)))
         np.testing.assert_allclose(mm(bh, g_inv), bh @ g_inv, rtol=1e-13, atol=0)
         assert np.array_equal(mm(bh, g_inv), mm(np.ascontiguousarray(bh), g_inv))
+
+
+def is_entry_planes(x):
+    """The view with the two matrix axes first is C-contiguous: each matrix
+    entry is one contiguous plane over the stack."""
+    return np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+def planes_cn(rng, shape):
+    """CN(0, 1) draws of `shape` stored as entry planes."""
+    planes = cn(rng, shape[-2:] + shape[:-2])
+    return np.moveaxis(planes, (0, 1), (-2, -1))
+
+
+class TestEntryPlanes:
+    """The layout `linalg`'s docstring states: the channel draws at M <= 4,
+    and on entry-plane inputs the closed-form inverses and mm's products,
+    are entry planes, so that no stage mixes layouts and no pass runs along
+    a matrix axis."""
+
+    @pytest.mark.parametrize("m, k, planes", [(2, 1, True), (4, 20, True), (5, 3, False)])
+    def test_draws(self, m, k, planes):
+        cfg = SystemConfig(antennas=m, devices=k)
+        _, channels, _, _ = draw_trials(cfg, trial_streams(0, range(3)),
+                                        np.empty((3, trial_normals(cfg))))
+        for stack in (channels.direct, channels.cross):
+            assert is_entry_planes(stack) == planes
+
+    @pytest.mark.parametrize("n", linalg.CLOSED_FORM_SIZES)
+    def test_closed_form_inverse(self, n):
+        clear, inverse = linalg._certified_inverse(planes_cn(rng_for(n), (3, 5, 2, n, n)), 1e10)
+        assert clear.all() and is_entry_planes(inverse)
+
+    @pytest.mark.parametrize("inner", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lead_a, lead_b", [((3, 5, 2), (3, 5, 2)), ((3, 1, 2), (3, 5, 2)),
+                                                ((3, 5, 2), (3, 1, 2))])
+    def test_mm_product(self, inner, lead_a, lead_b):
+        rng = rng_for(inner)
+        a, b = planes_cn(rng, lead_a + (4, inner)), planes_cn(rng, lead_b + (inner, 2))
+        got = mm(a, b)
+        assert is_entry_planes(got)
+        assert np.array_equal(got, mm(np.ascontiguousarray(a), np.ascontiguousarray(b)))
+
+    def test_mm_peak_memory(self):
+        # A many_devices chunk's IA product, (5, 200, 2, 4, 4) @ (5, 200, 2, 4, 2):
+        # the product and one plane's temporary, nothing more.
+        rng = rng_for(9)
+        a, b = planes_cn(rng, (5, 200, 2, 4, 4)), planes_cn(rng, (5, 200, 2, 4, 2))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = mm(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * out.nbytes, (peak, out.nbytes)
 
 
 class TestNumericalRank:

@@ -99,6 +99,18 @@ class TestResultCsv:
         # write_result_csv writes each row's values in key order.
         assert all(tuple(row) == RESULT_COLUMNS for row in sweep_rows(small_result))
 
+    @pytest.mark.parametrize("grid", [(0.0, 10.0, 20.0), (17.5,)])
+    def test_rows_render_as_fmt(self, manifest, grid):
+        # Each data row is fmt's rendering of its cells; a one-point grid
+        # has no slope, so its dof_slope cell is nan.
+        result = run_sweep(SystemConfig(antennas=5, devices=2, snr_db_grid=grid, trials=3,
+                                        seed=2), workers=1)
+        buf = io.StringIO()
+        write_result_csv(result, manifest, buf)
+        data = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("#")][1:]
+        assert data == [",".join(map(fmt, row.values())) for row in sweep_rows(result)]
+        assert data[-1].endswith(",nan") == (len(grid) == 1)
+
     def test_roundtrip(self, small_result, manifest, tmp_path):
         path = tmp_path / "out.csv"
         with open(path, "w", encoding="utf-8") as fh:

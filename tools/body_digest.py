@@ -1,16 +1,18 @@
-"""One sha256 over the CSV bodies of a fixed set of 84 sweeps, and one
+"""One sha256 over the CSV bodies of a fixed set of 90 sweeps, and one
 over the outputs of 108 functional trials.
 
     python3 tools/body_digest.py --workers 2 [--bodies bodies.json]
 
 The sweeps are the 16 reference seeds of each of the three benchmark
 workload configs (read from benchmarks/workloads.py), then sia, no_ia and
-genie at (M, K) in {(2,1), (3,2), (4,5), (5,3), (6,2), (16,5)}, seeds 0
-and 1, with the default SNR grid and trial count. Each sweep's CSV is
+genie at (M, K) in {(2,1), (3,2), (4,5), (4,20), (5,3), (6,2), (16,5)},
+seeds 0 and 1, with the default SNR grid and trial count. K = 20 puts
+more than 8 devices on the device axis, where numpy would sum a
+contiguous run pairwise rather than in order. Each sweep's CSV is
 written as `aircomp run` writes it, and its body (the # block stripped) is
 hashed in that order. Equal digests at two worker counts, or for two
 checkouts on one machine, mean byte-identical bodies on every sweep.
-With `--bodies PATH` the 84 (config, body) pairs are also written to PATH
+With `--bodies PATH` the 90 (config, body) pairs are also written to PATH
 as a JSON list of {"config": flat config, "body": CSV body}, in hashing
 order, for tools/body_deviation.py to compare two checkouts column by
 column.
@@ -36,14 +38,14 @@ import workloads  # noqa: E402
 from gate import csv_body  # noqa: E402
 
 SCHEMES = ("sia", "no_ia", "genie")
-SHAPES = ((2, 1), (3, 2), (4, 5), (5, 3), (6, 2), (16, 5))
+SHAPES = ((2, 1), (3, 2), (4, 5), (4, 20), (5, 3), (6, 2), (16, 5))
 SEEDS = (0, 1)
 FUNCTIONAL_SHAPES = ((2, 1), (4, 3), (5, 2), (16, 2))
 FUNCTIONAL_SNRS = (None, 0.0, 17.5)
 
 
 def configs():
-    """The 84 sweep configs, in hashing order."""
+    """The 90 sweep configs, in hashing order."""
     from aircomp_sia import SystemConfig
 
     for name in workloads.WORKLOADS:
