@@ -19,15 +19,18 @@ determinant certificate, no LAPACK call. "bound" is `cond_bound_clears`,
 one slogdet. A matrix neither clears takes the SVD, whose exact test
 makes every raise, mask and rank; each result depends on its matrix alone.
 
-Per-device stacks are stored as entry planes: the two matrix axes
-outermost in memory, so that `_entry_planes(x)`, (rows, cols) + lead, is
-C-contiguous and each matrix entry is one contiguous plane over the
-stack (trials x devices x cells). Logical shapes are unchanged. `system`
-draws the channel stacks so at M <= 4, the sizes `mm` multiplies itself,
-and `mm` and the closed-form inverses return their results so: each of
-their elementwise passes is one long pass over a plane, not a short one
-per matrix. Any layout gives the same bits; matmul, which rounds
-differently off BLAS, is handed contiguous matrices.
+Per-device stacks are stored as entry planes where `mm` multiplies them
+itself, at inner dimensions up to _MM_INNER_MAX (M <= 4): the two matrix
+axes outermost in memory, so that `_entry_planes(x)`, (rows, cols) +
+lead, is C-contiguous and each matrix entry is one contiguous plane over
+the stack (trials x devices x cells). Logical shapes are unchanged.
+`system` draws the channel stacks in the order `plane_order` gives, `mm`
+returns planes where an operand is planes, and the closed-form inverses
+return their input's layout: each elementwise pass is then one long pass
+over a plane, not a short one per matrix. Above M = 4 every stack stays
+matrix-ordered (C), as matmul and LAPACK take it: matmul, which rounds
+differently off BLAS, as on operands with no unit-stride matrix axis,
+never sees planes. Up to _MM_INNER_MAX any layout gives the same bits.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ _BOUND_MARGIN = 1e3
 _GRAM_LIMIT = 1e6
 # The table's closed-form sizes.
 CLOSED_FORM_SIZES = (1, 2, 4)
+# The largest inner dimension `mm` multiplies itself, faster than matmul up
+# to here; the stacks it takes on the left are stored as entry planes.
+_MM_INNER_MAX = 4
 
 
 @functools.cache
@@ -89,6 +95,28 @@ def _stack(planes):
     return planes.transpose(_plane_axes(planes.ndim)[1])
 
 
+def _in_planes(x):
+    """True where each matrix entry of x is one contiguous plane over its stack."""
+    return x.size == 0 or x[..., 0, 0].flags.c_contiguous
+
+
+def stack_sum(x, axis):
+    """x summed over its stack axis `axis` in index order, C-contiguous.
+    A reduce of a C-contiguous stack adds in that order; on other layouts,
+    entry planes among them, it may run along the axis, pairwise past 8
+    terms, or along a short one, so np.add.accumulate adds there."""
+    if x.flags.c_contiguous:
+        return x.sum(axis=axis)
+    return np.take(np.add.accumulate(x, axis=axis), -1, axis=axis)
+
+
+def plane_order(shape):
+    """The memory order, outermost first, in which to store a new stack of
+    `shape` (lead + (rows, cols)): its entry planes where `mm` multiplies
+    it itself, cols <= _MM_INNER_MAX, else None for matrix order."""
+    return _plane_axes(len(shape))[0] if shape[-1] <= _MM_INNER_MAX else None
+
+
 def _planes(x, lead):
     """x's entry planes over the stack axes `lead`: a view where x has them,
     else a copy spread along the axes x is broadcast on, so that no pass
@@ -100,19 +128,13 @@ def _planes(x, lead):
     return out
 
 
-def _blas_ready(x):
-    """x, or a C-contiguous copy where no matrix axis has unit stride, as in
-    entry planes: matmul calls BLAS only on the first."""
-    return x if min(x.strides[-2:]) <= x.itemsize else np.ascontiguousarray(x)
-
-
 def _norm2(mats):
     """||A||_F^2 per matrix, inf without a warning where it overflows, added
     in memory order: entry by entry on entry planes, else matrix by matrix.
     Only windows and certificate margins read it, far wider than the
     rounding either order leaves."""
     lead = mats.shape[:-2]
-    if not mats[..., 0, 0].flags.c_contiguous:
+    if not _in_planes(mats):
         parts = np.ascontiguousarray(mats).view(np.float64)
         return np.einsum("...ij,...ij->...", parts, parts)
     parts = _entry_planes(mats).reshape(mats.shape[-2:] + (math.prod(lead),)).view(np.float64)
@@ -160,25 +182,26 @@ def _adjugate4(a):
     """(det, adj) of a stack of 4x4 matrices by Laplace expansion along rows
     0-1: det = sum of +-s c over the six 2x2 minors s of rows 0-1 and their
     complementary minors c of rows 2-3, and each adjugate entry three terms
-    a c or a s. Taken on the entry planes; adj is returned as planes."""
-    lead = a.shape[:-2]
+    a c or a s. Taken on contiguous entry planes, a's own or a copy; adj is
+    stored in a's layout."""
     (a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23,
-     a30, a31, a32, a33) = _entry_planes(a).reshape((16,) + lead)
+     a30, a31, a32, a33) = np.ascontiguousarray(_entry_planes(a).reshape((16,) + a.shape[:-2]))
     s0, s1, s2 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
     s3, s4, s5 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
     c0, c1, c2 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
     c3, c4, c5 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
     det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    adj = np.empty((16,) + lead, dtype=a.dtype)
-    adj[0], adj[1] = a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3
-    adj[2], adj[3] = a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3
-    adj[4], adj[5] = a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1
-    adj[6], adj[7] = a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1
-    adj[8], adj[9] = a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0
-    adj[10], adj[11] = a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0
-    adj[12], adj[13] = a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0
-    adj[14], adj[15] = a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0
-    return det, _stack(adj.reshape((4, 4) + lead))
+    adj = np.empty_like(a)
+    out = _entry_planes(adj)
+    out[0, 0], out[0, 1] = a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3
+    out[0, 2], out[0, 3] = a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3
+    out[1, 0], out[1, 1] = a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1
+    out[1, 2], out[1, 3] = a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1
+    out[2, 0], out[2, 1] = a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0
+    out[2, 2], out[2, 3] = a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0
+    out[3, 0], out[3, 1] = a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0
+    out[3, 2], out[3, 3] = a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0
+    return det, adj
 
 
 def _certified_inverse(mats, limit):
@@ -206,7 +229,9 @@ def _certified_inverse(mats, limit):
         clear = det != 0.0
     elif n == 2:
         p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-        det, adj = p * s - q * r, _stack(np.stack([s, -q, -r, p]).reshape((2, 2) + s.shape))
+        det, adj = p * s - q * r, np.empty_like(a)
+        out = _entry_planes(adj)
+        out[0, 0], out[0, 1], out[1, 0], out[1, 1] = s, -q, -r, p
         clear = np.abs(det) > (_BOUND_MARGIN / limit + 4 * 2.0 ** -53) * norm2
     else:
         det, adj = _adjugate4(a)
@@ -218,18 +243,27 @@ def _certified_inverse(mats, limit):
 
 
 def mm(a, b):
-    """`a @ b` on stacks. For inner dimensions 1 to 4, where it is faster
-    than matmul, each output entry is a sum of products in column order on
-    the entry planes, returned as entry planes: every product and sum is
-    one pass over planes of one shape, which numpy takes without a buffer,
-    so the call holds its result and one plane more. An operand broadcast
-    along a stack axis is first spread to the full stack. Above 4, matmul."""
+    """`a @ b` on stacks; for inner dimensions up to _MM_INNER_MAX, where it
+    is faster than matmul, each entry a sum of products in column order.
+    Where an operand with the full stack shape is stored as entry planes,
+    each output entry is formed on the planes, every product and sum one
+    pass over planes of one shape, and the result is planes; an operand
+    broadcast along a stack axis is first spread to the full stack. Else
+    the sum is of broadcast rank-one terms, and the result matrix-ordered.
+    The call holds its result and one term more, and a spread operand or,
+    on matrix order, numpy's iteration buffers (about 256 KiB)."""
     n = a.shape[-1]
-    if n > 4:
-        return _blas_ready(a) @ _blas_ready(b)
+    if n > _MM_INNER_MAX:
+        return a @ b
     lead = a.shape[:-2]
     if b.shape[:-2] != lead:
         lead = np.broadcast_shapes(lead, b.shape[:-2])
+    if not any(_in_planes(x) for x in (a, b) if x.shape[:-2] == lead):
+        out = np.multiply(a[..., :, 0, None], b[..., 0, None, :])
+        term = np.empty_like(out)
+        for j in range(1, n):
+            out += np.multiply(a[..., :, j, None], b[..., j, None, :], out=term)
+        return out
     pa, pb = _planes(a, lead), _planes(b, lead)
     out = np.empty(a.shape[-2:-1] + b.shape[-1:] + lead, dtype=np.promote_types(a.dtype, b.dtype))
     term = np.empty(lead, dtype=out.dtype)

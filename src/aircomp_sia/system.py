@@ -292,18 +292,17 @@ def _complex_normal(normals, blocks, shape):
     times fl(1/sqrt(2)) into its view of the output. That is bit for bit
     a complex division by sqrt(2), which numpy takes as
     (re + im * 0) * fl(1/sqrt(2)), but for the sign of a zero part.
-    A block of per-device matrices, `shape` (K, 2, rows, cols), with at
-    most 4 columns, the inner dimensions `linalg.mm` takes on entry planes,
-    is stored as entry planes (see `linalg`), each block apart, and
-    written in that order.
+    A block of per-device matrices, `shape` (K, 2, rows, cols), is stored
+    in the order `linalg.plane_order` gives its stack, each block apart,
+    and written in that order.
     """
     lead = normals.shape[:-1]
     parts = np.moveaxis(normals.reshape(lead + (blocks, 2) + shape), len(lead) + 1, 0)
-    order = None
-    if len(shape) == 4 and shape[-1] <= 4:
-        # Memory order: the blocks, the matrix axes, then the stack axes.
+    order = linalg.plane_order(lead + shape) if len(shape) == 4 else None
+    if order is not None:
+        # Memory order: the blocks, then the stack's axes in its order.
         n = len(lead)
-        order = (n, n + 3, n + 4) + tuple(range(n)) + (n + 1, n + 2)
+        order = (n,) + tuple(axis if axis < n else axis + 1 for axis in order)
         parts = parts.transpose((0,) + tuple(i + 1 for i in order))
     memory = np.empty(parts.shape[1:], dtype=np.complex128)
     np.multiply(parts[0], 1.0 / math.sqrt(2.0), out=memory.real)
@@ -365,9 +364,6 @@ def superpose(channels, precoders, symbols):
     """
     precoders, symbols = _check_superpose_args(channels, precoders, symbols)
     tx = linalg.mm(precoders, symbols[..., None])
-    # np.add.accumulate adds the devices in order in any layout; on entry
-    # planes its passes run along the device axis, where a sum's would run
-    # along the two cells.
-    desired = np.add.accumulate(linalg.mm(channels.direct, tx), axis=-4)[..., -1, :, :, 0]
-    caused = np.add.accumulate(linalg.mm(channels.cross, tx), axis=-4)[..., -1, :, :, 0]
-    return np.ascontiguousarray(desired), caused[..., ::-1, :].copy()
+    desired = linalg.stack_sum(linalg.mm(channels.direct, tx), -4)[..., 0]
+    caused = linalg.stack_sum(linalg.mm(channels.cross, tx), -4)[..., 0]
+    return desired, caused[..., ::-1, :].copy()
