@@ -16,6 +16,8 @@ any worker count.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import sys
@@ -37,7 +39,6 @@ from .system import (
     partition,
     streams,
     superpose,
-    trial_normals,
     trial_words,
 )
 
@@ -46,7 +47,7 @@ from .system import (
 # RankDeficient for it.
 SET_REDRAW_BUDGET = 100
 # Complex elements a chunk's channel stacks and scored grid may hold; a
-# chunk always has at least one trial. The draw buffer and the build's
+# chunk always has at least one trial. The draws and the build's
 # K-sized intermediates are not counted, so a chunk's peak is a K-dependent
 # multiple of the cap (3.6 MiB for a 5-trial M=4, K=200 chunk, against the
 # 1 MiB of 2**16 elements). A chunk pays a fixed cost of about a hundred
@@ -117,7 +118,7 @@ def _build(config, channels, generators, reference, beamformer):
             channels.cross[t] = fresh.cross
 
 
-def _run_chunk(config, generators, buffer, symbols=None):
+def _run_chunk(config, generators, symbols=None):
     """Draw, build and transmit the trials whose streams are `generators`
     together, then score each at every point of config.snr_db_grid in one
     broadcast along the grid axis.
@@ -125,10 +126,9 @@ def _run_chunk(config, generators, buffer, symbols=None):
     Returns a TrialResult with a leading trial axis. Each trial draws one
     unit-variance noise vector; each grid point rescales it so the noise
     power sits that many dB below the received desired power. `symbols`,
-    when given, replace every trial's drawn symbols after the draw. The
-    draws are `draw_trials`' on `buffer`, (T, trial_normals).
+    when given, replace every trial's drawn symbols after the draw.
     """
-    draws, channels, drawn, noise_unit = draw_trials(config, generators, buffer)
+    draws, channels, drawn, noise_unit = draw_trials(config, generators)
     reference, beamformer = build_reference_matrices(draws)
     channels, precoders, redraws = _build(config, channels, generators, reference, beamformer)
     symbols = drawn if symbols is None else symbols
@@ -183,6 +183,19 @@ def _concat(parts):
                           for f in fields(TrialResult)})
 
 
+@functools.cache
+def _keep_freed_memory():
+    """Let each chunk reuse the heap pages the last one freed: glibc's mmap
+    threshold pinned at its ceiling, 32 MiB, and its trim threshold at twice
+    that, once per process (see the README). A no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_trials(config, trials, symbols=None):
     """Seeded trials `trials`, each drawn, built, transmitted and scored at
     every point of config.snr_db_grid.
@@ -195,6 +208,7 @@ def run_trials(config, trials, symbols=None):
     """
     if len(trials) == 0:
         raise ConfigError("run_trials needs at least one trial index, got an empty list")
+    _keep_freed_memory()
     # Seeding is hashed once for the whole call, since its fixed cost would
     # outweigh default_rng's on one-trial chunks; only one chunk's
     # Generators are alive at a time.
@@ -205,11 +219,8 @@ def run_trials(config, trials, symbols=None):
     count = -(-len(words) // _chunk_trials(config))
     chunks = np.array_split(words, count)
     planted = [None] * count if symbols is None else np.array_split(symbols, count)
-    # One draw buffer serves every chunk: one allocated and freed per
-    # chunk had its pages returned and faulted in again, chunk after chunk.
-    buffer = np.empty((len(chunks[0]), trial_normals(config)))
     return _concat([
-        _run_chunk(config, streams(chunk), buffer[:len(chunk)], chunk_symbols)
+        _run_chunk(config, streams(chunk), chunk_symbols)
         for chunk, chunk_symbols in zip(chunks, planted)
     ])
 
@@ -378,7 +389,7 @@ def run_sweep(config, workers=None):
         nmse = merged.err_power / merged.sig_power[..., None]
     # Each point's median runs along its own contiguous row of T * 2 ratios.
     nmse_median = np.median(np.ascontiguousarray(nmse.reshape(-1, len(grid)).T), axis=-1)
-    predicted = np.float_power(merged.noise_std, 2) / config.devices
+    predicted = np.square(merged.noise_std) / config.devices
     gap = cells / 2 / (config.devices * partition(config.antennas).signal_dim) - predicted
     if config.trials > 1:
         se = gap.std(axis=0, ddof=1) / math.sqrt(config.trials)

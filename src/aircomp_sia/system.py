@@ -9,7 +9,7 @@ nomographic function computed on top of the aggregated streams is an
 argument of `engine.run_functional_trial`, not a setting.
 
 `_layout` is the one statement of what a trial draws and in which order.
-`draw_trials` fills each trial's row of a chunk's buffer from its own
+`draw_trials` fills each trial's row of a chunk's draws from its own
 Generator and splits the rows by that table, so every stacked draw holds
 the values the trial's Generator alone gives. Nothing is tested here: a
 set the construction rejects is redrawn by the engine from its trial's
@@ -310,23 +310,24 @@ def _complex_normal(normals, blocks, shape):
     return memory if order is None else memory.transpose(np.argsort(order))
 
 
-def draw_trials(config, generators, buffer):
+def draw_trials(config, generators):
     """Every first draw of a chunk's trials, one trial per Generator.
 
-    Row t of `buffer`, (T, trial_normals), takes trial t's first standard
+    Row t of a (T, trial_normals) array takes trial t's first standard
     normals in one call and is split by `_layout`. Returns the reference
     draws (T, 2, M, N'), the untested ChannelSet (T, K, 2, M, M), the
     symbols (T, K, 2, signal_dim) and the noise (T, 2, M). Each Generator
     resumes after its row, which is where its trial's set redraws come
     from, so every value is the one its Generator alone gives.
     """
-    for g, row in zip(generators, buffer):
+    normals = np.empty((len(generators), trial_normals(config)))
+    for g, row in zip(generators, normals):
         g.standard_normal(out=row)
     layout = _layout(config)
     bounds = np.cumsum([_normals(blocks, shape) for blocks, shape in layout])[:-1]
     reference, channels, symbols, noise = (
         _complex_normal(segment, blocks, shape)
-        for segment, (blocks, shape) in zip(np.split(buffer, bounds, axis=-1), layout))
+        for segment, (blocks, shape) in zip(np.split(normals, bounds, axis=-1), layout))
     return reference, ChannelSet(channels[:, 0], channels[:, 1]), symbols[:, 0], noise[:, 0]
 
 

@@ -12,7 +12,6 @@ from aircomp_sia.system import (
     draw_trials,
     partition,
     streams,
-    trial_normals,
     trial_words,
 )
 
@@ -42,16 +41,25 @@ def draw_chunk(config, trials):
     """`draw_trials` on a chunk of trial indices `trials` as `run_trials`
     draws it, from config.seed's streams: (reference draws, ChannelSet,
     symbols, noise)."""
-    return draw_trials(config, trial_streams(config.seed, trials),
-                       np.empty((len(trials), trial_normals(config))))
+    return draw_trials(config, trial_streams(config.seed, trials))
 
 
 def run_chunk(config, trials, symbols=None):
     """`engine._run_chunk` on one chunk of trial indices `trials`, as
-    `run_trials` runs it: config.seed's streams and a buffer
-    `trial_normals` wide."""
-    return engine._run_chunk(config, trial_streams(config.seed, trials),
-                             np.empty((len(trials), trial_normals(config))), symbols)
+    `run_trials` runs it, on config.seed's streams."""
+    return engine._run_chunk(config, trial_streams(config.seed, trials), symbols)
+
+
+def steady_faults(config, trials):
+    """Minor page faults this process takes in one `run_trials` call on
+    `trials`, after two warm-up calls on them."""
+    import resource  # POSIX only
+
+    for _ in range(2):
+        engine.run_trials(config, trials)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    engine.run_trials(config, trials)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 def noiseless_nmse(result):

@@ -24,7 +24,6 @@ from aircomp_sia.system import (
     SystemConfig,
     draw_trials,
     superpose,
-    trial_normals,
 )
 
 from helpers import cn, reference_pair, run_chunk, solve_rejects, span_residual, trial_streams
@@ -42,7 +41,7 @@ def build_with_cross(cfg, cell, matrix):
     """engine._build on a chunk of two trials whose first channel set
     holds `matrix` as trial 1's cross channel of device 0 in `cell`."""
     generators = trial_streams(cfg.seed, range(2))
-    draws, channels, _, _ = draw_trials(cfg, generators, np.empty((2, trial_normals(cfg))))
+    draws, channels, _, _ = draw_trials(cfg, generators)
     channels.cross[1, 0, cell] = matrix
     return engine._build(cfg, channels, generators, *build_reference_matrices(draws))
 
@@ -702,8 +701,7 @@ class TestEntryPlanes:
     @pytest.mark.parametrize("m, k", [(2, 1), (4, 20), (5, 3)])
     def test_draws(self, m, k):
         cfg = SystemConfig(antennas=m, devices=k)
-        _, channels, _, _ = draw_trials(cfg, trial_streams(0, range(3)),
-                                        np.empty((3, trial_normals(cfg))))
+        _, channels, _, _ = draw_trials(cfg, trial_streams(0, range(3)))
         for stack in (channels.direct, channels.cross):
             assert is_entry_planes(stack) == (m <= linalg._MM_INNER_MAX)
             assert (linalg.plane_order(stack.shape) is None) == (m > linalg._MM_INNER_MAX)

@@ -19,7 +19,6 @@ from aircomp_sia.system import (
     parse_config_file,
     partition,
     superpose,
-    trial_normals,
 )
 
 from helpers import (
@@ -473,8 +472,7 @@ class TestPrefetchedStreams:
         k, m = 2, 3
         cfg = config_for(m, k)
         generators, plain = trial_streams(3, range(4)), trial_streams(3, range(4))
-        reference, channels, symbols, noise = draw_trials(
-            cfg, generators, np.empty((4, trial_normals(cfg))))
+        reference, channels, symbols, noise = draw_trials(cfg, generators)
         assert not svd_guard(channels).any()
         part = partition(m)
         for t, g in enumerate(plain):
