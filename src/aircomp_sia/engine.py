@@ -328,10 +328,11 @@ def _discard_pool(executor):
 
 
 def fit_nmse_slope(snr_db, nmse, lo=None):
-    """Least-squares slope of log10(nmse) against SNR in dB from `lo` up.
+    """Least-squares slope of log10(nmse) against SNR in dB from `lo` up,
+    in closed form: sum (x - mean x)(y - mean y) / sum (x - mean x)^2.
 
     Points with non-positive or non-finite NMSE are excluded; returns nan
-    when fewer than two points remain.
+    when fewer than two points, or two distinct SNRs, remain.
     """
     x = np.asarray(snr_db, dtype=np.float64)
     y = np.asarray(nmse, dtype=np.float64)
@@ -340,7 +341,22 @@ def fit_nmse_slope(snr_db, nmse, lo=None):
         mask &= x >= lo
     if np.count_nonzero(mask) < 2:
         return float("nan")
-    return float(np.polyfit(x[mask], np.log10(y[mask]), 1)[0])
+    x, y = x[mask], np.log10(y[mask])
+    dx = x - x.mean()
+    spread = dx @ dx
+    return float(dx @ (y - y.mean()) / spread) if spread > 0 else float("nan")
+
+
+def _medians(rows):
+    """np.median of each row of an even count n: the mean of its (n/2 -
+    1)-th order statistic and the least entry above it, from one single-kth
+    partition, which numpy takes about 5x faster than the three kth
+    np.median asks for. NaN sorts last and propagates through the min, so
+    a row with a NaN gives NaN, as np.median's does; every value is
+    np.median's bit for bit, a NaN's payload aside."""
+    half = rows.shape[-1] // 2
+    part = np.partition(rows, half - 1, axis=-1)
+    return (part[:, half - 1] + part[:, half:].min(axis=-1)) / 2
 
 
 def run_sweep(config, workers=None):
@@ -387,8 +403,7 @@ def run_sweep(config, workers=None):
     nmse_mean = cells.sum(axis=0) / merged.sig_power.sum()
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero target gives inf or nan
         nmse = merged.err_power / merged.sig_power[..., None]
-    # Each point's median runs along its own contiguous row of T * 2 ratios.
-    nmse_median = np.median(np.ascontiguousarray(nmse.reshape(-1, len(grid)).T), axis=-1)
+    nmse_median = _medians(np.ascontiguousarray(nmse.reshape(-1, len(grid)).T))
     predicted = np.square(merged.noise_std) / config.devices
     gap = cells / 2 / (config.devices * partition(config.antennas).signal_dim) - predicted
     if config.trials > 1:

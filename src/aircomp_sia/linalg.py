@@ -13,11 +13,14 @@ M, wide otherwise; r = min(rows, cols) of the matrix whose Gram it is):
     square right inverse, dof x dof          1/FULL_RANK_RTOL  dof = 1, 2, 4  bound, inv
     wide right inverse's Gram, dof x dof     _GRAM_LIMIT       dof = 1, 2, 4  bound, inv
     aligned-rank Gram, r x r (aligned_rank)  1e11              r <= 2         bound
+    alignment bases, M x N' (complete_qr)    none              N' = 1         QR
 
-"closed form" is `_certified_inverse`: adj(A) / det A behind its own
-determinant certificate, no LAPACK call. "bound" is `cond_bound_clears`,
-one slogdet. A matrix neither clears takes the SVD, whose exact test
-makes every raise, mask and rank; each result depends on its matrix alone.
+"closed form" is, for an inverse, `_certified_inverse`: adj(A) / det A
+behind its own determinant certificate; for the bases of a 2 x 1 draw,
+LAPACK's Householder reflector. Neither calls LAPACK. "bound" is
+`cond_bound_clears`, one slogdet. A matrix neither clears takes the SVD,
+whose exact test makes every raise, mask and rank; each result depends
+on its matrix alone.
 
 Per-device stacks are stored as entry planes where `mm` multiplies them
 itself, at inner dimensions up to _MM_INNER_MAX (M <= 4): the two matrix
@@ -277,8 +280,36 @@ def mm(a, b):
 
 
 def complete_qr(a):
-    """Q (..., M, M) of each matrix's complete QR (Golub & Van Loan, 4th ed., 5.2)."""
-    return np.linalg.qr(a, mode="complete")[0]
+    """Q (..., M, M) of each matrix's complete QR (Golub & Van Loan, 4th ed., 5.2).
+
+    A stack of 2 x 1 matrices [a0, a1] takes LAPACK's Householder
+    reflector (zgeqr2, then zung2r) in closed form: beta = -sign(Re a0)
+    ||a||, tau = (beta - a0) / beta, v = [1, a1 / (a0 - beta)], Q = I -
+    tau v v^H, each entry formed as zung2r forms it. The convention sets
+    each column's phase, which no_ia's and genie's bodies depend on; it
+    agrees with LAPACK's Q to a few ulps. Where a1 = 0 (LAPACK's tau = 0
+    branch) or ||a|| leaves [2^-400, 2^400], the matrix takes LAPACK's QR.
+    """
+    if a.shape[-2:] != (2, 1):
+        return np.linalg.qr(a, mode="complete")[0]
+    a0, a1 = a[..., 0, 0], a[..., 1, 0]
+    norm2 = _norm2(a)
+    fallback = ~((norm2 >= 2.0 ** -800) & (norm2 <= 2.0 ** 800)) | (a1 == 0.0)
+    q = np.empty(a.shape[:-1] + (2,), dtype=np.complex128)
+    with np.errstate(all="ignore"):  # only fallback matrices divide by zero or overflow
+        beta = -np.copysign(np.sqrt(norm2), a0.real)
+        tau = np.empty_like(a0)
+        np.divide(beta - a0.real, beta, out=tau.real)
+        np.divide(-a0.imag, beta, out=tau.imag)
+        v1 = a1 * (1.0 / (a0 - beta))
+        q[..., 0, 0] = 1.0 - tau
+        np.negative(tau, out=tau)
+        q[..., 1, 0] = tau * v1
+        q[..., 0, 1] = q01 = tau * v1.conj()
+        q[..., 1, 1] = 1.0 + v1 * q01
+    if fallback.any():
+        q[fallback] = np.linalg.qr(a[fallback], mode="complete")[0]
+    return q
 
 
 def numerical_rank(a):

@@ -222,11 +222,14 @@ def _stream_factory():
     class Words(ISeedSequence):
         """Answers PCG64's one seeding request with precomputed words."""
 
+        __slots__ = ("words",)
+
         def __init__(self, words):
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL or np.dtype(dtype) != np.uint64:
+            # PCG64 passes the type itself; building a dtype costs more than seeding.
+            if n_words != _POOL or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError("only PCG64's request of 4 uint64 words is precomputed")
             return self.words
 

@@ -119,10 +119,11 @@ class TestRunTrial:
     pytest.param(scheme, m, id=f"{scheme}-{m}-{old}") for scheme, m, old in [
         ("sia", 2, 1), ("sia", 4, 1), ("sia", 16, 1), ("sia", 3, 2), ("sia", 5, 2),
         ("no_ia", 4, 2), ("no_ia", 5, 2), ("genie", 4, 2)]
-])
+] + [pytest.param(scheme, 2, id=f"{scheme}-2") for scheme in ("no_ia", "genie")])
 def test_qr_calls_per_chunk(monkeypatch, scheme, m):
     # One complete QR builds both alignment bases of every trial of the
-    # chunk; no right inverse takes one, wide or square.
+    # chunk; no right inverse takes one, wide or square. At M = 2 each
+    # basis is one vector, whose QR is closed-form: no LAPACK call.
     calls = []
     real = np.linalg.qr
 
@@ -134,7 +135,7 @@ def test_qr_calls_per_chunk(monkeypatch, scheme, m):
     cfg = config_for(m, 3, scheme=scheme)
     chunk = run_chunk(cfg, range(4))
     assert not chunk.redraws.any()
-    assert calls == [(4, 2)]
+    assert calls == ([] if m == 2 else [(4, 2)])
 
 
 @pytest.mark.parametrize("scheme, m", [
@@ -370,6 +371,28 @@ class TestFitNmseSlope:
 
     def test_underdetermined_is_nan(self):
         assert np.isnan(fit_nmse_slope([0.0, 10.0], [1.0, np.nan]))
+
+    @pytest.mark.parametrize("snr, nmse, lo", [
+        ([0.0, 10.0, 20.0], [1.0, 0.0, -1.0], None),  # one positive NMSE
+        ([0.0, 10.0, 20.0], [1.0, np.inf, np.nan], None),
+        ([0.0, 10.0, 20.0], [1.0, 0.1, 0.01], 20.0),  # one point from lo up
+        ([5.0], [0.3], None),
+        ([10.0, 10.0], [1.0, 0.1], None),  # two points, one SNR
+    ])
+    def test_fewer_than_two_usable_points_is_nan(self, snr, nmse, lo):
+        assert np.isnan(fit_nmse_slope(snr, nmse, lo=lo))
+
+    @pytest.mark.parametrize("n", [2, 9, 41])
+    def test_matches_polyfit(self, n):
+        rng = np.random.default_rng(n)
+        snr = np.sort(rng.uniform(-10.0, 50.0, n))
+        nmse = 10.0 ** (-snr / 10.0 + rng.normal(0.0, 0.3, n))
+        for i, bad in zip(range(1, n - 1, 2), [np.nan, 0.0, -1.0, np.inf]):
+            nmse[i] = bad
+        for lo in (None, float(snr[n // 3])):
+            keep = np.isfinite(nmse) & (nmse > 0) & (snr >= (snr[0] if lo is None else lo))
+            want = np.polyfit(snr[keep], np.log10(nmse[keep]), 1)[0]
+            assert abs(fit_nmse_slope(snr, nmse, lo=lo) - want) <= 1e-12 * abs(want)
 
 
 class FakePools:
@@ -710,6 +733,29 @@ class TestRunSweep:
             assert pt.nmse_median == float(nmse_median[p])
             assert pt.oracle_gap == float(gap[:, p].mean())
             assert pt.oracle_gap_se == float(se[p])
+
+    def test_median_matches_numpy_on_planted_rows(self, monkeypatch):
+        # Each point's median is np.median's, bit for bit, on rows that hold
+        # ties, NaN and infinities of either sign.
+        grid = tuple(float(s) for s in range(0, 45, 5))
+        cfg = config_for(2, 1, trials=7, seed=3, snr_db_grid=grid)
+        res = run_trials(cfg, range(7))
+        err = res.err_power.copy()
+        err[:, :, 1] = 0.25
+        err[:, :, 2] = np.arange(14).reshape(7, 2) % 3 * res.sig_power
+        err[3, 1, 3] = np.nan
+        err[:, :, 4] = np.inf
+        err[:4, :, 5] = np.inf
+        err[:, 0, 6], err[:, 1, 6] = -np.inf, np.inf
+        err[:, :, 7] = np.nan
+        err[:2, 0, 8], err[5:, 1, 8] = -np.inf, np.inf
+        monkeypatch.setattr(engine, "run_trials", lambda *args: replace(res, err_power=err))
+        with np.errstate(all="ignore"):
+            result = run_sweep(cfg, workers=1)
+            want = np.median(err / res.sig_power[..., None], axis=(0, 1))
+        got = np.array([pt.nmse_median for pt in result.points])
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[[3, 6, 7]]).all() and got[4] == got[5] == np.inf
 
     def test_point_layout_and_slope(self):
         cfg = config_for(4, 2, trials=6, seed=5)

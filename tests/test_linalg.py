@@ -14,6 +14,7 @@ from aircomp_sia.linalg import (
     RANK_RTOL,
     aligned_rank,
     certified_solve,
+    complete_qr,
     mm,
     numerical_rank,
     right_inverse,
@@ -590,6 +591,64 @@ class TestAlignedRankDecisions:
         bases = np.array([np.linalg.qr(gaussian(rng_for(3), 4, 4))[0]] * 2)
         for n in (3, 6):
             assert self.check(np.zeros((2, 4, n), dtype=complex), bases, 2).tolist() == [0, 0]
+
+
+class TestCompleteQr:
+    """A stack of 2 x 1 draws takes LAPACK's Householder QR in closed form;
+    only the draws it cannot take in that form reach LAPACK. The phase
+    convention is also pinned end to end: no_ia's NMSE at M = 2 depends on
+    it, and test_reference_impl's no_ia M = 2 case fails when beta's sign
+    flips."""
+
+    @staticmethod
+    def lapack(a):
+        return np.linalg.qr(a, mode="complete")[0]
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.qr
+
+        def counting(a, *args, **kw):
+            calls.append(np.array(a))
+            return real(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lapack(self, qr_calls, seed):
+        # Same reflector, same phase: every entry within a few ulps of 1.
+        a = cn(rng_for(seed), (500, 2, 2, 1))
+        want = self.lapack(a)
+        qr_calls.clear()
+        q = complete_qr(a)
+        assert qr_calls == []
+        assert np.abs(q - want).max() <= 8 * 2.0 ** -52
+        assert np.abs(q[..., 0] - a[..., 0] / np.linalg.qr(a, mode="r")[..., 0, :1]).max() <= 1e-15
+
+    def test_degenerate_draws_take_lapack(self, qr_calls):
+        # a1 = 0 under a real a0 (LAPACK's tau = 0), a zero draw, and draws
+        # whose norm leaves [2^-400, 2^400] match LAPACK exactly.
+        planted = np.array([[0.75, 0.0], [0.0, 0.0], [2.0 ** 600 * (1 + 1j), -(2.0 ** 600)],
+                            [2.0 ** -600, 2.0 ** -600 * 1j], [-(2.0 ** 599) * 1j, 3.0]])
+        a = cn(rng_for(4), (9, 2, 1))
+        where = [0, 2, 5, 6, 8]
+        a[where, :, 0] = planted
+        want = self.lapack(a)
+        qr_calls.clear()
+        q = complete_qr(a)
+        assert len(qr_calls) == 1 and np.array_equal(qr_calls[0], a[where])
+        assert np.array_equal(q[where], want[where])
+        assert np.array_equal(q[0], np.eye(2))
+        gaussian_draws = np.setdiff1d(np.arange(9), where)
+        assert np.abs(q[gaussian_draws] - want[gaussian_draws]).max() <= 8 * 2.0 ** -52
+
+    def test_other_shapes_are_lapack(self, qr_calls):
+        for shape in [(3, 2, 2), (3, 4, 2), (3, 3, 1)]:
+            a = cn(rng_for(5), shape)
+            assert np.array_equal(complete_qr(a), self.lapack(a))
+        assert len(qr_calls) == 6
 
 
 class TestLeftNullSpaceBasis:

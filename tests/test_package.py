@@ -40,6 +40,32 @@ def test_import_leaves_numpy_random_unloaded():
     assert loaded == "False"
 
 
+def test_sweeps_take_no_masked_arrays_and_m2_no_lapack_qr_or_lstsq():
+    # np.median's first call imports numpy.ma, and np.polyfit runs lstsq;
+    # a sweep reduces without either. At M = 2 every QR is closed-form.
+    code = """
+import sys
+import numpy
+eager = 'numpy.ma' in sys.modules
+from aircomp_sia import SystemConfig
+from aircomp_sia.engine import run_sweep
+seen = set()
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in ("qr", "lstsq"):
+        seen.add(frame.f_code.co_name)
+sys.setprofile(profile)
+run_sweep(SystemConfig(antennas=2, devices=1, trials=20), workers=1)
+sys.setprofile(None)
+run_sweep(SystemConfig(antennas=4, devices=2, trials=20), workers=1)
+print(len(seen), eager, 'numpy.ma' in sys.modules)
+"""
+    lapack_calls, eager, masked = _fresh(code)
+    assert lapack_calls == "0"
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert masked == "False"
+
+
 def _benchmark_module(monkeypatch, name):
     """benchmarks/<name>.py, loaded by path without writing bytecode."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
