@@ -18,6 +18,7 @@ import contextlib
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 from .__about__ import TOOL_NAME, __version__
 from .baselines import SCHEME_NAMES, efficiency_report
@@ -61,7 +62,7 @@ def build_parser():
     run = sub.add_parser("run", help="Monte Carlo SNR sweep")
     run.add_argument("--antennas", type=int, default=None, help="antennas per node (M)")
     run.add_argument("--devices", type=int, default=None, help="devices per cell (K)")
-    run.add_argument("--snr-db", default=None,
+    run.add_argument("--snr-db", dest="snr_db_grid", metavar="SNR_DB", default=None,
                      help="comma-separated SNR grid in dB (default 0,5,...,40)")
     run.add_argument("--trials", type=int, default=None, help="trials per SNR point")
     run.add_argument("--seed", type=int, default=None, help="base RNG seed (required)")
@@ -85,17 +86,11 @@ def _resolve_run_config(args):
     values = {}
     if args.config is not None:
         values.update(parse_config_file(args.config))
-    overrides = {
-        "antennas": args.antennas,
-        "devices": args.devices,
-        "snr_db_grid": args.snr_db,
-        "trials": args.trials,
-        "seed": args.seed,
-        "scheme": args.scheme,
-    }
-    for key, value in overrides.items():
+    # Each run flag's dest is its SystemConfig field.
+    for field in fields(SystemConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            values[key] = str(value)
+            values[field.name] = str(value)
     for key in ("antennas", "devices", "seed"):
         if key not in values:
             raise ConfigError(f"--{key} is required (flag or config file)")

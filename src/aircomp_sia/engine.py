@@ -196,15 +196,13 @@ def _keep_freed_memory():
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def run_trials(config, trials, symbols=None):
+def run_trials(config, trials):
     """Seeded trials `trials`, each drawn, built, transmitted and scored at
     every point of config.snr_db_grid.
 
     Returns one TrialResult with a leading trial axis, in the order
     given. Every trial is a pure function of (config, trial index),
-    whatever else runs with it, and draws the same values whether or not
-    its symbols are planted. `symbols`, when given, has one (K, 2, dof)
-    block per trial and replaces that trial's drawn symbols.
+    whatever else runs with it.
     """
     if len(trials) == 0:
         raise ConfigError("run_trials needs at least one trial index, got an empty list")
@@ -217,12 +215,7 @@ def run_trials(config, trials, symbols=None):
     # (the first ones largest), so that no runt pays a chunk's fixed cost
     # for a few trials.
     count = -(-len(words) // _chunk_trials(config))
-    chunks = np.array_split(words, count)
-    planted = [None] * count if symbols is None else np.array_split(symbols, count)
-    return _concat([
-        _run_chunk(config, streams(chunk), chunk_symbols)
-        for chunk, chunk_symbols in zip(chunks, planted)
-    ])
+    return _concat([_run_chunk(config, streams(chunk)) for chunk in np.array_split(words, count)])
 
 
 def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
@@ -243,12 +236,11 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     expected = (config.devices, 2, dof)
     if symbols.shape != expected:
         raise SizeMismatch(f"data must have shape {expected}, got {symbols.shape}")
-    if snr_db is None:
-        res = run_trials(config, [trial_index], symbols[None])
-        error = res.noiseless[0]
-    else:
-        res = run_trials(replace(config, snr_db_grid=(snr_db,)), [trial_index], symbols[None])
-        error = res.noiseless[0] + res.noise_std[0, 0] * res.noise[0]
+    config = config if snr_db is None else replace(config, snr_db_grid=(snr_db,))
+    res = _run_chunk(config, streams(trial_words(config.seed, [trial_index])), symbols[None])
+    error = res.noiseless[0]
+    if snr_db is not None:
+        error = error + res.noise_std[0, 0] * res.noise[0]
     return postprocess(spec, res.target[0] + error)
 
 
@@ -377,21 +369,14 @@ def run_sweep(config, workers=None):
     if workers is None:
         workers = worker_count()
     ranges = np.array_split(np.arange(config.trials), min(config.trials, workers))
-    if len(ranges) == 1:
-        batches = [run_trials(config, ranges[0])]
-    else:
-        pool = _worker_pool(len(ranges))
-        futures = []
-        try:
-            futures = [pool.submit(run_trials, config, r) for r in ranges]
-            batches = [f.result() for f in futures]
-        except BrokenExecutor:
-            _discard_pool(pool)
-            raise
-        finally:
-            # A failed sweep leaves none of its batches queued in the kept pool.
-            for f in futures:
-                f.cancel()
+    # Builtin map runs one range in this process; the kept pool's map keeps
+    # their order and, when one raises, leaves none of the rest queued.
+    pool = _worker_pool(len(ranges)) if len(ranges) > 1 else None
+    try:
+        batches = list((pool.map if pool else map)(run_trials, [config] * len(ranges), ranges))
+    except BrokenExecutor:
+        _discard_pool(pool)
+        raise
     merged = _concat(batches)
 
     # Every column is reduced over the trial (and cell) axes for all grid

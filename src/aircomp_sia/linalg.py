@@ -104,12 +104,9 @@ def _in_planes(x):
 
 
 def stack_sum(x, axis):
-    """x summed over its stack axis `axis` in index order, C-contiguous.
-    A reduce of a C-contiguous stack adds in that order; on other layouts,
-    entry planes among them, it may run along the axis, pairwise past 8
-    terms, or along a short one, so np.add.accumulate adds there."""
-    if x.flags.c_contiguous:
-        return x.sum(axis=axis)
+    """x summed over its stack axis `axis` in index order, C-contiguous. A
+    reduce may run along the axis, pairwise past 8 terms, or along a short
+    one, as x's layout sets; np.add.accumulate adds in order on any."""
     return np.take(np.add.accumulate(x, axis=axis), -1, axis=axis)
 
 
@@ -136,6 +133,7 @@ def _norm2(mats):
     in memory order: entry by entry on entry planes, else matrix by matrix.
     Only windows and certificate margins read it, far wider than the
     rounding either order leaves."""
+    mats = mats if np.iscomplexobj(mats) else mats.astype(np.complex128)  # viewed as (re, im)
     lead = mats.shape[:-2]
     if not _in_planes(mats):
         parts = np.ascontiguousarray(mats).view(np.float64)

@@ -6,7 +6,7 @@ import multiprocessing
 import os
 import platform
 import tracemalloc
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, Future, ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -206,9 +206,9 @@ def record_chunk_sizes(monkeypatch):
 
 def assert_matches_alone(cfg, together, trials, symbols=None):
     """Every field of each trial in `together`, its redraws included,
-    equals the same trial run alone, bit for bit."""
+    equals the same trial run alone as a chunk of one, bit for bit."""
     for i, t in enumerate(trials):
-        alone = run_trials(cfg, [t], None if symbols is None else symbols[i:i + 1])
+        alone = run_chunk(cfg, [t], None if symbols is None else symbols[i:i + 1])
         for f in fields(alone):
             assert np.array_equal(getattr(together, f.name)[i],
                                   getattr(alone, f.name)[0]), (t, f.name)
@@ -229,12 +229,13 @@ class TestRunTrials:
         assert together.err_power.shape == (4, 2, 3)
         assert_matches_alone(cfg, together, trials)
 
-    def test_planted_symbols_reach_their_trials(self, monkeypatch):
+    def test_planted_symbols_reach_their_trials(self):
+        # Planting lives in _run_chunk, which run_functional_trial calls on
+        # one trial; a chunk of several gives each trial its own block.
         cfg = config_for(4, 2, seed=5)
-        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 2 * per_trial_elements(cfg))
         trials = [3, 1, 4, 0, 2]
         symbols = cn(np.random.default_rng(0), (5, 2, 2, 2))
-        together = run_trials(cfg, trials, symbols)
+        together = run_chunk(cfg, trials, symbols)
         assert np.array_equal(together.target, symbols.sum(axis=1))
         assert_matches_alone(cfg, together, trials, symbols)
 
@@ -300,7 +301,7 @@ class TestRunTrials:
         redraws = 0
         for t in range(6):
             drawn = run_trials(cfg, [t])
-            planted = run_trials(cfg, [t], symbols)
+            planted = run_chunk(cfg, [t], symbols)
             for name in ("noise", "redraws", "aligned_rank"):
                 assert np.array_equal(getattr(planted, name), getattr(drawn, name)), (t, name)
             assert np.array_equal(planted.target[0], symbols[0].sum(axis=0))
@@ -396,12 +397,13 @@ class TestFitNmseSlope:
 
 
 class FakePools:
-    """Stands in for ProcessPoolExecutor: runs batches in this process and
-    records every pool made and shut down. No process is started."""
+    """Stands in for ProcessPoolExecutor: records every pool made and shut
+    down, and every future submitted. No process is started."""
 
     def __init__(self):
         self.sizes = []
         self.shutdowns = []
+        self.futures = []
         self.broken = False
 
     def __call__(self, max_workers):
@@ -409,28 +411,40 @@ class FakePools:
         return FakePool(self, max_workers)
 
 
-class FakeFuture:
-    def __init__(self, value):
-        self._value = value
+class LazyFuture(Future):
+    """A future whose call runs in this process when its result is first
+    asked for, so one cancelled before then never runs, as one still
+    queued in a pool."""
 
-    def result(self):
-        return self._value
+    def __init__(self, fn, args):
+        super().__init__()
+        self._call = functools.partial(fn, *args)
 
-    def cancel(self):
-        return False
+    def result(self, timeout=None):
+        if not self.done():
+            self.set_running_or_notify_cancel()
+            try:
+                self.set_result(self._call())
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
 
 
-class FakePool:
+class FakePool(Executor):
+    """An Executor whose map is the stdlib's own, over LazyFutures."""
+
     def __init__(self, record, size):
         self.record = record
         self.size = size
 
-    def submit(self, fn, *args):
+    def submit(self, fn, /, *args):
         if self.record.broken:
             raise BrokenExecutor("planted")
-        return FakeFuture(fn(*args))
+        future = LazyFuture(fn, args)
+        self.record.futures.append(future)
+        return future
 
-    def shutdown(self, wait=True):
+    def shutdown(self, wait=True, *, cancel_futures=False):
         self.record.shutdowns.append(self.size)
 
 
@@ -482,6 +496,22 @@ class TestBatchRanges:
                 run_sweep(config_for(2, 1, trials=trials), workers=workers)
                 assert len(batches) == min(trials, workers)
                 assert [t for batch in batches for t in batch] == list(range(trials))
+
+    def test_failed_batch_leaves_none_queued(self, monkeypatch, fake_pools):
+        # A sweep whose first range raises runs no other range: the pool's
+        # map cancels the three still queued, so none is left in the kept pool.
+        ran = []
+
+        def failing(config, trials):
+            ran.append([int(t) for t in trials])
+            raise DegenerateChannels("planted")
+
+        monkeypatch.setattr(engine, "run_trials", failing)
+        with pytest.raises(DegenerateChannels, match="planted"):
+            run_sweep(config_for(2, 1, trials=8), workers=4)
+        assert ran == [[0, 1]]
+        assert len(fake_pools.futures) == 4
+        assert sum(f.cancelled() for f in fake_pools.futures) == 3
 
 
 def affinity(monkeypatch, cpus):
@@ -879,7 +909,7 @@ class TestRunFunctionalTrial:
         data = np.broadcast_to(np.array(values)[:, None, None], (2, 2, 2))
         assert np.allclose(run_functional_trial(cfg, kind, data), want, rtol=0, atol=1e-12)
         symbols = preprocess(FunctionSpec(kind, 2), data)[None]
-        res = run_trials(cfg, [0], symbols)
+        res = run_chunk(cfg, [0], symbols)
         assert np.all(res.sig_power == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             residual = np.sqrt(np.sum(np.abs(res.noiseless) ** 2, axis=(-2, -1)) / 0.0)

@@ -422,6 +422,31 @@ class TestClosedFormCertificate:
         assert not clear.any() and np.isfinite(x).all()
 
 
+class TestRealStacks:
+    """A real matrix or stack, matrix-ordered or stored as entry planes, is
+    certified as the same matrices taken as complex, and inverted in its
+    own dtype: at each closed-form size and at one taking bound and inv."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    @pytest.mark.parametrize("planes", [True, False])
+    def test_matches_complex(self, n, lead, planes):
+        real = np.moveaxis(rng_for(60 + n).standard_normal((n, n) + lead), (0, 1), (-2, -1))
+        real = real if planes else np.ascontiguousarray(real)
+        want = np.ones(lead, dtype=bool)
+        if lead == (3,):
+            real[1] = 0.0  # a zero matrix: nothing certifies it
+            want[1] = False
+        as_complex = real.astype(np.complex128)
+        clears = linalg.cond_bound_clears(real, COND_LIMIT)
+        assert np.array_equal(clears, linalg.cond_bound_clears(as_complex, COND_LIMIT))
+        clear, x = linalg._certified_inverse(real, COND_LIMIT)
+        assert np.array_equal(clear, want)
+        assert np.array_equal(clear, linalg._certified_inverse(as_complex, COND_LIMIT)[0])
+        assert x.dtype == np.float64
+        assert np.allclose(x[clear], np.linalg.inv(real[clear]), rtol=1e-12, atol=0)
+
+
 class TestRightInverseSvdCount:
     """On Gaussian draws a sia or no_ia chunk takes almost no SVD: neither
     the beamformers, nor the aligned-rank checks, nor any right inverse
