@@ -37,8 +37,9 @@ from .system import (
     draw_channels,
     draw_trials,
     partition,
-    streams,
+    resume,
     superpose,
+    trial_states,
     trial_words,
 )
 
@@ -88,16 +89,18 @@ def _project(beamformer, *vectors):
     return np.ascontiguousarray(mm(beamformer, np.array(vectors)[..., None])[..., 0])
 
 
-def _build(config, channels, generators, reference, beamformer):
+def _build(config, channels, states, reference, beamformer):
     """Build every trial's precoders on its drawn channel set, reference
     and beamformer.
 
     A trial redraws its whole set when the build raises RankDeficient
     for it, with at most SET_REDRAW_BUDGET sets per trial. The new set
-    comes from the trial's own Generator, after its first draws. Returns
-    (channels, precoders, set redraws per trial).
+    comes from the trial's own Generator, made from its row of `states`
+    at its first redraw and kept for the next. Returns (channels,
+    precoders, set redraws per trial).
     """
-    sets = np.ones(len(generators), dtype=int)
+    sets = np.ones(len(states), dtype=int)
+    generators = {}
     while True:
         if config.scheme == "genie":
             channels = genie_channels(channels)
@@ -113,24 +116,27 @@ def _build(config, channels, generators, reference, beamformer):
         if sets.max() > SET_REDRAW_BUDGET:
             raise DegenerateChannels(f"no usable channel draw after {SET_REDRAW_BUDGET} attempts")
         for t in np.flatnonzero(failed):
+            if t not in generators:
+                generators[t] = resume(config, states[t])
             fresh = draw_channels(config, generators[t])
             channels.direct[t] = fresh.direct
             channels.cross[t] = fresh.cross
 
 
-def _run_chunk(config, generators, symbols=None):
-    """Draw, build and transmit the trials whose streams are `generators`
-    together, then score each at every point of config.snr_db_grid in one
-    broadcast along the grid axis.
+def _run_chunk(config, states, symbols=None):
+    """Draw, build and transmit together the trials whose seeded PCG64
+    states are `states` (rows of `system.trial_states`), then score each
+    at every point of config.snr_db_grid in one broadcast along the grid
+    axis.
 
     Returns a TrialResult with a leading trial axis. Each trial draws one
     unit-variance noise vector; each grid point rescales it so the noise
     power sits that many dB below the received desired power. `symbols`,
     when given, replace every trial's drawn symbols after the draw.
     """
-    draws, channels, drawn, noise_unit = draw_trials(config, generators)
+    draws, channels, drawn, noise_unit = draw_trials(config, states)
     reference, beamformer = build_reference_matrices(draws)
-    channels, precoders, redraws = _build(config, channels, generators, reference, beamformer)
+    channels, precoders, redraws = _build(config, channels, states, reference, beamformer)
     symbols = drawn if symbols is None else symbols
 
     desired, interference = superpose(channels, precoders, symbols)
@@ -207,15 +213,14 @@ def run_trials(config, trials):
     if len(trials) == 0:
         raise ConfigError("run_trials needs at least one trial index, got an empty list")
     _keep_freed_memory()
-    # Seeding is hashed once for the whole call, since its fixed cost would
-    # outweigh default_rng's on one-trial chunks; only one chunk's
-    # Generators are alive at a time.
-    words = trial_words(config.seed, trials)
+    # Every trial's seeded state is computed once for the whole call, since
+    # the fixed cost of its vectorised passes would tell on one-trial chunks.
+    states = trial_states(trial_words(config.seed, trials))
     # The fewest chunks under the cap, as equal as array_split makes them
     # (the first ones largest), so that no runt pays a chunk's fixed cost
     # for a few trials.
-    count = -(-len(words) // _chunk_trials(config))
-    return _concat([_run_chunk(config, streams(chunk)) for chunk in np.array_split(words, count)])
+    count = -(-len(states) // _chunk_trials(config))
+    return _concat([_run_chunk(config, chunk) for chunk in np.array_split(states, count)])
 
 
 def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
@@ -237,7 +242,7 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     if symbols.shape != expected:
         raise SizeMismatch(f"data must have shape {expected}, got {symbols.shape}")
     config = config if snr_db is None else replace(config, snr_db_grid=(snr_db,))
-    res = _run_chunk(config, streams(trial_words(config.seed, [trial_index])), symbols[None])
+    res = _run_chunk(config, trial_states(trial_words(config.seed, [trial_index])), symbols[None])
     error = res.noiseless[0]
     if snr_db is not None:
         error = error + res.noise_std[0, 0] * res.noise[0]

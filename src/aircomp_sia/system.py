@@ -10,14 +10,16 @@ argument of `engine.run_functional_trial`, not a setting.
 
 `_layout` is the one statement of what a trial draws and in which order.
 `draw_trials` fills each trial's row of a chunk's draws from its own
-Generator and splits the rows by that table, so every stacked draw holds
-the values the trial's Generator alone gives. Nothing is tested here: a
-set the construction rejects is redrawn by the engine from its trial's
-Generator with `draw_channels`.
+stream, one Generator seeded in turn at each trial's PCG64 state, and
+splits the rows by that table, so every stacked draw holds the values the
+trial's stream alone gives. Nothing is tested here: a set the
+construction rejects is redrawn by the engine with `draw_channels`, from
+the trial's own Generator that `resume` gives.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
@@ -212,30 +214,6 @@ def _u64(value, what):
     return value
 
 
-@functools.cache
-def _stream_factory():
-    """PCG64 Generator from four precomputed seeding words; numpy.random is
-    imported here, at first use, to keep it out of the package import."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        """Answers PCG64's one seeding request with precomputed words."""
-
-        __slots__ = ("words",)
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 passes the type itself; building a dtype costs more than seeding.
-            if n_words != _POOL or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise ValueError("only PCG64's request of 4 uint64 words is precomputed")
-            return self.words
-
-    return lambda words: Generator(PCG64(Words(words)))
-
-
 def trial_words(seed, trials):
     """PCG64 seeding words, shape (T, 4) uint64, of
     `np.random.default_rng([seed, t])` for every trial index t.
@@ -243,9 +221,16 @@ def trial_words(seed, trials):
     SeedSequence's hash runs for all trials at once in uint32 arithmetic on
     a (4, T) pool. The entropy is the seed's one or two little-endian words,
     then t's low and high words, zero-padded to the pool; a zero word
-    hashes as numpy's padding does. Only the indices are checked here.
+    hashes as numpy's padding does. Only the indices are checked here: a
+    1-D integer array at once, anything else index by index (a list such
+    as [0, True] would become an integer array and pass).
     """
-    index = np.array([_u64(t, "trial index") for t in trials], dtype=np.uint64)
+    if type(trials) is np.ndarray and trials.ndim == 1 and trials.dtype.kind in "iu":
+        if trials.dtype.kind == "i" and len(trials) and trials.min() < 0:
+            _u64(int(trials.min()), "trial index")
+        index = trials.astype(np.uint64)
+    else:
+        index = np.array([_u64(t, "trial index") for t in trials], dtype=np.uint64)
     words = [seed & _U32, seed >> 32] if seed > _U32 else [seed]
     pool = np.zeros((_POOL, len(index)), dtype=np.uint32)
     pool[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
@@ -261,11 +246,123 @@ def trial_words(seed, trials):
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def streams(words):
-    """One Generator per row of `trial_words`; PCG64's own seeding takes
-    the words, so each is numpy's stream bit for bit."""
-    make = _stream_factory()
-    return [make(row) for row in words]
+# PCG64's multiplier (numpy's PCG64_DEFAULT_MULTIPLIER) as its low and high
+# 64-bit words. Every operand below is a uint64 array or scalar, and every
+# product or sum that wraps has an array operand: arrays wrap modulo 2^64
+# silently, as the 128-bit arithmetic needs, where scalars would warn.
+_MULT_LO, _MULT_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
+_LIMB = np.uint64(_U32)
+_ONE, _S32, _S63 = np.uint64(1), np.uint64(32), np.uint64(63)
+
+
+def _mul64(a, b):
+    """The 128-bit products of the uint64 array `a` and the uint64 `b`, as
+    (low, high) words, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LIMB, a >> _S32, b & _LIMB, b >> _S32
+    ll, lh, hl = a0 * b0, a0 * b1, a1 * b0
+    mid = (ll >> _S32) + (lh & _LIMB) + (hl & _LIMB)
+    return (mid << _S32) | (ll & _LIMB), a1 * b1 + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+
+
+def trial_states(words):
+    """PCG64's state once seeded by each row of `trial_words`: (T, 4)
+    uint64, the 128-bit state then the increment, each low word first.
+
+    PCG64 (O'Neill 2014) takes initstate = w0 * 2^64 + w1 and initseq =
+    w2 * 2^64 + w3, sets inc = 2 * initseq + 1 and steps its LCG twice
+    from zero, adding initstate between the steps: state = ((inc +
+    initstate) * MULT + inc) mod 2^128. The sums carry between 64-bit
+    words; of the product, only the low words' needs all 128 bits.
+    """
+    w0, w1, w2, w3 = words.T
+    inc_lo = (w3 << _ONE) | _ONE
+    inc_hi = (w2 << _ONE) | (w3 >> _S63)
+    sum_lo = inc_lo + w1
+    sum_hi = inc_hi + w0 + (sum_lo < w1)
+    state_lo, state_hi = _mul64(sum_lo, _MULT_LO)
+    state_hi += sum_lo * _MULT_HI + sum_hi * _MULT_LO
+    state_lo += inc_lo
+    state_hi += inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=-1)
+
+
+@functools.cache
+def _stream_factory():
+    """A maker of PCG64 Generators whose state is overwritten before use;
+    numpy.random is imported here, at first use, to keep it out of the
+    package import."""
+    from numpy.random import PCG64, Generator, SeedSequence
+
+    seq = SeedSequence(0)
+    return lambda: Generator(PCG64(seq))
+
+
+def _state_bytes(bit_generator):
+    """A writable view of the 32 bytes holding a PCG64's state and
+    increment: the first member of the struct at its public
+    `ctypes.state_address` points to them. None unless both that address
+    and the bytes lie inside the PCG64 object itself, so nothing is read
+    outside it."""
+    start = id(bit_generator)
+    end = start + type(bit_generator).__basicsize__
+    address = bit_generator.ctypes.state_address
+    if not start <= address <= end - ctypes.sizeof(ctypes.c_void_p):
+        return None
+    pointer = ctypes.c_void_p.from_address(address).value
+    if pointer is None or not start <= pointer <= end - 32:
+        return None
+    return memoryview((ctypes.c_char * 32).from_address(pointer)).cast("B")
+
+
+def _set_state(bit_generator, words):
+    """One row of `trial_states`, as ints, through PCG64's public setter."""
+    state_lo, state_hi, inc_lo, inc_hi = words
+    bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                           "state": {"state": state_hi << 64 | state_lo,
+                                     "inc": inc_hi << 64 | inc_lo}}
+
+
+@functools.cache
+def _word_order():
+    """The order in which this numpy's PCG64 stores the words of a
+    `trial_states` row, as column indices: the low word first where its
+    compiler has a 128-bit integer, the high word first where numpy
+    emulates one. None when a known state reads back in neither order;
+    states then go through the public setter."""
+    known = [0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2143658709CBEDAF, 0x3254769801DCFEBA]
+    bit_generator = _stream_factory()().bit_generator
+    _set_state(bit_generator, known)
+    view = _state_bytes(bit_generator)
+    stored = None if view is None else np.frombuffer(view, dtype=np.uint64).tolist()
+    found = [order for order in ((0, 1, 2, 3), (1, 0, 3, 2)) if [known[i] for i in order] == stored]
+    return found[0] if found else None
+
+
+def _seeded(states):
+    """One Generator, seeded in turn at each row of `trial_states`: it is
+    yielded once per row, just after that row is written into it, into its
+    state's bytes where `_word_order` found them, else through the public
+    setter. Either way it is then the row's trial stream, bit for bit."""
+    generator = _stream_factory()()
+    order = _word_order()
+    view = None if order is None else _state_bytes(generator.bit_generator)
+    if view is None:
+        for words in states.tolist():
+            _set_state(generator.bit_generator, words)
+            yield generator
+    else:
+        for state in np.ascontiguousarray(states[:, order]).view("V32")[:, 0].tolist():
+            view[:] = state
+            yield generator
+
+
+def resume(config, state):
+    """A trial's own Generator, from its row `state` of `trial_states`,
+    where `draw_trials` leaves its stream: after its first trial_normals
+    values. Its set redraws come from here."""
+    generator = next(_seeded(state[None]))
+    generator.standard_normal(trial_normals(config))
+    return generator
 
 
 def _layout(config):
@@ -289,6 +386,23 @@ def trial_normals(config):
     return sum(_normals(blocks, shape) for blocks, shape in _layout(config))
 
 
+@functools.lru_cache(maxsize=256)
+def _complex_axes(lead, blocks, shape):
+    """How `_complex_normal` lays out draws over the stack axes `lead`: the
+    shape that splits each row into (blocks, 2) + `shape`, the axis order
+    that takes that split to (2,) + the output's memory order, and the one
+    that takes memory to lead + (blocks,) + `shape`. Only the shape of a
+    chunk decides them, so they are worked out once per shape."""
+    n = len(lead)
+    memory = tuple(range(n + 1 + len(shape)))
+    order = linalg.plane_order(lead + shape) if len(shape) == 4 else None
+    if order is not None:
+        # The blocks, then the stack's axes in its order.
+        memory = (n,) + tuple(axis if axis < n else axis + 1 for axis in order)
+    split = (n + 1,) + tuple(axis if axis <= n else axis + 1 for axis in memory)
+    return lead + (blocks, 2) + shape, split, tuple(np.argsort(memory).tolist())
+
+
 def _complex_normal(normals, blocks, shape):
     """CN(0, 1) draws (..., blocks) + `shape` from standard normals
     (..., N): each block's real parts, then its imaginary parts, each
@@ -299,38 +413,34 @@ def _complex_normal(normals, blocks, shape):
     in the order `linalg.plane_order` gives its stack, each block apart,
     and written in that order.
     """
-    lead = normals.shape[:-1]
-    parts = np.moveaxis(normals.reshape(lead + (blocks, 2) + shape), len(lead) + 1, 0)
-    order = linalg.plane_order(lead + shape) if len(shape) == 4 else None
-    if order is not None:
-        # Memory order: the blocks, then the stack's axes in its order.
-        n = len(lead)
-        order = (n,) + tuple(axis if axis < n else axis + 1 for axis in order)
-        parts = parts.transpose((0,) + tuple(i + 1 for i in order))
+    split, axes, back = _complex_axes(normals.shape[:-1], blocks, shape)
+    parts = normals.reshape(split).transpose(axes)
     memory = np.empty(parts.shape[1:], dtype=np.complex128)
     np.multiply(parts[0], 1.0 / math.sqrt(2.0), out=memory.real)
     np.multiply(parts[1], 1.0 / math.sqrt(2.0), out=memory.imag)
-    return memory if order is None else memory.transpose(np.argsort(order))
+    return memory.transpose(back)
 
 
-def draw_trials(config, generators):
-    """Every first draw of a chunk's trials, one trial per Generator.
+def draw_trials(config, states):
+    """Every first draw of a chunk's trials, from their rows `states` of
+    `trial_states`.
 
     Row t of a (T, trial_normals) array takes trial t's first standard
-    normals in one call and is split by `_layout`. Returns the reference
-    draws (T, 2, M, N'), the untested ChannelSet (T, K, 2, M, M), the
-    symbols (T, K, 2, signal_dim) and the noise (T, 2, M). Each Generator
-    resumes after its row, which is where its trial's set redraws come
-    from, so every value is the one its Generator alone gives.
+    normals in one call, from one Generator seeded at its state, and is
+    split by `_layout`. Returns the reference draws (T, 2, M, N'), the
+    untested ChannelSet (T, K, 2, M, M), the symbols (T, K, 2, signal_dim)
+    and the noise (T, 2, M). A trial's set redraws come from `resume`,
+    after its row, so every value is the one its stream alone gives.
     """
-    normals = np.empty((len(generators), trial_normals(config)))
-    for g, row in zip(generators, normals):
-        g.standard_normal(out=row)
-    layout = _layout(config)
-    bounds = np.cumsum([_normals(blocks, shape) for blocks, shape in layout])[:-1]
-    reference, channels, symbols, noise = (
-        _complex_normal(segment, blocks, shape)
-        for segment, (blocks, shape) in zip(np.split(normals, bounds, axis=-1), layout))
+    normals = np.empty((len(states), trial_normals(config)))
+    for generator, row in zip(_seeded(states), normals):
+        generator.standard_normal(out=row)
+    draws, start = [], 0
+    for blocks, shape in _layout(config):
+        stop = start + _normals(blocks, shape)
+        draws.append(_complex_normal(normals[:, start:stop], blocks, shape))
+        start = stop
+    reference, channels, symbols, noise = draws
     return reference, ChannelSet(channels[:, 0], channels[:, 1]), symbols[:, 0], noise[:, 0]
 
 

@@ -11,16 +11,16 @@ from aircomp_sia.system import (
     _complex_normal,
     draw_trials,
     partition,
-    streams,
+    trial_states,
     trial_words,
 )
 
 
 def trial_streams(seed, trials):
-    """One Generator per trial index, in the state of
-    `np.random.default_rng([seed, t])`: the streams `run_trials` gives its
+    """Each trial index's seeded PCG64 state, (T, 4) uint64, the state of
+    `np.random.default_rng([seed, t])`: the rows `run_trials` gives its
     chunks."""
-    return streams(trial_words(seed, trials))
+    return trial_states(trial_words(seed, trials))
 
 
 def cn(g, shape):
@@ -39,14 +39,14 @@ def reference_pair(g, antennas):
 
 def draw_chunk(config, trials):
     """`draw_trials` on a chunk of trial indices `trials` as `run_trials`
-    draws it, from config.seed's streams: (reference draws, ChannelSet,
+    draws it, from config.seed's states: (reference draws, ChannelSet,
     symbols, noise)."""
     return draw_trials(config, trial_streams(config.seed, trials))
 
 
 def run_chunk(config, trials, symbols=None):
     """`engine._run_chunk` on one chunk of trial indices `trials`, as
-    `run_trials` runs it, on config.seed's streams."""
+    `run_trials` runs it, on config.seed's states."""
     return engine._run_chunk(config, trial_streams(config.seed, trials), symbols)
 
 

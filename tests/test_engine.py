@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from aircomp_sia import baselines, engine, sia
+from aircomp_sia import baselines, engine, sia, system
 from aircomp_sia.engine import (
     TrialResult,
     fit_nmse_slope,
@@ -1149,6 +1149,23 @@ class TestPrefetchedStreams:
             assert redraws > 8
         else:
             assert redraws == 0
+
+    @pytest.mark.parametrize("scheme", ["sia", "no_ia", "genie"])
+    @pytest.mark.parametrize("m, limit", [(2, 4.0), (3, 6.0), (4, 10.0), (5, 10.0)])
+    def test_public_setter_matches_state_write(self, monkeypatch, scheme, m, limit):
+        # Where the probe finds no state bytes, every state goes through
+        # PCG64's public setter: one per trial, and one per trial that
+        # re-derives its Generator for set redraws (sia's, at these limits).
+        monkeypatch.setattr("aircomp_sia.linalg.COND_LIMIT", limit)
+        cfg = config_for(m, 1, scheme=scheme, seed=3)
+        fast = run_trials(cfg, range(16))
+        writes, real = [], system._set_state
+        monkeypatch.setattr(system, "_word_order", lambda: None)
+        monkeypatch.setattr(system, "_set_state",
+                            lambda bg, words: writes.append(words) or real(bg, words))
+        assert_same_bits(run_trials(cfg, range(16)), fast)
+        assert len(writes) == 16 + np.count_nonzero(fast.redraws)
+        assert (scheme == "sia") == fast.redraws.any()
 
     @pytest.mark.parametrize("scheme", ["sia", "no_ia"])
     def test_set_redraw(self, monkeypatch, scheme):

@@ -41,10 +41,10 @@ def gaussian(rng, rows, cols):
 def build_with_cross(cfg, cell, matrix):
     """engine._build on a chunk of two trials whose first channel set
     holds `matrix` as trial 1's cross channel of device 0 in `cell`."""
-    generators = trial_streams(cfg.seed, range(2))
-    draws, channels, _, _ = draw_trials(cfg, generators)
+    states = trial_streams(cfg.seed, range(2))
+    draws, channels, _, _ = draw_trials(cfg, states)
     channels.cross[1, 0, cell] = matrix
-    return engine._build(cfg, channels, generators, *build_reference_matrices(draws))
+    return engine._build(cfg, channels, states, *build_reference_matrices(draws))
 
 
 def ia_setup(cross):

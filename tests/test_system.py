@@ -1,11 +1,12 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircomp_sia import linalg
+from aircomp_sia import linalg, system
 from aircomp_sia.engine import run_trials
 from aircomp_sia.errors import ConfigError, RankDeficient, SizeMismatch
 from aircomp_sia.linalg import certified_solve, numerical_rank
@@ -19,6 +20,8 @@ from aircomp_sia.system import (
     parse_config_file,
     partition,
     superpose,
+    trial_normals,
+    trial_words,
 )
 
 from helpers import (
@@ -418,30 +421,58 @@ class TestDrawSymbols:
 
 
 class TestTrialStreams:
-    """trial_words reimplements numpy's SeedSequence hash; every stream the
-    helper trial_streams makes from it must equal default_rng([seed, t]) bit
-    for bit, so an oracle pins it. The seeds and indices cross the
-    one-word/two-word boundary of both. SystemConfig alone validates seeds."""
+    """trial_words reimplements numpy's SeedSequence hash and trial_states
+    PCG64's seeding; every state the helper trial_streams makes from them
+    must equal default_rng([seed, t])'s bit for bit, so an oracle pins it.
+    The seeds and indices cross the one-word/two-word boundary of both,
+    and the 2^64 wrap of the sums and the product. SystemConfig alone
+    validates seeds."""
 
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**33, 2**64 - 1]
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+    INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**33, 2**64 - 2, 2**64 - 1]
+
+    @staticmethod
+    def state(row):
+        state_lo, state_hi, inc_lo, inc_hi = (int(w) for w in row)
+        return {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_default_rng(self, seed):
-        streams = trial_streams(seed, self.INDICES)
-        assert len(streams) == len(self.INDICES)
-        for t, stream in zip(self.INDICES, streams):
+        states = trial_streams(seed, self.INDICES)
+        assert (states.dtype, states.shape) == (np.uint64, (len(self.INDICES), 4))
+        for t, row, stream in zip(self.INDICES, states, system._seeded(states)):
             oracle = np.random.default_rng([seed, t])
-            assert stream.bit_generator.state == oracle.bit_generator.state, (seed, t)
+            assert self.state(row) == oracle.bit_generator.state["state"], (seed, t)
             assert np.array_equal(stream.standard_normal(50), oracle.standard_normal(50)), (seed, t)
 
     def test_empty(self):
-        assert trial_streams(0, []) == []
+        assert trial_streams(0, []).shape == (0, 4)
+        assert trial_streams(0, np.arange(0)).shape == (0, 4)
+
+    def test_single(self):
+        row, = trial_streams(9, [5])
+        assert self.state(row) == np.random.default_rng([9, 5]).bit_generator.state["state"]
 
     @pytest.mark.parametrize("bad", [1.5, -1, 2**64, "3", None, True])
     def test_rejects_bad_index(self, bad):
         with pytest.raises(ConfigError, match="trial index"):
             trial_streams(0, [0, bad])
+
+    @pytest.mark.parametrize("bad", [np.array([0, -1]), np.array([0, -(2**63)]),
+                                     np.array([0, 1.5]), np.array([False, True]),
+                                     np.array([[0, 1]])])
+    def test_rejects_bad_index_array(self, bad):
+        # An integer array is checked at once, with the message the
+        # index-by-index check gives; other arrays go index by index.
+        with pytest.raises(ConfigError, match="trial index"):
+            trial_words(0, bad)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint8])
+    def test_index_array_matches_list(self, dtype):
+        indices = np.array([0, 1, 2, 100, np.iinfo(dtype).max], dtype=dtype)
+        want = trial_words(3, indices.tolist())
+        assert trial_words(3, indices).tobytes() == want.tobytes()
+        assert trial_words(3, indices[::-2]).tobytes() == want[::-2].tobytes()
 
     @pytest.mark.parametrize("bad", [1.5, -1, 2**64])
     def test_rejects_bad_seed(self, bad):
@@ -451,38 +482,65 @@ class TestTrialStreams:
             SystemConfig.from_flat({"antennas": "4", "devices": "2", "seed": str(bad)})
 
     def test_numpy_integer_index(self):
-        stream, = trial_streams(np.uint64(7), [np.int64(3)])
-        assert stream.bit_generator.state == np.random.default_rng([7, 3]).bit_generator.state
+        row, = trial_streams(np.uint64(7), [np.int64(3)])
+        assert self.state(row) == np.random.default_rng([7, 3]).bit_generator.state["state"]
 
-    def test_only_pcg64_seeding_is_answered(self):
-        stream, = trial_streams(0, [0])
-        words = stream.bit_generator._seed_seq
-        with pytest.raises(ValueError):
-            words.generate_state(4)
-        with pytest.raises(ValueError):
-            words.generate_state(8, np.uint64)
+
+class TestStateWrite:
+    """One Generator takes a chunk's states by writing them into its
+    PCG64's state bytes, once a probe has found them; where it finds them
+    in neither word order, the public setter takes every state."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux builds only")
+    def test_probe_accepts_installed_numpy(self):
+        # Every numpy the tests run under on Linux stores the state inside
+        # the PCG64 object, so the fast path must not fall away unseen.
+        assert system._word_order() in [(0, 1, 2, 3), (1, 0, 3, 2)]
+
+    @pytest.mark.parametrize("stored", [None, bytes(32)])
+    def test_probe_rejects_unknown_layout(self, monkeypatch, stored):
+        # No state bytes inside the object, or bytes that hold the known
+        # state in neither order.
+        monkeypatch.setattr(system, "_state_bytes",
+                            lambda bg: None if stored is None else memoryview(bytearray(stored)))
+        assert system._word_order.__wrapped__() is None
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_resume_continues_after_the_row(self, monkeypatch, fallback):
+        if fallback:
+            monkeypatch.setattr(system, "_word_order", lambda: None)
+        cfg = config_for(3, 2)
+        states = trial_streams(4, [0, 2**40])
+        for t, row in zip([0, 2**40], states):
+            oracle = np.random.default_rng([4, t])
+            oracle.standard_normal(trial_normals(cfg))
+            got = system.resume(cfg, row)
+            assert got.bit_generator.state == oracle.bit_generator.state, t
+            assert got.standard_normal(7).tobytes() == oracle.standard_normal(7).tobytes(), t
 
 
 class TestPrefetchedStreams:
     """draw_trials gives each trial of a chunk, stacked, the draws its own
-    Generator gives alone, block by block in `_layout` order; each
-    Generator then resumes after its row."""
+    stream gives alone, block by block in `_layout` order; `resume` then
+    gives the stream after its row."""
 
     def test_draws_follow_each_stream(self):
         k, m = 2, 3
         cfg = config_for(m, k)
-        generators, plain = trial_streams(3, range(4)), trial_streams(3, range(4))
-        reference, channels, symbols, noise = draw_trials(cfg, generators)
+        states = trial_streams(3, range(4))
+        reference, channels, symbols, noise = draw_trials(cfg, states)
         assert not svd_guard(channels).any()
         part = partition(m)
-        for t, g in enumerate(plain):
+        for t in range(4):
+            g = np.random.default_rng([3, t])
             want = [np.stack([cn(g, (m, part.interference_dim)) for _ in range(2)]),
                     cn(g, (k, 2, m, m)), cn(g, (k, 2, m, m)),
                     cn(g, (k, 2, part.signal_dim)), cn(g, (2, m))]
             got = [reference[t], channels.direct[t], channels.cross[t], symbols[t], noise[t]]
             for a, b in zip(got, want):
                 assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), t
-            assert generators[t].standard_normal(3).tobytes() == g.standard_normal(3).tobytes()
+            resumed = system.resume(cfg, states[t])
+            assert resumed.standard_normal(3).tobytes() == g.standard_normal(3).tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 2, 4, 4), (5, 2, 2)])
     def test_matches_complex_division(self, shape):
