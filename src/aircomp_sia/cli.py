@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 2 configuration or input validation failure,
 3 degenerate channels (set redraw budget exhausted), 4 a sia run that breaks
-the paper's claim: its noiseless residual exceeds RESIDUAL_BOUND (1e-8),
-so exact recovery failed, or its aligned interference rank exceeds
-partition(M).interference_dim; its result is still written.
+`engine.claim_problems`' three conditions of the paper's claim (exact recovery,
+aligned rank, leakage), each printed as an error; its result is still written.
 
 Files named by --out are written to a temporary file in the same
 directory and renamed over the target, so a failed write leaves any
@@ -22,7 +21,7 @@ from dataclasses import fields
 
 from .__about__ import TOOL_NAME, __version__
 from .baselines import SCHEME_NAMES, efficiency_report
-from .engine import RESIDUAL_BOUND, run_sweep, worker_count
+from .engine import run_sweep, worker_count
 from .errors import ConfigError, DegenerateChannels
 from .output import (
     RunManifest,
@@ -32,7 +31,7 @@ from .output import (
     write_result_json,
 )
 from .plotting import render_nmse_svg
-from .system import SCHEMES, SystemConfig, parse_config_file, partition
+from .system import SCHEMES, SystemConfig, parse_config_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,18 +132,9 @@ def cmd_run(args):
         "run", config.to_flat(), workers=workers, output=args.out)
     writer = write_result_csv if args.format == "csv" else write_result_json
     _emit(args.out, lambda fh: writer(result, manifest, fh))
-    sia = config.scheme == "sia"
-    code = EXIT_OK
-    if sia and not result.max_residual <= RESIDUAL_BOUND:
-        print(f"error: noiseless residual {result.max_residual:.3e} exceeds "
-              f"{RESIDUAL_BOUND:.0e}; exact recovery failed", file=sys.stderr)
-        code = EXIT_INEXACT
-    aligned, confined = result.points[0].aligned_rank, partition(config.antennas).interference_dim
-    if sia and aligned > confined:
-        print(f"error: aligned interference rank {aligned} exceeds {confined}; "
-              "interference alignment failed", file=sys.stderr)
-        code = EXIT_INEXACT
-    return code
+    for problem in result.problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return EXIT_INEXACT if result.problems else EXIT_OK
 
 
 def cmd_compare(args):

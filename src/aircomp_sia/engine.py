@@ -40,7 +40,6 @@ from .system import (
     resume,
     superpose,
     trial_states,
-    trial_words,
 )
 
 # Channel sets a trial may draw, its first included, before the run is
@@ -55,9 +54,10 @@ SET_REDRAW_BUDGET = 100
 # numpy calls whatever its size, so the cap is set high; 2**17 raised peak
 # memory by more than 10%.
 CHUNK_ELEMENTS = 2**16
-# Largest noiseless relative residual a sia run may show: exact recovery
-# sits near 1e-13, so anything above this is a construction fault.
+# Largest noiseless relative residual and leakage a sia trial may show:
+# exact recovery sits near 1e-13 and leakage near 1e-27, so more is a fault.
 RESIDUAL_BOUND = 1e-8
+LEAKAGE_BOUND = 1e-20
 
 
 @dataclass
@@ -215,7 +215,7 @@ def run_trials(config, trials):
     _keep_freed_memory()
     # Every trial's seeded state is computed once for the whole call, since
     # the fixed cost of its vectorised passes would tell on one-trial chunks.
-    states = trial_states(trial_words(config.seed, trials))
+    states = trial_states(config.seed, trials)
     # The fewest chunks under the cap, as equal as array_split makes them
     # (the first ones largest), so that no runt pays a chunk's fixed cost
     # for a few trials.
@@ -242,11 +242,29 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     if symbols.shape != expected:
         raise SizeMismatch(f"data must have shape {expected}, got {symbols.shape}")
     config = config if snr_db is None else replace(config, snr_db_grid=(snr_db,))
-    res = _run_chunk(config, trial_states(trial_words(config.seed, [trial_index])), symbols[None])
+    res = _run_chunk(config, trial_states(config.seed, [trial_index]), symbols[None])
     error = res.noiseless[0]
     if snr_db is not None:
         error = error + res.noise_std[0, 0] * res.noise[0]
     return postprocess(spec, res.target[0] + error)
+
+
+def claim_problems(config, trials):
+    """The paper's claim on the TrialResult `trials`: one message per condition
+    some sia trial breaks (a noiseless residual above RESIDUAL_BOUND, an aligned
+    rank in a cell other than min(N', K * dof), a leakage above LEAKAGE_BOUND)."""
+    part = partition(config.antennas)
+    expected = min(part.interference_dim, config.devices * part.signal_dim)
+    worst, leak = trials.residual.max(), trials.leakage.max()
+    low, high = trials.aligned_rank.min(), trials.aligned_rank.max()
+    failed = "; interference alignment failed"
+    return [message for holds, message in (
+        (worst <= RESIDUAL_BOUND,
+         f"noiseless residual {worst:.3e} exceeds {RESIDUAL_BOUND:.0e}; exact recovery failed"),
+        (high <= expected, f"aligned interference rank {high} exceeds {expected}{failed}"),
+        (low >= expected, f"aligned interference rank {low} is below {expected}{failed}"),
+        (leak <= LEAKAGE_BOUND, f"interference leakage {leak:.3e} exceeds {LEAKAGE_BOUND:.0e}"),
+    ) if config.scheme == "sia" and not holds]
 
 
 @dataclass
@@ -268,6 +286,7 @@ class SweepResult:
     points: list
     dof_slope: float
     max_residual: float    # largest noiseless ||err|| / ||target|| over the trials
+    problems: list         # claim_problems of the trials: empty when the claim holds
 
 
 def _usable_cpus():
@@ -422,4 +441,5 @@ def run_sweep(config, workers=None):
     lo = (min(grid) + max(grid)) / 2.0
     slope = fit_nmse_slope(grid, nmse_mean, lo=lo)
     return SweepResult(config=config, points=points, dof_slope=slope,
-                       max_residual=float(merged.residual.max()))
+                       max_residual=float(merged.residual.max()),
+                       problems=claim_problems(config, merged))

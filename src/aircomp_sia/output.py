@@ -60,11 +60,11 @@ class RunManifest:
         )
 
     def comment_lines(self):
-        """The manifest as # key=value lines, the config's keys last."""
+        """The manifest as # key=value lines, config keys last, values escaped to one line."""
         data = self.to_dict()
-        config = data.pop("config")
-        return ([f"# {key}={value}" for key, value in data.items()]
-                + [f"# config.{key}={value}" for key, value in config.items()])
+        data.update({f"config.{key}": value for key, value in data.pop("config").items()})
+        return [f"# {key}={value}".replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
+                for key, value in data.items()]
 
     def to_dict(self):
         """Every field in declaration order; optional fields left unset are omitted."""

@@ -214,7 +214,7 @@ def _u64(value, what):
     return value
 
 
-def trial_words(seed, trials):
+def _trial_words(seed, trials):
     """PCG64 seeding words, shape (T, 4) uint64, of
     `np.random.default_rng([seed, t])` for every trial index t.
 
@@ -264,17 +264,17 @@ def _mul64(a, b):
     return (mid << _S32) | (ll & _LIMB), a1 * b1 + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
 
 
-def trial_states(words):
-    """PCG64's state once seeded by each row of `trial_words`: (T, 4)
-    uint64, the 128-bit state then the increment, each low word first.
+def trial_states(seed, trials):
+    """PCG64's state in `default_rng([seed, t])` for each trial index t:
+    (T, 4) uint64, the 128-bit state then the increment, each low word first.
 
-    PCG64 (O'Neill 2014) takes initstate = w0 * 2^64 + w1 and initseq =
-    w2 * 2^64 + w3, sets inc = 2 * initseq + 1 and steps its LCG twice
-    from zero, adding initstate between the steps: state = ((inc +
-    initstate) * MULT + inc) mod 2^128. The sums carry between 64-bit
-    words; of the product, only the low words' needs all 128 bits.
+    PCG64 (O'Neill 2014) takes `_trial_words`' four words as initstate =
+    w0 * 2^64 + w1 and initseq = w2 * 2^64 + w3, sets inc = 2 * initseq + 1
+    and steps its LCG twice from zero, adding initstate between the steps:
+    state = ((inc + initstate) * MULT + inc) mod 2^128. The sums carry
+    between 64-bit words; of the product, only the low words' needs all 128 bits.
     """
-    w0, w1, w2, w3 = words.T
+    w0, w1, w2, w3 = _trial_words(seed, trials).T
     inc_lo = (w3 << _ONE) | _ONE
     inc_hi = (w2 << _ONE) | (w3 >> _S63)
     sum_lo = inc_lo + w1

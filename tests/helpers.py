@@ -12,7 +12,6 @@ from aircomp_sia.system import (
     draw_trials,
     partition,
     trial_states,
-    trial_words,
 )
 
 
@@ -20,7 +19,7 @@ def trial_streams(seed, trials):
     """Each trial index's seeded PCG64 state, (T, 4) uint64, the state of
     `np.random.default_rng([seed, t])`: the rows `run_trials` gives its
     chunks."""
-    return trial_states(trial_words(seed, trials))
+    return trial_states(seed, trials)
 
 
 def cn(g, shape):

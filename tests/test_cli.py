@@ -195,6 +195,34 @@ class TestRun:
         column = header.split(",").index("aligned_rank")
         assert [row.split(",")[column] for row in rows] == ["3"] * 3
 
+    def test_planted_rank_zero_exit_code(self, capsys, monkeypatch):
+        # A rank of 0 is no alignment at all, however far below N' = 2 it
+        # sits; the CLI prints run_sweep's own problems, word for word.
+        from aircomp_sia import engine
+
+        def flat(channels, precoders, reference, beamformer):
+            return np.zeros(channels.cross.shape[:-4] + (2,), dtype=int)
+
+        monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        monkeypatch.setattr(engine, "aligned_interference_dimension", flat)
+        code, _, err = run_cli(RUN_ARGS, capsys)
+        assert code == 4
+        config = SystemConfig(antennas=4, devices=3, snr_db_grid=(0.0, 10.0, 20.0),
+                              trials=5, seed=17)
+        problems = engine.run_sweep(config, workers=1).problems
+        assert problems == ["aligned interference rank 0 is below 2; "
+                            "interference alignment failed"]
+        assert err.splitlines() == [f"error: {problem}" for problem in problems]
+
+    @pytest.mark.parametrize("antennas", ["3", "5"])
+    def test_one_device_below_n_prime_exits_zero(self, capsys, monkeypatch, antennas):
+        # K = 1 aligns dof = M // 2 < N' dimensions, as the claim says.
+        monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        code, out, err = run_cli(["run", "--antennas", antennas, "--devices", "1",
+                                  "--trials", "10", "--seed", "0"], capsys)
+        assert (code, err) == (0, "")
+        assert len(body_lines(out)) == 10
+
     def test_failed_write_keeps_previous_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")
         out_path = tmp_path / "res.csv"
@@ -387,6 +415,18 @@ class TestPlot:
                              capsys)
         assert code == 0
         assert out.read_text(encoding="utf-8").count("<polyline") == 2
+
+    def test_newline_in_output_path(self, capsys, monkeypatch, tmp_path):
+        # The path is escaped on its # line, so the body is a plain path's
+        # and the file plots.
+        odd = self.make_results(capsys, monkeypatch, tmp_path, name="x\ny.csv")
+        plain = self.make_results(capsys, monkeypatch, tmp_path)
+        text = odd.read_text(encoding="utf-8")
+        assert body_lines(text) == body_lines(plain.read_text(encoding="utf-8"))
+        assert f"# output={tmp_path}/x\\ny.csv" in text.splitlines()
+        code, _, _ = run_cli(["plot", "--in", str(odd), "--out", str(tmp_path / "fig.svg")],
+                             capsys)
+        assert code == 0
 
     def test_missing_input(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1237,3 +1237,61 @@ class TestResidual:
         res = run_trials(cfg, [1])
         assert res.residual[0] == np.sqrt(np.sum(np.abs(res.noiseless[0]) ** 2)
                                           / res.sig_power[0].sum())
+
+
+def plant(monkeypatch, field, index, value):
+    """Make every run_trials call of a sweep return `value` at `index` of
+    its TrialResult's `field`, as a construction fault in one trial would."""
+    real = engine.run_trials
+
+    def planted(config, trials):
+        result = real(config, trials)
+        getattr(result, field)[index] = value
+        return result
+
+    monkeypatch.setattr(engine, "run_trials", planted)
+
+
+class TestClaim:
+    """engine.claim_problems states the paper's claim once, for every
+    trial of a sia sweep: the sweep's columns, a max and a mean, may hide
+    the one trial that breaks it."""
+
+    ALIGNED = "; interference alignment failed"
+
+    @pytest.mark.parametrize("field, index, value, problem", [
+        ("residual", (2,), 1e-7,
+         "noiseless residual 1.000e-07 exceeds 1e-08; exact recovery failed"),
+        ("aligned_rank", (3, 1), 1, "aligned interference rank 1 is below 2" + ALIGNED),
+        ("aligned_rank", (0, 0), 3, "aligned interference rank 3 exceeds 2" + ALIGNED),
+        ("aligned_rank", ..., 0, "aligned interference rank 0 is below 2" + ALIGNED),
+        ("leakage", (1, 0), 2e-20, "interference leakage 2.000e-20 exceeds 1e-20"),
+    ], ids=["residual", "low_rank", "high_rank", "zero_rank", "leakage"])
+    def test_planted_fault_in_one_trial(self, monkeypatch, field, index, value, problem):
+        cfg = config_for(4, 3, trials=5)
+        assert run_sweep(cfg, workers=1).problems == []
+        plant(monkeypatch, field, index, value)
+        result = run_sweep(cfg, workers=1)
+        assert result.problems == [problem]
+        # Neither column shows a low rank in one trial or a leak in one
+        # cell of one trial.
+        if (field, value) == ("aligned_rank", 1):
+            assert [p.aligned_rank for p in result.points] == [2] * 3
+        if field == "leakage":
+            assert result.points[0].leakage_mean < engine.LEAKAGE_BOUND
+
+    @pytest.mark.parametrize("m, rank", [(3, 1), (5, 2)])
+    def test_rank_below_n_prime_holds_the_claim(self, m, rank):
+        # One device gives min(N', K * dof) = dof < N' aligned dimensions.
+        result = run_sweep(config_for(m, 1, trials=10), workers=1)
+        assert result.problems == []
+        assert result.points[0].aligned_rank == rank < partition(m).interference_dim
+
+    @pytest.mark.parametrize("scheme", ["no_ia", "genie"])
+    def test_other_schemes_have_no_claim(self, scheme):
+        cfg = config_for(4, 3, scheme=scheme)
+        trials = run_trials(cfg, range(4))
+        assert engine.claim_problems(cfg, trials) == []
+        trials.residual[:], trials.aligned_rank[:], trials.leakage[:] = 1.0, 0, 1.0
+        assert engine.claim_problems(cfg, trials) == []
+        assert engine.claim_problems(replace(cfg, scheme="sia"), trials) != []

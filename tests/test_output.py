@@ -69,6 +69,11 @@ class TestManifest:
         assert list(full.to_dict()) == ["tool", "version", "generated", "command", "config",
                                         "workers", "output"]
 
+    def test_values_keep_to_their_line(self):
+        odd = RunManifest.create("run", {"seed": "1\n2"}, output="a\\b\rc\nd.csv")
+        assert odd.comment_lines()[-2:] == ["# output=a\\\\b\\rc\\nd.csv",
+                                            "# config.seed=1\\n2"]
+
     def test_optional_fields(self, small_result):
         bare = RunManifest.create("compare", {})
         assert not any(line.startswith("# workers=")

@@ -21,7 +21,7 @@ from aircomp_sia.system import (
     partition,
     superpose,
     trial_normals,
-    trial_words,
+    trial_states,
 )
 
 from helpers import (
@@ -421,12 +421,11 @@ class TestDrawSymbols:
 
 
 class TestTrialStreams:
-    """trial_words reimplements numpy's SeedSequence hash and trial_states
-    PCG64's seeding; every state the helper trial_streams makes from them
-    must equal default_rng([seed, t])'s bit for bit, so an oracle pins it.
-    The seeds and indices cross the one-word/two-word boundary of both,
-    and the 2^64 wrap of the sums and the product. SystemConfig alone
-    validates seeds."""
+    """trial_states reimplements numpy's SeedSequence hash, then PCG64's
+    seeding; every state the helper trial_streams makes with it must equal
+    default_rng([seed, t])'s bit for bit, so an oracle pins it. The seeds
+    and indices cross the one-word/two-word boundary of both, and the 2^64
+    wrap of the sums and the product. SystemConfig alone validates seeds."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
     INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**33, 2**64 - 2, 2**64 - 1]
@@ -465,18 +464,18 @@ class TestTrialStreams:
         # An integer array is checked at once, with the message the
         # index-by-index check gives; other arrays go index by index.
         with pytest.raises(ConfigError, match="trial index"):
-            trial_words(0, bad)
+            trial_states(0, bad)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint8])
     def test_index_array_matches_list(self, dtype):
         indices = np.array([0, 1, 2, 100, np.iinfo(dtype).max], dtype=dtype)
-        want = trial_words(3, indices.tolist())
-        assert trial_words(3, indices).tobytes() == want.tobytes()
-        assert trial_words(3, indices[::-2]).tobytes() == want[::-2].tobytes()
+        want = trial_states(3, indices.tolist())
+        assert trial_states(3, indices).tobytes() == want.tobytes()
+        assert trial_states(3, indices[::-2]).tobytes() == want[::-2].tobytes()
 
     @pytest.mark.parametrize("bad", [1.5, -1, 2**64])
     def test_rejects_bad_seed(self, bad):
-        # A seed reaches trial_words only through a SystemConfig; one read
+        # A seed reaches trial_states only through a SystemConfig; one read
         # from a config file or the command line is refused there.
         with pytest.raises(ConfigError, match="seed"):
             SystemConfig.from_flat({"antennas": "4", "devices": "2", "seed": str(bad)})
