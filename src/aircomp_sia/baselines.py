@@ -9,7 +9,6 @@ absent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,6 +37,8 @@ def efficiency_report(scheme, antennas, devices):
     independent of K: an efficiency of 1/2 for even M and 1/2 - 1/(2M)
     for odd M.
     """
+    from fractions import Fraction  # with decimal, 3 ms of start-up only compare needs
+
     if antennas < 1 or devices < 1:
         raise ConfigError("antennas and devices must be positive")
     if scheme == "conventional_ia":

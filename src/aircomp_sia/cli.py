@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import os
 import sys
-import tempfile
 from dataclasses import fields
 
 from .__about__ import TOOL_NAME, __version__
@@ -99,6 +98,8 @@ def _resolve_run_config(args):
 def _write_atomic(path, write):
     """Call write(stream) on a temporary file beside `path`, then rename it
     over `path`; on any failure the temporary file is removed."""
+    import tempfile  # only --out needs it
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.",
                                suffix=".tmp")

@@ -16,13 +16,13 @@ any worker count.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import functools
 import math
 import os
 import sys
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -315,32 +315,45 @@ def worker_count():
     return value
 
 
-# The worker pool outlives a sweep: (size, executor), created at first use.
-# concurrent.futures shuts it down at interpreter exit.
+# The worker pool outlives a sweep: (size, executor), created at first use
+# and shut down at interpreter exit by _close_pool_at_exit's hook.
 _pool = None
 _pool_lock = threading.Lock()
 
 
 def _worker_pool(size):
     """The pool of `size` workers, reused while the size matches; a pool
-    of another size is shut down and replaced."""
+    of another size is shut down and replaced. The pool machinery is
+    imported with the first pool: a one-worker sweep never loads it."""
     global _pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with _pool_lock:
         if _pool is not None and _pool[0] != size:
             _pool[1].shutdown()
             _pool = None
         if _pool is None:
+            _close_pool_at_exit()
             _pool = (size, ProcessPoolExecutor(max_workers=size))
         return _pool[1]
 
 
 def _discard_pool(executor):
-    """Forget a broken pool so the next sweep starts a new one."""
+    """Forget the pool `executor` if it is the kept one, and shut it down: a
+    broken pool, so that the next sweep starts a new one, or the kept pool at exit."""
     global _pool
     with _pool_lock:
         if _pool is not None and _pool[1] is executor:
             _pool = None
     executor.shutdown(wait=False)
+
+
+@functools.cache
+def _close_pool_at_exit():
+    """Shut the kept pool down at exit, once registered: an executor left for
+    teardown can outlive the globals of concurrent.futures.process, whose
+    callback then prints an ignored exception."""
+    atexit.register(lambda: _pool and _discard_pool(_pool[1]))
 
 
 def fit_nmse_slope(snr_db, nmse, lo=None):
@@ -398,8 +411,10 @@ def run_sweep(config, workers=None):
     pool = _worker_pool(len(ranges)) if len(ranges) > 1 else None
     try:
         batches = list((pool.map if pool else map)(run_trials, [config] * len(ranges), ranges))
-    except BrokenExecutor:
-        _discard_pool(pool)
+    except Exception as exc:
+        # Builtin map raises no pool error; the pool's module came with the pool.
+        if pool and isinstance(exc, sys.modules["concurrent.futures"].BrokenExecutor):
+            _discard_pool(pool)
         raise
     merged = _concat(batches)
 

@@ -7,11 +7,9 @@ perturbs the body.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from . import __about__
@@ -68,7 +66,10 @@ class RunManifest:
 
     def to_dict(self):
         """Every field in declaration order; optional fields left unset are omitted."""
-        return {key: value for key, value in asdict(self).items() if value is not None}
+        # A shallow copy of the config: asdict's deep one cost most of comment_lines.
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data["config"] = dict(self.config)
+        return {key: value for key, value in data.items() if value is not None}
 
 
 def sweep_rows(result):
@@ -99,6 +100,8 @@ def write_result_csv(result, manifest, stream):
 
 
 def write_result_json(result, manifest, stream):
+    import json
+
     rows = []
     for row in sweep_rows(result):
         clean = {}
@@ -136,6 +139,8 @@ def read_result_rows(path):
     Comment lines are skipped and repeated header lines (from merging two
     outputs) are ignored. Raises ValueError on malformed or empty input.
     """
+    import csv
+
     header = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import functools
 import io
@@ -451,10 +452,11 @@ class FakePool(Executor):
 @pytest.fixture
 def fake_pools(monkeypatch):
     # The engine keeps its pool across sweeps; start from none and put the
-    # previous one back afterwards.
+    # previous one back afterwards. It imports the pool class from
+    # concurrent.futures when it makes a pool, so the fake stands there.
     record = FakePools()
     monkeypatch.setattr(engine, "_pool", None)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", record)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
     return record
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from xml.etree import ElementTree
@@ -79,6 +80,27 @@ class TestManifest:
         assert not any(line.startswith("# workers=")
                        for line in bare.comment_lines())
         assert "workers" not in bare.to_dict()
+
+    @pytest.mark.parametrize("workers, output", [(None, None), (2, None), (None, "o.csv"),
+                                                 (1, "a\\b\nc.csv")])
+    def test_shallow_copy_matches_asdict(self, small_result, workers, output):
+        # to_dict copies the config shallow where it once deep-copied the
+        # whole manifest through dataclasses.asdict; every output is the same.
+        made = RunManifest.create("run --seed 1", small_result.config.to_flat(),
+                                  workers=workers, output=output)
+        old = {key: value for key, value in dataclasses.asdict(made).items()
+               if value is not None}
+        assert made.to_dict() == old and list(made.to_dict()) == list(old)
+        data = dict(old)
+        data.update({f"config.{key}": value for key, value in data.pop("config").items()})
+        assert made.comment_lines() == [
+            f"# {key}={value}".replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
+            for key, value in data.items()]
+        text = io.StringIO()
+        write_result_json(small_result, made, text)
+        assert json.loads(text.getvalue())["manifest"] == json.loads(json.dumps(old))
+        made.to_dict()["config"]["seed"] = "changed"
+        assert made.config == old["config"]
 
     def test_timestamp_format(self, manifest):
         stamp = manifest.generated

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import importlib.util
 import io
@@ -30,14 +31,35 @@ def _fresh(code):
     return done.stdout.split()
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # numpy.random costs about 17 ms to import, and `aircomp --version`
-    # needs none of it; streams import it at first use.
-    eager, = _fresh("import sys, numpy; print('numpy.random' in sys.modules)")
-    if eager == "True":
-        pytest.skip("this numpy imports numpy.random with numpy itself")
-    loaded, = _fresh("import sys, aircomp_sia; print('numpy.random' in sys.modules)")
-    assert loaded == "False"
+# Modules `aircomp --version` needs none of, with their import cost here:
+# numpy.random about 17 ms; the process pool's machinery 17 ms and 2 MiB;
+# fractions with decimal 3 ms; json 2 ms. Each loads at its first use.
+DEFERRED = ["numpy.random", "multiprocessing", "concurrent.futures.process", "fractions",
+            "decimal", "json", "csv", "tempfile"]
+_LOADED = "import sys, {}; print(*(name in sys.modules for name in %r))" % (DEFERRED,)
+
+
+@functools.cache
+def _loaded(module):
+    """Whether each DEFERRED module is loaded after a fresh `import module`."""
+    return dict(zip(DEFERRED, _fresh(_LOADED.format(module))))
+
+
+@pytest.mark.parametrize("name", DEFERRED)
+def test_import_leaves_module_unloaded(name):
+    if _loaded("numpy")[name] == "True":
+        pytest.skip(f"a bare `import numpy` loads {name} here")
+    assert _loaded("aircomp_sia.cli")[name] == "False"
+
+
+def test_one_worker_sweep_leaves_the_pool_unloaded():
+    code = """
+import sys
+from aircomp_sia import SystemConfig, run_sweep
+run_sweep(SystemConfig(antennas=2, devices=1, trials=4), workers=1)
+print('multiprocessing' in sys.modules)
+"""
+    assert _fresh(code) == ["False"]
 
 
 def test_sweeps_take_no_masked_arrays_and_m2_no_lapack_qr_or_lstsq():
