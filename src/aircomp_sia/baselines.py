@@ -38,7 +38,6 @@ def efficiency_report(scheme, antennas, devices):
     for odd M.
     """
     from fractions import Fraction  # with decimal, 3 ms of start-up only compare needs
-
     if antennas < 1 or devices < 1:
         raise ConfigError("antennas and devices must be positive")
     if scheme == "conventional_ia":

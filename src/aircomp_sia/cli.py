@@ -99,7 +99,6 @@ def _write_atomic(path, write):
     """Call write(stream) on a temporary file beside `path`, then rename it
     over `path`; on any failure the temporary file is removed."""
     import tempfile  # only --out needs it
-
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.",
                                suffix=".tmp")

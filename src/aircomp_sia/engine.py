@@ -315,19 +315,18 @@ def worker_count():
     return value
 
 
-# The worker pool outlives a sweep: (size, executor), created at first use
-# and shut down at interpreter exit by _close_pool_at_exit's hook.
+# The worker pool outlives a sweep: (size, executor), created at first use.
+# The engine shuts it down at exit: left for teardown, it can outlive the
+# globals of concurrent.futures.process, and its weakref callback then fails.
 _pool = None
 _pool_lock = threading.Lock()
 
 
 def _worker_pool(size):
     """The pool of `size` workers, reused while the size matches; a pool
-    of another size is shut down and replaced. The pool machinery is
-    imported with the first pool: a one-worker sweep never loads it."""
+    of another size is shut down and replaced."""
     global _pool
-    from concurrent.futures import ProcessPoolExecutor
-
+    from concurrent.futures import ProcessPoolExecutor  # here: one worker never loads it
     with _pool_lock:
         if _pool is not None and _pool[0] != size:
             _pool[1].shutdown()
@@ -339,8 +338,7 @@ def _worker_pool(size):
 
 
 def _discard_pool(executor):
-    """Forget the pool `executor` if it is the kept one, and shut it down: a
-    broken pool, so that the next sweep starts a new one, or the kept pool at exit."""
+    """Forget a broken pool so the next sweep starts a new one, or the kept one at exit."""
     global _pool
     with _pool_lock:
         if _pool is not None and _pool[1] is executor:
@@ -350,9 +348,7 @@ def _discard_pool(executor):
 
 @functools.cache
 def _close_pool_at_exit():
-    """Shut the kept pool down at exit, once registered: an executor left for
-    teardown can outlive the globals of concurrent.futures.process, whose
-    callback then prints an ignored exception."""
+    """Register, once, an exit hook that shuts the kept pool down and forgets it."""
     atexit.register(lambda: _pool and _discard_pool(_pool[1]))
 
 

@@ -65,8 +65,8 @@ class RunManifest:
                 for key, value in data.items()]
 
     def to_dict(self):
-        """Every field in declaration order; optional fields left unset are omitted."""
-        # A shallow copy of the config: asdict's deep one cost most of comment_lines.
+        """Every field in declaration order, the config copied shallow (asdict's deep
+        copy cost most of comment_lines); optional fields left unset are omitted."""
         data = {field.name: getattr(self, field.name) for field in fields(self)}
         data["config"] = dict(self.config)
         return {key: value for key, value in data.items() if value is not None}
@@ -101,7 +101,6 @@ def write_result_csv(result, manifest, stream):
 
 def write_result_json(result, manifest, stream):
     import json
-
     rows = []
     for row in sweep_rows(result):
         clean = {}
@@ -140,7 +139,6 @@ def read_result_rows(path):
     outputs) are ignored. Raises ValueError on malformed or empty input.
     """
     import csv
-
     header = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
