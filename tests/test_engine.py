@@ -594,6 +594,25 @@ class TestWorkerPool:
         assert fake_pools.sizes == [2, 3]
         assert first.points == second.points
 
+    def test_exit_hook_shuts_the_kept_pool_down(self, monkeypatch, fake_pools):
+        # One hook for the process, registered with its first pool. The
+        # cache is cleared on both sides, so a real pool made later in this
+        # process registers the real hook again.
+        hooks = []
+        monkeypatch.setattr(engine.atexit, "register", hooks.append)
+        engine._close_pool_at_exit.cache_clear()
+        try:
+            run_sweep(config_for(2, 1, trials=4), workers=2)
+            run_sweep(config_for(2, 1, trials=4), workers=3)
+            assert len(hooks) == 1
+            hooks[0]()
+        finally:
+            engine._close_pool_at_exit.cache_clear()
+        assert fake_pools.shutdowns == [2, 3]
+        assert engine._pool is None
+        hooks[0]()
+        assert fake_pools.shutdowns == [2, 3]
+
     def test_broken_pool_is_replaced(self, fake_pools):
         cfg = config_for(2, 1, trials=4)
         fake_pools.broken = True

@@ -28,8 +28,9 @@ from ab_pairs import ROOT, _stats
 COMMAND = [sys.executable, "-m", "aircomp_sia", "--version"]
 
 
-def blas_env(path=ROOT / "benchmarks" / "workloads.py"):
+def blas_env():
     """The benchmark's BLAS thread pins, read from its workloads module."""
+    path = ROOT / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
