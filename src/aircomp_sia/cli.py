@@ -6,8 +6,8 @@ Exit codes: 0 success, 2 configuration or input validation failure,
 aligned rank, leakage), each printed as an error; its result is still written.
 
 Files named by --out are written to a temporary file in the same
-directory and renamed over the target, so a failed write leaves any
-previous file intact.
+directory, created as open() creates a file (0666 less the umask), and
+renamed over the target, so a failed write leaves any previous file intact.
 """
 
 from __future__ import annotations
@@ -98,16 +98,11 @@ def _resolve_run_config(args):
 def _write_atomic(path, write):
     """Call write(stream) on a temporary file beside `path`, then rename it
     over `path`; on any failure the temporary file is removed."""
-    import tempfile  # only --out needs it
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.",
-                               suffix=".tmp")
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -157,7 +152,7 @@ def cmd_plot(args):
         svg = render_nmse_svg(rows)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot plot {args.infile}: {exc}") from exc
-    _write_atomic(args.out, lambda fh: fh.write(svg))
+    _emit(args.out, lambda fh: fh.write(svg))
     return EXIT_OK
 
 
@@ -177,7 +172,3 @@ def main(argv=None):
 
 def entrypoint():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

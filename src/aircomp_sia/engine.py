@@ -232,8 +232,9 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     values are pre-processed for `function`, sent over the air with
     config.scheme in sweep trial `trial_index`'s channel use, its noise
     included, recovered and post-processed. Returns the per-cell function
-    estimates, shape (2, signal_dim). `snr_db` None is noise-free; a
-    number is scored as a one-point grid, so it must be finite.
+    estimates, shape (2, signal_dim). The trial is scored on the one-point
+    grid (snr_db,), so a number must be finite; `snr_db` None is noise-free,
+    its trial scored at 0 dB and that score left unread.
     """
     spec = FunctionSpec(function, config.devices)
     dof = partition(config.antennas).signal_dim
@@ -241,7 +242,7 @@ def run_functional_trial(config, function, data, trial_index=0, snr_db=None):
     expected = (config.devices, 2, dof)
     if symbols.shape != expected:
         raise SizeMismatch(f"data must have shape {expected}, got {symbols.shape}")
-    config = config if snr_db is None else replace(config, snr_db_grid=(snr_db,))
+    config = replace(config, snr_db_grid=(0.0 if snr_db is None else snr_db,))
     res = _run_chunk(config, trial_states(config.seed, [trial_index]), symbols[None])
     error = res.noiseless[0]
     if snr_db is not None:
@@ -289,16 +290,13 @@ class SweepResult:
     problems: list         # claim_problems of the trials: empty when the claim holds
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def worker_count():
     """Worker cap: the CPUs this process may run on, or AIRCOMP_WORKERS when
     set, clamped to those CPUs with a note on stderr."""
-    cpus = _usable_cpus()
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     raw = os.environ.get("AIRCOMP_WORKERS")
     if raw is None:
         return cpus

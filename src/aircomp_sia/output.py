@@ -93,10 +93,16 @@ def sweep_rows(result):
     return rows
 
 
-def write_result_csv(result, manifest, stream):
-    lines = manifest.comment_lines() + [",".join(RESULT_COLUMNS)]
-    lines += [_CSV_ROW.format(*row.values()) for row in sweep_rows(result)]
+def _write_table(stream, manifest, columns, rows):
+    """Write the manifest's # lines, the header of `columns` and the rendered
+    data rows `rows`, in one write."""
+    lines = manifest.comment_lines() + [",".join(columns)] + rows
     stream.write("\n".join(lines) + "\n")
+
+
+def write_result_csv(result, manifest, stream):
+    _write_table(stream, manifest, RESULT_COLUMNS,
+                 [_CSV_ROW.format(*row.values()) for row in sweep_rows(result)])
 
 
 def write_result_json(result, manifest, stream):
@@ -122,14 +128,10 @@ def write_result_json(result, manifest, stream):
 
 
 def write_compare_csv(reports, manifest, stream):
-    for line in manifest.comment_lines():
-        stream.write(line + "\n")
-    stream.write(",".join(COMPARE_COLUMNS) + "\n")
-    for rep in reports:
-        streams = str(rep.streams.numerator) if rep.streams.denominator == 1 else str(rep.streams)
-        cells = (rep.scheme, str(rep.antennas), str(rep.devices), streams,
-                 str(rep.efficiency.numerator), str(rep.efficiency.denominator))
-        stream.write(",".join(cells) + "\n")
+    _write_table(stream, manifest, COMPARE_COLUMNS,
+                 [",".join(map(str, (rep.scheme, rep.antennas, rep.devices, rep.streams,
+                                     rep.efficiency.numerator, rep.efficiency.denominator)))
+                  for rep in reports])
 
 
 def read_result_rows(path):

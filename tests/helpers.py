@@ -15,13 +15,6 @@ from aircomp_sia.system import (
 )
 
 
-def trial_streams(seed, trials):
-    """Each trial index's seeded PCG64 state, (T, 4) uint64, the state of
-    `np.random.default_rng([seed, t])`: the rows `run_trials` gives its
-    chunks."""
-    return trial_states(seed, trials)
-
-
 def cn(g, shape):
     """CN(0, 1) draws of `shape` from one Generator `g`, as a trial draws
     one block: all real parts, then all imaginary parts."""
@@ -40,13 +33,13 @@ def draw_chunk(config, trials):
     """`draw_trials` on a chunk of trial indices `trials` as `run_trials`
     draws it, from config.seed's states: (reference draws, ChannelSet,
     symbols, noise)."""
-    return draw_trials(config, trial_streams(config.seed, trials))
+    return draw_trials(config, trial_states(config.seed, trials))
 
 
 def run_chunk(config, trials, symbols=None):
     """`engine._run_chunk` on one chunk of trial indices `trials`, as
     `run_trials` runs it, on config.seed's states."""
-    return engine._run_chunk(config, trial_streams(config.seed, trials), symbols)
+    return engine._run_chunk(config, trial_states(config.seed, trials), symbols)
 
 
 def steady_faults(config, trials):

@@ -243,13 +243,25 @@ class TestRun:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv"]
 
     def test_written_file_has_default_mode(self, capsys, monkeypatch, tmp_path):
+        # The kernel masks the temporary file's 0666 at creation, so the
+        # process umask is never read, nor set to 0 while other threads run.
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")
+        umask = 0o027
+        previous = os.umask(umask)
+
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
         out_path = tmp_path / "res.csv"
-        code, _, _ = run_cli(RUN_ARGS + ["--out", str(out_path)], capsys)
+        try:
+            code, _, _ = run_cli(RUN_ARGS + ["--out", str(out_path)], capsys)
+        finally:
+            monkeypatch.undo()
+            os.umask(previous)
         assert code == 0
-        umask = os.umask(0)
-        os.umask(umask)
         assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv"]
 
     def test_unwritable_output(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("AIRCOMP_WORKERS", "1")

@@ -31,7 +31,14 @@ from aircomp_sia.errors import (
     SizeMismatch,
 )
 from aircomp_sia.functions import FunctionSpec, preprocess
-from aircomp_sia.system import ChannelSet, SystemConfig, draw_channels, partition, trial_normals
+from aircomp_sia.system import (
+    ChannelSet,
+    SystemConfig,
+    draw_channels,
+    partition,
+    trial_normals,
+    trial_states,
+)
 
 from helpers import (
     cn,
@@ -40,7 +47,6 @@ from helpers import (
     run_chunk,
     steady_faults,
     svd_guard,
-    trial_streams,
 )
 
 
@@ -197,9 +203,9 @@ def record_chunk_sizes(monkeypatch):
     sizes = []
     real = engine._run_chunk
 
-    def recording(config, rngs, *args):
-        sizes.append(len(rngs))
-        return real(config, rngs, *args)
+    def recording(config, states, *args):
+        sizes.append(len(states))
+        return real(config, states, *args)
 
     monkeypatch.setattr(engine, "_run_chunk", recording)
     return sizes
@@ -894,6 +900,21 @@ class TestRunFunctionalTrial:
         err40 = np.linalg.norm(at40 - clean)
         assert np.isclose(err20, 10 * err40, rtol=1e-9)
 
+    @pytest.mark.parametrize("snr_db,grid", [(None, (0.0,)), (20.0, (20.0,))])
+    def test_chunk_scores_one_point(self, monkeypatch, snr_db, grid):
+        # Only the one point the estimate may read is scored, never the
+        # config's whole grid; tools/body_digest.py pins the estimates' bits.
+        grids = []
+        real = engine._run_chunk
+
+        def recording(config, states, *args):
+            grids.append(config.snr_db_grid)
+            return real(config, states, *args)
+
+        monkeypatch.setattr(engine, "_run_chunk", recording)
+        run_functional_trial(config_for(4, 2), "mean", np.ones((2, 2, 2)), snr_db=snr_db)
+        assert grids == [grid]
+
     def test_shape_validation(self):
         cfg = config_for(4, 2)
         with pytest.raises(SizeMismatch):
@@ -1237,7 +1258,7 @@ class TestPrefetchedStreams:
             oracle = np.random.default_rng([cfg.seed, t])
             oracle.standard_normal(count)
             assert g.bit_generator.state == oracle.bit_generator.state, t
-        chunk = engine._run_chunk(cfg, trial_streams(cfg.seed, range(4)), symbols)
+        chunk = engine._run_chunk(cfg, trial_states(cfg.seed, range(4)), symbols)
         assert not chunk.redraws.any()
 
 

@@ -30,17 +30,17 @@ def stub_checkout(root, code=0):
     return root
 
 
-def test_summary_in_milliseconds(launch_pairs):
-    pairs = [(0.100, 0.090), (0.104, 0.105), (0.098, 0.080), (0.110, 0.100)]
-    row = launch_pairs.summarise(pairs)
-    assert row["parent"] == pytest.approx({"median": 102.0, "q1": 99.5, "q3": 105.5,
-                                           "min": 98.0, "max": 110.0})
-    assert row["change"]["median"] == pytest.approx(95.0)
-    assert row["change_pct"] == pytest.approx(100.0 * (95.0 / 102.0 - 1.0))
-    assert (row["wins"], row["pairs"]) == (3, 4)
-    line = launch_pairs.format_summary(row)
-    assert line.startswith("launch: parent 102.0 ms (quartiles 99.5-105.5, range 98.0-110.0)")
-    assert line.endswith("-6.9%, change faster in 3 of 4 pairs")
+def test_summary_in_milliseconds(launch_pairs, monkeypatch, capsys):
+    # Seconds per launch of each checkout, its untimed first launch first.
+    times = {"a": iter([1.0, 0.100, 0.104, 0.098, 0.110]),
+             "b": iter([1.0, 0.090, 0.105, 0.080, 0.100])}
+    monkeypatch.setattr(launch_pairs, "launch",
+                        lambda checkout, env: (next(times[str(checkout)]), True))
+    assert launch_pairs.main(["--parent", "a", "--change", "b", "--launches", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "launch_ms (ms, lower is better): parent 102 (quartiles 99.5-105.5, range 98-110) "
+        "-> change 95 (quartiles 87.5-101.25, range 80-105), -6.9%, "
+        "change better in 3 of 4 pairs\n")
 
 
 def test_reads_the_benchmark_environment(launch_pairs):
@@ -54,5 +54,5 @@ def test_main_on_stub_checkouts(launch_pairs, tmp_path, capsys, code, status):
     assert launch_pairs.main(["--parent", str(parent), "--change", str(change),
                               "--launches", "2"]) == status
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 1 and out[0].startswith("launch: parent ")
+    assert len(out) == 1 and out[0].startswith("launch_ms (ms, lower is better): parent ")
     assert out[0].endswith(" of 2 pairs")

@@ -25,9 +25,10 @@ from aircomp_sia.system import (
     SystemConfig,
     draw_trials,
     superpose,
+    trial_states,
 )
 
-from helpers import cn, reference_pair, run_chunk, solve_rejects, span_residual, trial_streams
+from helpers import cn, reference_pair, run_chunk, solve_rejects, span_residual
 
 
 def rng_for(seed):
@@ -41,7 +42,7 @@ def gaussian(rng, rows, cols):
 def build_with_cross(cfg, cell, matrix):
     """engine._build on a chunk of two trials whose first channel set
     holds `matrix` as trial 1's cross channel of device 0 in `cell`."""
-    states = trial_streams(cfg.seed, range(2))
+    states = trial_states(cfg.seed, range(2))
     draws, channels, _, _ = draw_trials(cfg, states)
     channels.cross[1, 0, cell] = matrix
     return engine._build(cfg, channels, states, *build_reference_matrices(draws))
@@ -785,7 +786,7 @@ class TestEntryPlanes:
     @pytest.mark.parametrize("m, k", [(2, 1), (4, 20), (5, 3)])
     def test_draws(self, m, k):
         cfg = SystemConfig(antennas=m, devices=k)
-        _, channels, _, _ = draw_trials(cfg, trial_streams(0, range(3)))
+        _, channels, _, _ = draw_trials(cfg, trial_states(0, range(3)))
         for stack in (channels.direct, channels.cross):
             assert is_entry_planes(stack) == (m <= linalg._MM_INNER_MAX)
             assert (linalg.plane_order(stack.shape) is None) == (m > linalg._MM_INNER_MAX)

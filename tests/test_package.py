@@ -33,7 +33,8 @@ def _fresh(code):
 
 # Modules `aircomp --version` needs none of, with their import cost here:
 # numpy.random about 17 ms; the process pool's machinery 17 ms and 2 MiB;
-# fractions with decimal 3 ms; json 2 ms. Each loads at its first use.
+# fractions with decimal 3 ms; json 2 ms. Each loads at its first use, except
+# tempfile, which nothing imports.
 DEFERRED = ["numpy.random", "multiprocessing", "concurrent.futures.process", "fractions",
             "decimal", "json", "csv", "tempfile"]
 _LOADED = "import sys, {}; print(*(name in sys.modules for name in %r))" % (DEFERRED,)

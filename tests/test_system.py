@@ -31,7 +31,6 @@ from helpers import (
     solve_rejects,
     svd_guard,
     svd_rejects,
-    trial_streams,
 )
 
 
@@ -422,7 +421,7 @@ class TestDrawSymbols:
 
 class TestTrialStreams:
     """trial_states reimplements numpy's SeedSequence hash, then PCG64's
-    seeding; every state the helper trial_streams makes with it must equal
+    seeding; every state it makes must equal
     default_rng([seed, t])'s bit for bit, so an oracle pins it. The seeds
     and indices cross the one-word/two-word boundary of both, and the 2^64
     wrap of the sums and the product. SystemConfig alone validates seeds."""
@@ -437,7 +436,7 @@ class TestTrialStreams:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_default_rng(self, seed):
-        states = trial_streams(seed, self.INDICES)
+        states = trial_states(seed, self.INDICES)
         assert (states.dtype, states.shape) == (np.uint64, (len(self.INDICES), 4))
         for t, row, stream in zip(self.INDICES, states, system._seeded(states)):
             oracle = np.random.default_rng([seed, t])
@@ -445,17 +444,17 @@ class TestTrialStreams:
             assert np.array_equal(stream.standard_normal(50), oracle.standard_normal(50)), (seed, t)
 
     def test_empty(self):
-        assert trial_streams(0, []).shape == (0, 4)
-        assert trial_streams(0, np.arange(0)).shape == (0, 4)
+        assert trial_states(0, []).shape == (0, 4)
+        assert trial_states(0, np.arange(0)).shape == (0, 4)
 
     def test_single(self):
-        row, = trial_streams(9, [5])
+        row, = trial_states(9, [5])
         assert self.state(row) == np.random.default_rng([9, 5]).bit_generator.state["state"]
 
     @pytest.mark.parametrize("bad", [1.5, -1, 2**64, "3", None, True])
     def test_rejects_bad_index(self, bad):
         with pytest.raises(ConfigError, match="trial index"):
-            trial_streams(0, [0, bad])
+            trial_states(0, [0, bad])
 
     @pytest.mark.parametrize("bad", [np.array([0, -1]), np.array([0, -(2**63)]),
                                      np.array([0, 1.5]), np.array([False, True]),
@@ -481,7 +480,7 @@ class TestTrialStreams:
             SystemConfig.from_flat({"antennas": "4", "devices": "2", "seed": str(bad)})
 
     def test_numpy_integer_index(self):
-        row, = trial_streams(np.uint64(7), [np.int64(3)])
+        row, = trial_states(np.uint64(7), [np.int64(3)])
         assert self.state(row) == np.random.default_rng([7, 3]).bit_generator.state["state"]
 
 
@@ -509,7 +508,7 @@ class TestStateWrite:
         if fallback:
             monkeypatch.setattr(system, "_word_order", lambda: None)
         cfg = config_for(3, 2)
-        states = trial_streams(4, [0, 2**40])
+        states = trial_states(4, [0, 2**40])
         for t, row in zip([0, 2**40], states):
             oracle = np.random.default_rng([4, t])
             oracle.standard_normal(trial_normals(cfg))
@@ -526,7 +525,7 @@ class TestPrefetchedStreams:
     def test_draws_follow_each_stream(self):
         k, m = 2, 3
         cfg = config_for(m, k)
-        states = trial_streams(3, range(4))
+        states = trial_states(3, range(4))
         reference, channels, symbols, noise = draw_trials(cfg, states)
         assert not svd_guard(channels).any()
         part = partition(m)

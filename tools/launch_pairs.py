@@ -7,10 +7,11 @@ checkout's root, with that checkout's src/ first on PYTHONPATH and the
 BLAS thread pins of benchmarks/workloads.py, the environment in which
 benchmarks/run.py times its set-up: the parent first in even pairs, the
 change first in odd ones. One untimed launch per checkout fills the
-bytecode cache first. The summary gives both sides' medians, quartiles
-and ranges in milliseconds, the change of the median in percent, and the
-pairs in which the change started faster. The exit status is 1 when any
-launch exits non-zero or does not print the tool's name.
+bytecode cache first. The summary is tools/ab_pairs.py's line for one
+metric, launch_ms: both sides' medians, quartiles and ranges in
+milliseconds, the change of the median in percent, and the pairs in which
+the change started faster. The exit status is 1 when any launch exits
+non-zero or does not print the tool's name.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from ab_pairs import ROOT, _stats
+from ab_pairs import ROOT, format_summary, summarise
 
 COMMAND = [sys.executable, "-m", "aircomp_sia", "--version"]
+# The one metric, in the spec format ab_pairs reads from BENCHMARK.json.
+SPEC = [{"name": "launch_ms", "unit": "ms", "better": "lower"}]
 
 
 def blas_env():
@@ -47,24 +50,6 @@ def launch(checkout, env):
     return elapsed, done.returncode == 0 and "aircomp" in done.stdout
 
 
-def summarise(pairs):
-    """Both sides' statistics in ms, the median's change in percent and the
-    pairs where the change was strictly faster, from (parent, change) seconds."""
-    parent = _stats([1e3 * p for p, _ in pairs])
-    change = _stats([1e3 * c for _, c in pairs])
-    return {"pairs": len(pairs), "wins": sum(c < p for p, c in pairs), "parent": parent,
-            "change": change, "change_pct": 100.0 * (change["median"] / parent["median"] - 1.0)}
-
-
-def format_summary(row):
-    def side(stats):
-        return (f"{stats['median']:.1f} ms (quartiles {stats['q1']:.1f}-{stats['q3']:.1f}, "
-                f"range {stats['min']:.1f}-{stats['max']:.1f})")
-
-    return (f"launch: parent {side(row['parent'])} -> change {side(row['change'])}, "
-            f"{row['change_pct']:+.1f}%, change faster in {row['wins']} of {row['pairs']} pairs")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="root of the parent checkout")
@@ -83,8 +68,9 @@ def main(argv=None):
         for name in order:
             times[name], good = launch(getattr(args, name), env)
             ok &= good
-        pairs.append((times["parent"], times["change"]))
-    print(format_summary(summarise(pairs)))
+        pairs.append(({"launch_ms": 1e3 * times["parent"]}, {"launch_ms": 1e3 * times["change"]}))
+    for line in format_summary(summarise(SPEC, pairs)):
+        print(line)
     if not ok:
         print("launch_pairs: a launch exited non-zero or did not print the tool's name",
               file=sys.stderr)
