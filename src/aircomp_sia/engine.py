@@ -49,11 +49,10 @@ SET_REDRAW_BUDGET = 100
 # Complex elements a chunk's channel stacks and scored grid may hold; a
 # chunk always has at least one trial. The draws and the build's
 # K-sized intermediates are not counted, so a chunk's peak is a K-dependent
-# multiple of the cap (3.6 MiB for a 5-trial M=4, K=200 chunk, against the
-# 1 MiB of 2**16 elements). A chunk pays a fixed cost of about a hundred
-# numpy calls whatever its size, so the cap is set high; 2**17 raised peak
-# memory by more than 10%.
-CHUNK_ELEMENTS = 2**16
+# multiple of the cap (3.9 MiB for a 10-trial M=4, K=200 chunk, against the
+# 2 MiB of 2**17 elements). A chunk pays a fixed cost whatever its size,
+# about 0.5 ms on that chunk, so the cap is set high.
+CHUNK_ELEMENTS = 2**17
 # Largest noiseless relative residual and leakage a sia trial may show:
 # exact recovery sits near 1e-13 and leakage near 1e-27, so more is a fault.
 RESIDUAL_BOUND = 1e-8

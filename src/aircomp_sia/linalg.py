@@ -179,30 +179,55 @@ def cond_bound_clears(mats, limit):
     return log_bound <= math.log(limit / _BOUND_MARGIN)
 
 
+def _sum_of_products(out, scratch, signs, *factors):
+    """out = x0 y0 +- x1 y1 +- ... for factors x0, y0, x1, y1, ..., `signs`
+    the "+" or "-" before each product after the first, in place and left
+    to right: each product one pass into `scratch`, each sum one into out."""
+    np.multiply(factors[0], factors[1], out=out)
+    for sign, x, y in zip(signs, factors[2::2], factors[3::2]):
+        (np.add if sign == "+" else np.subtract)(out, np.multiply(x, y, out=scratch), out=out)
+    return out
+
+
 def _adjugate4(a):
     """(det, adj) of a stack of 4x4 matrices by Laplace expansion along rows
     0-1: det = sum of +-s c over the six 2x2 minors s of rows 0-1 and their
     complementary minors c of rows 2-3, and each adjugate entry three terms
-    a c or a s. Taken on contiguous entry planes, a's own or a copy; adj is
-    stored in a's layout."""
+    a c or a s. Taken on contiguous entry planes, a's own or a copy; each
+    minor, det and each adj entry is formed in its own plane, with one
+    scratch plane. adj is stored in a's layout."""
+    lead = a.shape[:-2]
+    planes = np.ascontiguousarray(_entry_planes(a).reshape((16,) + lead))
+    # Indexed with `...`, a lone matrix's planes are 0-d arrays, not scalars.
     (a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23,
-     a30, a31, a32, a33) = np.ascontiguousarray(_entry_planes(a).reshape((16,) + a.shape[:-2]))
-    s0, s1, s2 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
-    s3, s4, s5 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
-    c0, c1, c2 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
-    c3, c4, c5 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
-    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    adj = np.empty_like(a)
-    out = _entry_planes(adj)
-    out[0, 0], out[0, 1] = a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3
-    out[0, 2], out[0, 3] = a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3
-    out[1, 0], out[1, 1] = a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1
-    out[1, 2], out[1, 3] = a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1
-    out[2, 0], out[2, 1] = a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0
-    out[2, 2], out[2, 3] = a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0
-    out[3, 0], out[3, 1] = a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0
-    out[3, 2], out[3, 3] = a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0
-    return det, adj
+     a30, a31, a32, a33) = (planes[k, ...] for k in range(16))
+    minors, scratch = np.empty((12,) + lead, dtype=a.dtype), np.empty(lead, dtype=a.dtype)
+    s0, s1, s2, s3, s4, s5, c0, c1, c2, c3, c4, c5 = (minors[k, ...] for k in range(12))
+    for minor, factors in zip((s0, s1, s2, s3, s4, s5, c0, c1, c2, c3, c4, c5), (
+            (a00, a11, a01, a10), (a00, a12, a02, a10), (a00, a13, a03, a10),
+            (a01, a12, a02, a11), (a01, a13, a03, a11), (a02, a13, a03, a12),
+            (a20, a31, a21, a30), (a20, a32, a22, a30), (a20, a33, a23, a30),
+            (a21, a32, a22, a31), (a21, a33, a23, a31), (a22, a33, a23, a32))):
+        _sum_of_products(minor, scratch, "-", *factors)
+    det = _sum_of_products(np.empty(lead, dtype=a.dtype), scratch, "-++-+",
+                           s0, c5, s1, c4, s2, c3, s3, c2, s4, c1, s5, c0)
+    adj = np.empty((4, 4) + lead, dtype=a.dtype)
+    entries = adj.reshape((16,) + lead)
+    for k, (signs, *factors) in enumerate((
+            ("-+", a11, c5, a12, c4, a13, c3), ("--", a02, c4, a01, c5, a03, c3),
+            ("-+", a31, s5, a32, s4, a33, s3), ("--", a22, s4, a21, s5, a23, s3),
+            ("--", a12, c2, a10, c5, a13, c1), ("-+", a00, c5, a02, c2, a03, c1),
+            ("--", a32, s2, a30, s5, a33, s1), ("-+", a20, s5, a22, s2, a23, s1),
+            ("-+", a10, c4, a11, c2, a13, c0), ("--", a01, c2, a00, c4, a03, c0),
+            ("-+", a30, s4, a31, s2, a33, s0), ("--", a21, s2, a20, s4, a23, s0),
+            ("--", a11, c1, a10, c3, a12, c0), ("-+", a00, c3, a01, c1, a02, c0),
+            ("--", a31, s1, a30, s3, a32, s0), ("-+", a20, s3, a21, s1, a22, s0))):
+        _sum_of_products(entries[k, ...], scratch, signs, *factors)
+    if _in_planes(a):
+        return det, _stack(adj)
+    out = np.empty_like(a)
+    out[...] = _stack(adj)
+    return det, out
 
 
 def _certified_inverse(mats, limit):
@@ -350,7 +375,8 @@ def aligned_rank(x, basis, dim):
     unit = _unit_scaled(x)[0]  # no norm or Gram of it over- or underflows
     split = basis.reshape(-1, m, m) @ unit
     y, r = split[:, :dim], min(dim, n)
-    y2, z2 = (np.einsum("...ij,...ij->...", b.conj(), b).real for b in (y, split[:, dim:]))
+    parts = split.view(np.float64)  # ||.||_F^2 as the sum of squared real and imaginary parts
+    y2, z2 = (np.einsum("...ij,...ij->...", b, b) for b in (parts[:, :dim], parts[:, dim:]))
     zero = y2 + z2 == 0.0  # x = 0: the basis is unitary, and ||unit||_F >= 2^-400
     clear = z2 * (r * _BOUND_MARGIN ** 2) < RANK_RTOL ** 2 * y2  # strict: x = 0 fails
     if clear.any():

@@ -70,8 +70,8 @@ def aligned_interference_dimension(channels, precoders, reference, beamformer):
     SVD through the unitary [V, W^H] of the cell's reference V and the
     other AP's beamformer W, the pair build_reference_matrices gives.
     """
-    blocks = mm(channels.cross, np.asarray(precoders))
-    stack = np.moveaxis(blocks, -4, -2)
+    stack = np.moveaxis(mm(channels.cross, np.asarray(precoders)), -4, -2)
+    stack = stack.reshape(stack.shape[:-2] + (-1,))  # where this copies, the product is freed
     basis = np.concatenate([reference.conj().swapaxes(-1, -2), beamformer[..., ::-1, :, :]],
                            axis=-2)
-    return aligned_rank(stack.reshape(stack.shape[:-2] + (-1,)), basis, reference.shape[-1])
+    return aligned_rank(stack, basis, reference.shape[-1])

@@ -32,10 +32,21 @@ class TestSummarise:
         assert (speed["change"]["median"], speed["change"]["min"]) == (110.0, 103.0)
         assert speed["change_pct"] == pytest.approx(10.0)
         assert (speed["wins"], speed["pairs"]) == (2, 3)
+        assert speed["pair_pct"] == pytest.approx([10.0, 100.0 * (103.0 / 104.0 - 1.0),
+                                                   100.0 * (120.0 / 98.0 - 1.0)])
         # Lower is better, and a tie is no win.
         memory = rows["peak_rss_mib"]
         assert (memory["wins"], memory["pairs"]) == (1, 3)
         assert memory["change_pct"] == pytest.approx(0.0)
+
+    def test_each_pair_is_printed(self):
+        pairs = [(run(100.0, 40.0), run(110.0, 40.0)),
+                 (run(104.0, 41.0), run(103.0, 39.0)),
+                 (run(0.0, 40.0), run(120.0, 42.0))]
+        lines = ab_pairs.format_summary(ab_pairs.summarise(SPEC[:2], pairs))
+        assert lines[0].endswith(", +10.0%, change better in 2 of 3 pairs; "
+                                 "per pair +10.0%, -1.0%, n/a")
+        assert lines[1].endswith("change better in 1 of 3 pairs; per pair +0.0%, -4.9%, +5.0%")
 
     def test_missing_metric_is_left_out(self):
         rows = {row["name"]: row for row in ab_pairs.summarise(SPEC, [(run(1.0, 2.0),) * 2])}
@@ -43,7 +54,8 @@ class TestSummarise:
         assert rows["scaling_eff"]["parent"] is None
         assert rows["scaling_eff"]["change_pct"] is None
         lines = ab_pairs.format_summary(ab_pairs.summarise(SPEC, [(run(1.0, 2.0),) * 2]))
-        assert len(lines) == 3 and "n/a" in lines[2]
+        assert len(lines) == 3 and lines[2].endswith("n/a, change better in 0 of 0 pairs; "
+                                                      "per pair n/a")
 
     def test_declared_metrics_are_read(self):
         names = [m["name"] for m in ab_pairs.end_to_end_spec()]
@@ -71,7 +83,7 @@ class TestMain:
         assert code == 0
         assert [line.split(":")[0] for line in out[:4]] == [
             "pair 0 parent", "pair 0 change", "pair 1 change", "pair 1 parent"]
-        assert "change better in 0 of 2 pairs" in out[4]
+        assert out[4].endswith("change better in 0 of 2 pairs; per pair +0.0%, +0.0%")
 
     @pytest.mark.parametrize("correct, code", [(False, 0), (True, 3)])
     def test_failed_run_fails(self, tmp_path, capsys, correct, code):

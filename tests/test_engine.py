@@ -711,19 +711,22 @@ class TestTrialResultLayout:
     def test_sweep_memory_per_trial_is_bounded(self):
         # At M = 16, K = 1 and 41 grid points, each trial's complex error
         # at every point would take 10.5 KB; the scored powers take 1.3 KB.
+        # One and two full chunks: the chunks are the same size, so the
+        # difference is what the sweep keeps per trial, not a chunk's growth.
         grid = tuple(float(s) for s in range(41))
-        run_sweep(config_for(16, 1, trials=100, snr_db_grid=grid), workers=1)
+        per_chunk = engine._chunk_trials(config_for(16, 1, snr_db_grid=grid))
+        run_sweep(config_for(16, 1, trials=per_chunk, snr_db_grid=grid), workers=1)
         peaks = []
         tracemalloc.start()
         try:
-            for trials in (100, 200):
+            for trials in (per_chunk, 2 * per_chunk):
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
                 run_sweep(config_for(16, 1, trials=trials, snr_db_grid=grid), workers=1)
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 100 <= 8000, peaks
+        assert (peaks[1] - peaks[0]) / per_chunk <= 8000, peaks
 
 
 class TestRunSweep:
@@ -995,7 +998,7 @@ class TestChunks:
         # 4*K*M^2 channel elements plus the scored grid per trial; a K = 200
         # chunk holds several trials.
         k200 = engine._chunk_trials(config_for(4, 200))
-        assert k200 == engine.CHUNK_ELEMENTS // (12800 + 12) == 5
+        assert k200 == engine.CHUNK_ELEMENTS // (12800 + 12) == 10
         assert engine._chunk_trials(config_for(2, 1)) == engine.CHUNK_ELEMENTS // (16 + 6)
 
     def test_guard_rejection_matches_chunk_of_one(self, monkeypatch):

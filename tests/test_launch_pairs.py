@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -40,7 +41,7 @@ def test_summary_in_milliseconds(launch_pairs, monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "launch_ms (ms, lower is better): parent 102 (quartiles 99.5-105.5, range 98-110) "
         "-> change 95 (quartiles 87.5-101.25, range 80-105), -6.9%, "
-        "change better in 3 of 4 pairs\n")
+        "change better in 3 of 4 pairs; per pair -10.0%, +1.0%, -18.4%, -9.1%\n")
 
 
 def test_reads_the_benchmark_environment(launch_pairs):
@@ -55,4 +56,4 @@ def test_main_on_stub_checkouts(launch_pairs, tmp_path, capsys, code, status):
                               "--launches", "2"]) == status
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and out[0].startswith("launch_ms (ms, lower is better): parent ")
-    assert out[0].endswith(" of 2 pairs")
+    assert re.search(r" of 2 pairs; per pair [+-]\d+\.\d%, [+-]\d+\.\d%$", out[0]), out[0]

@@ -407,6 +407,56 @@ class TestRightInverseDecisions:
             self.check_stack(mats, 3, devices=2)
 
 
+def cofactor_adjugate4(a):
+    """(det, adj) of 4x4 matrices by the cofactor expressions `_adjugate4`
+    took before it formed each plane in place: one numpy expression per
+    minor, det and adj entry on contiguous entry planes, each product a new
+    array. A lone matrix is taken as a stack of one, so that every product
+    is an array product: numpy's scalar arithmetic may round a complex
+    product differently (without the fused multiply-add its loops use)."""
+    planes = np.ascontiguousarray(np.moveaxis(a.reshape((-1, 4, 4)), (1, 2), (0, 1)))
+    (a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23,
+     a30, a31, a32, a33) = planes.reshape((16, -1))
+    s0, s1, s2 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
+    s3, s4, s5 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
+    c0, c1, c2 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
+    c3, c4, c5 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    adj = np.stack([
+        a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3,
+        a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3,
+        a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+        a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1,
+        a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0,
+        a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0,
+        a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+        a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0])
+    return det.reshape(a.shape[:-2]), np.moveaxis(adj.reshape((4, 4, -1)), 2, 0).reshape(a.shape)
+
+
+class TestAdjugate4:
+    """`_adjugate4` gives the cofactor expressions' det and adj bit for bit,
+    with adj in its input's layout."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("lead, planes", [((), False), ((3, 5), False), ((3, 5), True),
+                                              ((10, 200, 2), True)])
+    def test_matches_cofactor_expressions(self, dtype, lead, planes):
+        rng = rng_for(70)
+        mats = rng.standard_normal(lead + (4, 4)).astype(dtype)
+        if dtype == np.complex128:
+            mats += 1j * rng.standard_normal(lead + (4, 4))
+        if planes:
+            mats = np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1))),
+                               (0, 1), (-2, -1))
+        det, adj = linalg._adjugate4(mats)
+        want_det, want_adj = cofactor_adjugate4(mats)
+        assert (det.shape, adj.shape, adj.dtype) == (lead, mats.shape, mats.dtype)
+        assert np.ascontiguousarray(det).tobytes() == want_det.tobytes()
+        assert np.ascontiguousarray(adj).tobytes() == want_adj.tobytes()
+        assert adj.strides == np.empty_like(mats).strides
+
+
 class TestClosedFormCertificate:
     """The 4x4 closed form clears a matrix only where its determinant,
     less the 16u ||A||_F^4 its rounding may reach, proves the bound."""

@@ -9,9 +9,10 @@ first in even pairs, the change first in odd ones, so neither side always
 runs on a warmer machine. The last line of each run's standard output is
 its result object. For every end-to-end metric that BENCHMARK.json (next
 to this tool) declares, the summary gives both sides' medians, quartiles
-and ranges, the change of the median in percent, and the pairs in which
-the change did better in the metric's declared direction. The exit status
-is 1 when any run exits non-zero or does not report "correct": true.
+and ranges, the change of the median in percent, the pairs in which the
+change did better in the metric's declared direction, and each pair's own
+change in percent, in pair order. The exit status is 1 when any run exits
+non-zero or does not report "correct": true.
 """
 
 from __future__ import annotations
@@ -66,13 +67,15 @@ def summarise(spec, pairs):
     """One row per declared metric from `pairs`, a list of (parent, change)
     metric dicts {name: value}; a side without the metric is left out of
     its medians and of the wins. Wins count the pairs where the change is
-    strictly better in the metric's `better` direction."""
+    strictly better in the metric's `better` direction; `pair_pct` holds
+    each pair's change in percent (None where the parent's value is 0)."""
     rows = []
     for metric in spec:
         name, higher = metric["name"], metric["better"] == "higher"
         both = [(p[name], c[name]) for p, c in pairs if name in p and name in c]
         row = {"name": name, "unit": metric["unit"], "better": metric["better"],
-               "pairs": len(both), "wins": sum((c > p) if higher else (c < p) for p, c in both)}
+               "pairs": len(both), "wins": sum((c > p) if higher else (c < p) for p, c in both),
+               "pair_pct": [100.0 * (c / p - 1.0) if p != 0 else None for p, c in both]}
         for side, values in (("parent", [p for p, _ in both]), ("change", [c for _, c in both])):
             row[side] = _stats(values) if values else None
         if row["parent"] and row["change"] and row["parent"]["median"] != 0:
@@ -90,12 +93,16 @@ def format_summary(rows):
         return (f"{stats['median']:.6g} (quartiles {stats['q1']:.6g}-{stats['q3']:.6g}, "
                 f"range {stats['min']:.6g}-{stats['max']:.6g})")
 
+    def pct(value):
+        return "n/a" if value is None else f"{value:+.1f}%"
+
     lines = []
     for row in rows:
-        pct = "n/a" if row["change_pct"] is None else f"{row['change_pct']:+.1f}%"
+        per_pair = ", ".join(map(pct, row["pair_pct"])) or "n/a"
         lines.append(f"{row['name']} ({row['unit']}, {row['better']} is better): "
-                     f"parent {side(row['parent'])} -> change {side(row['change'])}, {pct}, "
-                     f"change better in {row['wins']} of {row['pairs']} pairs")
+                     f"parent {side(row['parent'])} -> change {side(row['change'])}, "
+                     f"{pct(row['change_pct'])}, change better in {row['wins']} of "
+                     f"{row['pairs']} pairs; per pair {per_pair}")
     return lines
 
 
